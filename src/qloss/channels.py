@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qudit import DensityOperator, Level, _check_support, _embed_apply_vec, truncated_pauli
+from .qudit import DensityOperator, Level, _check_support, truncated_pauli
 from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
@@ -143,7 +143,7 @@ class ChoiMatrix:
 
     def validate(self) -> None:
         dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if dev > ATOL_ALGEBRA:
+        if not dev <= ATOL_ALGEBRA:
             raise ValueError(f"Choi matrix not Hermitian (deviation {dev:.2e})")
         evals = np.linalg.eigvalsh(self.matrix)
         if evals.min() < -ATOL_PSD:
@@ -241,6 +241,14 @@ def mixing_probability(phi: float, p_qnd: float) -> float:
     return p_qnd / denom
 
 
+def _extended_pauli(letter: str, dims: int) -> np.ndarray:
+    """Single-ion Pauli on {|0>,|1>}, extended as the identity on the other levels."""
+    m = truncated_pauli(letter, dims)
+    if letter != "I":
+        m = m + (np.eye(dims) - truncated_pauli("X", dims) @ truncated_pauli("X", dims))
+    return m
+
+
 def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
     """Fully depolarize one ion's computational marginal; other ions untouched.
 
@@ -248,14 +256,9 @@ def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
     identity on non-computational levels, so leaked population is a fixed
     point of the map.
     """
-    d = rho.dims
     acc = np.zeros_like(rho.mat)
     for letter in "IXYZ":
-        m = truncated_pauli(letter, d)
-        if letter != "I":
-            # unitary extension: identity on the non-computational levels
-            m = m + (np.eye(d) - truncated_pauli("X", d) @ truncated_pauli("X", d))
-        acc += 0.25 * rho.apply_operator(m, (qubit,)).mat
+        acc += 0.25 * rho.apply_operator(_extended_pauli(letter, rho.dims), (qubit,)).mat
     return DensityOperator(rho.n_ions, rho.dims, acc)
 
 
@@ -272,6 +275,6 @@ def qnd_noise_mixture(rho: DensityOperator, phi: float, model: NoiseModel,
     for q in qs:
         acc = acc + (p / len(qs)) * depolarize_one(rho, q).mat
     out = DensityOperator(rho.n_ions, rho.dims, acc)
-    if abs(out.trace() - rho.trace()) > ATOL_TRACE:  # pragma: no cover - safety net
+    if not abs(out.trace() - rho.trace()) <= ATOL_TRACE:  # pragma: no cover - safety net
         raise AssertionError("noise mixture changed the trace")
     return out

@@ -16,16 +16,14 @@ import sys
 import click
 import numpy as np
 
-from .channels import NoiseModel
+from .channels import CHOI_BASIS_ORDER, NoiseModel
 from .lattice import ConsistencyError, percolation_threshold
-from .protocol import (SHOT_PRESETS, analytic_run, detection_sweep, run_protocol,
-                       records_to_jsonl)
+from .protocol import SHOT_PRESETS, detection_sweep, run_protocol, records_to_jsonl
 from .qudit import ContractViolation
 from .serialize import (fmt, header_lines, matrix_to_json_dict, write_csv,
                         write_json)
 from .tomography import (EmptyBranchError, ideal_branch_choi, process_fidelity,
-                         process_tomography, table_report, TABLE_COLUMNS)
-from .channels import CHOI_BASIS_ORDER
+                         process_tomography, TABLE_COLUMNS)
 
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
@@ -40,13 +38,17 @@ def parse_angle(text: str) -> float:
     if not t:
         raise ValueError("empty angle")
     if t in ALPHA_ALIASES:
-        return ALPHA_ALIASES[t]
-    if t.startswith("pi/"):
-        return math.pi / float(t[3:])
-    if t.endswith("pi"):
+        value = ALPHA_ALIASES[t]
+    elif t.startswith("pi/"):
+        value = math.pi / float(t[3:])
+    elif t.endswith("pi"):
         head = t[:-2]
-        return (float(head) if head not in ("", "+", "-") else float(head + "1")) * math.pi
-    return float(t) * math.pi
+        value = (float(head) if head not in ("", "+", "-") else float(head + "1")) * math.pi
+    else:
+        value = float(t) * math.pi
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 def parse_grid(text: str, parser=parse_angle) -> list[float]:
@@ -59,8 +61,12 @@ def parse_grid(text: str, parser=parse_angle) -> list[float]:
         count = int(parts[2])
         if count < 1:
             raise ValueError("grid count must be >= 1")
-        return list(np.linspace(start, stop, count))
-    return [parser(p) for p in t.split(",") if p.strip()]
+        grid = list(np.linspace(start, stop, count))
+    else:
+        grid = [parser(p) for p in t.split(",") if p.strip()]
+    if not all(math.isfinite(v) for v in grid):
+        raise ValueError(f"grid {text!r} has a non-finite value")
+    return grid
 
 
 def parse_float_grid(text: str) -> list[float]:
@@ -119,7 +125,7 @@ def _effective(ctx: click.Context, config_path: str | None, **cli_values):
 def _run(fn):
     try:
         fn()
-    except (ValueError, OSError, EmptyBranchError) as exc:
+    except (ValueError, OSError, EmptyBranchError, ZeroDivisionError) as exc:
         raise _Fail(str(exc))
     except (ConsistencyError, ContractViolation, AssertionError) as exc:
         click.echo(f"internal invariant violation: {exc}", err=True)

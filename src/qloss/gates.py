@@ -9,14 +9,15 @@ simply drops out of the dynamics while the compiled matrix stays unitary
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit import Level, PureState, apply_unitary, truncated_pauli
+from .qudit import Level, PauliString, PureState, apply_unitary, truncated_pauli
 from .tolerances import ATOL_ALGEBRA
 
 
@@ -87,13 +88,11 @@ def unhide(ion: int) -> GateOp:
 _COMPILE_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _single_rotation(axis: str, theta: float, dims: int) -> np.ndarray:
-    """exp(-i theta/2 sigma_bar): rotation on {|0>,|1>}, identity elsewhere."""
-    sig = truncated_pauli(axis, dims)
-    proj = sig @ sig  # computational projector
-    return (np.eye(dims, dtype=complex)
-            + (math.cos(theta / 2) - 1.0) * proj
-            - 1j * math.sin(theta / 2) * sig)
+def _rotation(gen: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-i theta/2 G) for a generator with G^3 = G: identity off G's support."""
+    return (np.eye(len(gen), dtype=complex)
+            + (math.cos(theta / 2) - 1.0) * (gen @ gen)
+            - 1j * math.sin(theta / 2) * gen)
 
 
 def _loss_rotation_matrix(phi: float, dims: int) -> np.ndarray:
@@ -106,36 +105,30 @@ def _loss_rotation_matrix(phi: float, dims: int) -> np.ndarray:
     return m
 
 
+def _transfer_pulses() -> tuple[np.ndarray, np.ndarray]:
+    """The two addressed hide pulses: |0> <-> |H0> and |1> <-> |H1> swaps."""
+    p0 = np.eye(5, dtype=complex)
+    p0[Level.L0, Level.L0] = p0[Level.H0, Level.H0] = 0.0
+    p0[Level.L0, Level.H0] = p0[Level.H0, Level.L0] = 1.0
+    p1 = np.eye(5, dtype=complex)
+    p1[Level.L1, Level.L1] = p1[Level.H1, Level.H1] = 0.0
+    p1[Level.L1, Level.H1] = p1[Level.H1, Level.L1] = 1.0
+    return p0, p1
+
+
 def _hide_matrix(dims: int) -> np.ndarray:
     if dims == 3:
         # ideal mode: hiding is a support-mask toggle handled by the executor
         return np.eye(3, dtype=complex)
-    m = np.zeros((5, 5), dtype=complex)
-    m[Level.H0, Level.L0] = m[Level.L0, Level.H0] = 1.0
-    m[Level.H1, Level.L1] = m[Level.L1, Level.H1] = 1.0
-    m[Level.L2, Level.L2] = 1.0
-    return m
+    p0, p1 = _transfer_pulses()
+    return p0 @ p1
 
 
 def _ms_matrix(theta: float, k: int, dims: int) -> np.ndarray:
     """Product of commuting pair factors exp(-i theta/2 X_j X_l)."""
-    d = dims**k
-    eye_d = np.eye(dims, dtype=complex)
-    x = truncated_pauli("X", dims)
-
-    def embed_pair(j: int, l: int) -> np.ndarray:
-        mat = np.array([[1.0 + 0j]])
-        for i in range(k):
-            mat = np.kron(mat, x if i in (j, l) else eye_d)
-        return mat
-
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    u = np.eye(d, dtype=complex)
-    for j in range(k):
-        for l in range(j + 1, k):
-            m = embed_pair(j, l)
-            factor = np.eye(d, dtype=complex) + (c - 1.0) * (m @ m) - 1j * s * m
-            u = factor @ u
+    u = np.eye(dims**k, dtype=complex)
+    for j, l in itertools.combinations(range(k), 2):
+        u = _rotation(PauliString.from_map(k, {j: "X", l: "X"}).embedded(dims), theta) @ u
     return u
 
 
@@ -153,7 +146,7 @@ def compile_gate(op: GateOp, dims: int) -> np.ndarray:
     if op.kind == GateKind.MS_X:
         mat = _ms_matrix(op.angle, len(op.support), dims)
     elif op.kind == GateKind.COLLECTIVE_R:
-        single = _single_rotation(op.axis, op.angle, dims)
+        single = _rotation(truncated_pauli(op.axis, dims), op.angle)
         mat = np.array([[1.0 + 0j]])
         for _ in op.support:
             mat = np.kron(mat, single)
@@ -169,7 +162,7 @@ def compile_gate(op: GateOp, dims: int) -> np.ndarray:
         raise ValueError(f"unknown gate kind {op.kind}")
 
     dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if dev > ATOL_ALGEBRA:  # pragma: no cover - safety net
+    if not dev <= ATOL_ALGEBRA:  # pragma: no cover - safety net
         raise AssertionError(f"compiled gate not unitary (deviation {dev:.2e})")
     mat.setflags(write=False)
     _COMPILE_CACHE[key] = mat
@@ -209,24 +202,18 @@ class Register:
                 raise HiddenStateError(f"ion {ion} is not hidden")
             self.hidden.discard(ion)
             return
-        support = op.support
         if op.kind in (GateKind.MS_X, GateKind.COLLECTIVE_R):
+            # commuting pair (MS) or single-ion (rotation) factors over the
+            # visible ions: exact and cheap for wide supports
             support = tuple(i for i in op.support if i not in self.hidden)
-            if op.kind == GateKind.MS_X:
-                # commuting pair factors: exact and cheap for wide supports
-                pair = compile_gate(GateOp(GateKind.MS_X, op.angle, (0, 1)), self.dims)
-                for a in range(len(support)):
-                    for b in range(a + 1, len(support)):
-                        self.state = apply_unitary(self.state, pair,
-                                                   (support[a], support[b]))
-                return
-            single = _single_rotation(op.axis, op.angle, self.dims)
-            for ion in support:
-                self.state = apply_unitary(self.state, single, (ion,))
+            width = 2 if op.kind == GateKind.MS_X else 1
+            factor = compile_gate(replace(op, support=tuple(range(width))), self.dims)
+            for ions in itertools.combinations(support, width):
+                self.state = apply_unitary(self.state, factor, ions)
             return
-        if set(support) & self.hidden:
+        if set(op.support) & self.hidden:
             raise HiddenStateError(f"gate {op.kind.value} addresses a hidden ion")
-        self.state = apply_unitary(self.state, compile_gate(op, self.dims), support)
+        self.state = apply_unitary(self.state, compile_gate(op, self.dims), op.support)
 
     def run(self, ops: Iterable[GateOp]) -> None:
         for op in ops:

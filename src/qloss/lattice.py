@@ -1,14 +1,14 @@
 """Planar surface-code lattice under qubit loss.
 
-``planar`` boundary mode builds, for L >= 3, the standard single-logical
-patch with L^2 + (L-1)^2 edge qubits: an (L-1) x L grid of vertices,
-vertical edges dangling off the top and bottom rows (where logical Z
-strings terminate), and the full left and right exteriors as the dual
-regions where logical X strings terminate.  This geometry is exactly
-self-dual for bond percolation, so the loss threshold sits at 1/2.
-``L = 2`` is the 4-qubit one-plaquette instance of the detection/correction
-protocol (edge order: top, left, right, bottom), whose X-string terminals
-degenerate to the two bottom corner cells.
+For L >= 3 the lattice is the standard single-logical patch with
+L^2 + (L-1)^2 edge qubits: an (L-1) x L grid of vertices, vertical edges
+dangling off the top and bottom rows (where logical Z strings terminate),
+and the full left and right exteriors as the dual regions where logical X
+strings terminate.  This geometry is exactly self-dual for bond
+percolation, so the loss threshold sits at 1/2.  ``L = 2`` is the 4-qubit
+one-plaquette instance of the detection/correction protocol (edge order:
+top, left, right, bottom), whose X-string terminals degenerate to the two
+bottom corner cells.
 
 Losing an edge merges its two dual cells: merged cells away from the
 terminal regions become superplaquettes (mod-2 product of their members),
@@ -22,12 +22,13 @@ regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit import PauliString
+from .qudit import PauliString, seed_for
 
 
 class ConsistencyError(RuntimeError):
@@ -49,7 +50,6 @@ class LossLattice:
     """Surface-code lattice with a lost-edge mask and current generators."""
 
     L: int
-    boundary: str
     n_edges: int
     edges: list[Edge]
     lost: frozenset[int]
@@ -92,15 +92,11 @@ class LossLattice:
         return len(self.z_generators) + len(self.x_generators)
 
 
-def build_lattice(L: int, boundary: str = "planar") -> LossLattice:
+def build_lattice(L: int) -> LossLattice:
     """Construct the loss-free lattice with its stabilizer generators."""
     if L < 2:
         raise ValueError(f"linear size must be >= 2, got {L}")
-    if boundary == "planar":
-        return _build_minimal() if L == 2 else _build_planar(L)
-    if boundary == "toroidal":
-        return _build_toroidal(L)
-    raise ValueError(f"unknown boundary {boundary!r}")
+    return _build_minimal() if L == 2 else _build_planar(L)
 
 
 def _build_planar(L: int) -> LossLattice:
@@ -165,7 +161,7 @@ def _build_planar(L: int) -> LossLattice:
     z_gens = [frozenset(s) for _, s in sorted(plaq.items())]
 
     lat = LossLattice(
-        L=L, boundary="planar", n_edges=n_edges, edges=edges,
+        L=L, n_edges=n_edges, edges=edges,
         lost=frozenset(), z_generators=z_gens, x_generators=x_gens,
         primal_a=frozenset(top_leaf(c) for c in range(cols)),
         primal_b=frozenset(bottom_leaf(c) for c in range(cols)),
@@ -250,49 +246,11 @@ def _build_minimal() -> LossLattice:
     primal_b = frozenset(leaf(t) for t in list(leaf_ids) if t[0] == "B")
 
     lat = LossLattice(
-        L=L, boundary="planar", n_edges=n_edges, edges=edges,
+        L=L, n_edges=n_edges, edges=edges,
         lost=frozenset(), z_generators=z_gens, x_generators=x_gens,
         primal_a=primal_a, primal_b=primal_b,
         dual_terminals=(term_l, term_r), n_vertices=n_vertices,
         n_primal_nodes=n_vertices + len(leaf_ids), n_cells=L * L)
-    lat.validate_commutation()
-    return lat
-
-
-def _build_toroidal(L: int) -> LossLattice:
-    """L x L torus; used only as a percolation cross-check geometry."""
-    def vertex(r: int, c: int) -> int:
-        return (r % L) * L + (c % L)
-
-    def cell(r: int, c: int) -> int:
-        return (r % L) * L + (c % L)
-
-    edges: list[Edge] = []
-    for r in range(L):
-        for c in range(L):
-            edges.append(Edge(len(edges), "V", r, c,
-                              (vertex(r, c), vertex(r + 1, c)),
-                              (cell(r, c), cell(r, c - 1))))
-            edges.append(Edge(len(edges), "H", r, c,
-                              (vertex(r, c), vertex(r, c + 1)),
-                              (cell(r, c), cell(r - 1, c))))
-    star: dict[int, set[int]] = {}
-    plaq: dict[int, set[int]] = {}
-    for e in edges:
-        for node in e.endpoints:
-            star.setdefault(node, set()).add(e.index)
-        for cl in e.cells:
-            plaq.setdefault(cl, set()).add(e.index)
-    # drop one star and one plaquette: they are products of all the others
-    x_gens = [frozenset(s) for k, s in sorted(star.items())][:-1]
-    z_gens = [frozenset(s) for k, s in sorted(plaq.items())][:-1]
-    lat = LossLattice(
-        L=L, boundary="toroidal", n_edges=len(edges), edges=edges,
-        lost=frozenset(), z_generators=z_gens, x_generators=x_gens,
-        primal_a=frozenset(vertex(0, c) for c in range(L)),
-        primal_b=frozenset(vertex(L - 1, c) for c in range(L)),
-        dual_terminals=(0, 0), n_vertices=L * L,
-        n_primal_nodes=L * L, n_cells=L * L)
     lat.validate_commutation()
     return lat
 
@@ -343,8 +301,6 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     class removes the lost edges automatically.  Commutation of the result
     is re-verified exhaustively.
     """
-    if lattice.boundary != "planar":
-        raise ValueError("stabilizer reformation is defined for planar lattices")
     uf = _UnionFind(lattice.n_cells)
     for e in lattice.lost:
         uf.union(*lattice.edges[e].cells)
@@ -409,7 +365,6 @@ class LogicalSearch:
 def _bfs_path(n_nodes: int, adjacency: dict[int, list[tuple[int, int]]],
               sources: Iterable[int], targets: set[int]) -> list[int] | None:
     """Edge list of a shortest path from any source to any target, or None."""
-    from collections import deque
     prev: dict[int, tuple[int, int] | None] = {}
     queue = deque()
     for s in sources:
@@ -432,13 +387,11 @@ def _bfs_path(n_nodes: int, adjacency: dict[int, list[tuple[int, int]]],
 
 
 def find_logical(lattice: LossLattice) -> LogicalSearch:
-    """Deformed logical operators avoiding all lost edges (planar mode).
+    """Deformed logical operators avoiding all lost edges.
 
     Call after :func:`reform_stabilizers`; the returned strings commute with
     every current generator and anticommute with each other.
     """
-    if lattice.boundary != "planar":
-        raise ValueError("deformed-logical search is defined for planar lattices")
     surviving = [lattice.edges[e] for e in lattice.surviving()]
 
     primal_adj: dict[int, list[tuple[int, int]]] = {}
@@ -466,31 +419,6 @@ def find_logical(lattice: LossLattice) -> LogicalSearch:
 
 # ---------------------------------------------------------------------------
 # percolation survival
-
-
-def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
-    """Fast correctability test for one loss mask (no generator reformation)."""
-    uf_p = _UnionFind(lattice.n_primal_nodes + 2)
-    src_p, dst_p = lattice.n_primal_nodes, lattice.n_primal_nodes + 1
-    uf_d = _UnionFind(lattice.n_cells)
-    for node in lattice.primal_a:
-        uf_p.union(src_p, node)
-    for node in lattice.primal_b:
-        uf_p.union(dst_p, node)
-    cut_wraps = lattice.boundary == "toroidal"
-    for e in lattice.edges:
-        if lost_mask[e.index]:
-            continue
-        if cut_wraps and e.kind == "V" and e.r == lattice.L - 1:
-            continue  # cut the vertical wrap: survival = cylinder spanning
-        uf_p.union(*e.endpoints)
-        uf_d.union(*e.cells)
-    if cut_wraps:
-        return any(uf_p.find(a) == uf_p.find(b)
-                   for a in lattice.primal_a for b in lattice.primal_b)
-    term_l, term_r = lattice.dual_terminals
-    return (uf_p.find(src_p) == uf_p.find(dst_p)
-            and uf_d.find(term_l) == uf_d.find(term_r))
 
 
 @dataclass
@@ -525,10 +453,18 @@ def _edge_arrays(lattice: LossLattice):
     return ends, cells
 
 
+def _terminal_arrays(lattice: LossLattice) -> tuple[np.ndarray, np.ndarray]:
+    return (np.fromiter(lattice.primal_a, dtype=np.int64),
+            np.fromiter(lattice.primal_b, dtype=np.int64))
+
+
 def _survival_fast(ends: np.ndarray, cells: np.ndarray, keep: np.ndarray,
                    n_primal: int, n_cells: int,
                    a_nodes: np.ndarray, b_nodes: np.ndarray,
                    terms: tuple[int, int]) -> bool:
+    """Primal top-bottom and dual left-right spanning over the kept edges."""
+    # imported here, not at module level: loading scipy.sparse.csgraph costs
+    # about 0.3 s, which every `import qloss` would otherwise pay
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
@@ -550,54 +486,12 @@ def _survival_fast(ends: np.ndarray, cells: np.ndarray, keep: np.ndarray,
     return dlabels[terms[0]] == dlabels[terms[1]]
 
 
-def _build_numba_kernel():
-    """JIT union-find survival kernel; returns None when numba is absent."""
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=True)
-    def _find(parent, x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while x != root:
-            nxt = parent[x]
-            parent[x] = root
-            x = nxt
-        return root
-
-    @njit(cache=True)
-    def kernel(ends, cells, keep, n_primal, n_cells, a_nodes, b_nodes, tl, tr):
-        parent = np.arange(n_primal + 2)
-        src, dst = n_primal, n_primal + 1
-        for i in range(a_nodes.shape[0]):
-            ra, rb = _find(parent, src), _find(parent, a_nodes[i])
-            if ra != rb:
-                parent[rb] = ra
-        for i in range(b_nodes.shape[0]):
-            ra, rb = _find(parent, dst), _find(parent, b_nodes[i])
-            if ra != rb:
-                parent[rb] = ra
-        dparent = np.arange(n_cells)
-        for e in range(ends.shape[0]):
-            if not keep[e]:
-                continue
-            ra, rb = _find(parent, ends[e, 0]), _find(parent, ends[e, 1])
-            if ra != rb:
-                parent[rb] = ra
-            rc, rd = _find(dparent, cells[e, 0]), _find(dparent, cells[e, 1])
-            if rc != rd:
-                dparent[rd] = rc
-        if _find(parent, src) != _find(parent, dst):
-            return False
-        return _find(dparent, tl) == _find(dparent, tr)
-
-    return kernel
-
-
-_NUMBA_KERNEL = _build_numba_kernel()
+def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
+    """Correctability test for one loss mask (no generator reformation)."""
+    ends, cells = _edge_arrays(lattice)
+    return bool(_survival_fast(ends, cells, ~np.asarray(lost_mask, dtype=bool),
+                               lattice.n_primal_nodes, lattice.n_cells,
+                               *_terminal_arrays(lattice), lattice.dual_terminals))
 
 
 def percolation_threshold(L_grid: Sequence[int], samples: int,
@@ -611,26 +505,15 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
         raise ValueError("need at least 100 samples per point")
     points: list[SurvivalPoint] = []
     for L in L_grid:
-        lat = build_lattice(L, "planar")
+        lat = build_lattice(L)
         ends, cells = _edge_arrays(lat)
-        a_nodes = np.fromiter(lat.primal_a, dtype=np.int64)
-        b_nodes = np.fromiter(lat.primal_b, dtype=np.int64)
+        a_nodes, b_nodes = _terminal_arrays(lat)
         for p_idx, p in enumerate(p_grid):
             survivors = 0
             for s in range(samples):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((seed, L, p_idx, s)))
-                keep = rng.random(lat.n_edges) >= p
-                if _NUMBA_KERNEL is not None:
-                    alive = bool(_NUMBA_KERNEL(ends, cells, keep,
-                                               lat.n_primal_nodes, lat.n_cells,
-                                               a_nodes, b_nodes,
-                                               *lat.dual_terminals))
-                else:
-                    alive = _survival_fast(ends, cells, keep, lat.n_primal_nodes,
-                                           lat.n_cells, a_nodes, b_nodes,
-                                           lat.dual_terminals)
-                if alive:
+                keep = seed_for(seed, L, p_idx, s).random(lat.n_edges) >= p
+                if _survival_fast(ends, cells, keep, lat.n_primal_nodes, lat.n_cells,
+                                  a_nodes, b_nodes, lat.dual_terminals):
                     survivors += 1
             points.append(SurvivalPoint(L, float(p), samples, survivors))
     threshold = None

@@ -22,12 +22,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import NoiseModel, qnd_noise_mixture
-from .gates import (GateKind, GateOp, Register, addressed_z, collective_rotation,
-                    compile_gate, hide, loss_rotation, ms_gate, unhide)
-from .qudit import (DensityOperator, Level, PauliString, PureState, expectation,
-                    make_state, measure_projective, partial_trace, pure_expectation)
-from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_TRACE
+from .channels import NoiseModel, _extended_pauli, mixing_probability, qnd_noise_mixture
+from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
+                    compile_gate, hide, loss_rotation, ms_gate)
+from .qudit import (DensityOperator, Level, PauliString, PureState,
+                    UndefinedExpectationError, apply_unitary, expectation, make_state,
+                    measure_projective, partial_trace, pure_expectation, seed_for)
+from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
 ANCILLA = 4
@@ -66,6 +67,41 @@ class CodeDefinition:
 
     def all_observables(self) -> dict[str, PauliString]:
         return {**self.stabilizers, **self.logicals}
+
+
+_PROJECTOR_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def code_space_projector(code: CodeDefinition, dims: int) -> np.ndarray:
+    """Product of (1+S)/2 over the code's generators (validated to commute)."""
+    gens = tuple(code.stabilizers.values())
+    key = (gens, dims)
+    cached = _PROJECTOR_CACHE.get(key)
+    if cached is not None:
+        return cached
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            if not g.commutes(h):
+                raise ValueError("code generators do not commute")
+    d = dims ** gens[0].n_ions
+    proj = np.eye(d, dtype=complex)
+    for g in gens:
+        proj = proj @ (0.5 * (np.eye(d) + g.embedded(dims)))
+    proj.setflags(write=False)
+    _PROJECTOR_CACHE[key] = proj
+    return proj
+
+
+def code_space_population(rho: DensityOperator, code: CodeDefinition) -> float:
+    """Tr(rho P_CS)/Tr(rho) with P_CS the product of (1+S)/2 projectors."""
+    proj = code_space_projector(code, rho.dims)
+    tr = rho.trace()
+    if tr <= ATOL_TRACE:
+        raise UndefinedExpectationError("P_CS undefined for zero-trace operator")
+    val = float(np.real(np.trace(rho.mat @ proj))) / tr
+    if not -ATOL_PSD <= val <= 1.0 + ATOL_PSD:
+        raise ValueError(f"P_CS {val} outside [0, 1]")
+    return min(max(val, 0.0), 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +221,6 @@ def apply_loss(state: PureState, phi: float, ion: int = 0) -> PureState:
 
 
 def _apply_op(state: PureState, op: GateOp) -> PureState:
-    from .qudit import apply_unitary
     return apply_unitary(state, compile_gate(op, state.dims), op.support)
 
 
@@ -204,7 +239,7 @@ def detection_ops(probe: int = 0, ancilla: int = ANCILLA) -> list[GateOp]:
 def _ancilla_guard(state: PureState, ancilla: int) -> None:
     pops = state.level_populations(ancilla)
     stray = pops[2:].sum()
-    if stray > ATOL_LEAK_GUARD:
+    if not stray <= ATOL_LEAK_GUARD:
         raise ProtocolError(
             f"ancilla has population {stray:.2e} outside the computational subspace")
 
@@ -247,7 +282,7 @@ def qnd_detect_density(rho: DensityOperator, probe: int = 0
     rho_l = rho.project_levels(ANCILLA, dark)
     p_nl, p_l = rho_nl.trace(), rho_l.trace()
     total = rho.trace()
-    if abs(p_nl + p_l - total) > 1e-9:  # pragma: no cover - safety net
+    if not abs(p_nl + p_l - total) <= 1e-9:  # pragma: no cover - safety net
         raise ProtocolError("branch probabilities do not sum to the input trace")
     rho_l_n = rho_l.normalized() if p_l > ATOL_TRACE else rho_l
     rho_nl_n = rho_nl.normalized() if p_nl > ATOL_TRACE else rho_nl
@@ -286,6 +321,17 @@ def shrunk_stabilizer(n_ions: int = N_IONS) -> PauliString:
     return PauliString.from_map(n_ions, {q: "X" for q in SURVIVING_QUBITS})
 
 
+@lru_cache(maxsize=None)
+def _shrunk_projectors(dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """(1 + S)/2 and (1 - S)/2 for the shrunk stabilizer S = X2X3X4."""
+    stab = shrunk_stabilizer().embedded(dims)
+    eye = np.eye(len(stab))
+    plus, minus = 0.5 * (eye + stab), 0.5 * (eye - stab)
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    return plus, minus
+
+
 def measure_shrunk_stabilizer(state: PureState, mode: str = "exact",
                               rng: np.random.Generator | None = None,
                               force_outcome: int | None = None
@@ -297,15 +343,14 @@ def measure_shrunk_stabilizer(state: PureState, mode: str = "exact",
     post states.  Returns (outcome +-1, post state, probability).
     """
     pops = state.level_populations(ANCILLA)
-    if abs(pops[1] - 1.0) > 1e-9:
+    if not abs(pops[1] - 1.0) <= 1e-9:
         raise ProtocolError("shrunk-stabilizer measurement requires the loss branch "
                             "(ancilla must be |1> after detection)")
     flip = collective_rotation("X", math.pi, (ANCILLA,))
 
     if mode == "exact":
-        stab = shrunk_stabilizer().embedded(state.dims)
-        plus = 0.5 * (state.amps + stab @ state.amps)
-        minus = 0.5 * (state.amps - stab @ state.amps)
+        proj_plus, proj_minus = _shrunk_projectors(state.dims)
+        plus, minus = proj_plus @ state.amps, proj_minus @ state.amps
         p_plus = float(np.vdot(plus, plus).real / np.vdot(state.amps, state.amps).real)
         if force_outcome is not None:
             pick = 0 if force_outcome == +1 else 1
@@ -366,22 +411,11 @@ def apply_frame_correction(state: PureState, frame: PauliFrame) -> PureState:
         return state
     z = compile_gate(addressed_z(math.pi, corr.support[0]), state.dims)
     # addressed_z(pi) = diag(e^{-i pi/2}, e^{+i pi/2}) = -i Z on the qubit block
-    return PureState(state.n_ions, state.dims,
-                     _apply_matrix(state, z, corr.support))
-
-
-def _apply_matrix(state: PureState, mat: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
-    from .qudit import _embed_apply_vec
-    return _embed_apply_vec(state.amps, mat, support, state.n_ions, state.dims)
+    return apply_unitary(state, z, corr.support)
 
 
 # ---------------------------------------------------------------------------
 # full protocol runs
-
-
-def seed_for(master_seed: int, *key: int) -> np.random.Generator:
-    """Deterministic per-task generator: SeedSequence((master, *key))."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed,) + key))
 
 
 @dataclass
@@ -436,7 +470,6 @@ class ProtocolResult:
 
 def _code_observables(rho: DensityOperator, code: CodeDefinition,
                       frame: PauliFrame | None = None) -> dict[str, float]:
-    from .tomography import code_space_population
     out = {}
     for name, pauli in code.all_observables().items():
         val = expectation(rho, pauli)
@@ -477,13 +510,10 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
 
     # loss branch: shrunk-stabilizer measurement + frame correction, combined
     if p_l > ATOL_TRACE:
-        stab = shrunk_stabilizer().embedded(rho_l.dims)
-        d = rho_l.mat.shape[0]
-        p_plus = 0.5 * (np.eye(d) + stab)
-        p_minus = 0.5 * (np.eye(d) - stab)
+        p_plus, p_minus = _shrunk_projectors(rho_l.dims)
         rho_plus = p_plus @ rho_l.mat @ p_plus
         rho_minus = p_minus @ rho_l.mat @ p_minus
-        zfix = PauliString.from_map(N_IONS, {SURVIVING_QUBITS[0]: "Z"}).embedded(rho_l.dims)
+        zfix = PauliFrame(-1).correction().embedded(rho_l.dims)
         # frame update realized as the equivalent Z on the -1 branch
         combined = rho_plus + zfix @ rho_minus @ zfix.conj().T
         rho_rec = DensityOperator(N_IONS, rho_l.dims, combined).normalized()
@@ -511,7 +541,6 @@ def _sample_pm(state: PureState, pauli: PauliString, rng: np.random.Generator) -
 
 def _sample_projector(state: PureState, code: CodeDefinition,
                       rng: np.random.Generator) -> int:
-    from .tomography import code_space_projector
     proj = code_space_projector(code, state.dims)
     p = float(np.real(np.vdot(state.amps, proj @ state.amps)))
     return 1 if rng.random() < p else 0
@@ -520,7 +549,6 @@ def _sample_projector(state: PureState, code: CodeDefinition,
 def _unravel_noise(state: PureState, phi: float, noise: NoiseModel,
                    qubits: tuple[int, ...], rng: np.random.Generator) -> PureState:
     """Trajectory unraveling of the depolarizing mixture."""
-    from .channels import mixing_probability
     p = mixing_probability(phi, noise.p_qnd)
     if rng.random() >= p:
         return state
@@ -528,12 +556,7 @@ def _unravel_noise(state: PureState, phi: float, noise: NoiseModel,
     letter = "IXYZ"[rng.integers(4)]
     if letter == "I":
         return state
-    pauli = PauliString.from_map(state.n_ions, {qubit: letter})
-    d = state.dims
-    from .qudit import truncated_pauli
-    m = truncated_pauli(letter, d)
-    m = m + (np.eye(d) - truncated_pauli("X", d) @ truncated_pauli("X", d))
-    return PureState(state.n_ions, state.dims, _apply_matrix(state, m, (qubit,)))
+    return apply_unitary(state, _extended_pauli(letter, state.dims), (qubit,))
 
 
 def run_protocol(prep: PrepSpec | float, phi: float, shots: int = 0,
@@ -611,17 +634,6 @@ class SweepResult:
     efficiency: float  # fraction of shots where detected == actually leaked
 
 
-def _transfer_pulses(dims: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """The two addressed hide pulses: |0> <-> |H0| and |1> <-> |H1| swaps."""
-    p0 = np.eye(dims, dtype=complex)
-    p0[Level.L0, Level.L0] = p0[Level.H0, Level.H0] = 0.0
-    p0[Level.L0, Level.H0] = p0[Level.H0, Level.L0] = 1.0
-    p1 = np.eye(dims, dtype=complex)
-    p1[Level.L1, Level.L1] = p1[Level.H1, Level.H1] = 0.0
-    p1[Level.L1, Level.H1] = p1[Level.H1, Level.L1] = 1.0
-    return p0, p1
-
-
 def _mask_shot(phi: float, n: int, spectators: Sequence[int], ancilla: int,
                addressing_error: float, rng: np.random.Generator) -> PureState:
     """Ideal-hiding shot: a hide whose either transfer pulse fails leaves the
@@ -643,7 +655,6 @@ def _explicit_shot(phi: float, n: int, spectators: Sequence[int], ancilla: int,
                    addressing_error: float, rng: np.random.Generator) -> PureState:
     """Five-level shot: hide/unhide as two physical transfer pulses per ion,
     each skipped independently with the addressing-error probability."""
-    from .qudit import apply_unitary
     state = make_state(n, 5, [0] * n)
     state = apply_loss(state, phi, ion=0)
     p0, p1 = _transfer_pulses()

@@ -141,7 +141,7 @@ def apply_unitary(state: PureState, matrix: np.ndarray, support: Sequence[int]) 
     if matrix.shape != (side, side):
         raise DimensionError(f"matrix side {matrix.shape} does not match support size {side}")
     dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(side)))
-    if dev > ATOL_ALGEBRA:
+    if not dev <= ATOL_ALGEBRA:
         raise ContractViolation(f"matrix is not unitary (max deviation {dev:.2e})")
     out = _embed_apply_vec(state.amps, matrix, sup, state.n_ions, state.dims)
     return PureState(state.n_ions, state.dims, out)
@@ -171,7 +171,7 @@ def measure_projective(state: PureState, ion: int, partition: Sequence[Iterable[
     pops = state.level_populations(ion)
     total = pops.sum()
     probs = np.array([sum(pops[int(l)] for l in s) for s in sets]) / total
-    if abs(probs.sum() - 1.0) > ATOL_TRACE:
+    if not abs(probs.sum() - 1.0) <= ATOL_TRACE:
         raise ContractViolation("outcome probabilities do not sum to 1")
 
     if force_outcome is not None:
@@ -223,7 +223,7 @@ class DensityOperator:
 
     def validate(self) -> None:
         dev = np.max(np.abs(self.mat - self.mat.conj().T))
-        if dev > ATOL_ALGEBRA:
+        if not dev <= ATOL_ALGEBRA:
             raise ContractViolation(f"not Hermitian (max deviation {dev:.2e})")
         evals = np.linalg.eigvalsh(self.mat)
         if evals.min() < -ATOL_PSD:
@@ -243,7 +243,7 @@ class DensityOperator:
         matrix = np.asarray(matrix, dtype=complex)
         side = self.dims ** len(sup)
         dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(side)))
-        if dev > ATOL_ALGEBRA:
+        if not dev <= ATOL_ALGEBRA:
             raise ContractViolation(f"matrix is not unitary (max deviation {dev:.2e})")
         return self.apply_operator(matrix, sup)
 
@@ -390,7 +390,7 @@ def expectation(rho: DensityOperator, obs: PauliString) -> float:
     if abs(tr) <= ATOL_TRACE:
         raise UndefinedExpectationError("expectation undefined for zero-trace operator")
     val = np.trace(rho.mat @ obs.embedded(rho.dims)) / tr
-    if abs(val.imag) > ATOL_ALGEBRA:
+    if not abs(val.imag) <= ATOL_ALGEBRA:
         raise ContractViolation(f"expectation has imaginary part {val.imag:.2e}")
     return float(val.real)
 
@@ -403,6 +403,11 @@ def pure_expectation(state: PureState, obs: PauliString) -> float:
     if nrm <= ATOL_TRACE:
         raise UndefinedExpectationError("expectation undefined for zero state")
     val = val / nrm
-    if abs(val.imag) > ATOL_ALGEBRA:
+    if not abs(val.imag) <= ATOL_ALGEBRA:
         raise ContractViolation(f"expectation has imaginary part {val.imag:.2e}")
     return float(val.real)
+
+
+def seed_for(master_seed: int, *key: int) -> np.random.Generator:
+    """Deterministic per-task generator: SeedSequence((master, *key))."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed,) + key))

@@ -72,7 +72,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[str],
 
 
 def write_json(path: str, header: Sequence[str], payload: object) -> None:
-    body = json.dumps(payload, indent=2, sort_keys=True)
+    body = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     text = "\n".join(header) + "\n" + body + "\n"
     with open(path, "w") as fh:
         fh.write(text)

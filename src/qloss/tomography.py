@@ -21,15 +21,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, record_kraus
-from .qudit import DensityOperator, PauliString, UndefinedExpectationError
-from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
-
-PAULI_2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from .protocol import (SHOT_PRESETS, CodeDefinition, analytic_run, detection_process,
+                       four_qubit_code, three_qubit_code)
+# moved to protocol next to CodeDefinition; still importable from here
+from .protocol import _PROJECTOR_CACHE, code_space_population  # noqa: F401
+from .qudit import DensityOperator, PauliString, partial_trace, seed_for
+from .tolerances import ATOL_PSD, ATOL_TRACE
 
 #: +1/-1 eigenprojectors per measurement basis, indexed [letter][bit]
 _PROJECTORS = {
@@ -59,7 +56,6 @@ def record_density(rho: DensityOperator, qubits: Sequence[int]) -> np.ndarray:
     Non-tomographed ions are traced out first; each remaining ion is folded
     through the readout-boundary map.
     """
-    from .qudit import partial_trace
     reduced = partial_trace(rho, tuple(qubits))
     mat = reduced.mat
     dims, k = reduced.dims, reduced.n_ions
@@ -130,17 +126,13 @@ def invert_counts(counts: CountsTable,
     rho = np.zeros((2**n, 2**n), dtype=complex)
     for word in itertools.product("IXYZ", repeat=n):
         est = _word_estimate(word, counts, attempted)
-        mat = np.array([[1.0 + 0j]])
-        for letter in word:
-            mat = np.kron(mat, PAULI_2[letter])
-        rho += est * mat
+        rho += est * PauliString(1, word).embedded(2)
     return rho / 2**n
 
 
 def sample_counts(rho2: np.ndarray, shots_per_setting: int,
                   seed: int = 0) -> dict[Setting, np.ndarray]:
     """Multinomial counts for every setting (seeded, per-setting substreams)."""
-    from .protocol import seed_for
     n = int(round(math.log2(rho2.shape[0])))
     tr = float(np.real(np.trace(rho2)))
     out: dict[Setting, np.ndarray] = {}
@@ -181,7 +173,6 @@ def resample_errors(counts: CountsTable,
     ``statistic`` maps a counts table to named observables.  Deterministic
     for a fixed (counts, seed).
     """
-    from .protocol import seed_for
     totals = {}
     for s, vec in counts.items():
         tot = float(np.asarray(vec).sum())
@@ -258,55 +249,16 @@ def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
     return num / den
 
 
-_PROJECTOR_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def code_space_projector(code, dims: int) -> np.ndarray:
-    """Product of (1+S)/2 over the code's generators (validated to commute)."""
-    gens = tuple(code.stabilizers.values())
-    key = (gens, dims)
-    cached = _PROJECTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            if not g.commutes(h):
-                raise ValueError("code generators do not commute")
-    d = dims ** gens[0].n_ions
-    proj = np.eye(d, dtype=complex)
-    for g in gens:
-        proj = proj @ (0.5 * (np.eye(d) + g.embedded(dims)))
-    proj.setflags(write=False)
-    _PROJECTOR_CACHE[key] = proj
-    return proj
-
-
-def code_space_population(rho: DensityOperator, code) -> float:
-    """Tr(rho P_CS)/Tr(rho) with P_CS the product of (1+S)/2 projectors."""
-    proj = code_space_projector(code, rho.dims)
-    tr = rho.trace()
-    if tr <= ATOL_TRACE:
-        raise UndefinedExpectationError("P_CS undefined for zero-trace operator")
-    val = float(np.real(np.trace(rho.mat @ proj))) / tr
-    if not -ATOL_PSD <= val <= 1.0 + ATOL_PSD:
-        raise ValueError(f"P_CS {val} outside [0, 1]")
-    return min(max(val, 0.0), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # generalized single-qubit process tomography
 
 
-def qubit_code_space_population(rho2: np.ndarray, code) -> float:
+def qubit_code_space_population(rho2: np.ndarray, code: CodeDefinition) -> float:
     """P_CS from a recorded (qubit-space) tomography estimate."""
-    gens = [g.restricted(code.qubits) for g in code.stabilizers.values()]
     d = rho2.shape[0]
     proj = np.eye(d, dtype=complex)
-    for g in gens:
-        mat = np.array([[complex(g.sign)]])
-        for letter in g.letters:
-            mat = np.kron(mat, PAULI_2[letter])
-        proj = proj @ (0.5 * (np.eye(d) + mat))
+    for g in code.stabilizers.values():
+        proj = proj @ (0.5 * (np.eye(d) + g.restricted(code.qubits).embedded(2)))
     tr = float(np.real(np.trace(rho2)))
     return float(np.real(np.trace(rho2 @ proj))) / tr
 
@@ -323,7 +275,6 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     so the reconstruction is trace-non-increasing.  ``shots`` = 0 selects
     exact-probability mode, which reproduces the ideal branch Choi matrices.
     """
-    from .protocol import detection_process, seed_for
     est: dict[str, np.ndarray] = {}
     details: dict = {"phi": phi, "post_select": post_select, "inputs": {}}
     total_weight = 0.0
@@ -391,8 +342,6 @@ def ideal_branch_choi(phi: float, branch: int) -> ChoiMatrix:
 
 TABLE_COLUMNS = ("P_CS", "S1X", "S1Z", "S2Z", "TX", "TY", "TZ")
 ALPHA_LABELS = {0.0: "0L", math.pi: "1L", math.pi / 2: "+iL"}
-DEFAULT_SHOT_PRESETS = ((0.1 * math.pi, 1000), (0.2 * math.pi, 600),
-                        (0.5 * math.pi, 200))
 
 
 @dataclass
@@ -420,13 +369,11 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     (cycle presets per loss rate) and errors come from 100 multinomial
     resampling iterations.
     """
-    from .protocol import analytic_run, four_qubit_code, three_qubit_code
-
-    presets = dict(DEFAULT_SHOT_PRESETS)
+    presets = dict(SHOT_PRESETS)
     if shots_per_setting:
         presets.update(shots_per_setting)
     if phis is None:
-        phis = [p for p, _ in DEFAULT_SHOT_PRESETS]
+        phis = list(SHOT_PRESETS)
 
     code4, code3 = four_qubit_code(), three_qubit_code()
     rows: list[TableRow] = []
@@ -459,13 +406,10 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     return rows
 
 
-def _tomography_row(rho2: np.ndarray, code, qubits) -> dict[str, float]:
+def _tomography_row(rho2: np.ndarray, code: CodeDefinition, qubits) -> dict[str, float]:
     vals: dict[str, float] = {}
     for name, pauli in code.all_observables().items():
-        word = pauli.restricted(qubits)
-        mat = np.array([[complex(word.sign)]])
-        for letter in word.letters:
-            mat = np.kron(mat, PAULI_2[letter])
+        mat = pauli.restricted(qubits).embedded(2)
         tr = float(np.real(np.trace(rho2)))
         vals[name] = float(np.real(np.trace(rho2 @ mat))) / tr
     vals["P_CS"] = qubit_code_space_population(rho2, code)

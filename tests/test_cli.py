@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from qloss.cli import main, parse_angle, parse_grid, parse_noise
+from qloss.serialize import write_json
 
 
 @pytest.fixture
@@ -271,3 +272,24 @@ class TestHeadersAndDeterminism:
         res = runner.invoke(main, ["percolation", "--config", str(cfg),
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
+
+
+class TestNonFiniteInputs:
+    """Non-finite or undefined inputs end in exit 2 and write nothing."""
+
+    @pytest.mark.parametrize("args,written", [
+        (["protocol", "--phi", "nan"], "run_tables.csv"),
+        (["protocol", "--phi", "pi/0"], "run_tables.csv"),
+        (["choi", "--phi-grid", "nan"], "run"),
+        (["percolation", "--p", "nan", "--L", "4", "--samples", "100"], "run"),
+    ])
+    def test_config_error_and_no_output(self, runner, tmp_path, args, written):
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / written).exists()
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        out = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            write_json(str(out), [], {"value": float("nan")})
+        assert not out.exists()

@@ -147,7 +147,7 @@ def _assert_close(got, want) -> None:
     got, want = _flatten(json.loads(json.dumps(got))), _flatten(want)
     assert got.keys() == want.keys()
     for key, val in want.items():
-        if isinstance(val, str):
+        if isinstance(val, str):  # column names
             assert got[key] == val, key
         else:
             assert abs(got[key] - val) <= TOL, (key, got[key], val)

@@ -8,7 +8,7 @@ import pytest
 from qloss.lattice import (ConsistencyError, LossLattice, apply_losses, build_lattice,
                            crossing_estimate, find_logical, percolation_threshold,
                            reform_stabilizers, survival_check, SurvivalPoint,
-                           _NUMBA_KERNEL, _edge_arrays, _survival_fast)
+                           _edge_arrays, _survival_fast)
 from qloss.protocol import four_qubit_code, three_qubit_code
 from qloss.qudit import PauliString
 
@@ -58,11 +58,6 @@ class TestBuild:
     def test_rejects_tiny_lattice(self):
         with pytest.raises(ValueError):
             build_lattice(1)
-
-    def test_toroidal_mode_builds(self):
-        lat = build_lattice(4, "toroidal")
-        assert lat.n_edges == 32
-        lat.validate_commutation()
 
 
 class TestApplyLosses:
@@ -218,15 +213,6 @@ class TestSurvival:
             b = np.fromiter(lat.primal_b, dtype=np.int64)
             assert _survival_fast(ends, cells, ~mask, lat.n_primal_nodes,
                                   lat.n_cells, a, b, lat.dual_terminals) == expected
-            if _NUMBA_KERNEL is not None:
-                got = bool(_NUMBA_KERNEL(ends, cells, ~mask, lat.n_primal_nodes,
-                                         lat.n_cells, a, b, *lat.dual_terminals))
-                assert got == expected
-
-    def test_toroidal_cross_check_extremes(self):
-        lat = build_lattice(6, "toroidal")
-        assert survival_check(lat, np.zeros(lat.n_edges, bool))
-        assert not survival_check(lat, np.ones(lat.n_edges, bool))
 
 
 class TestPercolation:

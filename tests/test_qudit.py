@@ -82,6 +82,22 @@ class TestApplyUnitary:
         assert abs(state.norm() - 1.0) < 1e-8
 
 
+class TestNonFiniteContracts:
+    """Contract checks reject NaN instead of letting it through."""
+
+    def test_apply_unitary_rejects_nan_matrix(self):
+        with pytest.raises(ContractViolation):
+            apply_unitary(make_state(1, 3, [0]), np.full((3, 3), np.nan), (0,))
+
+    def test_density_apply_unitary_rejects_nan_matrix(self):
+        with pytest.raises(ContractViolation):
+            make_state(1, 3, [0]).to_density().apply_unitary(np.full((3, 3), np.nan), (0,))
+
+    def test_density_validate_rejects_nan(self):
+        with pytest.raises(ContractViolation):
+            DensityOperator(1, 3, np.full((3, 3), np.nan)).validate()
+
+
 class TestExpectation:
     def test_z_on_ground(self):
         rho = make_state(1, 3, [0]).to_density()
