@@ -1,13 +1,16 @@
 """Golden pins: analytic values to 1e-12 and sha1 digests of seeded outputs.
 
 The files under ``tests/golden/`` hold the numbers a refactor must not move.
-Regenerate them with ``PYTHONPATH=src python tests/test_golden.py`` only for
-a change that is meant to move them, and say so in CHANGES.md.
+Regenerate them with ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``
+only for a change that is meant to move them, and say so in CHANGES.md.  A
+NAME is a golden file (``sampled_tomography``) or one seeded digest
+(``process_tomography.sampled``); with none given, every file is rewritten.
 """
 
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from qloss.channels import NoiseModel
 from qloss.cli import parse_angle, parse_grid
 from qloss.lattice import percolation_threshold
 from qloss.protocol import analytic_run, detection_sweep, records_to_jsonl, run_protocol
-from qloss.tomography import process_tomography
+from qloss.tomography import process_tomography, table_report
 
 GOLDEN = Path(__file__).parent / "golden"
 TOL = 1e-12
@@ -67,6 +70,35 @@ def stabilizer_sweep_values() -> dict:
                      obs["S1X"], obs["S1Z"], obs["S2Z"]])
     return {"columns": ["phi", "S1X_law", "S1X_analytic", "S1Z_analytic",
                         "S2Z_analytic"], "rows": rows}
+
+
+#: sampled table cells (alpha, phi) at the default cycle presets
+TABLE_CELLS = ((PI / 2, 0.5 * PI), (0.0, 0.1 * PI))
+
+
+def _finite(row: dict | None) -> dict | None:
+    # NaN marks a column the branch does not have (S2Z after a loss)
+    return None if row is None else {k: v for k, v in row.items() if not math.isnan(v)}
+
+
+def sampled_tomography_values() -> dict:
+    """Sampled table rows and sampled Choi matrices at seed 0.
+
+    A moved multinomial count shifts these by far more than 1e-12, so the
+    pin holds the counts fixed while letting the estimator's floats move
+    at the last bit.
+    """
+    out = {}
+    for alpha, phi in TABLE_CELLS:
+        rows = table_report((alpha,), (phi,), seed=0, sampled=True)
+        out[f"table alpha={alpha / PI:g}pi phi={phi / PI:g}pi"] = [
+            {"section": r.section, "values": _finite(r.values), "errors": _finite(r.errors)}
+            for r in rows]
+    for phi in CHOI_PHIS:
+        for post in (0, 1):
+            choi, _ = process_tomography(phi, post, shots=1000, seed=0)
+            out[f"choi phi={phi / PI:g}pi post={post}"] = _matrix(choi.matrix)
+    return out
 
 
 def _sha1(payload) -> str:
@@ -121,7 +153,9 @@ def seeded_digests() -> dict:
 
 
 GENERATORS = {"analytic_run": analytic_values, "process_choi": choi_values,
-              "stabilizer_sweep": stabilizer_sweep_values, "seeded_sha1": seeded_digests}
+              "stabilizer_sweep": stabilizer_sweep_values,
+              "sampled_tomography": sampled_tomography_values,
+              "seeded_sha1": seeded_digests}
 
 
 def _load(name: str):
@@ -147,13 +181,14 @@ def _assert_close(got, want) -> None:
     got, want = _flatten(json.loads(json.dumps(got))), _flatten(want)
     assert got.keys() == want.keys()
     for key, val in want.items():
-        if isinstance(val, str):  # column names
+        if isinstance(val, str) or val is None:  # names; rows without errors
             assert got[key] == val, key
         else:
             assert abs(got[key] - val) <= TOL, (key, got[key], val)
 
 
-@pytest.mark.parametrize("name", ["analytic_run", "process_choi", "stabilizer_sweep"])
+@pytest.mark.parametrize("name", ["analytic_run", "process_choi", "stabilizer_sweep",
+                                  "sampled_tomography"])
 def test_analytic_values_match_golden(name):
     _assert_close(GENERATORS[name](), _load(name))
 
@@ -163,9 +198,16 @@ def test_seeded_output_digest_matches_golden(name):
     assert _sha1(SEEDED[name]()) == _load("seeded_sha1")[name]
 
 
+def _dump(name: str, payload) -> None:
+    with open(GOLDEN / f"{name}.json", "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, make in GENERATORS.items():
-        with open(GOLDEN / f"{name}.json", "w") as fh:
-            json.dump(make(), fh, indent=1, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+    for name in sys.argv[1:] or list(GENERATORS):
+        if name in SEEDED:
+            _dump("seeded_sha1", {**_load("seeded_sha1"), name: _sha1(SEEDED[name]())})
+        else:
+            _dump(name, GENERATORS[name]())
