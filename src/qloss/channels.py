@@ -64,9 +64,6 @@ class Channel:
         if evals.max() > 1.0 + ATOL_PSD:
             raise ValueError(f"channel increases trace (max eigenvalue {evals.max():.6f})")
 
-    def is_trace_preserving(self) -> bool:
-        return bool(np.max(np.abs(self.ks_sum() - np.eye(self.input_dim))) < ATOL_ALGEBRA)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros((self.output_dim, self.output_dim), dtype=complex)
         for k in self.kraus:

@@ -76,12 +76,23 @@ class LossLattice:
                 for g in self.x_generators]
 
     def validate_commutation(self) -> None:
-        """Every (Z, X) generator pair must share an even number of edges."""
-        for zg in self.z_generators:
-            for xg in self.x_generators:
-                if len(zg & xg) % 2:
-                    raise ConsistencyError(
-                        f"generators {sorted(zg)} and {sorted(xg)} anticommute")
+        """Every (Z, X) generator pair must share an even number of edges.
+
+        Z generators are indexed by edge, so each X generator toggles the
+        overlap parity of only the Z generators it meets.
+        """
+        z_on_edge: dict[int, list[int]] = {}
+        for zi, zg in enumerate(self.z_generators):
+            for e in zg:
+                z_on_edge.setdefault(e, []).append(zi)
+        for xg in self.x_generators:
+            odd: set[int] = set()
+            for e in xg:
+                odd.symmetric_difference_update(z_on_edge.get(e, ()))
+            if odd:
+                zg = self.z_generators[min(odd)]
+                raise ConsistencyError(
+                    f"generators {sorted(zg)} and {sorted(xg)} anticommute")
 
     def validate_support(self) -> None:
         for g in self.z_generators + self.x_generators:

@@ -72,9 +72,9 @@ class CodeDefinition:
 _PROJECTOR_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def code_space_projector(code: CodeDefinition, dims: int) -> np.ndarray:
-    """Product of (1+S)/2 over the code's generators (validated to commute)."""
-    gens = tuple(code.stabilizers.values())
+def code_space_projector(gens: Iterable[PauliString], dims: int) -> np.ndarray:
+    """Product of (1+S)/2 over the generators ``gens`` (validated to commute)."""
+    gens = tuple(gens)
     key = (gens, dims)
     cached = _PROJECTOR_CACHE.get(key)
     if cached is not None:
@@ -94,7 +94,7 @@ def code_space_projector(code: CodeDefinition, dims: int) -> np.ndarray:
 
 def code_space_population(rho: DensityOperator, code: CodeDefinition) -> float:
     """Tr(rho P_CS)/Tr(rho) with P_CS the product of (1+S)/2 projectors."""
-    proj = code_space_projector(code, rho.dims)
+    proj = code_space_projector(code.stabilizers.values(), rho.dims)
     tr = rho.trace()
     if tr <= ATOL_TRACE:
         raise UndefinedExpectationError("P_CS undefined for zero-trace operator")
@@ -541,7 +541,7 @@ def _sample_pm(state: PureState, pauli: PauliString, rng: np.random.Generator) -
 
 def _sample_projector(state: PureState, code: CodeDefinition,
                       rng: np.random.Generator) -> int:
-    proj = code_space_projector(code, state.dims)
+    proj = code_space_projector(code.stabilizers.values(), state.dims)
     p = float(np.real(np.vdot(state.amps, proj @ state.amps)))
     return 1 if rng.random() < p else 0
 
@@ -691,6 +691,8 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
         raise ValueError("shots must be positive in sampled mode")
     if hiding not in ("mask", "explicit"):
         raise ValueError(f"unknown hiding mode {hiding!r}")
+    if not 0.0 <= addressing_error <= 1.0:
+        raise ValueError(f"addressing_error must lie in [0, 1], got {addressing_error}")
     n = 2 if register == 2 else 5
     ancilla = n - 1
     spectators = tuple(range(1, n - 1))

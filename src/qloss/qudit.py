@@ -40,8 +40,6 @@ class Level(IntEnum):
 BRIGHT_LEVELS = frozenset({Level.L0, Level.H1})
 #: levels that stay dark during readout (D manifold)
 DARK_LEVELS = frozenset({Level.L1, Level.L2, Level.H0})
-#: the computational subspace
-COMPUTATIONAL_LEVELS = (Level.L0, Level.L1)
 
 
 class DimensionError(ValueError):
@@ -234,7 +232,7 @@ class DensityOperator:
 
     def normalized(self) -> "DensityOperator":
         tr = self.trace()
-        if tr <= ATOL_TRACE:
+        if not tr > ATOL_TRACE:
             raise UndefinedExpectationError("cannot normalize zero-trace operator")
         return DensityOperator(self.n_ions, self.dims, self.mat / tr)
 

@@ -9,6 +9,15 @@ setting assigns one of {X, Y, Z} to every qubit and yields counts over the
 word over all compatible settings, so leaked population contaminates
 Z-basis counts exactly as a dark readout would, while X/Y words see it as
 an unpolarized coin.
+
+That average factorizes over the qubits: with f_{s,o} the frequency of
+outcome string o under setting s and P_{s_q,o_q} the eigenprojector qubit q
+records,
+
+    rho_hat = sum_{s,o} f_{s,o} (x)_q (P_{s_q,o_q} - I/3),
+
+so inversion, like the readout fold, is one single-ion map applied to every
+ion in turn (``_per_ion_map``).
 """
 
 from __future__ import annotations
@@ -21,11 +30,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, record_kraus
-from .protocol import (SHOT_PRESETS, CodeDefinition, analytic_run, detection_process,
-                       four_qubit_code, three_qubit_code)
+from .protocol import (SHOT_PRESETS, CodeDefinition, analytic_run, code_space_projector,
+                       detection_process, four_qubit_code, three_qubit_code)
 # moved to protocol next to CodeDefinition; still importable from here
 from .protocol import _PROJECTOR_CACHE, code_space_population  # noqa: F401
-from .qudit import DensityOperator, PauliString, partial_trace, seed_for
+from .qudit import DensityOperator, partial_trace, seed_for
 from .tolerances import ATOL_PSD, ATOL_TRACE
 
 #: +1/-1 eigenprojectors per measurement basis, indexed [letter][bit]
@@ -36,6 +45,10 @@ _PROJECTORS = {
           0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)),
     "Z": (np.diag([1.0 + 0j, 0.0]), np.diag([0.0, 1.0 + 0j])),
 }
+#: single-qubit factor of the inversion, P - I/3, flattened; row 2*s + bit
+#: for setting letter s in XYZ order
+_INVERSION = np.array([(_PROJECTORS[s][bit] - np.eye(2) / 3).reshape(4)
+                       for s in "XYZ" for bit in (0, 1)])
 
 Setting = tuple[str, ...]
 CountsTable = Mapping[Setting, np.ndarray]
@@ -50,25 +63,30 @@ def settings(n_qubits: int) -> list[Setting]:
     return list(itertools.product("XYZ", repeat=n_qubits))
 
 
+def _per_ion_map(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """Apply one single-ion map to every ion of an n-ion tensor.
+
+    ``t`` has axes (a_1..a_n, b_1..b_n); ``m`` maps one ion's flattened
+    (a, b) pair to a flattened 2x2 block.  Returns the 2^n x 2^n matrix.
+    """
+    pairs = [axis for q in range(n) for axis in (q, n + q)]
+    t = t.transpose(pairs).reshape((t.shape[0] * t.shape[n],) * n)
+    for _ in range(n):
+        t = np.tensordot(t, m, axes=(0, 0))
+    rows_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return t.reshape((2, 2) * n).transpose(rows_cols).reshape(2**n, 2**n)
+
+
 def record_density(rho: DensityOperator, qubits: Sequence[int]) -> np.ndarray:
     """Recorded qubit-register operator (2^k) for the given ions.
 
     Non-tomographed ions are traced out first; each remaining ion is folded
-    through the readout-boundary map.
+    through the readout-boundary map sum_K K (.) K^dagger.
     """
     reduced = partial_trace(rho, tuple(qubits))
-    mat = reduced.mat
     dims, k = reduced.dims, reduced.n_ions
-    for pos in range(k):
-        new_side = 2 ** (pos + 1) * dims ** (k - pos - 1)
-        acc = np.zeros((new_side, new_side), dtype=complex)
-        left = 2**pos
-        right = dims ** (k - pos - 1)
-        for kr in record_kraus(dims):
-            op = np.kron(np.kron(np.eye(left), kr), np.eye(right))
-            acc += op @ mat @ op.conj().T
-        mat = acc
-    return mat
+    readout = sum(np.kron(kr, kr.conj()) for kr in record_kraus(dims)).T
+    return _per_ion_map(reduced.mat.reshape((dims,) * (2 * k)), readout, k)
 
 
 def setting_probabilities(rho2: np.ndarray, setting: Setting) -> np.ndarray:
@@ -84,36 +102,6 @@ def setting_probabilities(rho2: np.ndarray, setting: Setting) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def _word_estimate(word: Setting, counts: CountsTable,
-                   attempted: Mapping[Setting, float] | None) -> float:
-    """<W> averaged over every compatible setting."""
-    n = len(word)
-    fixed = [q for q in range(n) if word[q] != "I"]
-    free = [q for q in range(n) if word[q] == "I"]
-    total, n_compat = 0.0, 0
-    for fill in itertools.product("XYZ", repeat=len(free)):
-        setting = list(word)
-        for q, letter in zip(free, fill):
-            setting[q] = letter
-        setting_t = tuple(setting)
-        vec = counts[setting_t]
-        norm = attempted[setting_t] if attempted is not None else vec.sum()
-        if norm <= 0:
-            raise ValueError(f"setting {setting_t} has no counts")
-        acc = 0.0
-        for outcome, c in enumerate(vec):
-            if c == 0:
-                continue
-            sign = 1
-            for q in fixed:
-                if (outcome >> (n - 1 - q)) & 1:
-                    sign = -sign
-            acc += sign * c
-        total += acc / norm
-        n_compat += 1
-    return total / n_compat
-
-
 def invert_counts(counts: CountsTable,
                   attempted: Mapping[Setting, float] | None = None) -> np.ndarray:
     """Linear-inversion estimate rho_hat = 2^-n sum_W <W> W.
@@ -123,21 +111,24 @@ def invert_counts(counts: CountsTable,
     and may be non-PSD at finite shots.
     """
     n = len(next(iter(counts)))
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    for word in itertools.product("IXYZ", repeat=n):
-        est = _word_estimate(word, counts, attempted)
-        rho += est * PauliString(1, word).embedded(2)
-    return rho / 2**n
+    freqs = []
+    for s in settings(n):
+        vec = np.asarray(counts[s], dtype=float)
+        norm = attempted[s] if attempted is not None else vec.sum()
+        if not norm > 0:
+            raise ValueError(f"setting {s} has no counts")
+        freqs.append(vec / norm)
+    return _per_ion_map(np.reshape(freqs, (3,) * n + (2,) * n), _INVERSION, n)
 
 
 def sample_counts(rho2: np.ndarray, shots_per_setting: int,
                   seed: int = 0) -> dict[Setting, np.ndarray]:
     """Multinomial counts for every setting (seeded, per-setting substreams)."""
     n = int(round(math.log2(rho2.shape[0])))
-    tr = float(np.real(np.trace(rho2)))
+    unit = rho2 / float(np.real(np.trace(rho2)))
     out: dict[Setting, np.ndarray] = {}
     for idx, setting in enumerate(settings(n)):
-        probs = setting_probabilities(rho2 / tr, setting)
+        probs = setting_probabilities(unit, setting)
         probs = probs / probs.sum()
         rng = seed_for(seed, idx)
         out[setting] = rng.multinomial(shots_per_setting, probs).astype(float)
@@ -255,10 +246,8 @@ def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
 
 def qubit_code_space_population(rho2: np.ndarray, code: CodeDefinition) -> float:
     """P_CS from a recorded (qubit-space) tomography estimate."""
-    d = rho2.shape[0]
-    proj = np.eye(d, dtype=complex)
-    for g in code.stabilizers.values():
-        proj = proj @ (0.5 * (np.eye(d) + g.restricted(code.qubits).embedded(2)))
+    proj = code_space_projector(
+        [g.restricted(code.qubits) for g in code.stabilizers.values()], 2)
     tr = float(np.real(np.trace(rho2)))
     return float(np.real(np.trace(rho2 @ proj))) / tr
 
@@ -296,7 +285,6 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
                 rng = seed_for(seed, idx, s_idx)
                 retained = int(rng.binomial(shots, prob))
                 probs = setting_probabilities(norm, s)
-                probs = np.clip(probs, 0, None)
                 probs = probs / probs.sum()
                 counts[s] = rng.multinomial(retained, probs).astype(float)
                 attempted[s] = float(shots)

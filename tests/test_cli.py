@@ -282,6 +282,9 @@ class TestNonFiniteInputs:
         (["protocol", "--phi", "pi/0"], "run_tables.csv"),
         (["choi", "--phi-grid", "nan"], "run"),
         (["percolation", "--p", "nan", "--L", "4", "--samples", "100"], "run"),
+        (["detect-sweep", "--addressing-error", "nan", "--shots", "2"], "run"),
+        (["detect-sweep", "--addressing-error", "3", "--shots", "2"], "run"),
+        (["detect-sweep", "--addressing-error", "-0.5", "--shots", "2"], "run"),
     ])
     def test_config_error_and_no_output(self, runner, tmp_path, args, written):
         res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])

@@ -1,6 +1,7 @@
 """Lattice construction, loss reformation, logical search, percolation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ class TestBuild:
     @pytest.mark.parametrize("L", [2, 3, 4, 6])
     def test_all_generator_pairs_commute(self, L):
         build_lattice(L).validate_commutation()  # raises on failure
+
+    def test_anticommuting_pair_raises(self):
+        lat = build_lattice(3)
+        edge = min(lat.x_generators[0])  # one edge of a star
+        bad = replace(lat, z_generators=[frozenset({edge})] + lat.z_generators[1:])
+        with pytest.raises(ConsistencyError, match="anticommute"):
+            bad.validate_commutation()
 
     def test_l3_generator_count_by_enumeration(self):
         lat = build_lattice(3)

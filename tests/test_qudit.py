@@ -97,6 +97,10 @@ class TestNonFiniteContracts:
         with pytest.raises(ContractViolation):
             DensityOperator(1, 3, np.full((3, 3), np.nan)).validate()
 
+    def test_normalized_rejects_nan(self):
+        with pytest.raises(UndefinedExpectationError):
+            DensityOperator(1, 3, np.full((3, 3), np.nan)).normalized()
+
 
 class TestExpectation:
     def test_z_on_ground(self):

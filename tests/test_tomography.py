@@ -61,11 +61,21 @@ class TestStateTomography:
             S1X_LAW(0.5 * math.pi), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_linear_inversion_unbiased_random_two_qubit(self, seed):
-        mat = random_qubit_density(2, seed)
-        rho = embed_qubit_density(mat, 2)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_linear_inversion_unbiased_random_two_qubit(self, n, seed):
+        mat = random_qubit_density(n, seed)
+        rho = embed_qubit_density(mat, n)
         est, _ = state_tomography(rho)
         assert np.max(np.abs(est - mat)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_post_selected_inversion_scales_by_weight(self, n):
+        # a retained fraction w of every setting's attempts: the estimate
+        # carries the branch weight as its trace
+        mat, w = random_qubit_density(n, 7), 0.37
+        probs = {s: w * setting_probabilities(mat, s) for s in settings(n)}
+        est = invert_counts(probs, attempted={s: 1.0 for s in probs})
+        assert np.max(np.abs(est - w * mat)) < 1e-12
 
     def test_finite_shots_within_resampled_band(self):
         rho = encode(0.0).to_density()
