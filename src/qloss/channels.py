@@ -117,15 +117,21 @@ def record_kraus(dims: int) -> list[np.ndarray]:
     return ks
 
 
+def readout_superoperator(dims: int) -> np.ndarray:
+    """The readout-boundary map sum_K K (.) K^dagger as a dims^2 x 4 matrix.
+
+    It maps one ion's flattened (a, b) operator entries to the flattened
+    2x2 recorded block: vec(rho) @ R = vec(sum_K K rho K^dagger).
+    """
+    return sum(np.kron(kr, kr.conj()) for kr in record_kraus(dims)).T
+
+
 def record_qubit(rho: np.ndarray) -> np.ndarray:
     """Apply the readout-boundary map to a single-ion operator (3x3 or 5x5 -> 2x2)."""
     dims = rho.shape[0]
     if dims == 2:
         return np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for k in record_kraus(dims):
-        out += k @ rho @ k.conj().T
-    return out
+    return (np.reshape(rho, -1) @ readout_superoperator(dims)).reshape(2, 2)
 
 
 @dataclass

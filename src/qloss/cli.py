@@ -61,7 +61,8 @@ def parse_grid(text: str, parser=parse_angle) -> list[float]:
         count = int(parts[2])
         if count < 1:
             raise ValueError("grid count must be >= 1")
-        grid = list(np.linspace(start, stop, count))
+        with np.errstate(invalid="ignore", over="ignore"):  # rejected below
+            grid = list(np.linspace(start, stop, count))
     else:
         grid = [parser(p) for p in t.split(",") if p.strip()]
     if not all(math.isfinite(v) for v in grid):
@@ -147,16 +148,19 @@ def main(ctx: click.Context, seed: int) -> None:
 @click.option("--shots", type=int, default=200, show_default=True)
 @click.option("--register", type=click.Choice(["2", "5"]), default="5", show_default=True)
 @click.option("--addressing-error", type=float, default=0.0, show_default=True)
+@click.option("--hiding", type=click.Choice(["mask", "explicit"]), default="mask",
+              show_default=True,
+              help="ideal support mask or explicit five-level hiding pulses")
 @click.option("--analytic", is_flag=True, help="exact probabilities, no sampling")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default="detect_sweep.csv", show_default=True)
 @click.pass_context
-def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, analytic,
-                     config_path, out):
+def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, hiding,
+                     analytic, config_path, out):
     """Detected vs directly measured loss over a loss-rotation grid."""
     opts = _effective(ctx, config_path, phi_grid=phi_grid, shots=shots,
                       register=register, addressing_error=addressing_error,
-                      analytic=analytic, out=out)
+                      hiding=hiding, analytic=analytic, out=out)
 
     def go():
         shots_n = int(opts["shots"])
@@ -166,8 +170,11 @@ def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, analytic,
         res = detection_sweep(grid, shots_n, seed=ctx.obj["seed"],
                               register=int(opts["register"]),
                               addressing_error=float(opts["addressing_error"]),
-                              analytic=bool(opts["analytic"]))
-        header = header_lines(opts, ctx.obj["seed"])
+                              analytic=bool(opts["analytic"]),
+                              hiding=str(opts["hiding"]))
+        # the default hiding is not echoed, so default runs keep their header
+        shown = {k: v for k, v in opts.items() if (k, v) != ("hiding", "mask")}
+        header = header_lines(shown, ctx.obj["seed"])
         header.append(f"# detection-efficiency: {fmt(res.efficiency)}")
         write_csv(str(opts["out"]), header,
                   ["phi", "direct_loss", "detected_loss", "false_positive_rate",

@@ -469,32 +469,48 @@ def _terminal_arrays(lattice: LossLattice) -> tuple[np.ndarray, np.ndarray]:
             np.fromiter(lattice.primal_b, dtype=np.int64))
 
 
+#: edges per block of masks that `percolation_threshold` hands to one kernel
+#: call (68 masks at L=16, 16 at L=32); it bounds the block's memory and
+#: changes no result
+BLOCK_EDGES = 32_768
+
+
 def _survival_fast(ends: np.ndarray, cells: np.ndarray, keep: np.ndarray,
                    n_primal: int, n_cells: int,
                    a_nodes: np.ndarray, b_nodes: np.ndarray,
-                   terms: tuple[int, int]) -> bool:
-    """Primal top-bottom and dual left-right spanning over the kept edges."""
+                   terms: tuple[int, int]) -> np.ndarray:
+    """Primal top-bottom and dual left-right spanning over the kept edges.
+
+    ``keep`` is a (k, n_edges) stack of masks (a single mask counts as k=1);
+    the result holds one verdict per row.  The k masks become disjoint
+    copies in one block-diagonal primal and one dual graph, so a single
+    `connected_components` call per graph labels every copy: copy i numbers
+    its primal nodes from i*(n_primal+2), with the top and bottom leaves
+    contracted into its two virtual terminals n_primal and n_primal+1, and
+    its dual cells from i*n_cells.
+    """
     # imported here, not at module level: loading scipy.sparse.csgraph costs
     # about 0.3 s, which every `import qloss` would otherwise pay
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    ek = ends[keep]
-    g = sp.coo_matrix((np.ones(len(ek) + len(a_nodes) + len(b_nodes)),
-                       (np.concatenate([ek[:, 0], a_nodes,
-                                        b_nodes]),
-                        np.concatenate([ek[:, 1],
-                                        np.full(len(a_nodes), n_primal),
-                                        np.full(len(b_nodes), n_primal + 1)]))),
-                      shape=(n_primal + 2, n_primal + 2))
-    _, labels = connected_components(g, directed=False)
-    if labels[n_primal] != labels[n_primal + 1]:
-        return False
-    ck = cells[keep]
-    gd = sp.coo_matrix((np.ones(len(ck)), (ck[:, 0], ck[:, 1])),
-                       shape=(n_cells, n_cells))
-    _, dlabels = connected_components(gd, directed=False)
-    return dlabels[terms[0]] == dlabels[terms[1]]
+    keep = np.atleast_2d(keep)
+    k = len(keep)
+    ends = np.where(np.isin(ends, a_nodes), n_primal,
+                    np.where(np.isin(ends, b_nodes), n_primal + 1, ends))
+    copy, edge = np.nonzero(keep)
+
+    def labels(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+        off = copy * n_nodes
+        graph = sp.coo_matrix((np.ones(len(edge)), (pairs[edge, 0] + off,
+                                                    pairs[edge, 1] + off)),
+                              shape=(k * n_nodes, k * n_nodes))
+        return connected_components(graph, directed=False)[1].reshape(k, n_nodes)
+
+    primal = labels(ends, n_primal + 2)
+    dual = labels(cells, n_cells)
+    return ((primal[:, n_primal] == primal[:, n_primal + 1])
+            & (dual[:, terms[0]] == dual[:, terms[1]]))
 
 
 def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
@@ -502,7 +518,7 @@ def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
     ends, cells = _edge_arrays(lattice)
     return bool(_survival_fast(ends, cells, ~np.asarray(lost_mask, dtype=bool),
                                lattice.n_primal_nodes, lattice.n_cells,
-                               *_terminal_arrays(lattice), lattice.dual_terminals))
+                               *_terminal_arrays(lattice), lattice.dual_terminals)[0])
 
 
 def percolation_threshold(L_grid: Sequence[int], samples: int,
@@ -510,7 +526,10 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
     """Monte Carlo survival curves and the two-size crossing estimate.
 
     Per-sample masks come from generators seeded by (seed, L, p index,
-    sample index), so points are independent of evaluation order.
+    sample index), so points are independent of evaluation order.  The
+    masks of one (L, p) point are evaluated in blocks of at most
+    `BLOCK_EDGES` edges per kernel call; the survivor counts do not depend
+    on the block size.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples per point")
@@ -519,13 +538,15 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
         lat = build_lattice(L)
         ends, cells = _edge_arrays(lat)
         a_nodes, b_nodes = _terminal_arrays(lat)
+        block = max(1, BLOCK_EDGES // lat.n_edges)
         for p_idx, p in enumerate(p_grid):
             survivors = 0
-            for s in range(samples):
-                keep = seed_for(seed, L, p_idx, s).random(lat.n_edges) >= p
-                if _survival_fast(ends, cells, keep, lat.n_primal_nodes, lat.n_cells,
-                                  a_nodes, b_nodes, lat.dual_terminals):
-                    survivors += 1
+            for start in range(0, samples, block):
+                keep = np.stack([seed_for(seed, L, p_idx, s).random(lat.n_edges) >= p
+                                 for s in range(start, min(start + block, samples))])
+                survivors += int(np.count_nonzero(_survival_fast(
+                    ends, cells, keep, lat.n_primal_nodes, lat.n_cells,
+                    a_nodes, b_nodes, lat.dual_terminals)))
             points.append(SurvivalPoint(L, float(p), samples, survivors))
     threshold = None
     if len(L_grid) >= 2:

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import ChoiMatrix, record_kraus
+from .channels import ChoiMatrix, readout_superoperator
 from .protocol import (SHOT_PRESETS, CodeDefinition, analytic_run, code_space_projector,
                        detection_process, four_qubit_code, three_qubit_code)
 # moved to protocol next to CodeDefinition; still importable from here
@@ -85,8 +85,8 @@ def record_density(rho: DensityOperator, qubits: Sequence[int]) -> np.ndarray:
     """
     reduced = partial_trace(rho, tuple(qubits))
     dims, k = reduced.dims, reduced.n_ions
-    readout = sum(np.kron(kr, kr.conj()) for kr in record_kraus(dims)).T
-    return _per_ion_map(reduced.mat.reshape((dims,) * (2 * k)), readout, k)
+    return _per_ion_map(reduced.mat.reshape((dims,) * (2 * k)),
+                        readout_superoperator(dims), k)
 
 
 def setting_probabilities(rho2: np.ndarray, setting: Setting) -> np.ndarray:

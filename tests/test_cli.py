@@ -6,8 +6,9 @@ import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
-from qloss.cli import main, parse_angle, parse_grid, parse_noise
+from qloss.cli import main, parse_angle, parse_float_grid, parse_grid, parse_noise
 from qloss.serialize import write_json
 
 
@@ -82,6 +83,20 @@ class TestDetectSweep:
             cells = line.split(",")
             assert cells[1] == cells[2]
             assert cells[3] == "0" and cells[4] == "0"
+
+    def test_explicit_hiding_with_addressing_error(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        res = runner.invoke(main, ["detect-sweep", "--register", "5", "--hiding", "explicit",
+                                   "--addressing-error", "0.05", "--phi-grid", "0:pi:3",
+                                   "--shots", "10", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "hiding=explicit" in read_lines(out)[1]
+
+    def test_unknown_hiding_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["detect-sweep", "--hiding", "partial",
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestProtocolCommand:
@@ -296,3 +311,49 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             write_json(str(out), [], {"value": float("nan")})
         assert not out.exists()
+
+
+#: the errors a parser can raise that ``_run`` turns into exit 2
+CONFIG_ERRORS = (ValueError, OSError, ZeroDivisionError)
+
+_TOKEN = st.one_of(st.text(alphabet="0123456789.+-eE_ pPiI/nNaAfFtTyY", max_size=12),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                   st.sampled_from(["pi", "pi/2", "+iL", "0L", "1L", "-pi", "pi/0", "1e400"]))
+_GRID_TEXT = st.one_of(
+    st.text(),
+    _TOKEN,
+    st.lists(_TOKEN, max_size=4).map(",".join),
+    st.tuples(_TOKEN, _TOKEN, st.one_of(st.integers(-3, 40).map(str), _TOKEN)).map(":".join))
+
+
+def _small_count(text: str) -> bool:
+    """A start:stop:count grid is built in full, so fuzz only small counts."""
+    parts = text.strip().split(":")
+    try:
+        return len(parts) != 3 or int(parts[2]) <= 1000
+    except ValueError:
+        return True
+
+
+class TestParserFuzz:
+    """Any text either parses to finite floats or raises a config error."""
+
+    @given(_GRID_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_angle(self, text):
+        try:
+            value = parse_angle(text)
+        except CONFIG_ERRORS:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
+
+    @pytest.mark.parametrize("parser", [parse_grid, parse_float_grid])
+    @given(text=_GRID_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_grids(self, parser, text):
+        assume(_small_count(text))
+        try:
+            grid = parser(text)
+        except CONFIG_ERRORS:
+            return
+        assert all(isinstance(v, float) and math.isfinite(v) for v in grid)

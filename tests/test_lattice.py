@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qloss import lattice as lattice_mod
 from qloss.lattice import (ConsistencyError, LossLattice, apply_losses, build_lattice,
                            crossing_estimate, find_logical, percolation_threshold,
                            reform_stabilizers, survival_check, SurvivalPoint,
-                           _edge_arrays, _survival_fast)
+                           _edge_arrays, _survival_fast, _terminal_arrays)
 from qloss.protocol import four_qubit_code, three_qubit_code
-from qloss.qudit import PauliString
+from qloss.qudit import PauliString, seed_for
 
 
 def gf2_rank(gens, n_edges):
@@ -221,6 +223,57 @@ class TestSurvival:
             b = np.fromiter(lat.primal_b, dtype=np.int64)
             assert _survival_fast(ends, cells, ~mask, lat.n_primal_nodes,
                                   lat.n_cells, a, b, lat.dual_terminals) == expected
+
+
+class TestBlockKernel:
+    """The batched survival kernel against the per-mask references."""
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+    def test_stack_matches_find_logical_row_for_row(self, L):
+        lat = build_lattice(L)
+        rng = np.random.default_rng(100 + L)
+        rates = rng.uniform(0.05, 0.95, size=(40, 1))
+        lost = np.vstack([rng.random((40, lat.n_edges)) < rates,
+                          np.zeros(lat.n_edges, dtype=bool),
+                          np.ones(lat.n_edges, dtype=bool)])
+        expected = [find_logical(reform_stabilizers(apply_losses(
+            lat, [int(e) for e in np.nonzero(row)[0]]))).correctable for row in lost]
+        ends, cells = _edge_arrays(lat)
+        got = _survival_fast(ends, cells, ~lost, lat.n_primal_nodes, lat.n_cells,
+                             *_terminal_arrays(lat), lat.dual_terminals)
+        assert got.shape == (len(lost),)
+        assert got.tolist() == expected
+        assert expected[-2:] == [True, False]
+
+    @pytest.mark.parametrize("budget", [lattice_mod.BLOCK_EDGES, 100])
+    def test_sweep_matches_per_mask_loop(self, budget, monkeypatch):
+        # a budget of 100 edges puts 7, 4 and 2 masks in a block at L=3, 4, 5;
+        # 101 samples is a multiple of none of them
+        monkeypatch.setattr(lattice_mod, "BLOCK_EDGES", budget)
+        sizes, samples, grid, seed = [3, 4, 5], 101, [0.3, 0.5, 0.7], 17
+        res = percolation_threshold(sizes, samples, grid, seed=seed)
+        ref = []
+        for L in sizes:
+            lat = build_lattice(L)
+            for p_idx, p in enumerate(grid):
+                ref.append(sum(survival_check(
+                    lat, ~(seed_for(seed, L, p_idx, s).random(lat.n_edges) >= p))
+                    for s in range(samples)))
+        assert [pt.survivors for pt in res.points] == ref
+
+    @given(L=st.integers(2, 6), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_correctable_pattern_holds_one_logical_qubit(self, L, data):
+        lat = build_lattice(L)
+        lost = data.draw(st.lists(st.booleans(), min_size=lat.n_edges,
+                                  max_size=lat.n_edges))
+        ref = reform_stabilizers(apply_losses(lat, [e for e, x in enumerate(lost) if x]))
+        if not find_logical(ref).correctable:
+            return
+        n_surviving = ref.n_edges - len(ref.lost)
+        k = (n_surviving - gf2_rank(ref.z_generators, ref.n_edges)
+             - gf2_rank(ref.x_generators, ref.n_edges))
+        assert k == 1
 
 
 class TestPercolation:
