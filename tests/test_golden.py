@@ -110,13 +110,13 @@ def _sha1(payload) -> str:
 SWEEP_GRID = list(np.linspace(0.0, PI, 5))
 
 
-def _records(**kwargs) -> bytes:
-    return records_to_jsonl(run_protocol(PI / 2, 0.5 * PI, shots=200, seed=0,
+def _records(phi: float = 0.5 * PI, **kwargs) -> bytes:
+    return records_to_jsonl(run_protocol(PI / 2, phi, shots=200, seed=0,
                                          **kwargs).records).encode()
 
 
-def _sweep(**kwargs) -> list:
-    res = detection_sweep(SWEEP_GRID, 40, seed=0, register=5, **kwargs)
+def _sweep(register: int = 5, **kwargs) -> list:
+    res = detection_sweep(SWEEP_GRID, 40, seed=0, register=register, **kwargs)
     return [res.efficiency] + [[r.phi, r.direct_loss, r.detected_loss,
                                 r.false_positive_rate, r.false_negative_rate, r.shots]
                                for r in res.rows]
@@ -140,9 +140,21 @@ SEEDED = {
     "run_protocol.exact": _records,
     "run_protocol.toolbox.pqnd=0.033": lambda: _records(
         shrunk_mode="toolbox", noise=NOISES["pqnd=0.033"]),
+    # noise in the no-loss branch too: every (qubit, letter) leaf of both branches
+    "run_protocol.exact.pqnd=0.033.no_loss.0.1pi": lambda: _records(
+        0.1 * PI, noise=NoiseModel(p_qnd=0.033, mode="depolarizing_per_qubit",
+                                   apply_to_no_loss=True)),
+    # both shrunk outcomes through the toolbox readout
+    "run_protocol.toolbox.0.9pi": lambda: _records(0.9 * PI, shrunk_mode="toolbox"),
     "detection_sweep.mask": _sweep,
+    "detection_sweep.register2": lambda: _sweep(register=2),
+    # exposed-ion patterns of the ideal hiding
+    "detection_sweep.mask.0.2": lambda: _sweep(addressing_error=0.2),
     "detection_sweep.explicit.0.05": lambda: _sweep(hiding="explicit",
                                                     addressing_error=0.05),
+    # many pulse-failure patterns of the five-level hiding
+    "detection_sweep.explicit.0.3": lambda: _sweep(hiding="explicit",
+                                                   addressing_error=0.3),
     "process_tomography.sampled": _sampled_choi,
     "percolation_threshold.L8,12": _survivors,
 }

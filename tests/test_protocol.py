@@ -267,6 +267,14 @@ class TestTrajectories:
         b = run_protocol(0.3, 0.4, shots=50, seed=9)
         assert records_to_jsonl(a.records) == records_to_jsonl(b.records)
 
+    @pytest.mark.parametrize("mode", ["exact", "toolbox"])
+    def test_shots_do_not_depend_on_one_another(self, mode):
+        noise = NoiseModel(p_qnd=0.08, mode="depolarizing_per_qubit",
+                           apply_to_no_loss=True)
+        run = lambda shots: run_protocol(math.pi / 2, 0.9, shots=shots, seed=5,
+                                         noise=noise, shrunk_mode=mode).records
+        assert run(80)[:30] == run(30)
+
     def test_records_are_json_lines(self):
         res = run_protocol(0.3, 0.9, shots=20, seed=2)
         lines = records_to_jsonl(res.records).strip().splitlines()
