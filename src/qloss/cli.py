@@ -28,6 +28,9 @@ from .tomography import (EmptyBranchError, ideal_branch_choi, process_fidelity,
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
+#: most points a start:stop:count grid may have, checked before the grid is built
+MAX_GRID_POINTS = 10_000
+
 ALPHA_ALIASES = {"0": 0.0, "0L": 0.0, "pi": math.pi, "1L": math.pi,
                  "pi/2": math.pi / 2, "+iL": math.pi / 2}
 
@@ -61,6 +64,8 @@ def parse_grid(text: str, parser=parse_angle) -> list[float]:
         count = int(parts[2])
         if count < 1:
             raise ValueError("grid count must be >= 1")
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid count {count} exceeds {MAX_GRID_POINTS}")
         with np.errstate(invalid="ignore", over="ignore"):  # rejected below
             grid = list(np.linspace(start, stop, count))
     else:

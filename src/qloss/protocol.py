@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .channels import NoiseModel, _extended_pauli, mixing_probability, qnd_noise
 from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
                     compile_gate, hide, loss_rotation, ms_gate)
 from .qudit import (DensityOperator, Level, PauliString, PureState,
-                    UndefinedExpectationError, apply_unitary, expectation, make_state,
-                    measure_projective, partial_trace, pure_expectation, seed_for)
+                    UndefinedExpectationError, apply_unitary, collapse, draw_outcome,
+                    expectation, make_state, outcome_probabilities, partial_trace,
+                    pure_expectation, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -252,6 +253,22 @@ class DetectResult:
     probability: float        # exact Born probability of this branch
 
 
+def _readout_sets(dims: int) -> list[set[int]]:
+    """Ancilla readout partition: |0> (outcome 0) against every other level (outcome 1)."""
+    return [{0}, set(range(dims)) - {0}]
+
+
+def _detection_unit(state: PureState, probe: int = 0
+                    ) -> tuple[PureState, list[frozenset[Level]], np.ndarray]:
+    """Pre-readout state of the detection unit, with its ancilla readout sets and
+    their probabilities."""
+    reg = Register(state)
+    reg.run(detection_ops(probe))
+    _ancilla_guard(reg.state, ANCILLA)
+    sets, probs = outcome_probabilities(reg.state, ANCILLA, _readout_sets(state.dims))
+    return reg.state, sets, probs
+
+
 def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
                probe: int = 0, force_branch: str | None = None) -> DetectResult:
     """Run the detection unit and measure the ancilla.
@@ -260,16 +277,13 @@ def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
     (callers that use the plain 5-ion register can rely on the explicit
     two-ion gate supports instead, which is equivalent in the ideal engine).
     """
-    reg = Register(state)
-    reg.run(detection_ops(probe))
-    _ancilla_guard(reg.state, ANCILLA)
-    dark = set(range(state.dims)) - {0}
+    pre, sets, probs = _detection_unit(state, probe)
     force = None
     if force_branch is not None:
         force = 1 if force_branch == "loss" else 0
-    outcome, post, prob = measure_projective(
-        reg.state, ANCILLA, [{0}, dark], rng=rng, force_outcome=force)
-    return DetectResult("loss" if outcome == 1 else "no_loss", outcome, post, prob)
+    outcome = draw_outcome(probs, rng, force)
+    return DetectResult("loss" if outcome == 1 else "no_loss", outcome,
+                        collapse(pre, ANCILLA, sets[outcome]), float(probs[outcome]))
 
 
 def qnd_detect_density(rho: DensityOperator, probe: int = 0
@@ -332,6 +346,57 @@ def _shrunk_projectors(dims: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
+_ANCILLA_FLIP = collective_rotation("X", math.pi, (ANCILLA,))
+
+
+def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
+    """Pre-readout state and outcome probabilities (p(+1), p(-1)) of the shrunk measurement.
+
+    Exact mode reads the projectors' weights off the input; toolbox mode
+    resets the ancilla and maps the syndrome onto it.
+    """
+    pops = state.level_populations(ANCILLA)
+    if not abs(pops[1] - 1.0) <= 1e-9:
+        raise ProtocolError("shrunk-stabilizer measurement requires the loss branch "
+                            "(ancilla must be |1> after detection)")
+    if mode == "exact":
+        plus = _shrunk_projectors(state.dims)[0] @ state.amps
+        p_plus = float(np.vdot(plus, plus).real / np.vdot(state.amps, state.amps).real)
+        return state, np.array([p_plus, 1 - p_plus])
+    if mode == "toolbox":
+        reg = Register(_apply_op(state, _ANCILLA_FLIP))  # reset ancilla |1> -> |0>
+        reg.run(shrunk_measurement_ops())
+        _, probs = outcome_probabilities(reg.state, ANCILLA, _readout_sets(state.dims))
+        return reg.state, probs
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _shrunk_draw(probs: np.ndarray, mode: str, rng: np.random.Generator | None,
+                 force_outcome: int | None = None) -> int:
+    """Index of the shrunk outcome (0 for +1, 1 for -1), forced or drawn from ``rng``."""
+    force = None if force_outcome is None else (0 if force_outcome == +1 else 1)
+    if mode == "toolbox":
+        return draw_outcome(probs, rng, force)
+    if force is not None:
+        if probs[force] <= ATOL_TRACE:
+            raise ProtocolError("deterministic request of zero-probability branch")
+        return force
+    if rng is None:
+        raise ValueError("rng required unless force_outcome is given")
+    return 0 if rng.random() < probs[0] else 1
+
+
+def _shrunk_post(pre: PureState, mode: str, pick: int) -> PureState:
+    """Post state of shrunk outcome ``pick``, with the ancilla reset to |0>."""
+    if mode == "exact":
+        amps = _shrunk_projectors(pre.dims)[pick] @ pre.amps
+        post = PureState(pre.n_ions, pre.dims, amps / np.linalg.norm(amps))
+        return _apply_op(post, _ANCILLA_FLIP)  # ancilla |1> -> |0> reset (feed-forward)
+    post = collapse(pre, ANCILLA, _readout_sets(pre.dims)[pick])
+    # feed-forward reset after a -1 readout
+    return _apply_op(post, _ANCILLA_FLIP) if pick == 1 else post
+
+
 def measure_shrunk_stabilizer(state: PureState, mode: str = "exact",
                               rng: np.random.Generator | None = None,
                               force_outcome: int | None = None
@@ -342,41 +407,9 @@ def measure_shrunk_stabilizer(state: PureState, mode: str = "exact",
     in both modes; exact and toolbox modes agree in outcome distribution and
     post states.  Returns (outcome +-1, post state, probability).
     """
-    pops = state.level_populations(ANCILLA)
-    if not abs(pops[1] - 1.0) <= 1e-9:
-        raise ProtocolError("shrunk-stabilizer measurement requires the loss branch "
-                            "(ancilla must be |1> after detection)")
-    flip = collective_rotation("X", math.pi, (ANCILLA,))
-
-    if mode == "exact":
-        proj_plus, proj_minus = _shrunk_projectors(state.dims)
-        plus, minus = proj_plus @ state.amps, proj_minus @ state.amps
-        p_plus = float(np.vdot(plus, plus).real / np.vdot(state.amps, state.amps).real)
-        if force_outcome is not None:
-            pick = 0 if force_outcome == +1 else 1
-            if (p_plus if pick == 0 else 1 - p_plus) <= ATOL_TRACE:
-                raise ProtocolError("deterministic request of zero-probability branch")
-        else:
-            if rng is None:
-                raise ValueError("rng required unless force_outcome is given")
-            pick = 0 if rng.random() < p_plus else 1
-        amps = plus if pick == 0 else minus
-        post = PureState(state.n_ions, state.dims, amps / np.linalg.norm(amps))
-        post = _apply_op(post, flip)  # ancilla |1> -> |0| reset (feed-forward)
-        return (+1 if pick == 0 else -1), post, (p_plus if pick == 0 else 1 - p_plus)
-
-    if mode == "toolbox":
-        reg = Register(_apply_op(state, flip))  # reset ancilla |1> -> |0>
-        reg.run(shrunk_measurement_ops())
-        dark = set(range(state.dims)) - {0}
-        force = None if force_outcome is None else (0 if force_outcome == +1 else 1)
-        bit, post, prob = measure_projective(reg.state, ANCILLA, [{0}, dark],
-                                             rng=rng, force_outcome=force)
-        if bit == 1:
-            post = _apply_op(post, flip)  # feed-forward reset after a -1 readout
-        return (+1 if bit == 0 else -1), post, prob
-
-    raise ValueError(f"unknown mode {mode!r}")
+    pre, probs = _shrunk_split(state, mode)
+    pick = _shrunk_draw(probs, mode, rng, force_outcome)
+    return (+1 if pick == 0 else -1), _shrunk_post(pre, mode, pick), float(probs[pick])
 
 
 @dataclass(frozen=True)
@@ -532,30 +565,38 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
                           rho_loss=rho_rec if p_l > ATOL_TRACE else None)
 
 
-def _sample_pm(state: PureState, pauli: PauliString, rng: np.random.Generator) -> int:
-    val = pure_expectation(state, pauli)
-    if val > 1 + ATOL_ALGEBRA or val < -1 - ATOL_ALGEBRA:  # pragma: no cover
-        raise ProtocolError(f"invalid expectation {val}")
-    return 1 if rng.random() < 0.5 * (1 + val) else -1
+def _outcome_thresholds(state: PureState, code: CodeDefinition
+                        ) -> tuple[tuple[str, float, float], ...]:
+    """Sampling rule of one leaf state: ``(name, P(+1), value otherwise)`` per output.
 
-
-def _sample_projector(state: PureState, code: CodeDefinition,
-                      rng: np.random.Generator) -> int:
+    Each observable reads +1 with probability (1 + <P>)/2, else -1; ``P_CS``
+    reads 1 with the code-space population, else 0.
+    """
+    out = []
+    for name, pauli in code.all_observables().items():
+        val = pure_expectation(state, pauli)
+        if val > 1 + ATOL_ALGEBRA or val < -1 - ATOL_ALGEBRA:  # pragma: no cover
+            raise ProtocolError(f"invalid expectation {val}")
+        out.append((name, 0.5 * (1 + val), -1.0))
     proj = code_space_projector(code.stabilizers.values(), state.dims)
-    p = float(np.real(np.vdot(state.amps, proj @ state.amps)))
-    return 1 if rng.random() < p else 0
+    out.append(("P_CS", float(np.real(np.vdot(state.amps, proj @ state.amps))), 0.0))
+    return tuple(out)
 
 
-def _unravel_noise(state: PureState, phi: float, noise: NoiseModel,
-                   qubits: tuple[int, ...], rng: np.random.Generator) -> PureState:
-    """Trajectory unraveling of the depolarizing mixture."""
-    p = mixing_probability(phi, noise.p_qnd)
-    if rng.random() >= p:
-        return state
+def _draw_noise(p_mix: float, qubits: tuple[int, ...], rng: np.random.Generator
+                ) -> tuple[int, str] | None:
+    """Trajectory unraveling of the depolarizing mixture: the (qubit, Pauli) hit, if any."""
+    if rng.random() >= p_mix:
+        return None
     qubit = qubits[rng.integers(len(qubits))]
     letter = "IXYZ"[rng.integers(4)]
-    if letter == "I":
+    return None if letter == "I" else (qubit, letter)
+
+
+def _apply_noise(state: PureState, hit: tuple[int, str] | None) -> PureState:
+    if hit is None:
         return state
+    qubit, letter = hit
     return apply_unitary(state, _extended_pauli(letter, state.dims), (qubit,))
 
 
@@ -574,33 +615,47 @@ def run_protocol(prep: PrepSpec | float, phi: float, shots: int = 0,
         return result
 
     code4, code3 = four_qubit_code(), three_qubit_code()
-    psi0 = encode(alpha)
-    target_nl = logical_target(alpha)
+    detected, det_sets, det_probs = _detection_unit(apply_loss(encode(alpha), phi))
+    p_mix = mixing_probability(phi, noise.p_qnd) if noise.enabled else 0.0
+    # The states along an outcome path (detection branch, shrunk outcome, noise
+    # hit) are the same for every shot that takes it: each node is computed on
+    # its first shot, and every shot replays its own draws, in the original
+    # order, against the cached probabilities.
+    memo: dict[tuple, Any] = {}
+
+    def once(key: tuple, make: Callable[[], Any]) -> Any:
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
     for shot in range(shots):
         rng = seed_for(seed, shot)
-        state = apply_loss(psi0.copy(), phi)
-        det = qnd_detect(state, rng)
+        outcome = draw_outcome(det_probs, rng)
+        branch = "loss" if outcome == 1 else "no_loss"
+        detect_post = lambda: collapse(detected, ANCILLA, det_sets[outcome])
         frame = PauliFrame()
         shrunk: int | None = None
-        if det.branch == "loss":
-            shrunk, state, _ = measure_shrunk_stabilizer(det.state, shrunk_mode, rng)
+        if branch == "loss":
+            pre, probs = once((branch,), lambda: _shrunk_split(detect_post(), shrunk_mode))
+            pick = _shrunk_draw(probs, shrunk_mode, rng)
+            shrunk = +1 if pick == 0 else -1
             frame = frame_update(frame, shrunk)
-            state = apply_frame_correction(state, frame)
-            if noise.enabled:
-                state = _unravel_noise(state, phi, noise, SURVIVING_QUBITS, rng)
-            code = code3
+            path = (branch, shrunk)
+            make_state = lambda: apply_frame_correction(
+                _shrunk_post(pre, shrunk_mode, pick), frame)
+            code, noisy = code3, SURVIVING_QUBITS if noise.enabled else ()
         else:
-            state = det.state
-            if noise.enabled and noise.apply_to_no_loss:
-                state = _unravel_noise(state, phi, noise, CODE_QUBITS, rng)
+            path = (branch,)
+            make_state = detect_post
             code = code4
-        obs: dict[str, float] = {}
-        for name, pauli in code.all_observables().items():
-            obs[name] = float(_sample_pm(state, pauli, rng))
-        obs["P_CS"] = float(_sample_projector(state, code, rng))
+            noisy = CODE_QUBITS if noise.enabled and noise.apply_to_no_loss else ()
+        hit = _draw_noise(p_mix, noisy, rng) if noisy else None
+        leaf = once(path + (hit,), lambda: _outcome_thresholds(
+            _apply_noise(once(path, make_state), hit), code))
+        obs = {name: 1.0 if rng.random() < p else other for name, p, other in leaf}
         result.records.append(RunRecord(
-            shot=shot, alpha=alpha, phi=phi, branch=det.branch,
-            ancilla_outcome=det.ancilla_outcome, shrunk_outcome=shrunk,
+            shot=shot, alpha=alpha, phi=phi, branch=branch,
+            ancilla_outcome=outcome, shrunk_outcome=shrunk,
             frame_sx=frame.sx_sign, observables=obs,
             seed_key=f"({seed},{shot})"))
     return result
@@ -634,44 +689,65 @@ class SweepResult:
     efficiency: float  # fraction of shots where detected == actually leaked
 
 
-def _mask_shot(phi: float, n: int, spectators: Sequence[int], ancilla: int,
-               addressing_error: float, rng: np.random.Generator) -> PureState:
-    """Ideal-hiding shot: a hide whose either transfer pulse fails leaves the
-    ion fully exposed to the collective detection gates."""
+def _mask_pattern(spectators: Sequence[int], addressing_error: float,
+                  rng: np.random.Generator) -> tuple[int, ...]:
+    """Ideal hiding: the spectators a hide leaves fully exposed to the collective
+    detection gates, because either of its two transfer pulses failed."""
+    return tuple(i for i in spectators
+                 if addressing_error > 0
+                 and (rng.random() < addressing_error
+                      or rng.random() < addressing_error))
+
+
+def _mask_state(phi: float, n: int, exposed: tuple[int, ...], ancilla: int) -> PureState:
     state = make_state(n, 3, [0] * n)
     state = apply_loss(state, phi, ion=0)
-    exposed = [i for i in spectators
-               if addressing_error > 0
-               and (rng.random() < addressing_error
-                    or rng.random() < addressing_error)]
-    visible = (0,) + tuple(exposed) + (ancilla,)
+    visible = (0,) + exposed + (ancilla,)
     reg = Register(state)
     reg.apply(ms_gate(math.pi, visible))
     reg.apply(collective_rotation("X", math.pi, visible))
     return reg.state
 
 
-def _explicit_shot(phi: float, n: int, spectators: Sequence[int], ancilla: int,
-                   addressing_error: float, rng: np.random.Generator) -> PureState:
-    """Five-level shot: hide/unhide as two physical transfer pulses per ion,
-    each skipped independently with the addressing-error probability."""
+def _explicit_pattern(spectators: Sequence[int], addressing_error: float,
+                      rng: np.random.Generator) -> tuple[bool, ...]:
+    """Five-level hiding: which physical transfer pulses fire, in application order
+    (hide, then unhide; per spectator pulse p0 then p1), each skipped
+    independently with the addressing-error probability."""
+    return tuple(not (addressing_error > 0 and rng.random() < addressing_error)
+                 for _stage in range(2) for _ion in spectators for _pulse in range(2))
+
+
+def _explicit_state(phi: float, n: int, spectators: Sequence[int],
+                    fired: tuple[bool, ...]) -> PureState:
     state = make_state(n, 5, [0] * n)
     state = apply_loss(state, phi, ion=0)
     p0, p1 = _transfer_pulses()
 
-    def pulse_pair(st: PureState) -> PureState:
-        for ion in spectators:
-            if not (addressing_error > 0 and rng.random() < addressing_error):
+    def pulse_pair(st: PureState, bits: tuple[bool, ...]) -> PureState:
+        for ion, fire0, fire1 in zip(spectators, bits[0::2], bits[1::2]):
+            if fire0:
                 st = apply_unitary(st, p0, (ion,))
-            if not (addressing_error > 0 and rng.random() < addressing_error):
+            if fire1:
                 st = apply_unitary(st, p1, (ion,))
         return st
 
-    state = pulse_pair(state)
+    half = len(fired) // 2
+    state = pulse_pair(state, fired[:half])
     reg = Register(state)
     reg.apply(ms_gate(math.pi, tuple(range(n))))
     reg.apply(collective_rotation("X", math.pi, tuple(range(n))))
-    return pulse_pair(reg.state)  # unhide before the final readout
+    return pulse_pair(reg.state, fired[half:])  # unhide before the final readout
+
+
+def _sweep_readout(state: PureState, ancilla: int, partition: list[set[Level]]
+                   ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Ancilla readout probabilities and, per possible ancilla outcome, the level
+    probabilities of ion 0 after it."""
+    sets, probs = outcome_probabilities(state, ancilla, partition)
+    levels = [{l} for l in map(Level, range(state.dims))]
+    return probs, {k: outcome_probabilities(collapse(state, ancilla, sets[k]), 0, levels)[1]
+                   for k in range(len(sets)) if probs[k] > 0}
 
 
 def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
@@ -696,6 +772,10 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
     n = 2 if register == 2 else 5
     ancilla = n - 1
     spectators = tuple(range(1, n - 1))
+    explicit = hiding == "explicit" and n > 2
+    dims = 5 if explicit else 3
+    dark = {Level.L1, Level.L2} | ({Level.H0} if dims == 5 else set())
+    bright = {Level.L0} | ({Level.H1} if dims == 5 else set())
     rows: list[SweepRow] = []
     agree = 0
     total = 0
@@ -705,22 +785,22 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
             p_leak = math.sin(phi / 2) ** 2
             rows.append(SweepRow(phi, p_leak, p_leak, 0.0, 0.0, 0))
             continue
+        # shots with the same pulse pattern share their readout probabilities
+        readouts: dict[tuple, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
         n_direct = n_detect = n_fp = n_fn = n_true = 0
         for shot in range(shots):
             rng = seed_for(seed, pi_idx, shot)
-            if hiding == "explicit" and n > 2:
-                state = _explicit_shot(phi, n, spectators, ancilla,
-                                       addressing_error, rng)
+            if explicit:
+                pattern = _explicit_pattern(spectators, addressing_error, rng)
             else:
-                state = _mask_shot(phi, n, spectators, ancilla,
-                                   addressing_error, rng)
-            dims = state.dims
-            dark = {Level.L1, Level.L2} | ({Level.H0} if dims == 5 else set())
-            bright = {Level.L0} | ({Level.H1} if dims == 5 else set())
-            out_a, state, _ = measure_projective(state, ancilla,
-                                                 [bright, dark], rng)
-            lvl, state, _ = measure_projective(
-                state, 0, [{l} for l in map(Level, range(dims))], rng)
+                pattern = _mask_pattern(spectators, addressing_error, rng)
+            if pattern not in readouts:
+                state = (_explicit_state(phi, n, spectators, pattern) if explicit
+                         else _mask_state(phi, n, pattern, ancilla))
+                readouts[pattern] = _sweep_readout(state, ancilla, [bright, dark])
+            ancilla_probs, level_probs = readouts[pattern]
+            out_a = draw_outcome(ancilla_probs, rng)
+            lvl = draw_outcome(level_probs[out_a], rng)
             detected = out_a == 1
             direct_dark = Level(lvl) in dark
             true_leak = lvl == Level.L2

@@ -145,17 +145,14 @@ def apply_unitary(state: PureState, matrix: np.ndarray, support: Sequence[int]) 
     return PureState(state.n_ions, state.dims, out)
 
 
-def measure_projective(state: PureState, ion: int, partition: Sequence[Iterable[Level | int]],
-                       rng: np.random.Generator | None = None,
-                       force_outcome: int | None = None
-                       ) -> tuple[int, PureState, float]:
-    """Projectively measure one ion against a partition of its levels.
+def outcome_probabilities(state: PureState, ion: int,
+                          partition: Sequence[Iterable[Level | int]]
+                          ) -> tuple[list[frozenset[Level]], np.ndarray]:
+    """Validated level sets and Born probabilities of measuring one ion.
 
-    ``partition`` is a list of disjoint level sets covering all ``dims`` levels.
-    Returns ``(outcome_index, collapsed_state, exact_probability)``; the
-    probability is the Born value, not a sampled frequency.  Passing
-    ``force_outcome`` deterministically selects a branch and raises if that
-    branch has (numerically) zero probability.
+    ``partition`` is a list of disjoint level sets covering all ``dims``
+    levels; the probabilities are normalized by the state's norm and must sum
+    to 1.
     """
     sets = [frozenset(Level(l) for l in s) for s in partition]
     seen: set[Level] = set()
@@ -171,19 +168,30 @@ def measure_projective(state: PureState, ion: int, partition: Sequence[Iterable[
     probs = np.array([sum(pops[int(l)] for l in s) for s in sets]) / total
     if not abs(probs.sum() - 1.0) <= ATOL_TRACE:
         raise ContractViolation("outcome probabilities do not sum to 1")
+    return sets, probs
 
+
+def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
+                 force_outcome: int | None = None) -> int:
+    """Index of one outcome: ``force_outcome`` if given, else one ``rng.choice`` draw.
+
+    A forced outcome of (numerically) zero probability raises.
+    """
     if force_outcome is not None:
         outcome = int(force_outcome)
         if probs[outcome] <= ATOL_TRACE:
             raise ContractViolation(
                 f"deterministic request of zero-probability branch {outcome}")
-    else:
-        if rng is None:
-            raise ValueError("rng required unless force_outcome is given")
-        outcome = int(rng.choice(len(sets), p=probs / probs.sum()))
+        return outcome
+    if rng is None:
+        raise ValueError("rng required unless force_outcome is given")
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
 
+
+def collapse(state: PureState, ion: int, levels: Iterable[Level | int]) -> PureState:
+    """Normalized post-measurement state: ``ion`` projected onto ``levels``."""
     keep = np.zeros(state.dims)
-    for l in sets[outcome]:
+    for l in levels:
         keep[int(l)] = 1.0
     tens = state.amps.reshape([state.dims] * state.n_ions)
     shape = [1] * state.n_ions
@@ -191,7 +199,24 @@ def measure_projective(state: PureState, ion: int, partition: Sequence[Iterable[
     tens = tens * keep.reshape(shape)
     amps = tens.reshape(-1)
     amps = amps / np.linalg.norm(amps)
-    return outcome, PureState(state.n_ions, state.dims, amps), float(probs[outcome])
+    return PureState(state.n_ions, state.dims, amps)
+
+
+def measure_projective(state: PureState, ion: int, partition: Sequence[Iterable[Level | int]],
+                       rng: np.random.Generator | None = None,
+                       force_outcome: int | None = None
+                       ) -> tuple[int, PureState, float]:
+    """Projectively measure one ion against a partition of its levels.
+
+    ``partition`` is a list of disjoint level sets covering all ``dims`` levels.
+    Returns ``(outcome_index, collapsed_state, exact_probability)``; the
+    probability is the Born value, not a sampled frequency.  Passing
+    ``force_outcome`` deterministically selects a branch and raises if that
+    branch has (numerically) zero probability.
+    """
+    sets, probs = outcome_probabilities(state, ion, partition)
+    outcome = draw_outcome(probs, rng, force_outcome)
+    return outcome, collapse(state, ion, sets[outcome]), float(probs[outcome])
 
 
 @dataclass
@@ -380,6 +405,24 @@ def _embedded_cached(pauli: PauliString, dims: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=4096)
+def _gather_cached(pauli: PauliString, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, phase)``: column i of the embedded word is ``phase[i]`` at row ``sigma[i]``.
+
+    A truncated Pauli word has at most one nonzero entry (+-1, +-i) per
+    column, and its empty columns are its empty rows, so ``sigma`` (the
+    identity on them, with phase 0) is a permutation.
+    """
+    mat = pauli.embedded(dims)
+    nonzero = mat != 0
+    cols = np.arange(len(mat))
+    sigma = np.where(nonzero.any(axis=0), np.argmax(nonzero, axis=0), cols)
+    phase = mat[sigma, cols]
+    sigma.setflags(write=False)
+    phase.setflags(write=False)
+    return sigma, phase
+
+
 def expectation(rho: DensityOperator, obs: PauliString) -> float:
     """Branch-conditioned expectation Tr(rho P)/Tr(rho); leaked population counts 0."""
     if obs.n_ions != rho.n_ions:
@@ -387,7 +430,9 @@ def expectation(rho: DensityOperator, obs: PauliString) -> float:
     tr = np.trace(rho.mat)
     if abs(tr) <= ATOL_TRACE:
         raise UndefinedExpectationError("expectation undefined for zero-trace operator")
-    val = np.trace(rho.mat @ obs.embedded(rho.dims)) / tr
+    # Tr(rho P) = sum_i rho[i, sigma(i)] P[sigma(i), i]: the diagonal of rho @ P
+    sigma, phase = _gather_cached(obs, rho.dims)
+    val = (rho.mat[np.arange(len(sigma)), sigma] * phase).sum() / tr
     if not abs(val.imag) <= ATOL_ALGEBRA:
         raise ContractViolation(f"expectation has imaginary part {val.imag:.2e}")
     return float(val.real)
@@ -396,7 +441,10 @@ def expectation(rho: DensityOperator, obs: PauliString) -> float:
 def pure_expectation(state: PureState, obs: PauliString) -> float:
     """Expectation on a pure state (norm-conditioned)."""
     amps = state.amps
-    val = np.vdot(amps, obs.embedded(state.dims) @ amps)
+    sigma, phase = _gather_cached(obs, state.dims)
+    p_amps = np.empty_like(amps)
+    p_amps[sigma] = phase * amps  # P @ amps
+    val = np.vdot(amps, p_amps)
     nrm = np.vdot(amps, amps).real
     if nrm <= ATOL_TRACE:
         raise UndefinedExpectationError("expectation undefined for zero state")

@@ -8,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from qloss.cli import main, parse_angle, parse_float_grid, parse_grid, parse_noise
+from qloss.cli import (MAX_GRID_POINTS, main, parse_angle, parse_float_grid, parse_grid,
+                       parse_noise)
 from qloss.serialize import write_json
 
 
@@ -38,6 +39,11 @@ class TestParsing:
         assert len(grid) == 21
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(math.pi)
+
+    def test_grid_count_is_bounded(self):
+        assert len(parse_grid(f"0:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_grid("0:1:10000000")
 
     def test_grid_list(self):
         grid = parse_grid("0.1pi,0.2pi,0.5pi")
@@ -300,6 +306,7 @@ class TestNonFiniteInputs:
         (["detect-sweep", "--addressing-error", "nan", "--shots", "2"], "run"),
         (["detect-sweep", "--addressing-error", "3", "--shots", "2"], "run"),
         (["detect-sweep", "--addressing-error", "-0.5", "--shots", "2"], "run"),
+        (["percolation", "--p", "0:1:1000000000000", "--L", "4", "--samples", "100"], "run"),
     ])
     def test_config_error_and_no_output(self, runner, tmp_path, args, written):
         res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])

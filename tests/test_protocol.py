@@ -5,17 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qloss.channels import NoiseModel
+from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
 from qloss.gates import GateKind, compile_gate, loss_rotation
-from qloss.protocol import (CODE_QUBITS, PauliFrame, PrepSpec, ProtocolError,
-                            analytic_run, apply_frame_correction, apply_loss,
-                            detection_sweep, encode, encode_ops, four_qubit_code,
-                            frame_update, logical_target, measure_shrunk_stabilizer,
-                            qnd_detect, qnd_detect_density, reconstructed_target,
-                            records_to_jsonl, run_protocol, seed_for,
+from qloss.protocol import (CODE_QUBITS, SURVIVING_QUBITS, PauliFrame, PrepSpec,
+                            ProtocolError, analytic_run, apply_frame_correction, apply_loss,
+                            code_space_projector, detection_sweep, encode, encode_ops,
+                            four_qubit_code, frame_update, logical_target,
+                            measure_shrunk_stabilizer, qnd_detect, qnd_detect_density,
+                            reconstructed_target, records_to_jsonl, run_protocol, seed_for,
                             shrunk_stabilizer, three_qubit_code)
-from qloss.qudit import Level, PauliString, PureState, make_state, partial_trace
+from qloss.qudit import (DensityOperator, Level, PauliString, PureState, apply_unitary,
+                         make_state, partial_trace, pure_expectation)
 
 S1X_LAW = lambda phi: 4 * math.cos(phi / 2) / (3 + math.cos(phi))
 
@@ -133,6 +135,21 @@ class TestQndDetect:
         assert p_l == pytest.approx(p_leak_oracle, abs=1e-12)
         assert p_l == pytest.approx(0.5 * math.sin(phi / 2) ** 2, abs=1e-12)
         assert p_l + p_nl == pytest.approx(1.0, abs=1e-12)
+
+    @given(seed=st.integers(0, 10**6), rank=st.integers(1, 4),
+           trace=st.floats(0.05, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_branch_probabilities_sum_to_input_trace(self, seed, rank, trace):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(3**5, rank)) + 1j * rng.normal(size=(3**5, rank))
+        mat = g @ g.conj().T
+        rho = DensityOperator(5, 3, trace * mat / np.trace(mat).real)
+        p_l, rho_l, p_nl, rho_nl = qnd_detect_density(rho)
+        assert 0.0 <= p_l <= 1.0 and 0.0 <= p_nl <= 1.0
+        assert (p_l + p_nl) * trace == pytest.approx(rho.trace(), abs=1e-12)
+        for p, branch in ((p_l, rho_l), (p_nl, rho_nl)):
+            if p > 1e-12:
+                assert branch.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestShrunkStabilizer:
@@ -266,6 +283,42 @@ class TestTrajectories:
         a = run_protocol(0.3, 0.4, shots=50, seed=9)
         b = run_protocol(0.3, 0.4, shots=50, seed=9)
         assert records_to_jsonl(a.records) == records_to_jsonl(b.records)
+
+    @pytest.mark.parametrize("mode", ["exact", "toolbox"])
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(),
+        NoiseModel(p_qnd=0.2, mode="depolarizing_per_qubit", apply_to_no_loss=True)])
+    def test_records_equal_shot_by_shot_reference(self, mode, noise):
+        """Each record equals one shot simulated on its own with the per-shot calls."""
+        phi, seed, shots = 1.9, 3, 60
+        res = run_protocol(math.pi / 2, phi, shots=shots, noise=noise, seed=seed,
+                           shrunk_mode=mode)
+        lost = apply_loss(encode(math.pi / 2), phi)
+        for shot, rec in enumerate(res.records):
+            rng = seed_for(seed, shot)
+            det = qnd_detect(lost, rng)
+            state, frame, shrunk = det.state, PauliFrame(), None
+            if det.branch == "loss":
+                shrunk, state, _ = measure_shrunk_stabilizer(state, mode, rng)
+                frame = frame_update(frame, shrunk)
+                state = apply_frame_correction(state, frame)
+                code, qubits = three_qubit_code(), SURVIVING_QUBITS
+            else:
+                code, qubits = four_qubit_code(), CODE_QUBITS
+            if noise.enabled and (det.branch == "loss" or noise.apply_to_no_loss) \
+                    and rng.random() < mixing_probability(phi, noise.p_qnd):
+                qubit = qubits[rng.integers(len(qubits))]
+                letter = "IXYZ"[rng.integers(4)]
+                if letter != "I":
+                    state = apply_unitary(state, _extended_pauli(letter, 3), (qubit,))
+            obs = {name: 1.0 if rng.random() < 0.5 * (1 + pure_expectation(state, p))
+                   else -1.0 for name, p in code.all_observables().items()}
+            proj = code_space_projector(code.stabilizers.values(), 3)
+            p_cs = float(np.real(np.vdot(state.amps, proj @ state.amps)))
+            obs["P_CS"] = 1.0 if rng.random() < p_cs else 0.0
+            assert (rec.branch, rec.ancilla_outcome, rec.shrunk_outcome, rec.frame_sx,
+                    rec.observables) == (det.branch, det.ancilla_outcome, shrunk,
+                                         frame.sx_sign, obs)
 
     @pytest.mark.parametrize("mode", ["exact", "toolbox"])
     def test_shots_do_not_depend_on_one_another(self, mode):

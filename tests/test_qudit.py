@@ -12,8 +12,8 @@ from qloss.gates import (addressed_z, collective_rotation, compile_gate, loss_ro
 from qloss.qudit import (BRIGHT_LEVELS, ContractViolation, DARK_LEVELS, DensityOperator,
                          DimensionError, Level, PauliString, PureState,
                          UndefinedExpectationError, apply_unitary, expectation,
-                         make_state, measure_projective, partial_trace,
-                         truncated_pauli)
+                         make_state, measure_projective, outcome_probabilities,
+                         partial_trace, pure_expectation, truncated_pauli)
 
 
 def random_state(n_ions, dims, seed):
@@ -133,6 +133,23 @@ class TestExpectation:
         rho = make_state(1, 3, [2]).to_density()
         assert expectation(rho, PauliString.from_map(1, {0: "Z"})) == 0.0
 
+    @pytest.mark.parametrize("dims", [3, 5])
+    def test_equals_dense_trace(self, dims):
+        """The gathered traces are the dense formulas, bit for bit."""
+        rng = np.random.default_rng(dims)
+        for letters in itertools.product("IXYZ", repeat=3):
+            obs = PauliString(1 if rng.random() < 0.5 else -1, letters)
+            mat = obs.embedded(dims)
+            state = random_state(3, dims, int(rng.integers(10**6)))
+            amps = state.amps
+            assert pure_expectation(state, obs) == float(
+                (np.vdot(amps, mat @ amps) / np.vdot(amps, amps).real).real)
+            other = random_state(3, dims, int(rng.integers(10**6))).amps
+            rho = DensityOperator(3, dims, np.outer(amps, amps.conj())
+                                  + np.outer(other, other.conj()))
+            assert expectation(rho, obs) == float(
+                (np.trace(rho.mat @ mat) / np.trace(rho.mat)).real)
+
     def test_zero_trace_errors(self):
         rho = DensityOperator(1, 3, np.zeros((3, 3)))
         with pytest.raises(UndefinedExpectationError):
@@ -233,6 +250,21 @@ class TestMeasureProjective:
         probs = [measure_projective(state, 1, [{0}, {1}, {2}], force_outcome=o)[2]
                  for o in range(3) if state.level_populations(1)[o] > 1e-12]
         assert abs(sum(probs) - 1.0) < 1e-12
+
+    @given(dims=st.sampled_from([3, 5]), n_ions=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_outcome_probabilities_sum_to_one(self, dims, n_ions, data):
+        """Any partition of the levels splits the state's norm into its blocks."""
+        state = random_state(n_ions, dims, data.draw(st.integers(0, 10**6)))
+        state = PureState(n_ions, dims, state.amps * data.draw(st.floats(0.1, 3.0)))
+        ion = data.draw(st.integers(0, n_ions - 1))
+        labels = data.draw(st.lists(st.integers(0, dims - 1), min_size=dims, max_size=dims))
+        partition = [{l for l in range(dims) if labels[l] == b} for b in sorted(set(labels))]
+        sets, probs = outcome_probabilities(state, ion, partition)
+        pops = state.level_populations(ion)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        for levels, p in zip(sets, probs):
+            assert p == pytest.approx(sum(pops[l] for l in levels) / pops.sum(), abs=1e-12)
 
 
 class TestPauliString:
