@@ -1,6 +1,9 @@
 """Completely-positive map machinery: Kraus application, detection branch
 maps, Choi conversion, and the per-qubit depolarizing imperfection model.
 
+The ideal Choi matrix of a detection branch is ``channel_to_choi`` of that
+branch's map from :func:`branch_maps`; no Choi matrix is written by hand.
+
 Choi convention
 ---------------
 For a qubit map E the Choi matrix is
@@ -23,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qudit import DensityOperator, Level, _check_support, truncated_pauli
+from .qudit import (DensityOperator, Level, _check_support, readout_partition,
+                    truncated_pauli)
 from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
@@ -105,15 +109,11 @@ def record_kraus(dims: int) -> list[np.ndarray]:
     keep[0, Level.L0] = 1.0
     keep[1, Level.L1] = 1.0
     ks = [keep]
-    dark = np.zeros((2, dims), dtype=complex)
-    dark[1, Level.L2] = 1.0
-    ks.append(dark)
-    if dims == 5:
-        h0 = np.zeros((2, dims), dtype=complex)
-        h0[1, Level.H0] = 1.0
-        h1 = np.zeros((2, dims), dtype=complex)
-        h1[0, Level.H1] = 1.0
-        ks.extend([h0, h1])
+    dark = readout_partition(dims)[1]
+    for level in range(Level.L2, dims):
+        k = np.zeros((2, dims), dtype=complex)
+        k[int(level in dark), level] = 1.0
+        ks.append(k)
     return ks
 
 

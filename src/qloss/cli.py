@@ -30,6 +30,9 @@ EXIT_INVARIANT = 3
 
 #: most points a start:stop:count grid may have, checked before the grid is built
 MAX_GRID_POINTS = 10_000
+#: largest percolation lattice size, checked before any lattice is built (L=256
+#: takes about 2 s and 190 MB to build, about 1 KB per edge)
+MAX_LATTICE_SIZE = 256
 
 ALPHA_ALIASES = {"0": 0.0, "0L": 0.0, "pi": math.pi, "1L": math.pi,
                  "pi/2": math.pi / 2, "+iL": math.pi / 2}
@@ -131,7 +134,7 @@ def _effective(ctx: click.Context, config_path: str | None, **cli_values):
 def _run(fn):
     try:
         fn()
-    except (ValueError, OSError, EmptyBranchError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, OverflowError, EmptyBranchError, ZeroDivisionError) as exc:
         raise _Fail(str(exc))
     except (ConsistencyError, ContractViolation, AssertionError) as exc:
         click.echo(f"internal invariant violation: {exc}", err=True)
@@ -325,8 +328,8 @@ def cmd_percolation(ctx, l_grid, p_grid, samples, config_path, out):
     def go():
         seed = ctx.obj["seed"]
         sizes = [int(x) for x in str(opts["l"]).split(",")]
-        if any(s < 2 for s in sizes):
-            raise ValueError("lattice sizes must be >= 2")
+        if not all(2 <= s <= MAX_LATTICE_SIZE for s in sizes):
+            raise ValueError(f"lattice sizes must lie in [2, {MAX_LATTICE_SIZE}]")
         grid = parse_float_grid(str(opts["p"]))
         res = percolation_threshold(sizes, int(opts["samples"]), grid, seed=seed)
         header = header_lines(opts, seed)

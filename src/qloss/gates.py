@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit import Level, PauliString, PureState, apply_unitary, truncated_pauli
-from .tolerances import ATOL_ALGEBRA
+from .qudit import (Level, PauliString, PureState, apply_unitary, check_unitary,
+                    truncated_pauli)
 
 
 class GateKind(str, Enum):
@@ -161,9 +161,7 @@ def compile_gate(op: GateOp, dims: int) -> np.ndarray:
     else:  # pragma: no cover
         raise ValueError(f"unknown gate kind {op.kind}")
 
-    dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if not dev <= ATOL_ALGEBRA:  # pragma: no cover - safety net
-        raise AssertionError(f"compiled gate not unitary (deviation {dev:.2e})")
+    check_unitary(mat, len(mat))
     mat.setflags(write=False)
     _COMPILE_CACHE[key] = mat
     return mat
@@ -219,49 +217,3 @@ class Register:
         for op in ops:
             self.apply(op)
 
-
-# ---------------------------------------------------------------------------
-# textual program format: one gate per line, "KIND angle ion[,ion...]",
-# angle in units of pi with 12 significant digits.
-
-_KIND_TOKENS = {
-    GateKind.MS_X: "MS_X",
-    GateKind.ADDRESSED_Z: "ADDRESSED_Z",
-    GateKind.LOSS_ROT: "LOSS_ROT",
-    GateKind.HIDE: "HIDE",
-    GateKind.UNHIDE: "UNHIDE",
-}
-
-
-def format_program(ops: Sequence[GateOp]) -> str:
-    lines = []
-    for op in ops:
-        if op.kind == GateKind.COLLECTIVE_R:
-            token = f"R_{op.axis}"
-        else:
-            token = _KIND_TOKENS[op.kind]
-        ions = ",".join(str(i) for i in op.support)
-        lines.append(f"{token} {op.angle / math.pi:.12g} {ions}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_program(text: str) -> list[GateOp]:
-    ops: list[GateOp] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {ln}: expected 'KIND angle ions', got {raw!r}")
-        token, angle_s, ions_s = parts
-        angle = float(angle_s) * math.pi
-        support = tuple(int(i) for i in ions_s.split(","))
-        if token in ("R_X", "R_Y"):
-            ops.append(GateOp(GateKind.COLLECTIVE_R, angle, support, axis=token[-1]))
-        else:
-            kind = {v: k for k, v in _KIND_TOKENS.items()}.get(token)
-            if kind is None:
-                raise ValueError(f"line {ln}: unknown gate kind {token!r}")
-            ops.append(GateOp(kind, angle, support))
-    return ops

@@ -156,112 +156,53 @@ def _build_planar(L: int) -> LossLattice:
                          (vertex(rv, ch - 1), vertex(rv, ch)),
                          (cell(rv, ch - 1), cell(rv + 1, ch - 1)))
 
-    n_edges = len(edges)
-    assert n_edges == L * L + (L - 1) * (L - 1)
-
-    star: dict[int, set[int]] = {v: set() for v in range(n_vertices)}
-    plaq: dict[int, set[int]] = {}
-    for e in edges:
-        for node in e.endpoints:
-            if node < n_vertices:
-                star[node].add(e.index)
-        for cl in e.cells:
-            if cl < n_cell_grid:
-                plaq.setdefault(cl, set()).add(e.index)
-    x_gens = [frozenset(s) for _, s in sorted(star.items())]
-    z_gens = [frozenset(s) for _, s in sorted(plaq.items())]
-
-    lat = LossLattice(
-        L=L, n_edges=n_edges, edges=edges,
-        lost=frozenset(), z_generators=z_gens, x_generators=x_gens,
-        primal_a=frozenset(top_leaf(c) for c in range(cols)),
-        primal_b=frozenset(bottom_leaf(c) for c in range(cols)),
-        dual_terminals=(term_l, term_r), n_vertices=n_vertices,
-        n_primal_nodes=n_vertices + 2 * cols, n_cells=n_cell_grid + 2)
-    lat.validate_commutation()
-    return lat
+    assert len(edges) == L * L + (L - 1) * (L - 1)
+    return _patch(L, edges, range(n_cell_grid), n_vertices=n_vertices,
+                  primal_a=frozenset(top_leaf(c) for c in range(cols)),
+                  primal_b=frozenset(bottom_leaf(c) for c in range(cols)),
+                  dual_terminals=(term_l, term_r),
+                  n_primal_nodes=n_vertices + 2 * cols, n_cells=n_cell_grid + 2)
 
 
 def _build_minimal() -> LossLattice:
     """The protocol's 4-qubit patch: one star, two corner plaquettes.
 
     Edge order matches the protocol's qubit numbering (top, left, right,
-    bottom); the dropped bottom-corner cells are the X-string terminals.
+    bottom).  Node 0 is the vertex; nodes 1-3 are the top, left and right
+    leaves and node 4 the bottom leaf.  Cells 0 and 1 are the plaquettes;
+    the bottom-corner cells 2 and 3 are the X-string terminals.
     """
-    L = 2
-    w = L - 1  # vertex grid side
+    edges = [Edge(0, "V", 0, 0, (1, 0), (0, 1)),
+             Edge(1, "H", 0, 0, (2, 0), (0, 2)),
+             Edge(2, "H", 0, 1, (0, 3), (1, 3)),
+             Edge(3, "V", 1, 0, (0, 4), (2, 3))]
+    return _patch(2, edges, (0, 1), n_vertices=1, primal_a=frozenset({1, 2, 3}),
+                  primal_b=frozenset({4}), dual_terminals=(2, 3), n_primal_nodes=5,
+                  n_cells=4)
 
-    def vertex(r: int, c: int) -> int:
-        return r * w + c
 
-    n_vertices = w * w
-    leaf_ids: dict[tuple, int] = {}
+def _patch(L: int, edges: list[Edge], plaquettes: Iterable[int], *, n_vertices: int,
+           **layout) -> LossLattice:
+    """The loss-free lattice on ``edges`` with its validated generators.
 
-    def leaf(tag: tuple) -> int:
-        if tag not in leaf_ids:
-            leaf_ids[tag] = n_vertices + len(leaf_ids)
-        return leaf_ids[tag]
-
-    def cell(i: int, j: int) -> int:
-        return i * L + j
-
-    edges: list[Edge] = []
-
-    def add_edge(kind: str, r: int, c: int, endpoints: tuple[int, int],
-                 cells: tuple[int, int]) -> None:
-        edges.append(Edge(len(edges), kind, r, c, endpoints, cells))
-
-    # enumeration order: per vertex-row band, verticals then horizontals,
-    # so L=2 yields the protocol's qubit order (top, left, right, bottom)
-    for rv in range(L):
-        for c in range(w):
-            if rv == 0:
-                ends = (leaf(("T", c)), vertex(0, c))
-            elif rv <= L - 2:
-                ends = (vertex(rv - 1, c), vertex(rv, c))
-            else:
-                ends = (vertex(L - 2, c), leaf(("B", c)))
-            add_edge("V", rv, c, ends, (cell(rv, c), cell(rv, c + 1)))
-        if rv <= L - 2:
-            for ch in range(L):
-                if ch == 0:
-                    ends = (leaf(("L", rv)), vertex(rv, 0))
-                elif ch <= L - 2:
-                    ends = (vertex(rv, ch - 1), vertex(rv, ch))
-                else:
-                    ends = (vertex(rv, L - 2), leaf(("R", rv)))
-                add_edge("H", rv, ch, ends, (cell(rv, ch), cell(rv + 1, ch)))
-
-    n_edges = len(edges)
-    assert n_edges == 2 * L * (L - 1)
-
-    # X generators: one star per vertex
-    star: dict[int, set[int]] = {vertex(r, c): set() for r in range(w) for c in range(w)}
+    Every vertex (primal nodes below ``n_vertices``) gives a star, every
+    cell in ``plaquettes`` a plaquette; ``layout`` holds the terminals and
+    node counts of :class:`LossLattice`.
+    """
+    star: dict[int, set[int]] = {v: set() for v in range(n_vertices)}
+    plaq: dict[int, set[int]] = {cl: set() for cl in plaquettes}
     for e in edges:
         for node in e.endpoints:
             if node < n_vertices:
                 star[node].add(e.index)
-    x_gens = [frozenset(s) for _, s in sorted(star.items())]
-
-    # Z generators: one plaquette per dual cell, except the two bottom corners
-    term_l, term_r = cell(L - 1, 0), cell(L - 1, L - 1)
-    plaq: dict[int, set[int]] = {}
-    for e in edges:
         for cl in e.cells:
-            plaq.setdefault(cl, set()).add(e.index)
-    z_gens = [frozenset(supp) for cl, supp in sorted(plaq.items())
-              if cl not in (term_l, term_r)]
-
-    primal_a = frozenset(leaf(t) for t in list(leaf_ids)
-                         if t[0] in ("T", "L", "R"))
-    primal_b = frozenset(leaf(t) for t in list(leaf_ids) if t[0] == "B")
-
+            if cl in plaq:
+                plaq[cl].add(e.index)
     lat = LossLattice(
-        L=L, n_edges=n_edges, edges=edges,
-        lost=frozenset(), z_generators=z_gens, x_generators=x_gens,
-        primal_a=primal_a, primal_b=primal_b,
-        dual_terminals=(term_l, term_r), n_vertices=n_vertices,
-        n_primal_nodes=n_vertices + len(leaf_ids), n_cells=L * L)
+        L=L, n_edges=len(edges), edges=edges, lost=frozenset(),
+        z_generators=[frozenset(s) for _, s in sorted(plaq.items())],
+        x_generators=[frozenset(s) for _, s in sorted(star.items())],
+        n_vertices=n_vertices, **layout)
     lat.validate_commutation()
     return lat
 
@@ -533,6 +474,8 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples per point")
+    if not all(0.0 <= p <= 1.0 for p in p_grid):
+        raise ValueError(f"loss rates must lie in [0, 1], got {list(p_grid)}")
     points: list[SurvivalPoint] = []
     for L in L_grid:
         lat = build_lattice(L)

@@ -28,7 +28,7 @@ from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_
 from .qudit import (DensityOperator, Level, PauliString, PureState,
                     UndefinedExpectationError, apply_unitary, collapse, draw_outcome,
                     expectation, make_state, outcome_probabilities, partial_trace,
-                    pure_expectation, seed_for)
+                    pure_expectation, readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -229,12 +229,13 @@ def _apply_op(state: PureState, op: GateOp) -> PureState:
 # QND detection
 
 
-def detection_ops(probe: int = 0, ancilla: int = ANCILLA) -> list[GateOp]:
-    """MS^X(pi) on (probe, ancilla) followed by the collective bit flip."""
-    return [
-        ms_gate(math.pi, (probe, ancilla)),
-        collective_rotation("X", math.pi, (probe, ancilla)),
-    ]
+def detection_ops(support: Sequence[int]) -> list[GateOp]:
+    """The detection circuit: MS^X(pi) on ``support``, then the collective bit flip.
+
+    ``support`` is the probed qubit and the ancilla, plus any spectator the
+    circuit reaches (unhidden, or hidden by five-level pulses).
+    """
+    return [ms_gate(math.pi, support), collective_rotation("X", math.pi, support)]
 
 
 def _ancilla_guard(state: PureState, ancilla: int) -> None:
@@ -253,31 +254,26 @@ class DetectResult:
     probability: float        # exact Born probability of this branch
 
 
-def _readout_sets(dims: int) -> list[set[int]]:
-    """Ancilla readout partition: |0> (outcome 0) against every other level (outcome 1)."""
-    return [{0}, set(range(dims)) - {0}]
-
-
-def _detection_unit(state: PureState, probe: int = 0
+def _detection_unit(state: PureState
                     ) -> tuple[PureState, list[frozenset[Level]], np.ndarray]:
     """Pre-readout state of the detection unit, with its ancilla readout sets and
     their probabilities."""
     reg = Register(state)
-    reg.run(detection_ops(probe))
+    reg.run(detection_ops((0, ANCILLA)))
     _ancilla_guard(reg.state, ANCILLA)
-    sets, probs = outcome_probabilities(reg.state, ANCILLA, _readout_sets(state.dims))
+    sets, probs = outcome_probabilities(reg.state, ANCILLA, readout_partition(state.dims))
     return reg.state, sets, probs
 
 
 def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
-               probe: int = 0, force_branch: str | None = None) -> DetectResult:
+               force_branch: str | None = None) -> DetectResult:
     """Run the detection unit and measure the ancilla.
 
     Ions other than the probed qubit and the ancilla must already be hidden
     (callers that use the plain 5-ion register can rely on the explicit
     two-ion gate supports instead, which is equivalent in the ideal engine).
     """
-    pre, sets, probs = _detection_unit(state, probe)
+    pre, sets, probs = _detection_unit(state)
     force = None
     if force_branch is not None:
         force = 1 if force_branch == "loss" else 0
@@ -286,13 +282,13 @@ def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
                         collapse(pre, ANCILLA, sets[outcome]), float(probs[outcome]))
 
 
-def qnd_detect_density(rho: DensityOperator, probe: int = 0
+def qnd_detect_density(rho: DensityOperator
                        ) -> tuple[float, DensityOperator, float, DensityOperator]:
     """Exact branch split: (p_loss, rho_loss, p_no_loss, rho_no_loss), renormalized."""
-    for op in detection_ops(probe):
+    for op in detection_ops((0, ANCILLA)):
         rho = rho.apply_unitary(compile_gate(op, rho.dims), op.support)
-    dark = set(range(rho.dims)) - {0}
-    rho_nl = rho.project_levels(ANCILLA, {0})
+    bright, dark = readout_partition(rho.dims)
+    rho_nl = rho.project_levels(ANCILLA, bright)
     rho_l = rho.project_levels(ANCILLA, dark)
     p_nl, p_l = rho_nl.trace(), rho_l.trace()
     total = rho.trace()
@@ -366,7 +362,7 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
     if mode == "toolbox":
         reg = Register(_apply_op(state, _ANCILLA_FLIP))  # reset ancilla |1> -> |0>
         reg.run(shrunk_measurement_ops())
-        _, probs = outcome_probabilities(reg.state, ANCILLA, _readout_sets(state.dims))
+        _, probs = outcome_probabilities(reg.state, ANCILLA, readout_partition(state.dims))
         return reg.state, probs
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -392,7 +388,7 @@ def _shrunk_post(pre: PureState, mode: str, pick: int) -> PureState:
         amps = _shrunk_projectors(pre.dims)[pick] @ pre.amps
         post = PureState(pre.n_ions, pre.dims, amps / np.linalg.norm(amps))
         return _apply_op(post, _ANCILLA_FLIP)  # ancilla |1> -> |0> reset (feed-forward)
-    post = collapse(pre, ANCILLA, _readout_sets(pre.dims)[pick])
+    post = collapse(pre, ANCILLA, readout_partition(pre.dims)[pick])
     # feed-forward reset after a -1 readout
     return _apply_op(post, _ANCILLA_FLIP) if pick == 1 else post
 
@@ -608,6 +604,8 @@ def run_protocol(prep: PrepSpec | float, phi: float, shots: int = 0,
     Every shot draws its generator from a pure function of (seed, shot), so
     results do not depend on execution order.
     """
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     alpha = prep.alpha if isinstance(prep, PrepSpec) else float(prep)
     noise = noise or NoiseModel()
     result = analytic_run(alpha, phi, noise)
@@ -702,10 +700,8 @@ def _mask_pattern(spectators: Sequence[int], addressing_error: float,
 def _mask_state(phi: float, n: int, exposed: tuple[int, ...], ancilla: int) -> PureState:
     state = make_state(n, 3, [0] * n)
     state = apply_loss(state, phi, ion=0)
-    visible = (0,) + exposed + (ancilla,)
     reg = Register(state)
-    reg.apply(ms_gate(math.pi, visible))
-    reg.apply(collective_rotation("X", math.pi, visible))
+    reg.run(detection_ops((0,) + exposed + (ancilla,)))
     return reg.state
 
 
@@ -735,12 +731,11 @@ def _explicit_state(phi: float, n: int, spectators: Sequence[int],
     half = len(fired) // 2
     state = pulse_pair(state, fired[:half])
     reg = Register(state)
-    reg.apply(ms_gate(math.pi, tuple(range(n))))
-    reg.apply(collective_rotation("X", math.pi, tuple(range(n))))
+    reg.run(detection_ops(tuple(range(n))))
     return pulse_pair(reg.state, fired[half:])  # unhide before the final readout
 
 
-def _sweep_readout(state: PureState, ancilla: int, partition: list[set[Level]]
+def _sweep_readout(state: PureState, ancilla: int, partition: Sequence[frozenset[Level]]
                    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Ancilla readout probabilities and, per possible ancilla outcome, the level
     probabilities of ion 0 after it."""
@@ -774,8 +769,7 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
     spectators = tuple(range(1, n - 1))
     explicit = hiding == "explicit" and n > 2
     dims = 5 if explicit else 3
-    dark = {Level.L1, Level.L2} | ({Level.H0} if dims == 5 else set())
-    bright = {Level.L0} | ({Level.H1} if dims == 5 else set())
+    partition = readout_partition(dims)
     rows: list[SweepRow] = []
     agree = 0
     total = 0
@@ -797,12 +791,12 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
             if pattern not in readouts:
                 state = (_explicit_state(phi, n, spectators, pattern) if explicit
                          else _mask_state(phi, n, pattern, ancilla))
-                readouts[pattern] = _sweep_readout(state, ancilla, [bright, dark])
+                readouts[pattern] = _sweep_readout(state, ancilla, partition)
             ancilla_probs, level_probs = readouts[pattern]
             out_a = draw_outcome(ancilla_probs, rng)
             lvl = draw_outcome(level_probs[out_a], rng)
             detected = out_a == 1
-            direct_dark = Level(lvl) in dark
+            direct_dark = Level(lvl) in partition[1]
             true_leak = lvl == Level.L2
             n_detect += detected
             n_direct += direct_dark
@@ -840,6 +834,8 @@ def detection_process(phi: float, input_label: str, ancilla_outcome: int,
     """
     if register not in (2, 5):
         raise ValueError("register must be 2 or 5 ions")
+    if ancilla_outcome not in (0, 1):
+        raise ValueError(f"ancilla outcome must be 0 or 1, got {ancilla_outcome}")
     n = 2 if register == 2 else 5
     ancilla = n - 1
     vec = PROCESS_INPUTS[input_label]
@@ -852,12 +848,10 @@ def detection_process(phi: float, input_label: str, ancilla_outcome: int,
     reg = Register(state)
     for i in range(1, n - 1):
         reg.apply(hide(i))
-    for op in detection_ops(probe=0, ancilla=ancilla):
-        reg.apply(op)
+    reg.run(detection_ops((0, ancilla)))
     _ancilla_guard(reg.state, ancilla)
     rho = reg.state.to_density()
-    branch = rho.project_levels(ancilla, {ancilla_outcome} if ancilla_outcome == 0
-                                else {1, 2})
+    branch = rho.project_levels(ancilla, readout_partition(3)[ancilla_outcome])
     prob = branch.trace()
     if prob <= ATOL_TRACE:
         return 0.0, DensityOperator(1, 3, np.zeros((3, 3), dtype=complex))

@@ -42,6 +42,12 @@ BRIGHT_LEVELS = frozenset({Level.L0, Level.H1})
 DARK_LEVELS = frozenset({Level.L1, Level.L2, Level.H0})
 
 
+def readout_partition(dims: int) -> tuple[frozenset[Level], frozenset[Level]]:
+    """Fluorescence readout of one ion: (bright, dark) levels; outcome 1 is dark."""
+    return (frozenset(l for l in BRIGHT_LEVELS if l < dims),
+            frozenset(l for l in DARK_LEVELS if l < dims))
+
+
 class DimensionError(ValueError):
     """A level or operator does not fit the per-ion dimension."""
 
@@ -62,6 +68,17 @@ def _check_support(support: Sequence[int], n_ions: int) -> tuple[int, ...]:
         if not 0 <= i < n_ions:
             raise IndexError(f"ion index {i} out of range for {n_ions} ions")
     return sup
+
+
+def check_unitary(matrix: np.ndarray, side: int) -> np.ndarray:
+    """``matrix`` as a complex array, validated as a side x side unitary to 1e-10."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (side, side):
+        raise DimensionError(f"matrix side {matrix.shape} does not match support size {side}")
+    dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(side)))
+    if not dev <= ATOL_ALGEBRA:
+        raise ContractViolation(f"matrix is not unitary (max deviation {dev:.2e})")
+    return matrix
 
 
 def _embed_apply_vec(amps: np.ndarray, matrix: np.ndarray, support: tuple[int, ...],
@@ -134,13 +151,7 @@ def make_state(n_ions: int, dims: int, initial_levels: Iterable[Level | int]) ->
 def apply_unitary(state: PureState, matrix: np.ndarray, support: Sequence[int]) -> PureState:
     """Apply a unitary acting on ``support`` (validated to 1e-10) to a pure state."""
     sup = _check_support(support, state.n_ions)
-    matrix = np.asarray(matrix, dtype=complex)
-    side = state.dims ** len(sup)
-    if matrix.shape != (side, side):
-        raise DimensionError(f"matrix side {matrix.shape} does not match support size {side}")
-    dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(side)))
-    if not dev <= ATOL_ALGEBRA:
-        raise ContractViolation(f"matrix is not unitary (max deviation {dev:.2e})")
+    matrix = check_unitary(matrix, state.dims ** len(sup))
     out = _embed_apply_vec(state.amps, matrix, sup, state.n_ions, state.dims)
     return PureState(state.n_ions, state.dims, out)
 
@@ -263,12 +274,7 @@ class DensityOperator:
 
     def apply_unitary(self, matrix: np.ndarray, support: Sequence[int]) -> "DensityOperator":
         sup = _check_support(support, self.n_ions)
-        matrix = np.asarray(matrix, dtype=complex)
-        side = self.dims ** len(sup)
-        dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(side)))
-        if not dev <= ATOL_ALGEBRA:
-            raise ContractViolation(f"matrix is not unitary (max deviation {dev:.2e})")
-        return self.apply_operator(matrix, sup)
+        return self.apply_operator(check_unitary(matrix, self.dims ** len(sup)), sup)
 
     def apply_operator(self, matrix: np.ndarray, support: Sequence[int]) -> "DensityOperator":
         """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check)."""

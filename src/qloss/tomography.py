@@ -18,6 +18,10 @@ records,
 
 so inversion, like the readout fold, is one single-ion map applied to every
 ion in turn (``_per_ion_map``).
+
+Process tomography is compared against the ideal branch Choi matrices,
+which come from the detection branch maps (``channels.branch_maps``) through
+``channels.channel_to_choi``.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import ChoiMatrix, readout_superoperator
+from .channels import ChoiMatrix, branch_maps, channel_to_choi, readout_superoperator
 from .protocol import (SHOT_PRESETS, CodeDefinition, analytic_run, code_space_projector,
                        detection_process, four_qubit_code, three_qubit_code)
 # moved to protocol next to CodeDefinition; still importable from here
-from .protocol import _PROJECTOR_CACHE, code_space_population  # noqa: F401
+from .protocol import _PROJECTOR_CACHE  # noqa: F401
 from .qudit import DensityOperator, partial_trace, seed_for
 from .tolerances import ATOL_PSD, ATOL_TRACE
 
@@ -307,21 +311,10 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
 
 
 def ideal_branch_choi(phi: float, branch: int) -> ChoiMatrix:
-    """Analytic Choi matrices of the two detection branch maps."""
-    c, s = math.cos(phi / 2), math.sin(phi / 2)
-    if branch == 0:
-        m = 0.5 * np.array([
-            [c**2, 0, 0, c],
-            [0, 0, 0, 0],
-            [0, 0, 0, 0],
-            [c, 0, 0, 1],
-        ], dtype=complex)
-    elif branch == 1:
-        m = np.zeros((4, 4), dtype=complex)
-        m[2, 2] = 0.5 * s**2
-    else:
+    """Choi matrix of detection branch map ``branch`` (0: no loss, 1: loss)."""
+    if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    return ChoiMatrix(m)
+    return channel_to_choi(branch_maps(phi)[branch])
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +359,11 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     code4, code3 = four_qubit_code(), three_qubit_code()
     rows: list[TableRow] = []
     for a_idx, alpha in enumerate(alphas):
-        base = analytic_run(alpha, phis[0], noise)
-        rows.append(TableRow("encoding", alpha, None,
-                             _branch_row_values(base.encoding)))
         for p_idx, phi in enumerate(phis):
             res = analytic_run(alpha, phi, noise)
+            if p_idx == 0:
+                rows.append(TableRow("encoding", alpha, None,
+                                     _branch_row_values(res.encoding)))
             for section, summary, code, qubits in (
                     ("no_loss", res.no_loss, code4, code4.qubits),
                     ("loss", res.loss, code3, code3.qubits)):

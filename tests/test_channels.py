@@ -201,7 +201,7 @@ class TestNoiseMixture:
         # ideal 3-qubit |1_L>; the mixture sends P_CS to 1 - 2p/3:
         # depolarizing either qubit carrying both generators leaves 1/4,
         # the third (logical-X) qubit leaves 1/2, so the sum is p/3 * 1.
-        from qloss.tomography import code_space_population
+        from qloss.protocol import code_space_population
         amps = np.zeros(27, dtype=complex)
         amps[1] = amps[12] = 1 / math.sqrt(2)  # |001> + |110>
         rho = PureState(3, 3, amps).to_density()

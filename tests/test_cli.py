@@ -8,8 +8,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from qloss.cli import (MAX_GRID_POINTS, main, parse_angle, parse_float_grid, parse_grid,
-                       parse_noise)
+from qloss import cli
+from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, main, parse_angle,
+                       parse_float_grid, parse_grid, parse_noise)
+from qloss.lattice import PercolationResult
 from qloss.serialize import write_json
 
 
@@ -194,6 +196,20 @@ class TestPercolationCommand:
                 if l and not l.startswith(("#", "L"))]
         assert float(data[0][4]) == 1.0 and float(data[1][4]) == 0.0
 
+    def test_largest_size_is_accepted(self, runner, tmp_path, monkeypatch):
+        # the sweep is stubbed: only the size bound is under test here
+        seen = []
+
+        def sweep(sizes, samples, grid, seed):
+            seen.append(sizes)
+            return PercolationResult([], None)
+
+        monkeypatch.setattr(cli, "percolation_threshold", sweep)
+        res = runner.invoke(main, ["percolation", "--L", str(MAX_LATTICE_SIZE),
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 0, res.output
+        assert seen == [[MAX_LATTICE_SIZE]]
+
     def test_small_size_is_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["percolation", "--L", "1", "--p", "0.5",
                                    "--samples", "100",
@@ -296,7 +312,7 @@ class TestHeadersAndDeterminism:
 
 
 class TestNonFiniteInputs:
-    """Non-finite or undefined inputs end in exit 2 and write nothing."""
+    """Non-finite, undefined or out-of-range inputs end in exit 2 and write nothing."""
 
     @pytest.mark.parametrize("args,written", [
         (["protocol", "--phi", "nan"], "run_tables.csv"),
@@ -307,6 +323,12 @@ class TestNonFiniteInputs:
         (["detect-sweep", "--addressing-error", "3", "--shots", "2"], "run"),
         (["detect-sweep", "--addressing-error", "-0.5", "--shots", "2"], "run"),
         (["percolation", "--p", "0:1:1000000000000", "--L", "4", "--samples", "100"], "run"),
+        (["choi", "--shots", "100000000000000000000"], "run"),
+        (["percolation", "--p", "1.5", "--L", "4", "--samples", "100"], "run"),
+        (["percolation", "--p", "-0.1,0.5", "--L", "4", "--samples", "100"], "run"),
+        (["percolation", "--L", f"4,{MAX_LATTICE_SIZE + 1}", "--samples", "100"], "run"),
+        (["protocol", "--phi", "0.5pi", "--shots", "-3"], "run_tables.csv"),
+        (["stabilizer-sweep", "--phi-grid", "0.5pi", "--shots", "-1"], "run"),
     ])
     def test_config_error_and_no_output(self, runner, tmp_path, args, written):
         res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])

@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from qloss.gates import (GateKind, GateOp, HiddenStateError, Register, addressed_z,
-                         collective_rotation, compile_gate, format_program, hide,
-                         loss_rotation, ms_gate, parse_program, unhide)
+                         collective_rotation, compile_gate, hide, loss_rotation, ms_gate,
+                         unhide)
 from qloss.qudit import Level, PureState, apply_unitary, make_state, truncated_pauli
 
 
@@ -255,24 +255,3 @@ class TestRegisterFactorization:
             dense = apply_unitary(state, compile_gate(op, 3), op.support)
             assert np.allclose(reg.state.amps, dense.amps, atol=1e-12)
 
-
-class TestProgramFormat:
-    def test_round_trip(self):
-        ops = [ms_gate(math.pi / 2, (0, 1, 2, 3)),
-               collective_rotation("Y", -0.25 * math.pi, (3,)),
-               addressed_z(-math.pi / 2, 3),
-               loss_rotation(0.5 * math.pi, 0),
-               hide(1), unhide(1)]
-        text = format_program(ops)
-        parsed = parse_program(text)
-        assert parsed == ops
-
-    def test_angles_in_units_of_pi(self):
-        text = format_program([loss_rotation(0.5 * math.pi, 0)])
-        assert text.splitlines()[0] == "LOSS_ROT 0.5 0"
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_program("WIBBLE 0.5 0")
-        with pytest.raises(ValueError):
-            parse_program("MS_X 0.5")

@@ -4,7 +4,8 @@ Function-local imports hide module cycles, so every import sits at module
 level; the one exception is the lazy scipy import of the lattice survival
 kernel, which keeps about 0.3 s of scipy loading out of ``import qloss``.
 A top-level import must be read by its module, unless it only keeps a
-moved name importable from its old module.
+moved name importable from its old module, and a top-level private name
+must be read somewhere in the package.
 """
 
 import ast
@@ -19,8 +20,8 @@ MODULES = sorted(SRC.glob("*.py"))
 LOCAL_IMPORTS_ALLOWED = {("lattice", "_survival_fast")}
 
 #: (module, name) pairs imported only to stay importable from the module;
-#: both moved from tomography to protocol next to CodeDefinition
-RE_EXPORTS = {("tomography", "code_space_population"), ("tomography", "_PROJECTOR_CACHE")}
+#: the projector cache moved from tomography to protocol next to CodeDefinition
+RE_EXPORTS = {("tomography", "_PROJECTOR_CACHE")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -53,3 +54,29 @@ def test_no_unused_top_level_imports(path):
     used |= {name for module, name in RE_EXPORTS if module == path.stem}
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
+
+def _top_level_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_private_top_level_names_are_read():
+    """A module-level ``_name`` that nothing in the package reads is dead code."""
+    defined, read = {}, set()
+    for path in MODULES:
+        tree = _tree(path)
+        for node in tree.body:
+            for name in _top_level_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.stem}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert {name: where for name, where in defined.items() if name not in read} == {}

@@ -277,6 +277,11 @@ class TestBlockKernel:
 
 
 class TestPercolation:
+    @pytest.mark.parametrize("p", [-0.01, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_raises(self, p):
+        with pytest.raises(ValueError, match="loss rates"):
+            percolation_threshold([4], 100, [0.5, p])
+
     def test_extreme_rates(self):
         res = percolation_threshold([4], 100, [0.0, 1.0], seed=1)
         assert res.curve(4)[0].fraction == 1.0

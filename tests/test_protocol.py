@@ -279,6 +279,11 @@ class TestTrajectories:
         sigma = math.sqrt(0.25 * 0.75 / 2000)
         assert abs(freq - 0.25) < 4 * sigma
 
+    @pytest.mark.parametrize("shots", [-1, -3])
+    def test_negative_shots_raise(self, shots):
+        with pytest.raises(ValueError, match="shots"):
+            run_protocol(0.3, 0.4, shots=shots)
+
     def test_seed_determinism(self):
         a = run_protocol(0.3, 0.4, shots=50, seed=9)
         b = run_protocol(0.3, 0.4, shots=50, seed=9)

@@ -12,8 +12,9 @@ from qloss.gates import (addressed_z, collective_rotation, compile_gate, loss_ro
 from qloss.qudit import (BRIGHT_LEVELS, ContractViolation, DARK_LEVELS, DensityOperator,
                          DimensionError, Level, PauliString, PureState,
                          UndefinedExpectationError, apply_unitary, expectation,
-                         make_state, measure_projective, outcome_probabilities,
-                         partial_trace, pure_expectation, truncated_pauli)
+                         check_unitary, make_state, measure_projective,
+                         outcome_probabilities, partial_trace, pure_expectation,
+                         readout_partition, truncated_pauli)
 
 
 def random_state(n_ions, dims, seed):
@@ -43,6 +44,10 @@ class TestMakeState:
         assert BRIGHT_LEVELS == {Level.L0, Level.H1}
         assert DARK_LEVELS == {Level.L1, Level.L2, Level.H0}
 
+    def test_readout_partition(self):
+        assert readout_partition(3) == ({Level.L0}, {Level.L1, Level.L2})
+        assert readout_partition(5) == (BRIGHT_LEVELS, DARK_LEVELS)
+
 
 class TestApplyUnitary:
     def test_identity_leaves_state(self):
@@ -59,6 +64,17 @@ class TestApplyUnitary:
         mat = compile_gate(loss_rotation(math.pi, 0), 3)
         out = apply_unitary(make_state(1, 3, [0]), mat, (0,))
         assert abs(out.amps[2] + 1.0) < 1e-12
+
+    def test_check_unitary(self):
+        u = compile_gate(ms_gate(0.7, (0, 1)), 3)
+        assert check_unitary(u, 9) is u
+        with pytest.raises(DimensionError):
+            check_unitary(u, 3)
+        with pytest.raises(ContractViolation):
+            check_unitary(truncated_pauli("Z", 3), 3)
+        # the density-operator route runs the same check
+        with pytest.raises(ContractViolation):
+            make_state(1, 3, [0]).to_density().apply_unitary(truncated_pauli("X", 3), (0,))
 
     def test_support_out_of_range(self):
         with pytest.raises(IndexError):

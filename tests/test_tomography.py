@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from qloss.channels import NoiseModel
-from qloss.protocol import analytic_run, encode, four_qubit_code, three_qubit_code
+from qloss.protocol import (analytic_run, code_space_population, encode, four_qubit_code,
+                            three_qubit_code)
 from qloss.qudit import DensityOperator, PauliString, PureState, make_state
 from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, clip_to_psd,
-                              code_space_population, fidelity, ideal_branch_choi,
+                              fidelity, ideal_branch_choi,
                               invert_counts, process_fidelity, process_tomography,
                               qubit_code_space_population, record_density,
                               resample_errors, sample_counts, setting_probabilities,
@@ -139,6 +140,26 @@ class TestProcessTomography:
     def test_empty_branch_raises(self):
         with pytest.raises(EmptyBranchError):
             process_tomography(0.0, 1)
+
+    @pytest.mark.parametrize("post_select", [-1, 2])
+    def test_unknown_post_selection_raises(self, post_select):
+        with pytest.raises(ValueError, match="ancilla outcome"):
+            process_tomography(0.3, post_select)
+
+    @pytest.mark.parametrize("phi", np.linspace(0.0, 2 * math.pi, 11))
+    def test_ideal_choi_closed_forms(self, phi):
+        # no loss: 0.5 (c|00> + |11>)(c<00| + <11|); loss: 0.5 s^2 |10><10|
+        c, s = math.cos(phi / 2), math.sin(phi / 2)
+        no_loss = 0.5 * np.outer([c, 0, 0, 1], [c, 0, 0, 1])
+        loss = np.zeros((4, 4))
+        loss[2, 2] = 0.5 * s**2
+        assert np.allclose(ideal_branch_choi(phi, 0).matrix, no_loss, rtol=0, atol=1e-15)
+        assert np.allclose(ideal_branch_choi(phi, 1).matrix, loss, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("branch", [-1, 2])
+    def test_ideal_choi_rejects_unknown_branch(self, branch):
+        with pytest.raises(ValueError):
+            ideal_branch_choi(0.3, branch)
 
     def test_five_ion_register_matches_two_ion(self):
         phi = 0.4 * math.pi
