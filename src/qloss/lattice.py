@@ -476,6 +476,8 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
         raise ValueError("need at least 100 samples per point")
     if not all(0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError(f"loss rates must lie in [0, 1], got {list(p_grid)}")
+    if len(set(L_grid)) != len(L_grid):
+        raise ValueError(f"lattice sizes must not repeat, got {list(L_grid)}")
     points: list[SurvivalPoint] = []
     for L in L_grid:
         lat = build_lattice(L)

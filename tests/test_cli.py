@@ -9,8 +9,8 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from qloss import cli
-from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, main, parse_angle,
-                       parse_float_grid, parse_grid, parse_noise)
+from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, MAX_SHOTS, main,
+                       parse_angle, parse_float_grid, parse_grid, parse_noise)
 from qloss.lattice import PercolationResult
 from qloss.serialize import write_json
 
@@ -210,6 +210,20 @@ class TestPercolationCommand:
         assert res.exit_code == 0, res.output
         assert seen == [[MAX_LATTICE_SIZE]]
 
+    def test_largest_sample_count_is_accepted(self, runner, tmp_path, monkeypatch):
+        # the sweep is stubbed: only the run-size bound is under test here
+        seen = []
+
+        def sweep(sizes, samples, grid, seed):
+            seen.append(samples)
+            return PercolationResult([], None)
+
+        monkeypatch.setattr(cli, "percolation_threshold", sweep)
+        res = runner.invoke(main, ["percolation", "--samples", str(MAX_SHOTS),
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 0, res.output
+        assert seen == [MAX_SHOTS]
+
     def test_small_size_is_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["percolation", "--L", "1", "--p", "0.5",
                                    "--samples", "100",
@@ -329,11 +343,25 @@ class TestNonFiniteInputs:
         (["percolation", "--L", f"4,{MAX_LATTICE_SIZE + 1}", "--samples", "100"], "run"),
         (["protocol", "--phi", "0.5pi", "--shots", "-3"], "run_tables.csv"),
         (["stabilizer-sweep", "--phi-grid", "0.5pi", "--shots", "-1"], "run"),
+        (["percolation", "--L", "8,8", "--p", "0.5", "--samples", "100"], "run"),
+        (["protocol", "--phi", "0.5pi", "--shots", str(MAX_SHOTS + 1)], "run_tables.csv"),
+        (["percolation", "--L", "4", "--samples", str(MAX_SHOTS + 1)], "run"),
+        (["detect-sweep", "--shots", str(MAX_SHOTS + 1)], "run"),
     ])
     def test_config_error_and_no_output(self, runner, tmp_path, args, written):
         res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
         assert res.exit_code == 2, res.output
         assert not (tmp_path / written).exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "stabilizer-sweep", "choi"])
+    def test_run_size_cap_reads_config_files(self, runner, tmp_path, command):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"shots={MAX_SHOTS + 1}\n")
+        res = runner.invoke(main, [command, "--phi-grid", "0.5pi", "--config", str(cfg),
+                                   "--out", str(tmp_path / "run")])
+        assert res.exit_code == 2, res.output
+        assert "exceeds" in res.output
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_json_writer_refuses_nan(self, tmp_path):
         out = tmp_path / "x.json"

@@ -306,6 +306,10 @@ class TestPercolation:
         assert res.threshold is not None
         assert 0.40 <= res.threshold <= 0.60
 
+    def test_repeated_size_raises(self):
+        with pytest.raises(ValueError, match="must not repeat"):
+            percolation_threshold([6, 6], 100, [0.3, 0.4, 0.5, 0.6])
+
     def test_samples_floor(self):
         with pytest.raises(ValueError):
             percolation_threshold([4], 50, [0.5], seed=0)
