@@ -17,6 +17,15 @@ drops its lost edges.  A deformed logical Z exists iff the surviving
 primal graph connects the top leaves to the bottom leaves; a deformed
 logical X exists iff the surviving dual graph connects the two terminal
 regions.
+
+Survival curves (`percolation_threshold`) draw one uniform vector per
+(L, sample) and lose the edges below p, so one draw serves every loss
+rate: the kept sets are nested, and a sample survives on a prefix of the
+sorted p grid.  The curves are therefore monotone and their points at
+different p are correlated; each point is still an exact Bernoulli count
+over its samples, and ``binom_std`` is its marginal error.  Each block of
+samples finds its prefixes by bisection, in ceil(log2(G+1)) calls of the
+one survival kernel `_survival_fast` for a G-point grid.
 """
 
 from __future__ import annotations
@@ -466,11 +475,16 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
                           p_grid: Sequence[float], seed: int = 0) -> PercolationResult:
     """Monte Carlo survival curves and the two-size crossing estimate.
 
-    Per-sample masks come from generators seeded by (seed, L, p index,
-    sample index), so points are independent of evaluation order.  The
-    masks of one (L, p) point are evaluated in blocks of at most
-    `BLOCK_EDGES` edges per kernel call; the survivor counts do not depend
-    on the block size.
+    Each (L, sample) draws one uniform vector ``u`` from the generator
+    seeded by (seed, L, sample index), and its loss mask at every rate p is
+    ``u < p``.  The kept sets shrink as p grows and spanning is monotone in
+    them, so a sample survives on a prefix of the sorted p grid: its curve
+    is monotone, and points at different p are correlated (``binom_std``
+    stays each point's marginal error).  Samples are evaluated in blocks of
+    at most `BLOCK_EDGES` edges; each block finds every sample's last
+    surviving grid point by bisection, in ceil(log2(G+1)) kernel calls for
+    a G-point grid.  Counts depend neither on the block size nor on the
+    other grid points or their order.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples per point")
@@ -478,21 +492,34 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
         raise ValueError(f"loss rates must lie in [0, 1], got {list(p_grid)}")
     if len(set(L_grid)) != len(L_grid):
         raise ValueError(f"lattice sizes must not repeat, got {list(L_grid)}")
+    rates = np.asarray(p_grid, dtype=float)
+    order = np.argsort(rates, kind="stable")
+    p_sorted, n_p = rates[order], len(rates)
     points: list[SurvivalPoint] = []
     for L in L_grid:
         lat = build_lattice(L)
         ends, cells = _edge_arrays(lat)
         a_nodes, b_nodes = _terminal_arrays(lat)
         block = max(1, BLOCK_EDGES // lat.n_edges)
-        for p_idx, p in enumerate(p_grid):
-            survivors = 0
-            for start in range(0, samples, block):
-                keep = np.stack([seed_for(seed, L, p_idx, s).random(lat.n_edges) >= p
-                                 for s in range(start, min(start + block, samples))])
-                survivors += int(np.count_nonzero(_survival_fast(
-                    ends, cells, keep, lat.n_primal_nodes, lat.n_cells,
-                    a_nodes, b_nodes, lat.dual_terminals)))
-            points.append(SurvivalPoint(L, float(p), samples, survivors))
+        # hist[j]: samples that survive on exactly the first j sorted points
+        hist = np.zeros(n_p + 1, dtype=np.int64)
+        for start in range(0, samples, block):
+            u = np.stack([seed_for(seed, L, s).random(lat.n_edges)
+                          for s in range(start, min(start + block, samples))])
+            lo = np.zeros(len(u), dtype=np.int64)    # survives on sorted[:lo]
+            hi = np.full(len(u), n_p, dtype=np.int64)  # dies on sorted[hi:]
+            while (todo := np.flatnonzero(lo < hi)).size:
+                mid = (lo[todo] + hi[todo] + 1) // 2
+                alive = _survival_fast(ends, cells, u[todo] >= p_sorted[mid - 1][:, None],
+                                       lat.n_primal_nodes, lat.n_cells,
+                                       a_nodes, b_nodes, lat.dual_terminals)
+                lo[todo] = np.where(alive, mid, lo[todo])
+                hi[todo] = np.where(alive, hi[todo], mid - 1)
+            hist += np.bincount(lo, minlength=n_p + 1)
+        survivors = np.empty(n_p, dtype=np.int64)
+        survivors[order] = np.cumsum(hist[::-1])[::-1][1:]
+        points.extend(SurvivalPoint(L, float(p), samples, int(n))
+                      for p, n in zip(p_grid, survivors))
     threshold = None
     if len(L_grid) >= 2:
         threshold = crossing_estimate(points, min(L_grid), max(L_grid))

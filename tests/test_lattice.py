@@ -248,16 +248,17 @@ class TestBlockKernel:
     @pytest.mark.parametrize("budget", [lattice_mod.BLOCK_EDGES, 100])
     def test_sweep_matches_per_mask_loop(self, budget, monkeypatch):
         # a budget of 100 edges puts 7, 4 and 2 masks in a block at L=3, 4, 5;
-        # 101 samples is a multiple of none of them
+        # 101 samples is a multiple of none of them.  The grid is unsorted,
+        # repeats a rate and holds both endpoints.
         monkeypatch.setattr(lattice_mod, "BLOCK_EDGES", budget)
-        sizes, samples, grid, seed = [3, 4, 5], 101, [0.3, 0.5, 0.7], 17
+        sizes, samples, grid, seed = [3, 4, 5], 101, [0.5, 0.3, 1.0, 0.7, 0.5, 0.0], 17
         res = percolation_threshold(sizes, samples, grid, seed=seed)
         ref = []
         for L in sizes:
             lat = build_lattice(L)
-            for p_idx, p in enumerate(grid):
+            for p in grid:
                 ref.append(sum(survival_check(
-                    lat, ~(seed_for(seed, L, p_idx, s).random(lat.n_edges) >= p))
+                    lat, ~(seed_for(seed, L, s).random(lat.n_edges) >= p))
                     for s in range(samples)))
         assert [pt.survivors for pt in res.points] == ref
 
@@ -274,6 +275,40 @@ class TestBlockKernel:
         k = (n_surviving - gf2_rank(ref.z_generators, ref.n_edges)
              - gf2_rank(ref.x_generators, ref.n_edges))
         assert k == 1
+
+
+_RATES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)
+
+
+class TestCoupledSweep:
+    """One draw per (L, sample) serves every loss rate of the grid."""
+
+    @given(L=st.integers(2, 6), grid=_RATES, seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_survivors_never_increase_with_p(self, L, grid, seed):
+        pts = sorted(percolation_threshold([L], 100, grid, seed=seed).points,
+                     key=lambda pt: pt.p)
+        assert all(lo.survivors >= hi.survivors for lo, hi in zip(pts, pts[1:]))
+
+    @given(L=st.integers(2, 6), grid=_RATES, seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_count_ignores_other_points_and_order(self, L, grid, seed, data):
+        full = {pt.p: pt.survivors
+                for pt in percolation_threshold([L], 100, grid, seed=seed).points}
+        # a prefix of a permutation: any non-empty sub-grid, in any order
+        sub = data.draw(st.permutations(grid))
+        sub = sub[:data.draw(st.integers(1, len(sub)))]
+        for pt in percolation_threshold([L], 100, sub, seed=seed).points:
+            assert pt.survivors == full[pt.p]
+
+    @given(L=st.integers(2, 6), grid=_RATES, seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_ignore_the_block_budget(self, L, grid, seed):
+        default = percolation_threshold([L], 100, grid, seed=seed).points
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_mod, "BLOCK_EDGES", 100)
+            small = percolation_threshold([L], 100, grid, seed=seed).points
+        assert [pt.survivors for pt in small] == [pt.survivors for pt in default]
 
 
 class TestPercolation:
