@@ -19,13 +19,10 @@ logical X exists iff the surviving dual graph connects the two terminal
 regions.
 
 Survival curves (`percolation_threshold`) draw one uniform vector per
-(L, sample) and lose the edges below p, so one draw serves every loss
-rate: the kept sets are nested, and a sample survives on a prefix of the
-sorted p grid.  The curves are therefore monotone and their points at
-different p are correlated; each point is still an exact Bernoulli count
-over its samples, and ``binom_std`` is its marginal error.  Each block of
-samples finds its prefixes by bisection, in ceil(log2(G+1)) calls of the
-one survival kernel `_survival_fast` for a G-point grid.
+(L, sample) that serves every loss rate, so each curve is monotone and its
+points at different p are correlated; ``binom_std`` stays each point's
+marginal error.  A block of samples costs ceil(log2(G+1)) calls of the
+survival kernel `_survival_fast` for a G-point grid.
 """
 
 from __future__ import annotations
