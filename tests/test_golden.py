@@ -18,8 +18,10 @@ import pytest
 
 from qloss.channels import NoiseModel
 from qloss.cli import parse_angle, parse_grid
-from qloss.lattice import percolation_threshold
+from qloss.lattice import (apply_losses, build_lattice, find_logical,
+                           percolation_threshold, reform_stabilizers)
 from qloss.protocol import analytic_run, detection_sweep, records_to_jsonl, run_protocol
+from qloss.qudit import seed_for
 from qloss.tomography import process_tomography, table_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,6 +138,26 @@ def _survivors() -> list:
     return [res.threshold] + [[pt.L, pt.p, pt.samples, pt.survivors] for pt in res.points]
 
 
+def _support(string) -> list[int] | None:
+    return None if string is None else list(string.support)
+
+
+def _correction() -> list:
+    """Reformed generators and deformed logicals of seeded loss patterns."""
+    out = []
+    for L in (2, 5, 12):
+        lat = build_lattice(L)
+        for p_idx, p in enumerate((0.1, 0.3, 0.45)):
+            for s in range(20):
+                ref = reform_stabilizers(apply_losses(lat, p, seed_for(0, L, p_idx, s)))
+                found = find_logical(ref)
+                out.append([sorted(ref.lost), found.correctable,
+                            _support(found.t_z), _support(found.t_x),
+                            sorted(sorted(g) for g in ref.z_generators),
+                            sorted(sorted(g) for g in ref.x_generators)])
+    return out
+
+
 SEEDED = {
     "run_protocol.exact": _records,
     "run_protocol.toolbox.pqnd=0.033": lambda: _records(
@@ -157,6 +179,7 @@ SEEDED = {
                                                    addressing_error=0.3),
     "process_tomography.sampled": _sampled_choi,
     "percolation_threshold.L8,12": _survivors,
+    "lattice.correction": _correction,
 }
 
 
