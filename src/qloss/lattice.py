@@ -10,13 +10,18 @@ one-plaquette instance of the detection/correction protocol (edge order:
 top, left, right, bottom), whose X-string terminals degenerate to the two
 bottom corner cells.
 
+The lattice is two graphs over the same edges: the primal graph of
+vertices and the dual graph of cells.  Each graph's terminals are its last
+two nodes.  In the primal graph, every dangling top edge ends on node
+``n_vertices`` and every dangling bottom edge on node ``n_vertices + 1``;
+in the dual graph, the two exterior regions are the last two cells.
+
 Losing an edge merges its two dual cells: merged cells away from the
 terminal regions become superplaquettes (mod-2 product of their members),
 merged cells absorbed by a terminal are discarded, and every star simply
 drops its lost edges.  A deformed logical Z exists iff the surviving
-primal graph connects the top leaves to the bottom leaves; a deformed
-logical X exists iff the surviving dual graph connects the two terminal
-regions.
+primal graph connects its two terminals; a deformed logical X exists iff
+the surviving dual graph connects its two terminals.
 
 Survival curves (`percolation_threshold`) draw one uniform vector per
 (L, sample) that serves every loss rate, so each curve is monotone and its
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +58,13 @@ class Edge:
 
 @dataclass
 class LossLattice:
-    """Surface-code lattice with a lost-edge mask and current generators."""
+    """Surface-code lattice with a lost-edge mask and current generators.
+
+    ``primal`` and ``dual`` are read-only (n_edges, 2) arrays holding each
+    edge's two primal nodes and two dual cells.  The primal graph has
+    ``n_vertices + 2`` nodes and the dual graph ``n_cells``; in both, the
+    last two nodes are the terminals a logical string runs between.
+    """
 
     L: int
     n_edges: int
@@ -61,14 +72,10 @@ class LossLattice:
     lost: frozenset[int]
     z_generators: list[frozenset[int]]
     x_generators: list[frozenset[int]]
-    # primal terminals (node-id sets) for the deformed logical Z search
-    primal_a: frozenset[int]
-    primal_b: frozenset[int]
-    # dual terminals (cell ids) for the deformed logical X search
-    dual_terminals: tuple[int, int]
-    n_vertices: int        # interior vertices (stars); leaf ids start here
-    n_primal_nodes: int
+    n_vertices: int        # stars; the primal terminals are the next two ids
     n_cells: int
+    primal: np.ndarray = field(compare=False, repr=False)
+    dual: np.ndarray = field(compare=False, repr=False)
 
     def surviving(self) -> list[int]:
         return [e for e in range(self.n_edges) if e not in self.lost]
@@ -124,13 +131,7 @@ def _build_planar(L: int) -> LossLattice:
         return r * cols + c
 
     n_vertices = rows * cols
-    # leaves: top T_c then bottom B_c
-    def top_leaf(c: int) -> int:
-        return n_vertices + c
-
-    def bottom_leaf(c: int) -> int:
-        return n_vertices + cols + c
-
+    top, bottom = n_vertices, n_vertices + 1   # primal terminals
     # dual regions: cells (i, j) with i in 0..rows, j in 0..cols-2,
     # then the left and right exterior terminals
     n_cell_grid = (rows + 1) * (cols - 1)
@@ -148,11 +149,11 @@ def _build_planar(L: int) -> LossLattice:
     for rv in range(rows + 1):
         for c in range(cols):
             if rv == 0:
-                ends = (top_leaf(c), vertex(0, c))
+                ends = (top, vertex(0, c))
             elif rv <= rows - 1:
                 ends = (vertex(rv - 1, c), vertex(rv, c))
             else:
-                ends = (vertex(rows - 1, c), bottom_leaf(c))
+                ends = (vertex(rows - 1, c), bottom)
             left_cell = term_l if c == 0 else cell(rv, c - 1)
             right_cell = term_r if c == cols - 1 else cell(rv, c)
             add_edge("V", rv, c, ends, (left_cell, right_cell))
@@ -163,40 +164,33 @@ def _build_planar(L: int) -> LossLattice:
                          (cell(rv, ch - 1), cell(rv + 1, ch - 1)))
 
     assert len(edges) == L * L + (L - 1) * (L - 1)
-    return _patch(L, edges, range(n_cell_grid), n_vertices=n_vertices,
-                  primal_a=frozenset(top_leaf(c) for c in range(cols)),
-                  primal_b=frozenset(bottom_leaf(c) for c in range(cols)),
-                  dual_terminals=(term_l, term_r),
-                  n_primal_nodes=n_vertices + 2 * cols, n_cells=n_cell_grid + 2)
+    return _patch(L, edges, n_vertices=n_vertices, n_cells=n_cell_grid + 2)
 
 
 def _build_minimal() -> LossLattice:
     """The protocol's 4-qubit patch: one star, two corner plaquettes.
 
     Edge order matches the protocol's qubit numbering (top, left, right,
-    bottom).  Node 0 is the vertex; nodes 1-3 are the top, left and right
-    leaves and node 4 the bottom leaf.  Cells 0 and 1 are the plaquettes;
-    the bottom-corner cells 2 and 3 are the X-string terminals.
+    bottom).  Node 0 is the vertex, and the terminals come last as in every
+    lattice: the top, left and right edges end on primal node 1, the bottom
+    edge on node 2.  Cells 0 and 1 are the plaquettes; the bottom-corner
+    cells 2 and 3 are the X-string terminals.
     """
     edges = [Edge(0, "V", 0, 0, (1, 0), (0, 1)),
-             Edge(1, "H", 0, 0, (2, 0), (0, 2)),
-             Edge(2, "H", 0, 1, (0, 3), (1, 3)),
-             Edge(3, "V", 1, 0, (0, 4), (2, 3))]
-    return _patch(2, edges, (0, 1), n_vertices=1, primal_a=frozenset({1, 2, 3}),
-                  primal_b=frozenset({4}), dual_terminals=(2, 3), n_primal_nodes=5,
-                  n_cells=4)
+             Edge(1, "H", 0, 0, (1, 0), (0, 2)),
+             Edge(2, "H", 0, 1, (0, 1), (1, 3)),
+             Edge(3, "V", 1, 0, (0, 2), (2, 3))]
+    return _patch(2, edges, n_vertices=1, n_cells=4)
 
 
-def _patch(L: int, edges: list[Edge], plaquettes: Iterable[int], *, n_vertices: int,
-           **layout) -> LossLattice:
+def _patch(L: int, edges: list[Edge], *, n_vertices: int, n_cells: int) -> LossLattice:
     """The loss-free lattice on ``edges`` with its validated generators.
 
-    Every vertex (primal nodes below ``n_vertices``) gives a star, every
-    cell in ``plaquettes`` a plaquette; ``layout`` holds the terminals and
-    node counts of :class:`LossLattice`.
+    Every vertex (primal node below ``n_vertices``) gives a star, every
+    cell but the two dual terminals a plaquette.
     """
     star: dict[int, set[int]] = {v: set() for v in range(n_vertices)}
-    plaq: dict[int, set[int]] = {cl: set() for cl in plaquettes}
+    plaq: dict[int, set[int]] = {cl: set() for cl in range(n_cells - 2)}
     for e in edges:
         for node in e.endpoints:
             if node < n_vertices:
@@ -208,7 +202,10 @@ def _patch(L: int, edges: list[Edge], plaquettes: Iterable[int], *, n_vertices: 
         L=L, n_edges=len(edges), edges=edges, lost=frozenset(),
         z_generators=[frozenset(s) for _, s in sorted(plaq.items())],
         x_generators=[frozenset(s) for _, s in sorted(star.items())],
-        n_vertices=n_vertices, **layout)
+        n_vertices=n_vertices, n_cells=n_cells,
+        primal=np.array([e.endpoints for e in edges]), dual=np.array([e.cells for e in edges]))
+    lat.primal.setflags(write=False)
+    lat.dual.setflags(write=False)
     lat.validate_commutation()
     return lat
 
@@ -255,15 +252,16 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     """Merge plaquettes across lost edges and shrink stars.
 
     Union-find runs over dual cells; classes that absorbed a terminal cell
-    merge into the boundary and are discarded.  The mod-2 product over each
-    class removes the lost edges automatically.  Commutation of the result
-    is re-verified exhaustively.
+    (one of the last two) merge into the boundary and are discarded.  The
+    mod-2 product over each class removes the lost edges automatically.
+    Commutation of the result is re-verified exhaustively.
     """
+    terminals = range(lattice.n_cells - 2, lattice.n_cells)
     uf = _UnionFind(lattice.n_cells)
     for e in lattice.lost:
         uf.union(*lattice.edges[e].cells)
 
-    term_classes = {uf.find(t) for t in lattice.dual_terminals}
+    term_classes = {uf.find(t) for t in terminals}
     cell_support: dict[int, set[int]] = {}
     for e in lattice.edges:
         if e.index in lattice.lost:
@@ -274,7 +272,7 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     merged: dict[int, set[int]] = {}
     for cl, supp in cell_support.items():
         root = uf.find(cl)
-        if root in term_classes or cl in lattice.dual_terminals:
+        if root in term_classes or cl in terminals:
             continue  # merged into the boundary / never a plaquette
         merged.setdefault(root, set()).symmetric_difference_update(supp)
 
@@ -282,30 +280,22 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     # and cancels in the symmetric difference; lost edges never enter
     z_gens = [frozenset(s) for root, s in sorted(merged.items()) if s]
 
-    x_gens = []
-    for g in lattice.x_generators:
-        shrunk = frozenset(g - lattice.lost)
-        if shrunk:
-            x_gens.append(shrunk)
-
-    # losses can enclose an island: a surviving-graph component with no leaf
-    # node, whose shrunk stars multiply to the identity.  Drop one star per
-    # island to keep the generator list independent.
-    uf_p = _UnionFind(lattice.n_primal_nodes)
+    # losses can enclose an island: a surviving-graph component with no
+    # terminal, whose shrunk stars multiply to the identity.  Drop the first
+    # star of each island to keep the generator list independent.
+    uf_p = _UnionFind(lattice.n_vertices + 2)
     for e in lattice.edges:
         if e.index not in lattice.lost:
             uf_p.union(*e.endpoints)
-    leaf_roots = {uf_p.find(n) for n in range(lattice.n_vertices,
-                                              lattice.n_primal_nodes)}
-    dropped_islands: set[int] = set()
-    kept: list[frozenset[int]] = []
-    for g in x_gens:
-        root = uf_p.find(lattice.edges[next(iter(g))].endpoints[0])
-        if root not in leaf_roots and root not in dropped_islands:
-            dropped_islands.add(root)
+    seen = {uf_p.find(lattice.n_vertices), uf_p.find(lattice.n_vertices + 1)}
+    x_gens = []
+    for g in lattice.x_generators:
+        if not (shrunk := g - lattice.lost):
             continue
-        kept.append(g)
-    x_gens = kept
+        root = uf_p.find(lattice.edges[next(iter(shrunk))].endpoints[0])
+        if root in seen:
+            x_gens.append(shrunk)
+        seen.add(root)
 
     out = replace(lattice, z_generators=z_gens, x_generators=x_gens)
     out.validate_support()
@@ -320,24 +310,26 @@ class LogicalSearch:
     t_x: PauliString | None
 
 
-def _bfs_path(n_nodes: int, adjacency: dict[int, list[tuple[int, int]]],
-              sources: Iterable[int], targets: set[int]) -> list[int] | None:
-    """Edge list of a shortest path from any source to any target, or None."""
-    prev: dict[int, tuple[int, int] | None] = {}
-    queue = deque()
-    for s in sources:
-        prev[s] = None
-        queue.append(s)
+def _terminal_path(pairs: np.ndarray, n_nodes: int, edges: Iterable[int]) -> list[int] | None:
+    """Edges of a shortest path over ``edges`` between the last two nodes, or None."""
+    ends = pairs.tolist()
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for e in edges:
+        a, b = ends[e]
+        adjacency[a].append((b, e))
+        adjacency[b].append((a, e))
+    source, target = n_nodes - 2, n_nodes - 1
+    prev: dict[int, tuple[int, int] | None] = {source: None}
+    queue = deque([source])
     while queue:
         node = queue.popleft()
-        if node in targets:
+        if node == target:
             path = []
             while prev[node] is not None:
-                parent, edge = prev[node]
+                node, edge = prev[node]
                 path.append(edge)
-                node = parent
             return path[::-1]
-        for nxt, edge in adjacency.get(node, ()):
+        for nxt, edge in adjacency[node]:
             if nxt not in prev:
                 prev[nxt] = (node, edge)
                 queue.append(nxt)
@@ -350,24 +342,9 @@ def find_logical(lattice: LossLattice) -> LogicalSearch:
     Call after :func:`reform_stabilizers`; the returned strings commute with
     every current generator and anticommute with each other.
     """
-    surviving = [lattice.edges[e] for e in lattice.surviving()]
-
-    primal_adj: dict[int, list[tuple[int, int]]] = {}
-    for e in surviving:
-        a, b = e.endpoints
-        primal_adj.setdefault(a, []).append((b, e.index))
-        primal_adj.setdefault(b, []).append((a, e.index))
-    z_path = _bfs_path(lattice.n_primal_nodes, primal_adj,
-                       lattice.primal_a, set(lattice.primal_b))
-
-    dual_adj: dict[int, list[tuple[int, int]]] = {}
-    for e in surviving:
-        a, b = e.cells
-        dual_adj.setdefault(a, []).append((b, e.index))
-        dual_adj.setdefault(b, []).append((a, e.index))
-    term_l, term_r = lattice.dual_terminals
-    x_path = _bfs_path(lattice.n_cells, dual_adj, [term_l], {term_r})
-
+    surviving = lattice.surviving()
+    z_path = _terminal_path(lattice.primal, lattice.n_vertices + 2, surviving)
+    x_path = _terminal_path(lattice.dual, lattice.n_cells, surviving)
     t_z = (PauliString.from_map(lattice.n_edges, {e: "Z" for e in z_path})
            if z_path else None)
     t_x = (PauliString.from_map(lattice.n_edges, {e: "X" for e in x_path})
@@ -405,36 +382,20 @@ class PercolationResult:
         return [pt for pt in self.points if pt.L == L]
 
 
-def _edge_arrays(lattice: LossLattice):
-    ends = np.array([e.endpoints for e in lattice.edges], dtype=np.int64)
-    cells = np.array([e.cells for e in lattice.edges], dtype=np.int64)
-    return ends, cells
-
-
-def _terminal_arrays(lattice: LossLattice) -> tuple[np.ndarray, np.ndarray]:
-    return (np.fromiter(lattice.primal_a, dtype=np.int64),
-            np.fromiter(lattice.primal_b, dtype=np.int64))
-
-
 #: edges per block of masks that `percolation_threshold` hands to one kernel
 #: call (68 masks at L=16, 16 at L=32); it bounds the block's memory and
 #: changes no result
 BLOCK_EDGES = 32_768
 
 
-def _survival_fast(ends: np.ndarray, cells: np.ndarray, keep: np.ndarray,
-                   n_primal: int, n_cells: int,
-                   a_nodes: np.ndarray, b_nodes: np.ndarray,
-                   terms: tuple[int, int]) -> np.ndarray:
-    """Primal top-bottom and dual left-right spanning over the kept edges.
+def _survival_fast(lattice: LossLattice, keep: np.ndarray) -> np.ndarray:
+    """Primal and dual terminal-to-terminal spanning over the kept edges.
 
     ``keep`` is a (k, n_edges) stack of masks (a single mask counts as k=1);
     the result holds one verdict per row.  The k masks become disjoint
-    copies in one block-diagonal primal and one dual graph, so a single
+    copies in one block-diagonal graph per side, so a single
     `connected_components` call per graph labels every copy: copy i numbers
-    its primal nodes from i*(n_primal+2), with the top and bottom leaves
-    contracted into its two virtual terminals n_primal and n_primal+1, and
-    its dual cells from i*n_cells.
+    its nodes from i*n_nodes, and its terminals stay its last two nodes.
     """
     # imported here, not at module level: loading scipy.sparse.csgraph costs
     # about 0.3 s, which every `import qloss` would otherwise pay
@@ -443,29 +404,22 @@ def _survival_fast(ends: np.ndarray, cells: np.ndarray, keep: np.ndarray,
 
     keep = np.atleast_2d(keep)
     k = len(keep)
-    ends = np.where(np.isin(ends, a_nodes), n_primal,
-                    np.where(np.isin(ends, b_nodes), n_primal + 1, ends))
     copy, edge = np.nonzero(keep)
 
-    def labels(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+    def spans(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
         off = copy * n_nodes
         graph = sp.coo_matrix((np.ones(len(edge)), (pairs[edge, 0] + off,
                                                     pairs[edge, 1] + off)),
                               shape=(k * n_nodes, k * n_nodes))
-        return connected_components(graph, directed=False)[1].reshape(k, n_nodes)
+        labels = connected_components(graph, directed=False)[1].reshape(k, n_nodes)
+        return labels[:, -2] == labels[:, -1]
 
-    primal = labels(ends, n_primal + 2)
-    dual = labels(cells, n_cells)
-    return ((primal[:, n_primal] == primal[:, n_primal + 1])
-            & (dual[:, terms[0]] == dual[:, terms[1]]))
+    return spans(lattice.primal, lattice.n_vertices + 2) & spans(lattice.dual, lattice.n_cells)
 
 
 def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
     """Correctability test for one loss mask (no generator reformation)."""
-    ends, cells = _edge_arrays(lattice)
-    return bool(_survival_fast(ends, cells, ~np.asarray(lost_mask, dtype=bool),
-                               lattice.n_primal_nodes, lattice.n_cells,
-                               *_terminal_arrays(lattice), lattice.dual_terminals)[0])
+    return bool(_survival_fast(lattice, ~np.asarray(lost_mask, dtype=bool))[0])
 
 
 def percolation_threshold(L_grid: Sequence[int], samples: int,
@@ -495,8 +449,6 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
     points: list[SurvivalPoint] = []
     for L in L_grid:
         lat = build_lattice(L)
-        ends, cells = _edge_arrays(lat)
-        a_nodes, b_nodes = _terminal_arrays(lat)
         block = max(1, BLOCK_EDGES // lat.n_edges)
         # hist[j]: samples that survive on exactly the first j sorted points
         hist = np.zeros(n_p + 1, dtype=np.int64)
@@ -507,9 +459,7 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
             hi = np.full(len(u), n_p, dtype=np.int64)  # dies on sorted[hi:]
             while (todo := np.flatnonzero(lo < hi)).size:
                 mid = (lo[todo] + hi[todo] + 1) // 2
-                alive = _survival_fast(ends, cells, u[todo] >= p_sorted[mid - 1][:, None],
-                                       lat.n_primal_nodes, lat.n_cells,
-                                       a_nodes, b_nodes, lat.dual_terminals)
+                alive = _survival_fast(lat, u[todo] >= p_sorted[mid - 1][:, None])
                 lo[todo] = np.where(alive, mid, lo[todo])
                 hi[todo] = np.where(alive, hi[todo], mid - 1)
             hist += np.bincount(lo, minlength=n_p + 1)

@@ -11,7 +11,7 @@ from qloss import lattice as lattice_mod
 from qloss.lattice import (ConsistencyError, LossLattice, apply_losses, build_lattice,
                            crossing_estimate, find_logical, percolation_threshold,
                            reform_stabilizers, survival_check, SurvivalPoint,
-                           _edge_arrays, _survival_fast, _terminal_arrays)
+                           _survival_fast)
 from qloss.protocol import four_qubit_code, three_qubit_code
 from qloss.qudit import PauliString, seed_for
 
@@ -218,11 +218,7 @@ class TestSurvival:
                                                         np.nonzero(mask)[0]]))
             expected = find_logical(ref).correctable
             assert survival_check(lat, mask) == expected
-            ends, cells = _edge_arrays(lat)
-            a = np.fromiter(lat.primal_a, dtype=np.int64)
-            b = np.fromiter(lat.primal_b, dtype=np.int64)
-            assert _survival_fast(ends, cells, ~mask, lat.n_primal_nodes,
-                                  lat.n_cells, a, b, lat.dual_terminals) == expected
+            assert _survival_fast(lat, ~mask) == expected
 
 
 class TestBlockKernel:
@@ -238,9 +234,7 @@ class TestBlockKernel:
                           np.ones(lat.n_edges, dtype=bool)])
         expected = [find_logical(reform_stabilizers(apply_losses(
             lat, [int(e) for e in np.nonzero(row)[0]]))).correctable for row in lost]
-        ends, cells = _edge_arrays(lat)
-        got = _survival_fast(ends, cells, ~lost, lat.n_primal_nodes, lat.n_cells,
-                             *_terminal_arrays(lat), lat.dual_terminals)
+        got = _survival_fast(lat, ~lost)
         assert got.shape == (len(lost),)
         assert got.tolist() == expected
         assert expected[-2:] == [True, False]
