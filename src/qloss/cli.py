@@ -117,26 +117,31 @@ class _Fail(click.ClickException):
     exit_code = EXIT_CONFIG
 
 
-def _effective(ctx: click.Context, config_path: str | None, **cli_values):
-    """Merge config-file defaults under explicitly passed CLI options."""
+def _load_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Make the config file's values the command's defaults.
+
+    The option is eager, so this runs before any other option is read:
+    click then converts each value with its option's own type, and an
+    explicitly passed flag still wins.
+    """
     try:
-        defaults = load_config_defaults(config_path)
+        defaults = load_config_defaults(path)
     except (OSError, ValueError) as exc:
         raise _Fail(str(exc))
-    merged = dict(cli_values)
-    for key, raw in defaults.items():
-        if key not in merged:
+    names = {p.name for p in ctx.command.params if p.expose_value}
+    for key in defaults:
+        if key not in names:
             raise _Fail(f"unknown config key {key!r}")
-        src = ctx.get_parameter_source(key)
-        if src is not None and src.name != "DEFAULT":
-            continue  # explicit flag wins
-        merged[key] = raw
-    return merged
+    ctx.default_map = {**(ctx.default_map or {}), **defaults}
 
 
-def _run_size(opts: dict, key: str) -> int:
-    """The shot or sample count ``opts[key]``, rejected above `MAX_SHOTS`."""
-    n = int(opts[key])
+config_option = click.option("--config", type=click.Path(exists=True), default=None,
+                             is_eager=True, expose_value=False, callback=_load_config,
+                             help="key=value file of option defaults")
+
+
+def _run_size(n: int, key: str) -> int:
+    """The shot or sample count ``n`` of option ``key``, rejected above `MAX_SHOTS`."""
     if n > MAX_SHOTS:
         raise ValueError(f"{key} {n} exceeds {MAX_SHOTS}")
     return n
@@ -171,36 +176,30 @@ def main(ctx: click.Context, seed: int) -> None:
               show_default=True,
               help="ideal support mask or explicit five-level hiding pulses")
 @click.option("--analytic", is_flag=True, help="exact probabilities, no sampling")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", default="detect_sweep.csv", show_default=True)
 @click.pass_context
 def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, hiding,
-                     analytic, config_path, out):
+                     analytic, out):
     """Detected vs directly measured loss over a loss-rotation grid."""
-    opts = _effective(ctx, config_path, phi_grid=phi_grid, shots=shots,
-                      register=register, addressing_error=addressing_error,
-                      hiding=hiding, analytic=analytic, out=out)
 
     def go():
-        shots_n = _run_size(opts, "shots")
-        if shots_n <= 0 and not opts["analytic"]:
+        shots_n = _run_size(shots, "shots")
+        if shots_n <= 0 and not analytic:
             raise ValueError("shots must be positive (or pass --analytic)")
-        grid = parse_grid(str(opts["phi_grid"]))
-        res = detection_sweep(grid, shots_n, seed=ctx.obj["seed"],
-                              register=int(opts["register"]),
-                              addressing_error=float(opts["addressing_error"]),
-                              analytic=bool(opts["analytic"]),
-                              hiding=str(opts["hiding"]))
+        res = detection_sweep(parse_grid(phi_grid), shots_n, seed=ctx.obj["seed"],
+                              register=int(register), addressing_error=addressing_error,
+                              analytic=analytic, hiding=hiding)
         # the default hiding is not echoed, so default runs keep their header
-        shown = {k: v for k, v in opts.items() if (k, v) != ("hiding", "mask")}
+        shown = {k: v for k, v in ctx.params.items() if (k, v) != ("hiding", "mask")}
         header = header_lines(shown, ctx.obj["seed"])
         header.append(f"# detection-efficiency: {fmt(res.efficiency)}")
-        write_csv(str(opts["out"]), header,
+        write_csv(out, header,
                   ["phi", "direct_loss", "detected_loss", "false_positive_rate",
                    "false_negative_rate", "shots"],
                   [(r.phi, r.direct_loss, r.detected_loss, r.false_positive_rate,
                     r.false_negative_rate, r.shots) for r in res.rows])
-        click.echo(f"wrote {opts['out']} (efficiency {fmt(res.efficiency)})")
+        click.echo(f"wrote {out} (efficiency {fmt(res.efficiency)})")
 
     _run(go)
 
@@ -217,36 +216,32 @@ def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, hiding,
 @click.option("--ideal", is_flag=True, help="force the noise model off")
 @click.option("--shrunk-mode", type=click.Choice(["exact", "toolbox"]),
               default="exact", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", default="protocol", show_default=True, help="output prefix")
 @click.pass_context
 def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
-                 shrunk_mode, config_path, out):
+                 shrunk_mode, out):
     """Full encode/detect/correct run: branch records and observable tables."""
-    opts = _effective(ctx, config_path, alpha=alpha, phi=phi, phi_grid=phi_grid,
-                      shots=shots, paper_shots=paper_shots, noise=noise,
-                      ideal=ideal, shrunk_mode=shrunk_mode, out=out)
 
     def go():
-        shots_n = _run_size(opts, "shots")
-        alpha_v = parse_angle(str(opts["alpha"]))
-        if opts["phi_grid"]:
-            phis = parse_grid(str(opts["phi_grid"]))
-        elif opts["phi"]:
-            phis = [parse_angle(str(opts["phi"]))]
+        shots_n = _run_size(shots, "shots")
+        alpha_v = parse_angle(alpha)
+        if phi_grid:
+            phis = parse_grid(phi_grid)
+        elif phi:
+            phis = [parse_angle(phi)]
         else:
             raise ValueError("pass --phi or --phi-grid")
-        model = NoiseModel() if opts["ideal"] else parse_noise(str(opts["noise"]))
+        model = NoiseModel() if ideal else parse_noise(noise)
         seed = ctx.obj["seed"]
-        prefix = str(opts["out"])
-        header = header_lines(opts, seed)
+        header = header_lines(ctx.params, seed)
 
         records = []
         rows = []
         for phi_v in phis:
-            n_shots = _closest_preset(phi_v) if opts["paper_shots"] else shots_n
+            n_shots = _closest_preset(phi_v) if paper_shots else shots_n
             res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
-                               seed=seed, shrunk_mode=str(opts["shrunk_mode"]))
+                               seed=seed, shrunk_mode=shrunk_mode)
             records.extend(res.records)
             for section, summary in (("no_loss", res.no_loss), ("loss", res.loss)):
                 if not summary.observables:
@@ -258,16 +253,16 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
             tag = "" if len(phis) == 1 else f"_phi{fmt(phi_v / math.pi)}pi"
             for label, rho in (("no_loss", res.rho_no_loss), ("loss", res.rho_loss)):
                 if rho is not None:
-                    write_json(f"{prefix}_rho_{label}{tag}.json", header,
+                    write_json(f"{out}_rho_{label}{tag}.json", header,
                                matrix_to_json_dict(rho.mat, "density",
                                                    "ions msb-first; levels 0,1,2"))
-        write_csv(f"{prefix}_tables.csv", header,
+        write_csv(f"{out}_tables.csv", header,
                   ["branch", "phi", "probability", "fidelity", *TABLE_COLUMNS], rows)
-        outputs = [f"{prefix}_tables.csv"]
+        outputs = [f"{out}_tables.csv"]
         if records:
-            with open(f"{prefix}_records.jsonl", "w") as fh:
+            with open(f"{out}_records.jsonl", "w") as fh:
                 fh.write(records_to_jsonl(records))
-            outputs.append(f"{prefix}_records.jsonl")
+            outputs.append(f"{out}_records.jsonl")
         click.echo("wrote " + ", ".join(outputs))
 
     _run(go)
@@ -284,24 +279,21 @@ def _closest_preset(phi: float) -> int:
 @click.option("--post-select", type=click.Choice(["0", "1"]), default="0",
               show_default=True)
 @click.option("--register", type=click.Choice(["2", "5"]), default="2", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", default="choi.json", show_default=True)
 @click.pass_context
-def cmd_choi(ctx, phi_grid, shots, post_select, register, config_path, out):
+def cmd_choi(ctx, phi_grid, shots, post_select, register, out):
     """Process tomography of the detection unit against the ideal branch maps."""
-    opts = _effective(ctx, config_path, phi_grid=phi_grid, shots=shots,
-                      post_select=post_select, register=register, out=out)
 
     def go():
-        shots_n = _run_size(opts, "shots")
+        shots_n = _run_size(shots, "shots")
         seed = ctx.obj["seed"]
-        branch = int(opts["post_select"])
+        branch = int(post_select)
         entries = []
-        for phi_v in parse_grid(str(opts["phi_grid"])):
+        for phi_v in parse_grid(phi_grid):
             try:
                 choi, details = process_tomography(
-                    phi_v, branch, shots=shots_n, seed=seed,
-                    register=int(opts["register"]))
+                    phi_v, branch, shots=shots_n, seed=seed, register=int(register))
             except EmptyBranchError as exc:
                 entries.append({"phi": phi_v, "flag": str(exc)})
                 continue
@@ -318,40 +310,38 @@ def cmd_choi(ctx, phi_grid, shots, post_select, register, config_path, out):
             if empty:
                 entry["flag"] = f"empty post-selected branch for inputs {empty}"
             entries.append(entry)
-        write_json(str(opts["out"]), header_lines(opts, seed),
+        write_json(out, header_lines(ctx.params, seed),
                    {"post_select": branch, "results": entries})
-        click.echo(f"wrote {opts['out']}")
+        click.echo(f"wrote {out}")
 
     _run(go)
 
 
 @main.command("percolation")
-@click.option("--l", "--L", "l_grid", default="16,32", show_default=True)
-@click.option("--p", "p_grid", default="0.40:0.60:21", show_default=True)
+@click.option("--l", "--L", "l", default="16,32", show_default=True)
+@click.option("--p", "p", default="0.40:0.60:21", show_default=True)
 @click.option("--samples", type=int, default=2000, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", default="percolation.csv", show_default=True)
 @click.pass_context
-def cmd_percolation(ctx, l_grid, p_grid, samples, config_path, out):
+def cmd_percolation(ctx, l, p, samples, out):  # noqa: E741 (the --l option)
     """Monte Carlo loss-survival curves and the two-size threshold crossing."""
-    opts = _effective(ctx, config_path, l=l_grid, p=p_grid, samples=samples, out=out)
 
     def go():
-        samples_n = _run_size(opts, "samples")
+        samples_n = _run_size(samples, "samples")
         seed = ctx.obj["seed"]
-        sizes = [int(x) for x in str(opts["l"]).split(",")]
+        sizes = [int(x) for x in l.split(",")]
         if not all(2 <= s <= MAX_LATTICE_SIZE for s in sizes):
             raise ValueError(f"lattice sizes must lie in [2, {MAX_LATTICE_SIZE}]")
-        grid = parse_float_grid(str(opts["p"]))
-        res = percolation_threshold(sizes, samples_n, grid, seed=seed)
-        header = header_lines(opts, seed)
+        res = percolation_threshold(sizes, samples_n, parse_float_grid(p), seed=seed)
+        header = header_lines(ctx.params, seed)
         thr = "none" if res.threshold is None else fmt(res.threshold)
         header.append(f"# threshold-estimate: {thr}")
-        write_csv(str(opts["out"]), header,
+        write_csv(out, header,
                   ["L", "p", "samples", "survivors", "fraction", "binom_std"],
                   [(pt.L, pt.p, pt.samples, pt.survivors, pt.fraction, pt.binom_std)
                    for pt in res.points])
-        click.echo(f"wrote {opts['out']} (threshold estimate {thr})")
+        click.echo(f"wrote {out} (threshold estimate {thr})")
 
     _run(go)
 
@@ -360,20 +350,18 @@ def cmd_percolation(ctx, l_grid, p_grid, samples, config_path, out):
 @click.option("--alpha", default="pi/2", show_default=True)
 @click.option("--phi-grid", default="0.1pi:pi:10", show_default=True)
 @click.option("--shots", type=int, default=200, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", default="stabilizer_sweep.csv", show_default=True)
 @click.pass_context
-def cmd_stabilizer_sweep(ctx, alpha, phi_grid, shots, config_path, out):
+def cmd_stabilizer_sweep(ctx, alpha, phi_grid, shots, out):
     """No-loss-branch stabilizer expectations vs loss rate (analytic + sampled)."""
-    opts = _effective(ctx, config_path, alpha=alpha, phi_grid=phi_grid,
-                      shots=shots, out=out)
 
     def go():
-        shots_n = _run_size(opts, "shots")
+        shots_n = _run_size(shots, "shots")
         seed = ctx.obj["seed"]
-        alpha_v = parse_angle(str(opts["alpha"]))
+        alpha_v = parse_angle(alpha)
         rows = []
-        for phi_v in parse_grid(str(opts["phi_grid"])):
+        for phi_v in parse_grid(phi_grid):
             s1x_law = 4 * math.cos(phi_v / 2) / (3 + math.cos(phi_v))
             res = run_protocol(alpha_v, phi_v, shots=shots_n, seed=seed)
             sampled = res.sampled_means("no_loss")
@@ -381,11 +369,11 @@ def cmd_stabilizer_sweep(ctx, alpha, phi_grid, shots, config_path, out):
                          res.no_loss.observables["S1X"], sampled.get("S1X"),
                          res.no_loss.observables["S1Z"], sampled.get("S1Z"),
                          res.no_loss.observables["S2Z"], sampled.get("S2Z")))
-        write_csv(str(opts["out"]), header_lines(opts, seed),
+        write_csv(out, header_lines(ctx.params, seed),
                   ["phi", "S1X_law", "S1X_analytic", "S1X_sampled",
                    "S1Z_analytic", "S1Z_sampled", "S2Z_analytic", "S2Z_sampled"],
                   rows)
-        click.echo(f"wrote {opts['out']}")
+        click.echo(f"wrote {out}")
 
     _run(go)
 

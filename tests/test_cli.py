@@ -317,6 +317,26 @@ class TestHeadersAndDeterminism:
         data = [l for l in read_lines(out) if not l.startswith(("#", "L"))]
         assert data[0].split(",")[2] == "120"
 
+    @pytest.mark.parametrize("on", [True, False])
+    @pytest.mark.parametrize("flag,args", [
+        ("analytic", ["detect-sweep", "--phi-grid", "0:pi:3", "--shots", "3"]),
+        ("paper-shots", ["protocol", "--phi", "0.5pi", "--shots", "3"]),
+        ("ideal", ["protocol", "--phi", "0.5pi", "--noise", "pqnd=0.033"]),
+    ])
+    def test_config_flag_writes_what_the_flag_writes(self, runner, tmp_path, flag, args, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={'true' if on else 'false'}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        written = []
+        for extra in (["--config", str(cfg)], [f"--{flag}"] if on else []):
+            res = runner.invoke(main, args + extra + ["--out", str(out / "run")])
+            assert res.exit_code == 0, res.output
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+            for f in out.iterdir():
+                f.unlink()
+        assert written[0] == written[1]
+
     def test_unknown_config_key_is_config_error(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble=3\n")
