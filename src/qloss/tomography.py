@@ -112,17 +112,22 @@ def invert_counts(counts: CountsTable,
 
     With ``attempted`` given, counts may undercount (post-selection) and the
     estimate is trace-decreasing accordingly.  Estimates are returned raw
-    and may be non-PSD at finite shots.
+    and may be non-PSD at finite shots.  Negative or non-finite counts, and
+    totals that are not positive and finite, raise ValueError.
     """
     n = len(next(iter(counts)))
-    freqs = []
-    for s in settings(n):
-        vec = np.asarray(counts[s], dtype=float)
-        norm = attempted[s] if attempted is not None else vec.sum()
-        if not norm > 0:
-            raise ValueError(f"setting {s} has no counts")
-        freqs.append(vec / norm)
-    return _per_ion_map(np.reshape(freqs, (3,) * n + (2,) * n), _INVERSION, n)
+    keys = settings(n)
+    table = np.array([counts[s] for s in keys], dtype=float)
+    if not np.all(np.isfinite(table) & (table >= 0)):
+        raise ValueError("counts must be finite and non-negative")
+    norms = (table.sum(axis=1) if attempted is None
+             else np.array([attempted[s] for s in keys], dtype=float))
+    bad = ~((norms > 0) & (norms < np.inf))
+    if bad.any():
+        raise ValueError(f"setting {keys[np.argmax(bad)]} has no counts "
+                         f"(total {norms[np.argmax(bad)]})")
+    freqs = table / norms[:, None]
+    return _per_ion_map(freqs.reshape((3,) * n + (2,) * n), _INVERSION, n)
 
 
 def sample_counts(rho2: np.ndarray, shots_per_setting: int,
@@ -164,26 +169,21 @@ def resample_errors(counts: CountsTable,
                     iterations: int = 100, seed: int = 0) -> dict[str, float]:
     """Multinomial-resampling standard deviations of derived observables.
 
-    Each setting's counts are redrawn from a multinomial with its own total;
-    ``statistic`` maps a counts table to named observables.  Deterministic
-    for a fixed (counts, seed).
+    Each setting's counts are redrawn from a multinomial with its own total,
+    all settings in sorted order by one draw per iteration; ``statistic``
+    maps a counts table to named observables.  Deterministic for a fixed
+    (counts, seed).
     """
-    totals = {}
-    for s, vec in counts.items():
-        tot = float(np.asarray(vec).sum())
-        if tot <= 0:
-            raise ValueError(f"setting {s} has all-zero counts")
-        totals[s] = tot
+    keys = sorted(counts)
+    table = np.array([counts[s] for s in keys], dtype=float)
+    totals = table.sum(axis=1)
+    if not np.all(totals > 0):
+        raise ValueError(f"setting {keys[np.argmin(totals > 0)]} has all-zero counts")
+    probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
     samples: dict[str, list[float]] = {}
-    keys = sorted(counts.keys())
     for it in range(iterations):
-        rng = seed_for(seed, it)
-        fake: dict[Setting, np.ndarray] = {}
-        for s in keys:
-            vec = np.asarray(counts[s], dtype=float)
-            p = vec / totals[s]
-            fake[s] = rng.multinomial(int(round(totals[s])), p).astype(float)
-        stats = statistic(fake)
+        draws = seed_for(seed, it).multinomial(shots, probs).astype(float)
+        stats = statistic(dict(zip(keys, draws)))
         for name, val in stats.items():
             samples.setdefault(name, []).append(float(val))
     return {name: float(np.std(vals)) for name, vals in samples.items()}

@@ -78,6 +78,21 @@ class TestStateTomography:
         est = invert_counts(probs, attempted={s: 1.0 for s in probs})
         assert np.max(np.abs(est - w * mat)) < 1e-12
 
+    @pytest.mark.parametrize("bad,attempted", [
+        (-1.0, None), (math.inf, None), (math.nan, None),
+        (math.nan, 1.0), (None, math.inf), (None, math.nan), (None, 0.0), (None, -1.0),
+    ])
+    def test_impossible_counts_raise(self, bad, attempted):
+        # one bad count in setting XX, or a bad attempted total for it
+        counts = {s: np.array([40.0, 30.0, 20.0, 10.0]) for s in settings(2)}
+        if bad is not None:
+            counts[("X", "X")][1] = bad
+        totals = None if attempted is None else {s: 100.0 for s in counts}
+        if attempted is not None:
+            totals[("X", "X")] = attempted
+        with pytest.raises(ValueError):
+            invert_counts(counts, totals)
+
     def test_finite_shots_within_resampled_band(self):
         rho = encode(0.0).to_density()
         est, counts = state_tomography(rho, qubits=(0, 1, 2, 3),
