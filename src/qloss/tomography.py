@@ -122,10 +122,9 @@ def invert_counts(counts: CountsTable,
         raise ValueError("counts must be finite and non-negative")
     norms = (table.sum(axis=1) if attempted is None
              else np.array([attempted[s] for s in keys], dtype=float))
-    bad = ~((norms > 0) & (norms < np.inf))
-    if bad.any():
-        raise ValueError(f"setting {keys[np.argmax(bad)]} has no counts "
-                         f"(total {norms[np.argmax(bad)]})")
+    for s, norm in zip(keys, norms):
+        if not 0 < norm < math.inf:
+            raise ValueError(f"setting {s} has total {norm}; it must be positive and finite")
     freqs = table / norms[:, None]
     return _per_ion_map(freqs.reshape((3,) * n + (2,) * n), _INVERSION, n)
 
