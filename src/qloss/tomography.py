@@ -41,18 +41,13 @@ from .protocol import _PROJECTOR_CACHE  # noqa: F401
 from .qudit import DensityOperator, partial_trace, seed_for
 from .tolerances import ATOL_PSD, ATOL_TRACE
 
-#: +1/-1 eigenprojectors per measurement basis, indexed [letter][bit]
-_PROJECTORS = {
-    "X": (0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
-          0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)),
-    "Y": (0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex),
-          0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)),
-    "Z": (np.diag([1.0 + 0j, 0.0]), np.diag([0.0, 1.0 + 0j])),
-}
-#: single-qubit factor of the inversion, P - I/3, flattened; row 2*s + bit
-#: for setting letter s in XYZ order
-_INVERSION = np.array([(_PROJECTORS[s][bit] - np.eye(2) / 3).reshape(4)
-                       for s in "XYZ" for bit in (0, 1)])
+#: +1/-1 eigenprojectors of X, Y and Z, indexed [setting letter][bit]
+_PROJECTORS = 0.5 * np.array([[[[1, 1], [1, 1]], [[1, -1], [-1, 1]]],
+                              [[[1, -1j], [1j, 1]], [[1, 1j], [-1j, 1]]],
+                              [[[2, 0], [0, 0]], [[0, 0], [0, 2]]]])
+#: single-qubit factor of the inversion, P - I/3; row 2*s + bit for setting
+#: letter s in XYZ order
+_INVERSION = (_PROJECTORS - np.eye(2) / 3).reshape(6, 2, 2)
 
 Setting = tuple[str, ...]
 CountsTable = Mapping[Setting, np.ndarray]
@@ -70,15 +65,16 @@ def settings(n_qubits: int) -> list[Setting]:
 def _per_ion_map(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     """Apply one single-ion map to every ion of an n-ion tensor.
 
-    ``t`` has axes (a_1..a_n, b_1..b_n); ``m`` maps one ion's flattened
-    (a, b) pair to a flattened 2x2 block.  Returns the 2^n x 2^n matrix.
+    ``t`` has axes (a_1..a_n, b_1..b_n); ``m`` has shape (in, r, c) and maps
+    one ion's flattened (a, b) pair to an r x c block.  Returns the
+    r^n x c^n matrix.
     """
     pairs = [axis for q in range(n) for axis in (q, n + q)]
-    t = t.transpose(pairs).reshape((t.shape[0] * t.shape[n],) * n)
+    t = t.transpose(pairs).reshape((m.shape[0],) * n)
     for _ in range(n):
         t = np.tensordot(t, m, axes=(0, 0))
     rows_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return t.reshape((2, 2) * n).transpose(rows_cols).reshape(2**n, 2**n)
+    return t.transpose(rows_cols).reshape(m.shape[1]**n, m.shape[2]**n)
 
 
 def record_density(rho: DensityOperator, qubits: Sequence[int]) -> np.ndarray:
@@ -90,7 +86,7 @@ def record_density(rho: DensityOperator, qubits: Sequence[int]) -> np.ndarray:
     reduced = partial_trace(rho, tuple(qubits))
     dims, k = reduced.dims, reduced.n_ions
     return _per_ion_map(reduced.mat.reshape((dims,) * (2 * k)),
-                        readout_superoperator(dims), k)
+                        readout_superoperator(dims).reshape(-1, 2, 2), k)
 
 
 def setting_probabilities(rho2: np.ndarray, setting: Setting) -> np.ndarray:
@@ -101,7 +97,7 @@ def setting_probabilities(rho2: np.ndarray, setting: Setting) -> np.ndarray:
         proj = np.array([[1.0 + 0j]])
         for q in range(n):
             bit = (outcome >> (n - 1 - q)) & 1
-            proj = np.kron(proj, _PROJECTORS[setting[q]][bit])
+            proj = np.kron(proj, _PROJECTORS["XYZ".index(setting[q])][bit])
         probs[outcome] = np.real(np.trace(rho2 @ proj))
     return np.clip(probs, 0.0, None)
 
