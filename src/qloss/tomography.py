@@ -10,14 +10,16 @@ word over all compatible settings, so leaked population contaminates
 Z-basis counts exactly as a dark readout would, while X/Y words see it as
 an unpolarized coin.
 
-That average factorizes over the qubits: with f_{s,o} the frequency of
-outcome string o under setting s and P_{s_q,o_q} the eigenprojector qubit q
-records,
+The forward map and the inversion both factorize over the qubits: with
+P_{s_q,o_q} the eigenprojector qubit q records for outcome string o under
+setting s, and f_{s,o} the frequency of that outcome,
 
+    p_{s,o} = Tr(rho (x)_q P_{s_q,o_q}),
     rho_hat = sum_{s,o} f_{s,o} (x)_q (P_{s_q,o_q} - I/3),
 
-so inversion, like the readout fold, is one single-ion map applied to every
-ion in turn (``_per_ion_map``).
+so each, like the readout fold, is one single-ion map applied to every ion
+in turn (``_per_ion_map``), and the whole (3^n, 2^n) table of p or f is one
+array.  A sampled table is one multinomial draw from one generator.
 
 Process tomography is compared against the ideal branch Choi matrices,
 which come from the detection branch maps (``channels.branch_maps``) through
@@ -48,9 +50,13 @@ _PROJECTORS = 0.5 * np.array([[[[1, 1], [1, 1]], [[1, -1], [-1, 1]]],
 #: single-qubit factor of the inversion, P - I/3; row 2*s + bit for setting
 #: letter s in XYZ order
 _INVERSION = (_PROJECTORS - np.eye(2) / 3).reshape(6, 2, 2)
+#: single-qubit factor of the forward map, [(a, b), s, bit] = P_{s,bit}[b, a]
+_FORWARD = _PROJECTORS.transpose(3, 2, 0, 1).reshape(4, 3, 2)
 
 Setting = tuple[str, ...]
 CountsTable = Mapping[Setting, np.ndarray]
+#: an int master seed or a whole ``seed_for`` key tuple
+Seed = int | tuple[int, ...]
 
 
 class EmptyBranchError(RuntimeError):
@@ -89,17 +95,19 @@ def record_density(rho: DensityOperator, qubits: Sequence[int]) -> np.ndarray:
                         readout_superoperator(dims).reshape(-1, 2, 2), k)
 
 
-def setting_probabilities(rho2: np.ndarray, setting: Setting) -> np.ndarray:
-    """Outcome probabilities over the 2^n bitstrings for one setting."""
-    n = len(setting)
-    probs = np.empty(2**n)
-    for outcome in range(2**n):
-        proj = np.array([[1.0 + 0j]])
-        for q in range(n):
-            bit = (outcome >> (n - 1 - q)) & 1
-            proj = np.kron(proj, _PROJECTORS["XYZ".index(setting[q])][bit])
-        probs[outcome] = np.real(np.trace(rho2 @ proj))
+def setting_probabilities(rho2: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of every setting, as a clipped (3^n, 2^n) table.
+
+    Rows follow ``settings`` order; columns are the outcome bits with qubit 0
+    most significant.
+    """
+    n = rho2.shape[0].bit_length() - 1
+    probs = _per_ion_map(rho2.reshape((2,) * (2 * n)), _FORWARD, n).real
     return np.clip(probs, 0.0, None)
+
+
+def _generator(seed: Seed, *key: int) -> np.random.Generator:
+    return seed_for(*(seed if isinstance(seed, tuple) else (seed,)), *key)
 
 
 def invert_counts(counts: CountsTable,
@@ -125,49 +133,47 @@ def invert_counts(counts: CountsTable,
     return _per_ion_map(freqs.reshape((3,) * n + (2,) * n), _INVERSION, n)
 
 
-def sample_counts(rho2: np.ndarray, shots_per_setting: int,
-                  seed: int = 0) -> dict[Setting, np.ndarray]:
-    """Multinomial counts for every setting (seeded, per-setting substreams)."""
-    n = int(round(math.log2(rho2.shape[0])))
-    unit = rho2 / float(np.real(np.trace(rho2)))
-    out: dict[Setting, np.ndarray] = {}
-    for idx, setting in enumerate(settings(n)):
-        probs = setting_probabilities(unit, setting)
-        probs = probs / probs.sum()
-        rng = seed_for(seed, idx)
-        out[setting] = rng.multinomial(shots_per_setting, probs).astype(float)
-    return out
+def sample_counts(rho2: np.ndarray, shots: int | np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Multinomial counts of every setting, as a (3^n, 2^n) table.
+
+    ``shots`` is one total for all settings or one per setting; the whole
+    table is a single draw from ``rng``.
+    """
+    probs = setting_probabilities(rho2)
+    return rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True)).astype(float)
 
 
 def state_tomography(rho: DensityOperator, qubits: Sequence[int] | None = None,
-                     shots_per_setting: int = 0, seed: int = 0
+                     shots_per_setting: int = 0, seed: Seed = 0
                      ) -> tuple[np.ndarray, dict[Setting, np.ndarray]]:
     """Reconstruct the recorded register state by linear inversion.
 
     ``shots_per_setting`` of 0 selects exact-probability mode, which
     reproduces the true computational-subspace density operator; finite
-    shots sample each setting multinomially.  Returns (estimate, counts).
+    shots sample every setting multinomially from the generator of ``seed``
+    (an int, or a ``seed_for`` key tuple).  Returns (estimate, counts).
     """
     qs = tuple(qubits) if qubits is not None else tuple(range(rho.n_ions))
     rho2 = record_density(rho.normalized(), qs)
     if shots_per_setting < 0:
         raise ValueError("shots_per_setting must be >= 0")
-    if shots_per_setting == 0:
-        counts = {s: setting_probabilities(rho2, s) for s in settings(len(qs))}
-    else:
-        counts = sample_counts(rho2, shots_per_setting, seed)
+    table = (setting_probabilities(rho2) if shots_per_setting == 0
+             else sample_counts(rho2, shots_per_setting, _generator(seed)))
+    counts = dict(zip(settings(len(qs)), table))
     return invert_counts(counts), counts
 
 
 def resample_errors(counts: CountsTable,
                     statistic: Callable[[CountsTable], Mapping[str, float]],
-                    iterations: int = 100, seed: int = 0) -> dict[str, float]:
+                    iterations: int = 100, seed: Seed = 0) -> dict[str, float]:
     """Multinomial-resampling standard deviations of derived observables.
 
     Each setting's counts are redrawn from a multinomial with its own total,
     all settings in sorted order by one draw per iteration; ``statistic``
-    maps a counts table to named observables.  Deterministic for a fixed
-    (counts, seed).
+    maps a counts table to named observables.  Iteration ``it`` draws from
+    ``seed_for(seed, it)``, or ``seed_for(*seed, it)`` for a key tuple, so
+    the result is deterministic for a fixed (counts, seed).
     """
     keys = sorted(counts)
     table = np.array([counts[s] for s in keys], dtype=float)
@@ -177,7 +183,7 @@ def resample_errors(counts: CountsTable,
     probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
     samples: dict[str, list[float]] = {}
     for it in range(iterations):
-        draws = seed_for(seed, it).multinomial(shots, probs).astype(float)
+        draws = _generator(seed, it).multinomial(shots, probs).astype(float)
         stats = statistic(dict(zip(keys, draws)))
         for name, val in stats.items():
             samples.setdefault(name, []).append(float(val))
@@ -276,20 +282,15 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
         rec = record_density(rho_q, (0,))  # 2x2, trace = branch probability
         if shots == 0:
             est[label] = rec
-        else:
-            norm = rec / prob
-            counts: dict[Setting, np.ndarray] = {}
-            attempted: dict[Setting, float] = {}
-            for s_idx, s in enumerate(settings(1)):
-                rng = seed_for(seed, idx, s_idx)
-                retained = int(rng.binomial(shots, prob))
-                probs = setting_probabilities(norm, s)
-                probs = probs / probs.sum()
-                counts[s] = rng.multinomial(retained, probs).astype(float)
-                attempted[s] = float(shots)
-            est[label] = invert_counts(counts, attempted)
-            details["inputs"][label]["counts"] = {"".join(k): v.tolist()
-                                                  for k, v in counts.items()}
+            continue
+        # one generator per input: the retained shots of the three settings,
+        # then their counts
+        rng = seed_for(seed, idx)
+        table = sample_counts(rec, rng.binomial(shots, prob, size=3), rng)
+        counts = dict(zip(settings(1), table))
+        est[label] = invert_counts(counts, dict.fromkeys(counts, float(shots)))
+        details["inputs"][label]["counts"] = {"".join(k): v.tolist()
+                                              for k, v in counts.items()}
     if total_weight <= ATOL_TRACE:
         raise EmptyBranchError(
             f"post-selected branch {post_select} is empty for every input")
@@ -297,12 +298,9 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     e00, e11 = est["0"], est["1"]
     s = e00 + e11
     e01 = 0.5 * ((2 * est["+"] - s) + 1j * (2 * est["+i"] - s))
-    e10 = e01.conj().T
-    basis = np.eye(2, dtype=complex)
-    choi = np.zeros((4, 4), dtype=complex)
-    for (i, j), block in (((0, 0), e00), ((0, 1), e01), ((1, 0), e10), ((1, 1), e11)):
-        choi += 0.5 * np.kron(block, np.outer(basis[i], basis[j]))
-    return ChoiMatrix(choi), details
+    # Choi entry (2r + i, 2c + j) is half of block (i, j)'s entry (r, c)
+    blocks = np.array([[e00, e01], [e01.conj().T, e11]])
+    return ChoiMatrix(0.5 * blocks.transpose(2, 0, 3, 1).reshape(4, 4)), details
 
 
 def ideal_branch_choi(phi: float, branch: int) -> ChoiMatrix:
@@ -343,7 +341,9 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     In analytic mode values are the exact engine predictions.  In sampled
     mode each branch state is reconstructed by finite-shot state tomography
     (cycle presets per loss rate) and errors come from 100 multinomial
-    resampling iterations.
+    resampling iterations.  Cell (a_idx, p_idx, branch b) draws its counts
+    from ``seed_for(seed, a_idx, p_idx, b)`` and resampling iteration ``it``
+    from ``seed_for(seed, a_idx, p_idx, b, it)``.
     """
     presets = dict(SHOT_PRESETS)
     if shots_per_setting:
@@ -359,25 +359,22 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
             if p_idx == 0:
                 rows.append(TableRow("encoding", alpha, None,
                                      _branch_row_values(res.encoding)))
-            for section, summary, code, qubits in (
-                    ("no_loss", res.no_loss, code4, code4.qubits),
-                    ("loss", res.loss, code3, code3.qubits)):
+            for b, (section, summary, rho, code) in enumerate((
+                    ("no_loss", res.no_loss, res.rho_no_loss, code4),
+                    ("loss", res.loss, res.rho_loss, code3))):
                 if not summary.observables:
                     continue
                 if not sampled:
                     rows.append(TableRow(section, alpha, phi,
                                          _branch_row_values(summary.observables)))
                     continue
-                shots = presets.get(phi, 200)
-                rho = res.rho_no_loss if section == "no_loss" else res.rho_loss
-                sub_seed = ((seed * 1000 + a_idx) * 100 + p_idx) * 10 + \
-                    (0 if section == "no_loss" else 1)
+                key, qubits = (seed, a_idx, p_idx, b), code.qubits
                 est, counts = state_tomography(
-                    rho, qubits, shots_per_setting=shots, seed=sub_seed)
+                    rho, qubits, shots_per_setting=presets.get(phi, 200), seed=key)
                 vals = _tomography_row(est, code, qubits)
                 stds = resample_errors(
                     counts, lambda c: _tomography_row(invert_counts(c), code, qubits),
-                    iterations=100, seed=seed)
+                    iterations=100, seed=key)
                 rows.append(TableRow(section, alpha, phi, vals, stds))
     return rows
 

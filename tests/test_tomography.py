@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qloss import tomography
 from qloss.channels import NoiseModel
 from qloss.protocol import (analytic_run, code_space_population, encode, four_qubit_code,
                             three_qubit_code)
-from qloss.qudit import DensityOperator, PauliString, PureState, make_state
+from qloss.qudit import DensityOperator, PauliString, PureState, make_state, seed_for
 from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, clip_to_psd,
                               fidelity, ideal_branch_choi,
                               invert_counts, process_fidelity, process_tomography,
@@ -19,12 +20,36 @@ from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, clip_to_psd,
 S1X_LAW = lambda phi: 4 * math.cos(phi / 2) / (3 + math.cos(phi))
 
 
-def random_qubit_density(n, seed):
+def random_qubit_density(n, seed, rank=None):
     rng = np.random.default_rng(seed)
     d = 2**n
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    r = d if rank is None else rank
+    m = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     m = m @ m.conj().T
     return m / np.trace(m)
+
+
+#: +1/-1 eigenprojectors per measurement basis, indexed [letter][bit]
+PROJECTORS = {
+    "X": (0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
+          0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)),
+    "Y": (0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex),
+          0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)),
+    "Z": (np.diag([1.0 + 0j, 0.0]), np.diag([0.0, 1.0 + 0j])),
+}
+
+
+def kron_trace_probabilities(rho2, setting):
+    """Reference: Tr(rho2 P_o) for every outcome o, P_o built by np.kron."""
+    n = len(setting)
+    probs = np.empty(2**n)
+    for outcome in range(2**n):
+        proj = np.array([[1.0 + 0j]])
+        for q in range(n):
+            bit = (outcome >> (n - 1 - q)) & 1
+            proj = np.kron(proj, PROJECTORS[setting[q]][bit])
+        probs[outcome] = np.real(np.trace(rho2 @ proj))
+    return np.clip(probs, 0.0, None)
 
 
 def embed_qubit_density(mat, n):
@@ -74,7 +99,7 @@ class TestStateTomography:
         # a retained fraction w of every setting's attempts: the estimate
         # carries the branch weight as its trace
         mat, w = random_qubit_density(n, 7), 0.37
-        probs = {s: w * setting_probabilities(mat, s) for s in settings(n)}
+        probs = dict(zip(settings(n), w * setting_probabilities(mat)))
         est = invert_counts(probs, attempted={s: 1.0 for s in probs})
         assert np.max(np.abs(est - w * mat)) < 1e-12
 
@@ -119,10 +144,23 @@ class TestStateTomography:
         rho = make_state(1, 3, [2]).to_density()
         rec = record_density(rho, (0,))
         assert np.allclose(rec, np.diag([0.0, 1.0]))
-        pz = setting_probabilities(rec, ("Z",))
-        px = setting_probabilities(rec, ("X",))
-        assert np.allclose(pz, [0.0, 1.0])
-        assert np.allclose(px, [0.5, 0.5])
+        probs = dict(zip(settings(1), setting_probabilities(rec)))
+        assert np.allclose(probs[("Z",)], [0.0, 1.0])
+        assert np.allclose(probs[("X",)], [0.5, 0.5])
+
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_matches_kron_trace(self, n, rank):
+        for seed in range(5):
+            mat = random_qubit_density(n, 200 + seed, rank)
+            ref = np.array([kron_trace_probabilities(mat, s) for s in settings(n)])
+            assert np.max(np.abs(setting_probabilities(mat) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("shots", [1, 37, np.arange(1, 28)])
+    def test_sampled_rows_sum_to_shots(self, shots):
+        table = sample_counts(random_qubit_density(3, 11), shots, seed_for(0))
+        assert table.shape == (27, 8)
+        assert np.array_equal(table.sum(axis=1), np.broadcast_to(shots, 27))
 
 
 class TestProcessTomography:
@@ -360,3 +398,19 @@ class TestTableReport:
             assert finite and all(v >= 0 for v in finite.values())
             # finite-shot estimate close to ideal within a loose band
             assert abs(r.values["S1Z"] - 1.0) < 0.5
+
+    def test_sampled_cells_draw_from_distinct_keys(self, monkeypatch):
+        keys = []
+
+        def recording_seed_for(*key):
+            keys.append(key)
+            return seed_for(*key)
+
+        monkeypatch.setattr(tomography, "seed_for", recording_seed_for)
+        phis = (0.2 * math.pi, 0.5 * math.pi)
+        table_report(alphas=(0.0, math.pi), phis=phis, sampled=True,
+                     shots_per_setting=dict.fromkeys(phis, 5), seed=3)
+        assert keys and len(set(keys)) == len(keys)
+        # distinct keys must also seed distinct streams
+        states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
+        assert len(states) == len(keys)
