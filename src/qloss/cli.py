@@ -37,8 +37,9 @@ MAX_LATTICE_SIZE = 256
 #: shot costs about 0.13 ms and 0.9 KB of records)
 MAX_SHOTS = 100_000
 
-ALPHA_ALIASES = {"0": 0.0, "0L": 0.0, "pi": math.pi, "1L": math.pi,
-                 "pi/2": math.pi / 2, "+iL": math.pi / 2}
+#: lowercase, because parse_angle matches them case-insensitively
+ALPHA_ALIASES = {"0": 0.0, "0l": 0.0, "pi": math.pi, "1l": math.pi,
+                 "pi/2": math.pi / 2, "+il": math.pi / 2}
 
 
 def parse_angle(text: str) -> float:

@@ -28,6 +28,10 @@ class TestParsing:
         ("-0.25pi", -0.25 * math.pi),
         ("0.1", 0.1 * math.pi),
         ("0", 0.0),
+        ("0L", 0.0),
+        ("1L", math.pi),
+        ("+iL", math.pi / 2),
+        (" +IL ", math.pi / 2),
     ])
     def test_angles(self, text, value):
         assert parse_angle(text) == pytest.approx(value)
@@ -135,6 +139,18 @@ class TestProtocolCommand:
         res = runner.invoke(main, ["protocol", "--alpha", "half", "--phi", "0",
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("alias,angle", [("0L", "0"), ("1L", "pi"), ("+iL", "pi/2")])
+    def test_logical_alias_writes_what_its_angle_writes(self, runner, tmp_path, alias, angle):
+        bodies = []
+        for i, alpha in enumerate((alias, angle)):
+            prefix = str(tmp_path / f"run{i}")
+            res = runner.invoke(main, ["protocol", "--alpha", alpha, "--phi", "0.5pi",
+                                       "--shots", "10", "--out", prefix])
+            assert res.exit_code == 0, res.output
+            bodies.append([l for l in read_lines(prefix + "_tables.csv")
+                           if not l.startswith("#")])
+        assert bodies[0] == bodies[1]
 
     def test_records_and_noise_grid(self, runner, tmp_path):
         prefix = str(tmp_path / "noisy")
