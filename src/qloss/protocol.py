@@ -158,45 +158,21 @@ class PrepSpec:
     alpha: float
 
 
-def logical_target(alpha: float, n_ions: int = N_IONS, dims: int = 3) -> PureState:
-    """Analytic 4-qubit logical state (ancilla in |0>)."""
+def logical_target(alpha: float, n_ions: int = N_IONS, dims: int = 3,
+                   qubits: tuple[int, ...] = CODE_QUBITS) -> PureState:
+    """Analytic logical state cos(a/2)|0_L> + i sin(a/2)|1_L> on ``qubits``.
+
+    |0_L> = (|0..0> + |1..1>)/sqrt(2) on the code qubits, and |1_L> flips
+    the last of them; every other ion is in |0>.  The defaults give the
+    4-qubit code with the ancilla; ``n_ions=3, qubits=(0, 1, 2)`` gives the
+    3-qubit code after reconstruction.
+    """
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     amps = np.zeros(dims**n_ions, dtype=complex)
-
-    def at(levels):
-        i = 0
-        for l in levels:
-            i = i * dims + l
-        return i
-
-    pad = [0] * (n_ions - 4)
-    amps[at([0, 0, 0, 0] + pad)] = c / math.sqrt(2)
-    amps[at([1, 1, 1, 1] + pad)] = c / math.sqrt(2)
-    amps[at([0, 0, 0, 1] + pad)] = 1j * s / math.sqrt(2)
-    amps[at([1, 1, 1, 0] + pad)] = 1j * s / math.sqrt(2)
-    return PureState(n_ions, dims, amps)
-
-
-def reconstructed_target(alpha: float, n_ions: int = 3, dims: int = 3,
-                         qubits: tuple[int, ...] = (0, 1, 2)) -> PureState:
-    """Analytic 3-qubit logical state after reconstruction."""
-    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
-    amps = np.zeros(dims**n_ions, dtype=complex)
-    q1, q2, q3 = qubits
-
-    def at(mapping):
-        levels = [0] * n_ions
-        for ion, l in mapping.items():
-            levels[ion] = l
-        i = 0
-        for l in levels:
-            i = i * dims + l
-        return i
-
-    amps[at({})] = c / math.sqrt(2)
-    amps[at({q1: 1, q2: 1, q3: 1})] = c / math.sqrt(2)
-    amps[at({q3: 1})] = 1j * s / math.sqrt(2)
-    amps[at({q1: 1, q2: 1})] = 1j * s / math.sqrt(2)
+    strides = [dims ** (n_ions - 1 - q) for q in qubits]
+    ones, last = sum(strides), strides[-1]
+    amps[0] = amps[ones] = c / math.sqrt(2)
+    amps[last] = amps[ones - last] = 1j * s / math.sqrt(2)
     return PureState(n_ions, dims, amps)
 
 
@@ -497,14 +473,8 @@ class ProtocolResult:
         return out
 
 
-def _code_observables(rho: DensityOperator, code: CodeDefinition,
-                      frame: PauliFrame | None = None) -> dict[str, float]:
-    out = {}
-    for name, pauli in code.all_observables().items():
-        val = expectation(rho, pauli)
-        if frame is not None:
-            val = frame.adjusted(name, val)
-        out[name] = val
+def _code_observables(rho: DensityOperator, code: CodeDefinition) -> dict[str, float]:
+    out = {name: expectation(rho, pauli) for name, pauli in code.all_observables().items()}
     out["P_CS"] = code_space_population(rho, code)
     return out
 
@@ -550,7 +520,7 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
             rho_rec = qnd_noise_mixture(rho_rec, phi, noise, SURVIVING_QUBITS)
         l_obs = _code_observables(rho_rec, code3)
         rec3 = partial_trace(rho_rec, SURVIVING_QUBITS)
-        l_fid = _fidelity_with_pure(rec3, reconstructed_target(alpha))
+        l_fid = _fidelity_with_pure(rec3, logical_target(alpha, 3, qubits=(0, 1, 2)))
     else:
         rho_rec = rho_l
         l_obs, l_fid = {}, float("nan")

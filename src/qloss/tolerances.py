@@ -12,8 +12,6 @@ ATOL_TRACE          1e-12    trace bookkeeping: branch-probability sums,
                              trace preservation of channels and mixtures
 ATOL_LEAK_GUARD     1e-12    leaked-population guard on ancilla qubits
                              before a computational-basis readout
-NORM_DRIFT_BUDGET   1e-8     allowed pure-state norm drift over a
-                             100-gate program
 ==================  =======  ==============================================
 """
 
@@ -21,4 +19,3 @@ ATOL_ALGEBRA = 1e-10
 ATOL_PSD = 1e-9
 ATOL_TRACE = 1e-12
 ATOL_LEAK_GUARD = 1e-12
-NORM_DRIFT_BUDGET = 1e-8

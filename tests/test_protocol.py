@@ -14,7 +14,7 @@ from qloss.protocol import (CODE_QUBITS, SURVIVING_QUBITS, PauliFrame, PrepSpec,
                             code_space_projector, detection_sweep, encode, encode_ops,
                             four_qubit_code, frame_update, logical_target,
                             measure_shrunk_stabilizer, qnd_detect, qnd_detect_density,
-                            reconstructed_target, records_to_jsonl, run_protocol, seed_for,
+                            records_to_jsonl, run_protocol, seed_for,
                             shrunk_stabilizer, three_qubit_code)
 from qloss.qudit import (DensityOperator, Level, PauliString, PureState, apply_unitary,
                          make_state, partial_trace, pure_expectation)
@@ -168,7 +168,7 @@ class TestShrunkStabilizer:
         out, post, p = measure_shrunk_stabilizer(state, "exact", force_outcome=+1)
         assert p == pytest.approx(0.5, abs=1e-12)
         red = partial_trace(post.to_density(), (1, 2, 3))
-        tgt = reconstructed_target(0.0)
+        tgt = logical_target(0.0, 3, qubits=(0, 1, 2))
         fid = float(np.real(np.vdot(tgt.amps, red.mat @ tgt.amps)))
         assert fid == pytest.approx(1.0, abs=1e-12)
 
