@@ -99,7 +99,8 @@ def code_space_population(rho: DensityOperator, code: CodeDefinition) -> float:
     tr = rho.trace()
     if tr <= ATOL_TRACE:
         raise UndefinedExpectationError("P_CS undefined for zero-trace operator")
-    val = float(np.real(np.trace(rho.mat @ proj))) / tr
+    # the trace alone: no dense d^3 product
+    val = float(np.real(np.einsum("ij,ji->", rho.mat, proj))) / tr
     if not -ATOL_PSD <= val <= 1.0 + ATOL_PSD:
         raise ValueError(f"P_CS {val} outside [0, 1]")
     return min(max(val, 0.0), 1.0)

@@ -21,6 +21,13 @@ so each, like the readout fold, is one single-ion map applied to every ion
 in turn (``_per_ion_map``), and the whole (3^n, 2^n) table of p or f is one
 array.  A sampled table is one multinomial draw from one generator.
 
+A table row is linear in the frequency table: every column is
+Tr(rho_hat M)/Tr(rho_hat) for a fixed M (a restricted Pauli word, the code
+projector, or I for the trace), and Tr(rho_hat M) = sum_{s,o} f_{s,o}
+c_M[s,o] with c_M[s,o] = Tr(M (x)_q (P_{s_q,o_q} - I/3)).  So the rows of a
+table and of all its resampled tables are one matrix product with the
+stacked c_M, and no resampled table is inverted.
+
 Process tomography is compared against the ideal branch Choi matrices,
 which come from the detection branch maps (``channels.branch_maps``) through
 ``channels.channel_to_choi``.
@@ -52,6 +59,9 @@ _PROJECTORS = 0.5 * np.array([[[[1, 1], [1, 1]], [[1, -1], [-1, 1]]],
 _INVERSION = (_PROJECTORS - np.eye(2) / 3).reshape(6, 2, 2)
 #: single-qubit factor of the forward map, [(a, b), s, bit] = P_{s,bit}[b, a]
 _FORWARD = _PROJECTORS.transpose(3, 2, 0, 1).reshape(4, 3, 2)
+#: the inversion factor laid out like the forward one,
+#: [(a, b), s, bit] = (P_{s,bit} - I/3)[b, a]; folds an operator M into c_M
+_DUAL = _INVERSION.reshape(3, 2, 2, 2).transpose(3, 2, 0, 1).reshape(4, 3, 2)
 
 Setting = tuple[str, ...]
 CountsTable = Mapping[Setting, np.ndarray]
@@ -164,26 +174,43 @@ def state_tomography(rho: DensityOperator, qubits: Sequence[int] | None = None,
     return invert_counts(counts), counts
 
 
+def _resampled_tables(table: np.ndarray, iterations: int, seed: Seed) -> np.ndarray:
+    """The (iterations, *table.shape) stack of multinomial redraws of ``table``.
+
+    Each row is redrawn with its own total; iteration ``it`` is one draw of
+    every row from ``seed_for(seed, it)``, or ``seed_for(*seed, it)`` for a
+    key tuple.  Rows must have positive totals.
+    """
+    totals = table.sum(axis=1)
+    probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
+    stack = np.empty((iterations,) + table.shape)
+    for it in range(iterations):
+        stack[it] = _generator(seed, it).multinomial(shots, probs)
+    return stack
+
+
 def resample_errors(counts: CountsTable,
                     statistic: Callable[[CountsTable], Mapping[str, float]],
                     iterations: int = 100, seed: Seed = 0) -> dict[str, float]:
     """Multinomial-resampling standard deviations of derived observables.
 
     Each setting's counts are redrawn from a multinomial with its own total,
-    all settings in sorted order by one draw per iteration; ``statistic``
-    maps a counts table to named observables.  Iteration ``it`` draws from
+    all settings in sorted order by one draw per iteration (the stream of
+    ``table_report``'s errors); ``statistic`` maps one counts table to named
+    observables and runs once per iteration.  Iteration ``it`` draws from
     ``seed_for(seed, it)``, or ``seed_for(*seed, it)`` for a key tuple, so
-    the result is deterministic for a fixed (counts, seed).
+    the result is deterministic for a fixed (counts, seed).  Fewer than two
+    iterations, or a setting with all-zero counts, raise ValueError.
     """
+    if iterations < 2:
+        raise ValueError(f"iterations must be >= 2 for a standard deviation, got {iterations}")
     keys = sorted(counts)
     table = np.array([counts[s] for s in keys], dtype=float)
     totals = table.sum(axis=1)
     if not np.all(totals > 0):
         raise ValueError(f"setting {keys[np.argmin(totals > 0)]} has all-zero counts")
-    probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
     samples: dict[str, list[float]] = {}
-    for it in range(iterations):
-        draws = _generator(seed, it).multinomial(shots, probs).astype(float)
+    for draws in _resampled_tables(table, iterations, seed):
         stats = statistic(dict(zip(keys, draws)))
         for name, val in stats.items():
             samples.setdefault(name, []).append(float(val))
@@ -247,14 +274,6 @@ def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
 
 # ---------------------------------------------------------------------------
 # generalized single-qubit process tomography
-
-
-def qubit_code_space_population(rho2: np.ndarray, code: CodeDefinition) -> float:
-    """P_CS from a recorded (qubit-space) tomography estimate."""
-    proj = code_space_projector(
-        [g.restricted(code.qubits) for g in code.stabilizers.values()], 2)
-    tr = float(np.real(np.trace(rho2)))
-    return float(np.real(np.trace(rho2 @ proj))) / tr
 
 
 _PROCESS_INPUT_ORDER = ("0", "1", "+", "+i")
@@ -339,19 +358,25 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     """Observable tables for each logical input state and loss rate.
 
     In analytic mode values are the exact engine predictions.  In sampled
-    mode each branch state is reconstructed by finite-shot state tomography
-    (cycle presets per loss rate) and errors come from 100 multinomial
-    resampling iterations.  Cell (a_idx, p_idx, branch b) draws its counts
-    from ``seed_for(seed, a_idx, p_idx, b)`` and resampling iteration ``it``
-    from ``seed_for(seed, a_idx, p_idx, b, it)``.
+    mode each branch state is measured with finite shots (cycle presets per
+    loss rate, at least 1 per setting) and errors are the standard
+    deviations over 100 multinomial resampling iterations; every row is a
+    linear functional of its frequency table, so neither the resampled
+    tables nor the point table are inverted.  Cell (a_idx, p_idx, branch b)
+    draws its counts from ``seed_for(seed, a_idx, p_idx, b)`` and resampling
+    iteration ``it`` from ``seed_for(seed, a_idx, p_idx, b, it)``.
     """
     presets = dict(SHOT_PRESETS)
     if shots_per_setting:
         presets.update(shots_per_setting)
     if phis is None:
         phis = list(SHOT_PRESETS)
+    shots = [presets.get(phi, 200) for phi in phis]
+    if sampled and min(shots, default=1) < 1:
+        raise ValueError(f"sampled cells need >= 1 shot per setting, got {min(shots)}")
 
-    code4, code3 = four_qubit_code(), three_qubit_code()
+    codes = (four_qubit_code(), three_qubit_code())
+    functionals = [_row_functionals(code) for code in codes] if sampled else []
     rows: list[TableRow] = []
     for a_idx, alpha in enumerate(alphas):
         for p_idx, phi in enumerate(phis):
@@ -359,31 +384,49 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
             if p_idx == 0:
                 rows.append(TableRow("encoding", alpha, None,
                                      _branch_row_values(res.encoding)))
-            for b, (section, summary, rho, code) in enumerate((
-                    ("no_loss", res.no_loss, res.rho_no_loss, code4),
-                    ("loss", res.loss, res.rho_loss, code3))):
+            for b, (section, summary, rho) in enumerate((
+                    ("no_loss", res.no_loss, res.rho_no_loss),
+                    ("loss", res.loss, res.rho_loss))):
                 if not summary.observables:
                     continue
                 if not sampled:
                     rows.append(TableRow(section, alpha, phi,
                                          _branch_row_values(summary.observables)))
                     continue
-                key, qubits = (seed, a_idx, p_idx, b), code.qubits
-                est, counts = state_tomography(
-                    rho, qubits, shots_per_setting=presets.get(phi, 200), seed=key)
-                vals = _tomography_row(est, code, qubits)
-                stds = resample_errors(
-                    counts, lambda c: _tomography_row(invert_counts(c), code, qubits),
-                    iterations=100, seed=key)
-                rows.append(TableRow(section, alpha, phi, vals, stds))
+                key = (seed, a_idx, p_idx, b)
+                table = sample_counts(record_density(rho.normalized(), codes[b].qubits),
+                                      shots[p_idx], _generator(key))
+                totals = table.sum(axis=1, keepdims=True)
+                vals = _row_values(table / totals, functionals[b])
+                stds = np.std(_row_values(_resampled_tables(table, 100, key) / totals,
+                                          functionals[b]), axis=0)
+                rows.append(TableRow(section, alpha, phi,
+                                     dict(zip(TABLE_COLUMNS, vals.tolist())),
+                                     dict(zip(TABLE_COLUMNS, stds.tolist()))))
     return rows
 
 
-def _tomography_row(rho2: np.ndarray, code: CodeDefinition, qubits) -> dict[str, float]:
-    vals: dict[str, float] = {}
-    for name, pauli in code.all_observables().items():
-        mat = pauli.restricted(qubits).embedded(2)
-        tr = float(np.real(np.trace(rho2)))
-        vals[name] = float(np.real(np.trace(rho2 @ mat))) / tr
-    vals["P_CS"] = qubit_code_space_population(rho2, code)
-    return {col: vals.get(col, float("nan")) for col in TABLE_COLUMNS}
+def _row_functionals(code: CodeDefinition) -> np.ndarray:
+    """The (1 + len(TABLE_COLUMNS), 3^n 2^n) matrix of a code's row functionals.
+
+    Row 0 is c_I, row 1 + k is c_M for column k's operator M on the recorded
+    code qubits (NaN where the code has no such column), each flattened in
+    the (settings, outcome) order of a frequency table.
+    """
+    n, qubits = len(code.qubits), code.qubits
+    ops = {name: p.restricted(qubits).embedded(2)
+           for name, p in code.all_observables().items()}
+    ops["P_CS"] = code_space_projector(
+        [g.restricted(qubits) for g in code.stabilizers.values()], 2)
+    funcs = np.full((1 + len(TABLE_COLUMNS), 6**n), np.nan)
+    for k, mat in enumerate([np.eye(2**n)] + [ops.get(col) for col in TABLE_COLUMNS]):
+        if mat is not None:
+            # c_M is real for Hermitian M
+            funcs[k] = _per_ion_map(mat.reshape((2,) * (2 * n)), _DUAL, n).real.ravel()
+    return funcs
+
+
+def _row_values(freqs: np.ndarray, funcs: np.ndarray) -> np.ndarray:
+    """Columns Tr(rho_hat M)/Tr(rho_hat) of (..., 3^n, 2^n) frequency tables."""
+    traces = freqs.reshape(*freqs.shape[:-2], -1) @ funcs.T
+    return traces[..., 1:] / traces[..., :1]

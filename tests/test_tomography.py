@@ -7,15 +7,15 @@ import pytest
 
 from qloss import tomography
 from qloss.channels import NoiseModel
-from qloss.protocol import (analytic_run, code_space_population, encode, four_qubit_code,
-                            three_qubit_code)
+from qloss.protocol import (analytic_run, code_space_population, code_space_projector,
+                            encode, four_qubit_code, three_qubit_code)
 from qloss.qudit import DensityOperator, PauliString, PureState, make_state, seed_for
 from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, clip_to_psd,
                               fidelity, ideal_branch_choi,
                               invert_counts, process_fidelity, process_tomography,
-                              qubit_code_space_population, record_density,
-                              resample_errors, sample_counts, setting_probabilities,
-                              settings, state_tomography, table_report)
+                              record_density, resample_errors, sample_counts,
+                              setting_probabilities, settings, state_tomography,
+                              table_report)
 
 S1X_LAW = lambda phi: 4 * math.cos(phi / 2) / (3 + math.cos(phi))
 
@@ -65,6 +65,24 @@ def embed_qubit_density(mat, n):
                 jj = 3 * jj + l
             full[ii, jj] = mat[i, j]
     return DensityOperator(n, 3, full)
+
+
+def inverted_row(rho2, code):
+    """Reference row: Tr(rho2 M)/Tr(rho2) per table column, from an estimate."""
+    qubits = code.qubits
+    ops = {name: p.restricted(qubits).embedded(2) for name, p in code.all_observables().items()}
+    ops["P_CS"] = code_space_projector(
+        [g.restricted(qubits) for g in code.stabilizers.values()], 2)
+    tr = float(np.real(np.trace(rho2)))
+    vals = {name: float(np.real(np.trace(rho2 @ m))) / tr for name, m in ops.items()}
+    return {col: vals.get(col, float("nan")) for col in TABLE_COLUMNS}
+
+
+def random_counts(n, seed):
+    """A (3^n, 2^n) table of small integer counts, every setting non-empty."""
+    table = np.random.default_rng(seed).integers(0, 20, size=(3**n, 2**n)).astype(float)
+    table[:, 0] += 1
+    return table
 
 
 class TestStateTomography:
@@ -155,6 +173,39 @@ class TestStateTomography:
             mat = random_qubit_density(n, 200 + seed, rank)
             ref = np.array([kron_trace_probabilities(mat, s) for s in settings(n)])
             assert np.max(np.abs(setting_probabilities(mat) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_functional_equals_trace_of_inversion(self, n):
+        # Tr(rho_hat M) read off the frequency table through c_M, against
+        # the trace of the inverted estimate
+        rng = np.random.default_rng(300 + n)
+        for seed in range(4):
+            table = random_counts(n, seed)
+            freqs = table / table.sum(axis=1, keepdims=True)
+            est = invert_counts(dict(zip(settings(n), table)))
+            herm = rng.normal(size=(2**n,) * 2) + 1j * rng.normal(size=(2**n,) * 2)
+            words = [PauliString(int(rng.choice((1, -1))),
+                                 tuple(rng.choice(list("IXYZ"), n))).embedded(2)
+                     for _ in range(6)]
+            ops = [np.eye(2**n), (herm + herm.conj().T) / 2**(n + 1)] + words
+            c = [tomography._per_ion_map(m.reshape((2,) * (2 * n)), tomography._DUAL, n)
+                 for m in ops]
+            for m, c_m in zip(ops, c):
+                assert np.max(np.abs(c_m.imag)) <= 1e-15
+                got = np.sum(freqs * c_m.real) / np.sum(freqs * c[0].real)
+                ref = np.real(np.trace(est @ m)) / np.real(np.trace(est))
+                assert got == pytest.approx(ref, abs=1e-14)
+
+    @pytest.mark.parametrize("code", [four_qubit_code(), three_qubit_code()],
+                             ids=lambda c: c.name)
+    def test_code_row_equals_inverted_row(self, code):
+        n = len(code.qubits)
+        for seed in range(10):
+            table = random_counts(n, 400 + seed)
+            got = tomography._row_values(table / table.sum(axis=1, keepdims=True),
+                                         tomography._row_functionals(code))
+            ref = inverted_row(invert_counts(dict(zip(settings(n), table))), code)
+            np.testing.assert_allclose(got, list(ref.values()), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("shots", [1, 37, np.arange(1, 28)])
     def test_sampled_rows_sum_to_shots(self, shots):
@@ -264,6 +315,26 @@ class TestResampling:
     def test_all_zero_setting_rejected(self):
         with pytest.raises(ValueError):
             resample_errors({("Z",): np.zeros(2)}, lambda c: {}, seed=0)
+
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_fewer_than_two_iterations_rejected(self, iterations):
+        # 0 used to return {} and 1 an all-zero sigma
+        counts = {("Z",): np.array([30.0, 70.0])}
+        with pytest.raises(ValueError, match="iterations"):
+            resample_errors(counts, lambda c: {"Z": float(c[("Z",)][0])},
+                            iterations=iterations, seed=0)
+
+    @pytest.mark.parametrize("seed", [5, (5, 1, 2, 0)])
+    def test_draw_stack_equals_per_iteration_draws(self, seed):
+        table = random_counts(3, 17)
+        table[4] = [0, 0, 3, 0, 0, 0, 0, 0]
+        stack = tomography._resampled_tables(table, 7, seed)
+        totals = table.sum(axis=1)
+        key = seed if isinstance(seed, tuple) else (seed,)
+        loop = np.array([seed_for(*key, it).multinomial(np.rint(totals).astype(np.int64),
+                                                        table / totals[:, None]).astype(float)
+                         for it in range(7)])
+        assert stack.dtype == loop.dtype and stack.tobytes() == loop.tobytes()
 
 
 class TestCodeSpace:
@@ -398,6 +469,38 @@ class TestTableReport:
             assert finite and all(v >= 0 for v in finite.values())
             # finite-shot estimate close to ideal within a loose band
             assert abs(r.values["S1Z"] - 1.0) < 0.5
+
+    def test_sampled_rows_match_inverted_resampling(self):
+        # reference: every resampled table inverted and its row traced
+        alphas, phis, shots, seed = (0.0, math.pi / 2), (0.2 * math.pi, 0.5 * math.pi), 50, 2
+        rows = table_report(alphas, phis, seed=seed, sampled=True,
+                            shots_per_setting=dict.fromkeys(phis, shots))
+        sampled = iter(r for r in rows if r.errors is not None)
+        checked = 0
+        for a_idx, alpha in enumerate(alphas):
+            for p_idx, phi in enumerate(phis):
+                res = analytic_run(alpha, phi)
+                for b, (rho, code) in enumerate(((res.rho_no_loss, four_qubit_code()),
+                                                 (res.rho_loss, three_qubit_code()))):
+                    key = (seed, a_idx, p_idx, b)
+                    est, counts = state_tomography(rho, code.qubits, shots, seed=key)
+                    stds = resample_errors(
+                        counts, lambda c: inverted_row(invert_counts(c), code),
+                        iterations=100, seed=key)
+                    row = next(sampled)
+                    assert (row.alpha, row.phi) == (alpha, phi)
+                    for col in TABLE_COLUMNS:
+                        for got, ref in ((row.values[col], inverted_row(est, code)[col]),
+                                         (row.errors[col], stds[col])):
+                            assert got == pytest.approx(ref, abs=1e-12, nan_ok=True)
+                    checked += 1
+        assert checked == 8 and next(sampled, None) is None
+
+    def test_zero_shot_preset_rejected(self):
+        # it used to fall into exact mode and "resample" the probabilities
+        with pytest.raises(ValueError, match="shot"):
+            table_report(alphas=(math.pi / 2,), phis=(0.5 * math.pi,), sampled=True,
+                         shots_per_setting={0.5 * math.pi: 0})
 
     def test_sampled_cells_draw_from_distinct_keys(self, monkeypatch):
         keys = []
