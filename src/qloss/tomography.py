@@ -10,23 +10,21 @@ word over all compatible settings, so leaked population contaminates
 Z-basis counts exactly as a dark readout would, while X/Y words see it as
 an unpolarized coin.
 
-The forward map and the inversion both factorize over the qubits: with
-P_{s_q,o_q} the eigenprojector qubit q records for outcome string o under
-setting s, and f_{s,o} the frequency of that outcome,
+The forward map, the inversion and every table column factorize over the
+qubits: with P_{s_q,o_q} the eigenprojector qubit q records for outcome
+string o under setting s, f_{s,o} the frequency of that outcome and D_{s,o}
+= (x)_q (P_{s_q,o_q} - I/3),
 
     p_{s,o} = Tr(rho (x)_q P_{s_q,o_q}),
-    rho_hat = sum_{s,o} f_{s,o} (x)_q (P_{s_q,o_q} - I/3),
+    rho_hat = sum_{s,o} f_{s,o} D_{s,o},
+    Tr(rho_hat M) = sum_{s,o} f_{s,o} Tr(M D_{s,o}),
 
 so each, like the readout fold, is one single-ion map applied to every ion
 in turn (``_per_ion_map``), and the whole (3^n, 2^n) table of p or f is one
-array.  A sampled table is one multinomial draw from one generator.
-
-A table row is linear in the frequency table: every column is
-Tr(rho_hat M)/Tr(rho_hat) for a fixed M (a restricted Pauli word, the code
-projector, or I for the trace), and Tr(rho_hat M) = sum_{s,o} f_{s,o}
-c_M[s,o] with c_M[s,o] = Tr(M (x)_q (P_{s_q,o_q} - I/3)).  So the rows of a
-table and of all its resampled tables are one matrix product with the
-stacked c_M, and no resampled table is inverted.
+array.  A sampled table is one multinomial draw from one generator.  A table
+row (Tr(rho_hat M)/Tr(rho_hat) for Pauli words, the code projector and I) is
+linear in f, so the rows of a table and of all its resampled redraws are one
+matrix product, and no redraw is inverted.
 
 Process tomography is compared against the ideal branch Choi matrices,
 which come from the detection branch maps (``channels.branch_maps``) through
@@ -59,8 +57,8 @@ _PROJECTORS = 0.5 * np.array([[[[1, 1], [1, 1]], [[1, -1], [-1, 1]]],
 _INVERSION = (_PROJECTORS - np.eye(2) / 3).reshape(6, 2, 2)
 #: single-qubit factor of the forward map, [(a, b), s, bit] = P_{s,bit}[b, a]
 _FORWARD = _PROJECTORS.transpose(3, 2, 0, 1).reshape(4, 3, 2)
-#: the inversion factor laid out like the forward one,
-#: [(a, b), s, bit] = (P_{s,bit} - I/3)[b, a]; folds an operator M into c_M
+#: the inversion factor laid out like the forward one, [(a, b), s, bit] =
+#: (P_{s,bit} - I/3)[b, a]; maps an operator M to the table Tr(M D_{s,o})
 _DUAL = _INVERSION.reshape(3, 2, 2, 2).transpose(3, 2, 0, 1).reshape(4, 3, 2)
 
 Setting = tuple[str, ...]
@@ -175,12 +173,8 @@ def state_tomography(rho: DensityOperator, qubits: Sequence[int] | None = None,
 
 
 def _resampled_tables(table: np.ndarray, iterations: int, seed: Seed) -> np.ndarray:
-    """The (iterations, *table.shape) stack of multinomial redraws of ``table``.
-
-    Each row is redrawn with its own total; iteration ``it`` is one draw of
-    every row from ``seed_for(seed, it)``, or ``seed_for(*seed, it)`` for a
-    key tuple.  Rows must have positive totals.
-    """
+    """(iterations, *table.shape) redraws of ``table``, each row with its own
+    positive total; iteration ``it`` is one draw from ``_generator(seed, it)``."""
     totals = table.sum(axis=1)
     probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
     stack = np.empty((iterations,) + table.shape)
@@ -396,6 +390,7 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
                 key = (seed, a_idx, p_idx, b)
                 table = sample_counts(record_density(rho.normalized(), codes[b].qubits),
                                       shots[p_idx], _generator(key))
+                # each redraw keeps its row totals
                 totals = table.sum(axis=1, keepdims=True)
                 vals = _row_values(table / totals, functionals[b])
                 stds = np.std(_row_values(_resampled_tables(table, 100, key) / totals,
@@ -407,12 +402,9 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
 
 
 def _row_functionals(code: CodeDefinition) -> np.ndarray:
-    """The (1 + len(TABLE_COLUMNS), 3^n 2^n) matrix of a code's row functionals.
-
-    Row 0 is c_I, row 1 + k is c_M for column k's operator M on the recorded
-    code qubits (NaN where the code has no such column), each flattened in
-    the (settings, outcome) order of a frequency table.
-    """
+    """The (1 + len(TABLE_COLUMNS), 6^n) stack of a code's flattened tables
+    Tr(M D_{s,o}): M = I first, then each column's operator on the code
+    qubits (NaN where the code has no such column)."""
     n, qubits = len(code.qubits), code.qubits
     ops = {name: p.restricted(qubits).embedded(2)
            for name, p in code.all_observables().items()}
@@ -421,7 +413,7 @@ def _row_functionals(code: CodeDefinition) -> np.ndarray:
     funcs = np.full((1 + len(TABLE_COLUMNS), 6**n), np.nan)
     for k, mat in enumerate([np.eye(2**n)] + [ops.get(col) for col in TABLE_COLUMNS]):
         if mat is not None:
-            # c_M is real for Hermitian M
+            # real for Hermitian M
             funcs[k] = _per_ion_map(mat.reshape((2,) * (2 * n)), _DUAL, n).real.ravel()
     return funcs
 

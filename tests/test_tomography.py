@@ -176,7 +176,7 @@ class TestStateTomography:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_functional_equals_trace_of_inversion(self, n):
-        # Tr(rho_hat M) read off the frequency table through c_M, against
+        # Tr(rho_hat M) read off the frequency table through Tr(M D_{s,o}), against
         # the trace of the inverted estimate
         rng = np.random.default_rng(300 + n)
         for seed in range(4):
