@@ -5,9 +5,8 @@ __version__ = "0.1.0"
 from .qudit import (DensityOperator, Level, PauliString, PureState, expectation,
                     make_state, apply_unitary, measure_projective, partial_trace)
 from .gates import (GateOp, GateKind, Register, addressed_z, collective_rotation,
-                    compile_gate, hide, loss_rotation, ms_gate, unhide)
-from .channels import (Channel, ChoiMatrix, NoiseModel, apply_channel, branch_maps,
-                       channel_to_choi, choi_to_kraus, depolarize_one,
+                    compile_gate, loss_rotation, ms_gate)
+from .channels import (ChoiMatrix, NoiseModel, branch_maps, channel_to_choi, depolarize_one,
                        mixing_probability, qnd_noise_mixture)
 from .protocol import (CodeDefinition, PauliFrame, PrepSpec, RunRecord, analytic_run,
                        code_space_population, detection_sweep, encode, four_qubit_code,

@@ -1,5 +1,7 @@
-"""Completely-positive map machinery: Kraus application, detection branch
-maps, Choi conversion, and the per-qubit depolarizing imperfection model.
+"""Completely-positive maps as Kraus matrices: the detection branch maps, the
+readout-boundary fold, Choi conversion, and the per-qubit depolarizing
+imperfection model.  A Kraus matrix acts on a register state through
+``DensityOperator.apply_operator``.
 
 The ideal Choi matrix of a detection branch is ``channel_to_choi`` of that
 branch's map from :func:`branch_maps`; no Choi matrix is written by hand.
@@ -26,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qudit import (DensityOperator, Level, _check_support, readout_partition,
-                    truncated_pauli)
+from .qudit import DensityOperator, Level, readout_partition, truncated_pauli
 from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
@@ -37,54 +38,9 @@ class DegenerateRateError(ZeroDivisionError):
     """The false-positive mixing weight p = 0/0 is undefined."""
 
 
-@dataclass(frozen=True)
-class Channel:
-    """A CP map given by Kraus operators; may be trace-decreasing."""
-
-    kraus: tuple[np.ndarray, ...]
-    input_dim: int
-    output_dim: int
-
-    @classmethod
-    def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "Channel":
-        mats = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        out_d, in_d = mats[0].shape
-        for k in mats:
-            if k.shape != (out_d, in_d):
-                raise ValueError("Kraus operators must share one shape")
-        ch = cls(mats, in_d, out_d)
-        ch.validate()
-        return ch
-
-    def ks_sum(self) -> np.ndarray:
-        """sum_k K^dagger K."""
-        acc = np.zeros((self.input_dim, self.input_dim), dtype=complex)
-        for k in self.kraus:
-            acc += k.conj().T @ k
-        return acc
-
-    def validate(self) -> None:
-        evals = np.linalg.eigvalsh(self.ks_sum())
-        if evals.max() > 1.0 + ATOL_PSD:
-            raise ValueError(f"channel increases trace (max eigenvalue {evals.max():.6f})")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.output_dim, self.output_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
-
-
-def identity_channel(dim: int = 2) -> Channel:
-    return Channel.from_kraus([np.eye(dim)])
-
-
-def zero_channel(dim: int = 2) -> Channel:
-    return Channel((np.zeros((dim, dim), dtype=complex),), dim, dim)
-
-
-def branch_maps(phi: float) -> tuple[Channel, Channel]:
-    """The two single-ion maps selected by the loss-detection ancilla outcome.
+def branch_maps(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 3x3 Kraus matrices of the two single-ion maps selected by the
+    loss-detection ancilla outcome.
 
     Outcome 0 (no loss) applies |1><1| + cos(phi/2)|0><0|; outcome 1 (loss)
     applies sin(phi/2)|2><0|.  Together they are trace-preserving on the
@@ -96,7 +52,7 @@ def branch_maps(phi: float) -> tuple[Channel, Channel]:
     e0[1, 1] = 1.0
     e1 = np.zeros((3, 3), dtype=complex)
     e1[2, 0] = s
-    return Channel((e0,), 3, 3), Channel((e1,), 3, 3)
+    return e0, e1
 
 
 def record_kraus(dims: int) -> list[np.ndarray]:
@@ -156,16 +112,18 @@ class ChoiMatrix:
         return float(np.real(np.trace(self.matrix)))
 
 
-def channel_to_choi(ch: Channel) -> ChoiMatrix:
-    """Choi matrix of the qubit restriction of ``ch`` (output (x) input order).
+def channel_to_choi(kraus: Sequence[np.ndarray]) -> ChoiMatrix:
+    """Choi matrix of the qubit restriction of the map sum_K K (.) K^dagger
+    (output (x) input order).
 
     Inputs are restricted to the computational subspace; outputs are folded
     through the readout-boundary map, so e.g. an output on the loss level
     lands in the |1><1| (x) |0><0| cell.
     """
-    if ch.input_dim not in (2, 3, 5):
-        raise ValueError(f"unsupported input dimension {ch.input_dim}")
-    inject = np.zeros((ch.input_dim, 2), dtype=complex)
+    input_dim = kraus[0].shape[1]
+    if input_dim not in (2, 3, 5):
+        raise ValueError(f"unsupported input dimension {input_dim}")
+    inject = np.zeros((input_dim, 2), dtype=complex)
     inject[Level.L0, 0] = 1.0
     inject[Level.L1, 1] = 1.0
     choi = np.zeros((4, 4), dtype=complex)
@@ -173,38 +131,10 @@ def channel_to_choi(ch: Channel) -> ChoiMatrix:
     for i in range(2):
         for j in range(2):
             e_ij = np.outer(basis[i], basis[j])
-            out = ch.apply(inject @ e_ij @ inject.conj().T)
-            out2 = record_qubit(out) if ch.output_dim != 2 else out
-            choi += 0.5 * np.kron(out2, e_ij)
+            rho = inject @ e_ij @ inject.conj().T
+            out = sum(k @ rho @ k.conj().T for k in kraus)
+            choi += 0.5 * np.kron(record_qubit(out), e_ij)
     return ChoiMatrix(choi)
-
-
-def choi_to_kraus(choi: ChoiMatrix, tol: float = 1e-12) -> Channel:
-    """Extract Kraus operators from a qubit Choi matrix (inverse of the above)."""
-    evals, evecs = np.linalg.eigh(choi.matrix)
-    ks = []
-    for lam, vec in zip(evals, evecs.T):
-        if lam < -ATOL_PSD:
-            raise ValueError(f"Choi matrix not PSD (eigenvalue {lam:.2e})")
-        if lam > tol:
-            # vec indexes (output, input) pairs row-major
-            ks.append(math.sqrt(2.0 * lam) * vec.reshape(2, 2))
-    if not ks:
-        return zero_channel(2)
-    return Channel(tuple(ks), 2, 2)
-
-
-def apply_channel(rho: DensityOperator, ch: Channel, support: Sequence[int]) -> DensityOperator:
-    """rho -> sum_k K rho K^dagger with the Kraus operators embedded on ``support``."""
-    sup = _check_support(support, rho.n_ions)
-    side = rho.dims ** len(sup)
-    if ch.input_dim != side or ch.output_dim != side:
-        raise ValueError(f"channel dimension {ch.input_dim} does not match support size {side}")
-    d = rho.dims**rho.n_ions
-    acc = np.zeros((d, d), dtype=complex)
-    for k in ch.kraus:
-        acc += rho.apply_operator(k, sup).mat
-    return DensityOperator(rho.n_ions, rho.dims, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import CHOI_BASIS_ORDER, NoiseModel
 from .lattice import ConsistencyError, percolation_threshold
-from .protocol import SHOT_PRESETS, detection_sweep, run_protocol, records_to_jsonl
+from .protocol import detection_sweep, preset_shots, run_protocol, records_to_jsonl
 from .qudit import ContractViolation
 from .serialize import (fmt, header_lines, matrix_to_json_dict, write_csv,
                         write_json)
@@ -240,7 +240,7 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
         records = []
         rows = []
         for phi_v in phis:
-            n_shots = _closest_preset(phi_v) if paper_shots else shots_n
+            n_shots = preset_shots(phi_v) if paper_shots else shots_n
             res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
                                seed=seed, shrunk_mode=shrunk_mode)
             records.extend(res.records)
@@ -267,10 +267,6 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
         click.echo("wrote " + ", ".join(outputs))
 
     _run(go)
-
-
-def _closest_preset(phi: float) -> int:
-    return min(SHOT_PRESETS.items(), key=lambda kv: abs(kv[0] - phi))[1]
 
 
 @main.command("choi")

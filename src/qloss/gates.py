@@ -26,11 +26,9 @@ class GateKind(str, Enum):
     COLLECTIVE_R = "COLLECTIVE_R"
     ADDRESSED_Z = "ADDRESSED_Z"
     LOSS_ROT = "LOSS_ROT"
-    HIDE = "HIDE"
-    UNHIDE = "UNHIDE"
 
 
-_SINGLE_ION_KINDS = {GateKind.ADDRESSED_Z, GateKind.LOSS_ROT, GateKind.HIDE, GateKind.UNHIDE}
+_SINGLE_ION_KINDS = {GateKind.ADDRESSED_Z, GateKind.LOSS_ROT}
 
 
 @dataclass(frozen=True)
@@ -74,14 +72,6 @@ def addressed_z(theta: float, ion: int) -> GateOp:
     return GateOp(GateKind.ADDRESSED_Z, float(theta), (ion,))
 
 
-def hide(ion: int) -> GateOp:
-    return GateOp(GateKind.HIDE, 0.0, (ion,))
-
-
-def unhide(ion: int) -> GateOp:
-    return GateOp(GateKind.UNHIDE, 0.0, (ion,))
-
-
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -116,14 +106,6 @@ def _transfer_pulses() -> tuple[np.ndarray, np.ndarray]:
     return p0, p1
 
 
-def _hide_matrix(dims: int) -> np.ndarray:
-    if dims == 3:
-        # ideal mode: hiding is a support-mask toggle handled by the executor
-        return np.eye(3, dtype=complex)
-    p0, p1 = _transfer_pulses()
-    return p0 @ p1
-
-
 def _ms_matrix(theta: float, k: int, dims: int) -> np.ndarray:
     """Product of commuting pair factors exp(-i theta/2 X_j X_l)."""
     u = np.eye(dims**k, dtype=complex)
@@ -156,8 +138,6 @@ def compile_gate(op: GateOp, dims: int) -> np.ndarray:
         mat[1, 1] = np.exp(+1j * op.angle / 2)
     elif op.kind == GateKind.LOSS_ROT:
         mat = _loss_rotation_matrix(op.angle, dims)
-    elif op.kind in (GateKind.HIDE, GateKind.UNHIDE):
-        mat = _hide_matrix(dims)
     else:  # pragma: no cover
         raise ValueError(f"unknown gate kind {op.kind}")
 
@@ -167,53 +147,27 @@ def compile_gate(op: GateOp, dims: int) -> np.ndarray:
     return mat
 
 
-class HiddenStateError(RuntimeError):
-    """Hide/unhide called against the current hiding state machine."""
-
-
 class Register:
-    """A pure state plus the ideal-mode hiding mask.
-
-    In dims=3 (ideal) mode, HIDE removes an ion from the support of all
-    subsequent collective gates; in dims=5 (explicit) mode the hide pulses
-    physically shelve the population and the mask stays empty.
-    """
+    """A pure state that gates update in place."""
 
     def __init__(self, state: PureState):
         self.state = state
-        self.hidden: set[int] = set()
 
     @property
     def dims(self) -> int:
         return self.state.dims
 
     def apply(self, op: GateOp) -> None:
-        if op.kind == GateKind.HIDE and self.dims == 3:
-            ion = op.support[0]
-            if ion in self.hidden:
-                raise HiddenStateError(f"ion {ion} is already hidden")
-            self.hidden.add(ion)
-            return
-        if op.kind == GateKind.UNHIDE and self.dims == 3:
-            ion = op.support[0]
-            if ion not in self.hidden:
-                raise HiddenStateError(f"ion {ion} is not hidden")
-            self.hidden.discard(ion)
-            return
         if op.kind in (GateKind.MS_X, GateKind.COLLECTIVE_R):
-            # commuting pair (MS) or single-ion (rotation) factors over the
-            # visible ions: exact and cheap for wide supports
-            support = tuple(i for i in op.support if i not in self.hidden)
+            # commuting pair (MS) or single-ion (rotation) factors: exact and
+            # cheap for wide supports
             width = 2 if op.kind == GateKind.MS_X else 1
             factor = compile_gate(replace(op, support=tuple(range(width))), self.dims)
-            for ions in itertools.combinations(support, width):
+            for ions in itertools.combinations(op.support, width):
                 self.state = apply_unitary(self.state, factor, ions)
             return
-        if set(op.support) & self.hidden:
-            raise HiddenStateError(f"gate {op.kind.value} addresses a hidden ion")
         self.state = apply_unitary(self.state, compile_gate(op, self.dims), op.support)
 
     def run(self, ops: Iterable[GateOp]) -> None:
         for op in ops:
             self.apply(op)
-

@@ -80,14 +80,6 @@ class LossLattice:
     def surviving(self) -> list[int]:
         return [e for e in range(self.n_edges) if e not in self.lost]
 
-    def z_pauli_strings(self) -> list[PauliString]:
-        return [PauliString.from_map(self.n_edges, {e: "Z" for e in g})
-                for g in self.z_generators]
-
-    def x_pauli_strings(self) -> list[PauliString]:
-        return [PauliString.from_map(self.n_edges, {e: "X" for e in g})
-                for g in self.x_generators]
-
     def validate_commutation(self) -> None:
         """Every (Z, X) generator pair must share an even number of edges.
 
@@ -111,9 +103,6 @@ class LossLattice:
         for g in self.z_generators + self.x_generators:
             if g & self.lost:
                 raise ConsistencyError("generator touches a lost edge")
-
-    def generator_count(self) -> int:
-        return len(self.z_generators) + len(self.x_generators)
 
 
 def build_lattice(L: int) -> LossLattice:
@@ -213,8 +202,11 @@ def _patch(L: int, edges: list[Edge], *, n_vertices: int, n_cells: int) -> LossL
 def apply_losses(lattice: LossLattice,
                  spec: Iterable[int] | float,
                  rng: np.random.Generator | None = None) -> LossLattice:
-    """Mark edges lost, either an explicit list or an iid rate with a generator."""
+    """Mark edges lost, either an explicit list or an iid rate in [0, 1] with a
+    generator."""
     if isinstance(spec, float):
+        if not 0.0 <= spec <= 1.0:
+            raise ValueError(f"loss rate must lie in [0, 1], got {spec}")
         if rng is None:
             raise ValueError("iid loss rate requires a seeded generator")
         mask = rng.random(lattice.n_edges) < spec
@@ -377,9 +369,6 @@ class SurvivalPoint:
 class PercolationResult:
     points: list[SurvivalPoint]
     threshold: float | None
-
-    def curve(self, L: int) -> list[SurvivalPoint]:
-        return [pt for pt in self.points if pt.L == L]
 
 
 #: edges per block of masks that `percolation_threshold` hands to one kernel

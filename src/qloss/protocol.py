@@ -18,13 +18,13 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .channels import NoiseModel, _extended_pauli, mixing_probability, qnd_noise_mixture
 from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
-                    compile_gate, hide, loss_rotation, ms_gate)
+                    compile_gate, loss_rotation, ms_gate)
 from .qudit import (DensityOperator, Level, PauliString, PureState,
                     UndefinedExpectationError, apply_unitary, collapse, draw_outcome,
                     expectation, make_state, outcome_probabilities, partial_trace,
@@ -106,46 +106,29 @@ def code_space_population(rho: DensityOperator, code: CodeDefinition) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _code(name: str, n_ions: int, qubits: tuple[int, ...]) -> CodeDefinition:
+    """Z checks from the first qubit to each middle one and X on all of
+    ``qubits``; TX = X_last, TZ = Z_first Z_last, TY = i TX TZ = Z_first Y_last."""
+    first, *middle, last = qubits
+    p = lambda m: PauliString.from_map(n_ions, m)
+    stabilizers = {f"S{i}Z": p({first: "Z", q: "Z"}) for i, q in enumerate(middle, 1)}
+    stabilizers["S1X"] = p(dict.fromkeys(qubits, "X"))
+    logicals = {"TX": p({last: "X"}), "TZ": p({first: "Z", last: "Z"}),
+                "TY": p({first: "Z", last: "Y"})}
+    return CodeDefinition(name, qubits, stabilizers, logicals)
+
+
 @lru_cache(maxsize=None)
 def four_qubit_code(n_ions: int = N_IONS) -> CodeDefinition:
     """The one-plaquette patch: {Z1Z2, Z1Z3, X1X2X3X4} on ions 0..3."""
-    p = lambda m: PauliString.from_map(n_ions, m)
-    return CodeDefinition(
-        name="four_qubit",
-        qubits=(0, 1, 2, 3),
-        stabilizers={
-            "S1Z": p({0: "Z", 1: "Z"}),
-            "S2Z": p({0: "Z", 2: "Z"}),
-            "S1X": p({0: "X", 1: "X", 2: "X", 3: "X"}),
-        },
-        logicals={
-            "TX": p({3: "X"}),
-            "TZ": p({0: "Z", 3: "Z"}),
-            # i TX TZ = Z on qubit 1, Y on qubit 4
-            "TY": p({0: "Z", 3: "Y"}),
-        },
-    )
+    return _code("four_qubit", n_ions, CODE_QUBITS)
 
 
 @lru_cache(maxsize=None)
 def three_qubit_code(n_ions: int = N_IONS, qubits: tuple[int, ...] = SURVIVING_QUBITS
                      ) -> CodeDefinition:
     """The reconstructed code on the surviving qubits: {Z2Z3, X2X3X4}."""
-    q1, q2, q3 = qubits
-    p = lambda m: PauliString.from_map(n_ions, m)
-    return CodeDefinition(
-        name="three_qubit",
-        qubits=qubits,
-        stabilizers={
-            "S1Z": p({q1: "Z", q2: "Z"}),
-            "S1X": p({q1: "X", q2: "X", q3: "X"}),
-        },
-        logicals={
-            "TX": p({q3: "X"}),
-            "TZ": p({q1: "Z", q3: "Z"}),
-            "TY": p({q1: "Z", q3: "Y"}),
-        },
-    )
+    return _code("three_qubit", n_ions, qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +229,8 @@ def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
                force_branch: str | None = None) -> DetectResult:
     """Run the detection unit and measure the ancilla.
 
-    Ions other than the probed qubit and the ancilla must already be hidden
-    (callers that use the plain 5-ion register can rely on the explicit
-    two-ion gate supports instead, which is equivalent in the ideal engine).
+    The detection gates act on the probed qubit and the ancilla only, which
+    is how the ideal engine models the other ions as hidden.
     """
     pre, sets, probs = _detection_unit(state)
     force = None
@@ -395,9 +377,6 @@ class PauliFrame:
     """
 
     sx_sign: int = 1
-
-    def adjusted(self, name: str, value: float) -> float:
-        return value * (self.sx_sign if name == "S1X" else 1)
 
     def correction(self, n_ions: int = N_IONS) -> PauliString | None:
         if self.sx_sign == 1:
@@ -642,6 +621,11 @@ def records_to_jsonl(records: Iterable[RunRecord]) -> str:
 SHOT_PRESETS = {0.1 * math.pi: 1000, 0.2 * math.pi: 600, 0.5 * math.pi: 200}
 
 
+def preset_shots(phi: float, presets: Mapping[float, int] = SHOT_PRESETS) -> int:
+    """The shots of the preset loss rate nearest to ``phi``; an exact key wins."""
+    return min(presets.items(), key=lambda kv: abs(kv[0] - phi))[1]
+
+
 @dataclass
 class SweepRow:
     phi: float
@@ -800,8 +784,9 @@ def detection_process(phi: float, input_label: str, ancilla_outcome: int,
     """Exact branch probability and output state of the probed qubit.
 
     Prepares the given input on the probed qubit (spectators and ancilla in
-    |0>, spectators hidden), runs loss + detection, post-selects the ancilla
-    outcome and traces down to the probed qubit (3-level operator).
+    |0>), runs loss + detection, post-selects the ancilla outcome and traces
+    down to the probed qubit (3-level operator).  The detection gates act on
+    the probed qubit and the ancilla only, so the spectators stay hidden.
     """
     if register not in (2, 5):
         raise ValueError("register must be 2 or 5 ions")
@@ -817,8 +802,6 @@ def detection_process(phi: float, input_label: str, ancilla_outcome: int,
     state = PureState(n, 3, amps)
     state = apply_loss(state, phi, ion=0)
     reg = Register(state)
-    for i in range(1, n - 1):
-        reg.apply(hide(i))
     reg.run(detection_ops((0, ancilla)))
     _ancilla_guard(reg.state, ancilla)
     rho = reg.state.to_density()

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, branch_maps, channel_to_choi, readout_superoperator
 from .protocol import (SHOT_PRESETS, CodeDefinition, analytic_run, code_space_projector,
-                       detection_process, four_qubit_code, three_qubit_code)
+                       detection_process, four_qubit_code, preset_shots, three_qubit_code)
 # moved to protocol next to CodeDefinition; still importable from here
 from .protocol import _PROJECTOR_CACHE  # noqa: F401
 from .qudit import DensityOperator, partial_trace, seed_for
@@ -141,6 +142,13 @@ def invert_counts(counts: CountsTable,
     return _per_ion_map(freqs.reshape((3,) * n + (2,) * n), _INVERSION, n)
 
 
+def _check_shots(shots: int, name: str) -> None:
+    """Reject a shot count that is not an integer >= 0 (numpy integers pass);
+    ``multinomial`` would truncate a fractional one without a word."""
+    if not isinstance(shots, numbers.Integral) or shots < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {shots!r}")
+
+
 def sample_counts(rho2: np.ndarray, shots: int | np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Multinomial counts of every setting, as a (3^n, 2^n) table.
@@ -162,10 +170,9 @@ def state_tomography(rho: DensityOperator, qubits: Sequence[int] | None = None,
     shots sample every setting multinomially from the generator of ``seed``
     (an int, or a ``seed_for`` key tuple).  Returns (estimate, counts).
     """
+    _check_shots(shots_per_setting, "shots_per_setting")
     qs = tuple(qubits) if qubits is not None else tuple(range(rho.n_ions))
     rho2 = record_density(rho.normalized(), qs)
-    if shots_per_setting < 0:
-        raise ValueError("shots_per_setting must be >= 0")
     table = (setting_probabilities(rho2) if shots_per_setting == 0
              else sample_counts(rho2, shots_per_setting, _generator(seed)))
     counts = dict(zip(settings(len(qs)), table))
@@ -282,6 +289,7 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     so the reconstruction is trace-non-increasing.  ``shots`` = 0 selects
     exact-probability mode, which reproduces the ideal branch Choi matrices.
     """
+    _check_shots(shots, "shots")
     est: dict[str, np.ndarray] = {}
     details: dict = {"phi": phi, "post_select": post_select, "inputs": {}}
     total_weight = 0.0
@@ -320,7 +328,7 @@ def ideal_branch_choi(phi: float, branch: int) -> ChoiMatrix:
     """Choi matrix of detection branch map ``branch`` (0: no loss, 1: loss)."""
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    return channel_to_choi(branch_maps(phi)[branch])
+    return channel_to_choi([branch_maps(phi)[branch]])
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +360,9 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     """Observable tables for each logical input state and loss rate.
 
     In analytic mode values are the exact engine predictions.  In sampled
-    mode each branch state is measured with finite shots (cycle presets per
-    loss rate, at least 1 per setting) and errors are the standard
+    mode each branch state is measured with finite shots (the cycle preset of
+    the nearest loss rate, with the ``shots_per_setting`` entries merged into
+    the presets; at least 1 per setting) and errors are the standard
     deviations over 100 multinomial resampling iterations; every row is a
     linear functional of its frequency table, so neither the resampled
     tables nor the point table are inverted.  Cell (a_idx, p_idx, branch b)
@@ -362,10 +371,12 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     """
     presets = dict(SHOT_PRESETS)
     if shots_per_setting:
+        for n in shots_per_setting.values():
+            _check_shots(n, "shots_per_setting")
         presets.update(shots_per_setting)
     if phis is None:
         phis = list(SHOT_PRESETS)
-    shots = [presets.get(phi, 200) for phi in phis]
+    shots = [preset_shots(phi, presets) for phi in phis]
     if sampled and min(shots, default=1) < 1:
         raise ValueError(f"sampled cells need >= 1 shot per setting, got {min(shots)}")
 

@@ -1,4 +1,4 @@
-"""Channel machinery: branch maps, Choi conversion, depolarizing model."""
+"""Kraus maps: branch maps, Choi conversion, depolarizing model."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qloss.channels import (Channel, ChoiMatrix, DegenerateRateError, NoiseModel,
-                            apply_channel, branch_maps, channel_to_choi,
-                            choi_to_kraus, depolarize_one, identity_channel,
-                            mixing_probability, qnd_noise_mixture, record_qubit)
+from qloss.channels import (ChoiMatrix, DegenerateRateError, NoiseModel, branch_maps,
+                            channel_to_choi, depolarize_one, mixing_probability,
+                            qnd_noise_mixture, record_qubit)
 from qloss.protocol import encode, three_qubit_code
 from qloss.qudit import DensityOperator, PauliString, PureState, expectation, make_state
 
@@ -19,8 +18,8 @@ COMP = np.diag([1.0, 1.0, 0.0])
 class TestBranchMaps:
     def test_zero_angle(self):
         e0, e1 = branch_maps(0.0)
-        assert np.allclose(e0.kraus[0], COMP)
-        assert np.allclose(e1.kraus[0], 0.0)
+        assert np.allclose(e0, COMP)
+        assert np.allclose(e1, 0.0)
 
     def test_full_angle(self):
         e0, e1 = branch_maps(math.pi)
@@ -28,12 +27,12 @@ class TestBranchMaps:
         k0[1, 1] = 1.0
         k1 = np.zeros((3, 3))
         k1[2, 0] = 1.0
-        assert np.allclose(e0.kraus[0], k0, atol=1e-12)
-        assert np.allclose(e1.kraus[0], k1, atol=1e-12)
+        assert np.allclose(e0, k0, atol=1e-12)
+        assert np.allclose(e1, k1, atol=1e-12)
 
     def test_completeness_on_computational_subspace(self):
         e0, e1 = branch_maps(0.3 * math.pi)
-        total = e0.ks_sum() + e1.ks_sum()
+        total = e0.conj().T @ e0 + e1.conj().T @ e1
         assert np.max(np.abs(total - COMP)) < 1e-12
 
     @pytest.mark.parametrize("phi", np.linspace(0.0, math.pi, 20))
@@ -42,14 +41,14 @@ class TestBranchMaps:
         _, e1 = branch_maps(phi)
         for alpha in (0.0, math.pi):
             rho = encode(alpha).to_density()
-            out = apply_channel(rho, e1, (0,))
+            out = rho.apply_operator(e1, (0,))
             assert out.trace() == pytest.approx(0.5 * math.sin(phi / 2) ** 2,
                                                 abs=1e-12)
 
 
 class TestChoi:
     def test_identity_channel(self):
-        choi = channel_to_choi(identity_channel(2))
+        choi = channel_to_choi([np.eye(2)])
         expected = 0.5 * np.array([[1, 0, 0, 1], [0, 0, 0, 0],
                                    [0, 0, 0, 0], [1, 0, 0, 1]])
         assert np.allclose(choi.matrix, expected)
@@ -58,7 +57,7 @@ class TestChoi:
     @pytest.mark.parametrize("phi", [0.1, 0.3 * math.pi, 2.5])
     def test_no_loss_branch_choi(self, phi):
         e0, _ = branch_maps(phi)
-        choi = channel_to_choi(e0)
+        choi = channel_to_choi([e0])
         c = math.cos(phi / 2)
         expected = 0.5 * np.array([[c**2, 0, 0, c], [0, 0, 0, 0],
                                    [0, 0, 0, 0], [c, 0, 0, 1]])
@@ -67,7 +66,7 @@ class TestChoi:
     @pytest.mark.parametrize("phi", [0.1, 0.53 * math.pi, 3.0])
     def test_loss_branch_choi_lands_in_dark_cell(self, phi):
         _, e1 = branch_maps(phi)
-        choi = channel_to_choi(e1)
+        choi = channel_to_choi([e1])
         expected = np.zeros((4, 4))
         expected[2, 2] = 0.5 * math.sin(phi / 2) ** 2  # |10><10| cell
         assert np.allclose(choi.matrix, expected, atol=1e-12)
@@ -82,26 +81,9 @@ class TestChoi:
         # rescale to be trace-non-increasing
         total = sum(k.conj().T @ k for k in ks)
         scale = math.sqrt(np.linalg.eigvalsh(total).max()) or 1.0
-        ch = Channel.from_kraus([k / scale for k in ks])
-        choi = channel_to_choi(ch)
+        choi = channel_to_choi([k / scale for k in ks])
         choi.validate()
         assert np.linalg.eigvalsh(choi.matrix).min() > -1e-9
-
-    def test_choi_kraus_round_trip(self):
-        rng = np.random.default_rng(42)
-        ks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-              for _ in range(2)]
-        total = sum(k.conj().T @ k for k in ks)
-        scale = math.sqrt(np.linalg.eigvalsh(total).max())
-        ch = Channel.from_kraus([k / scale for k in ks])
-        rebuilt = choi_to_kraus(channel_to_choi(ch))
-        basis = [np.outer(a, b.conj()) for a in np.eye(2) for b in np.eye(2)]
-        for e in basis:
-            assert np.allclose(ch.apply(e), rebuilt.apply(e), atol=1e-9)
-
-    def test_trace_increasing_kraus_rejected(self):
-        with pytest.raises(ValueError):
-            Channel.from_kraus([np.eye(2) * 1.5])
 
 
 class TestRecordQubit:
@@ -214,28 +196,29 @@ class TestNoiseMixture:
                                                                      abs=1e-12)
 
 
-class TestApplyChannel:
+class TestKrausApplication:
+    """Branch maps applied to register states through ``apply_operator``."""
+
     def test_identity(self):
         rho = make_state(2, 3, [0, 1]).to_density()
-        out = apply_channel(rho, identity_channel(3), (1,))
+        out = rho.apply_operator(np.eye(3), (1,))
         assert np.allclose(out.mat, rho.mat)
 
     def test_no_loss_branch_trace(self):
         e0, _ = branch_maps(math.pi / 2)
         rho = encode(0.0).to_density()
-        out = apply_channel(rho, e0, (0,))
+        out = rho.apply_operator(e0, (0,))
         assert out.trace() == pytest.approx(
             1 - 0.5 * math.sin(math.pi / 4) ** 2)  # = 3/4
 
     def test_loss_then_no_loss_annihilates(self):
         e0, e1 = branch_maps(1.1)
         # Kraus product oracle: E0 K after E1 K is the zero matrix
-        assert np.allclose(e0.kraus[0] @ e1.kraus[0], 0.0)
+        assert np.allclose(e0 @ e1, 0.0)
         rho = make_state(1, 3, [0]).to_density()
-        out = apply_channel(apply_channel(rho, e1, (0,)), e0, (0,))
+        out = rho.apply_operator(e1, (0,)).apply_operator(e0, (0,))
         assert np.max(np.abs(out.mat)) < 1e-15
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            apply_channel(make_state(2, 3, [0, 0]).to_density(),
-                          identity_channel(3), (0, 1))
+            make_state(2, 3, [0, 0]).to_density().apply_operator(np.eye(3), (0, 1))

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from qloss import cli
+from qloss import cli, tomography
 from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, MAX_SHOTS, main,
                        parse_angle, parse_float_grid, parse_grid, parse_noise)
 from qloss.lattice import PercolationResult
@@ -123,6 +123,31 @@ class TestProtocolCommand:
         s1x = float(rows["no_loss"][5])
         assert s1x == pytest.approx(4 * math.cos(math.pi / 4) / 3, abs=1e-9)
         assert float(rows["loss"][3]) == pytest.approx(1.0, abs=1e-9)  # fidelity
+
+    def test_paper_shots_match_the_table_preset(self, runner, tmp_path, monkeypatch):
+        # 0.2pi to 8 digits (--phi is in units of pi) is off the preset grid;
+        # both callers take the nearest preset, 600 (the table used to fall
+        # back to 200)
+        arg = repr(0.62831853 / math.pi)
+        phi = parse_angle(arg)
+        drawn = []
+        run_protocol, sample_counts = cli.run_protocol, tomography.sample_counts
+
+        def recording_run(*args, shots, **kwargs):
+            drawn.append(("protocol", shots))
+            return run_protocol(*args, shots=shots, **kwargs)
+
+        def recording_counts(rho2, shots, rng):
+            drawn.append(("table", shots))
+            return sample_counts(rho2, shots, rng)
+
+        monkeypatch.setattr(cli, "run_protocol", recording_run)
+        monkeypatch.setattr(tomography, "sample_counts", recording_counts)
+        res = runner.invoke(main, ["protocol", "--phi", arg, "--paper-shots",
+                                   "--out", str(tmp_path / "run")])
+        assert res.exit_code == 0, res.output
+        tomography.table_report(alphas=(0.0,), phis=(phi,), sampled=True)
+        assert drawn == [("protocol", 600), ("table", 600), ("table", 600)]
 
     def test_single_branch_at_zero_loss(self, runner, tmp_path):
         prefix = str(tmp_path / "zero")

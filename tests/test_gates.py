@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qloss.gates import (GateKind, GateOp, HiddenStateError, Register, addressed_z,
-                         collective_rotation, compile_gate, hide, loss_rotation, ms_gate,
-                         unhide)
+from qloss.gates import (GateKind, GateOp, Register, _transfer_pulses, addressed_z,
+                         collective_rotation, compile_gate, loss_rotation, ms_gate)
 from qloss.qudit import Level, PureState, apply_unitary, make_state, truncated_pauli
 
 
@@ -63,7 +62,6 @@ class TestCompileAgainstOracle:
         collective_rotation("Y", 1.1, (0, 1, 2)),
         addressed_z(0.9, 0),
         loss_rotation(2.2, 0),
-        hide(0),
     ])
     @pytest.mark.parametrize("dims", [3, 5])
     def test_unitarity(self, kind_op, dims):
@@ -188,44 +186,22 @@ class TestAddressedZ:
 
 class TestHiding:
     def test_hide_then_unhide_is_identity(self):
-        u = compile_gate(hide(0), 5)
+        p0, p1 = _transfer_pulses()
+        u = p0 @ p1
         assert np.allclose(u @ u, np.eye(5))
 
     def test_hidden_excited_reads_bright(self):
-        st = make_state(1, 5, [1])
-        out = apply_unitary(st, compile_gate(hide(0), 5), (0,))
+        p0, p1 = _transfer_pulses()
+        out = apply_unitary(make_state(1, 5, [1]), p0 @ p1, (0,))
         assert abs(out.amps[Level.H1]) == pytest.approx(1.0)
         assert Level.H1 in {Level.L0, Level.H1}  # S manifold: bright
 
-    def test_ideal_mask_state_machine(self):
-        reg = Register(make_state(3, 3, [0, 0, 0]))
-        reg.apply(hide(1))
-        with pytest.raises(HiddenStateError):
-            reg.apply(hide(1))
-        reg.apply(unhide(1))
-        with pytest.raises(HiddenStateError):
-            reg.apply(unhide(1))
-
     def test_explicit_hiding_matches_masked_support(self):
-        # 5-ion brute force: MS(pi) on {0, 4} with 1-3 hidden explicitly
-        # equals MS(pi) on {0, 4} alone
+        # 5-ion brute force: MS(pi) on all ions with 1-3 shelved by the
+        # five-level transfer pulses equals MS(pi) on {0, 4} alone
         rng = np.random.default_rng(11)
         amps = rng.normal(size=3**5) + 1j * rng.normal(size=3**5)
         base3 = PureState(5, 3, amps / np.linalg.norm(amps))
-
-        reg_mask = Register(base3.copy())
-        for i in (1, 2, 3):
-            reg_mask.apply(hide(i))
-        reg_mask.apply(ms_gate(math.pi, (0, 1, 2, 3, 4)))
-        for i in (1, 2, 3):
-            reg_mask.apply(unhide(i))
-
-        direct = Register(base3.copy())
-        direct.apply(ms_gate(math.pi, (0, 4)))
-        assert reg_mask.state.fidelity(direct.state) == pytest.approx(1.0, abs=1e-12)
-
-        # explicit five-level hiding agrees on a computational-subspace state
-        rng = np.random.default_rng(12)
         amps5 = np.zeros(5**5, dtype=complex)
         for flat, levels in enumerate(np.ndindex(*(3,) * 5)):
             idx5 = 0
@@ -233,15 +209,19 @@ class TestHiding:
                 idx5 = idx5 * 5 + l
             amps5[idx5] = base3.amps[flat]
         base5 = PureState(5, 5, amps5)
-        reg5 = Register(base5.copy())
-        for i in (1, 2, 3):
-            reg5.apply(hide(i))
+
+        def pulses(state):
+            for i in (1, 2, 3):
+                for pulse in _transfer_pulses():
+                    state = apply_unitary(state, pulse, (i,))
+            return state
+
+        reg5 = Register(pulses(base5.copy()))
         reg5.apply(ms_gate(math.pi, (0, 1, 2, 3, 4)))
-        for i in (1, 2, 3):
-            reg5.apply(unhide(i))
+        hidden = pulses(reg5.state)
         direct5 = Register(base5.copy())
         direct5.apply(ms_gate(math.pi, (0, 4)))
-        assert reg5.state.fidelity(direct5.state) == pytest.approx(1.0, abs=1e-12)
+        assert hidden.fidelity(direct5.state) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRegisterFactorization:

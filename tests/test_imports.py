@@ -80,3 +80,46 @@ def test_private_top_level_names_are_read():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert {name: where for name, where in defined.items() if name not in read} == {}
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+#: public names with no caller in the package or the benchmark, and why they stay
+CALLERLESS_ALLOWED = {
+    # the round-trip reader the tests compare `write_json` output against
+    ("serialize", "matrix_from_json_dict"),
+}
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _traced_names(tree: ast.Module) -> set[str]:
+    """Every dotted part of the strings in a module-level ``TRACED`` table."""
+    return {part
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+            for const in ast.walk(node.value)
+            if isinstance(const, ast.Constant) and isinstance(const.value, str)
+            for part in const.value.split(".")}
+
+
+def test_public_names_have_a_caller():
+    """A public, undecorated module-level function or class must be read by the
+    package (outside ``__init__``, which only re-exports) or by the benchmark."""
+    modules = [p for p in MODULES if p.stem != "__init__"]
+    read = set()
+    for path in modules + sorted(PERFBENCH.glob("*.py")):
+        tree = _tree(path)
+        read |= _read_names(tree) | _traced_names(tree)
+    callerless = [f"{path.stem}.{node.name}"
+                  for path in modules for node in _tree(path).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and not node.decorator_list
+                  and node.name not in read
+                  and (path.stem, node.name) not in CALLERLESS_ALLOWED]
+    assert callerless == []

@@ -35,6 +35,19 @@ def gf2_rank(gens, n_edges):
     return rank
 
 
+def generator_count(lat):
+    return len(lat.z_generators) + len(lat.x_generators)
+
+
+def pauli_strings(gens, n_edges, letter):
+    """Commutation oracle: each generator as a Pauli word on the edges."""
+    return [PauliString.from_map(n_edges, dict.fromkeys(g, letter)) for g in gens]
+
+
+def curve(res, L):
+    return [pt for pt in res.points if pt.L == L]
+
+
 class TestBuild:
     def test_minimal_instance(self):
         lat = build_lattice(2)
@@ -56,14 +69,14 @@ class TestBuild:
     def test_l3_generator_count_by_enumeration(self):
         lat = build_lattice(3)
         assert lat.n_edges == 13  # 3^2 + 2^2
-        assert lat.generator_count() == lat.n_edges - 1
+        assert generator_count(lat) == lat.n_edges - 1
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_generators_independent(self, L):
         lat = build_lattice(L)
         rank = gf2_rank(lat.z_generators, lat.n_edges) + \
             gf2_rank(lat.x_generators, lat.n_edges)
-        assert rank == lat.generator_count() == lat.n_edges - 1
+        assert rank == generator_count(lat) == lat.n_edges - 1
 
     def test_rejects_tiny_lattice(self):
         with pytest.raises(ValueError):
@@ -93,6 +106,12 @@ class TestApplyLosses:
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
             apply_losses(build_lattice(2), [99])
+
+    @pytest.mark.parametrize("rate", [float("nan"), -0.2, 1.5, float("inf")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        # these used to lose no edge (nan, -0.2) or every edge (1.5, inf)
+        with pytest.raises(ValueError, match="loss rate"):
+            apply_losses(build_lattice(4), rate, np.random.default_rng(0))
 
 
 class TestReform:
@@ -149,14 +168,14 @@ class TestReform:
                 continue
             trials += 1
             n_surv = ref.n_edges - len(ref.lost)
-            assert ref.generator_count() == n_surv - 1
+            assert generator_count(ref) == n_surv - 1
             # support exclusion for logicals too
             assert not (set(res.t_z.support) & ref.lost)
             assert not (set(res.t_x.support) & ref.lost)
             # logicals commute with every generator, anticommute together
-            for g in ref.z_pauli_strings():
+            for g in pauli_strings(ref.z_generators, ref.n_edges, "Z"):
                 assert g.commutes(res.t_x)
-            for g in ref.x_pauli_strings():
+            for g in pauli_strings(ref.x_generators, ref.n_edges, "X"):
                 assert g.commutes(res.t_z)
             assert not res.t_z.commutes(res.t_x)
         assert trials > 50
@@ -313,8 +332,8 @@ class TestPercolation:
 
     def test_extreme_rates(self):
         res = percolation_threshold([4], 100, [0.0, 1.0], seed=1)
-        assert res.curve(4)[0].fraction == 1.0
-        assert res.curve(4)[1].fraction == 0.0
+        assert curve(res, 4)[0].fraction == 1.0
+        assert curve(res, 4)[1].fraction == 0.0
 
     def test_determinism(self):
         a = percolation_threshold([4, 6], 100, [0.4, 0.5, 0.6], seed=5)
@@ -324,7 +343,7 @@ class TestPercolation:
 
     def test_monotonicity_within_bands(self):
         res = percolation_threshold([6], 400, list(np.linspace(0.2, 0.8, 7)), seed=2)
-        pts = res.curve(6)
+        pts = curve(res, 6)
         for lo, hi in zip(pts, pts[1:]):
             band = 3 * math.sqrt(lo.binom_std**2 + hi.binom_std**2)
             assert hi.fraction <= lo.fraction + band

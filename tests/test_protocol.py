@@ -224,12 +224,6 @@ class TestPauliFrame:
         assert expectation(rho, code.stabilizers["S1Z"]) == pytest.approx(1.0, abs=1e-12)
         assert expectation(rho, code.logicals["TZ"]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_frame_adjusts_only_shrunk_x(self):
-        frame = frame_update(PauliFrame(), -1)
-        assert frame.adjusted("S1X", 0.5) == -0.5
-        assert frame.adjusted("S1Z", 0.5) == 0.5
-        assert frame.adjusted("TZ", -0.25) == -0.25
-
 
 class TestAnalyticRun:
     def test_eq_s15_law_50_points(self):

@@ -517,3 +517,24 @@ class TestTableReport:
         # distinct keys must also seed distinct streams
         states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
         assert len(states) == len(keys)
+
+
+SHOT_CALLS = {
+    "state_tomography": lambda n: state_tomography(encode(0.0).to_density(), (0, 1, 2, 3),
+                                                   shots_per_setting=n),
+    "table_report": lambda n: table_report((0.0,), (0.5 * math.pi,), sampled=True,
+                                           shots_per_setting={0.5 * math.pi: n}),
+    "process_tomography": lambda n: process_tomography(0.5 * math.pi, 0, shots=n),
+}
+
+
+class TestShotCounts:
+    @pytest.mark.parametrize("call", SHOT_CALLS.values(), ids=SHOT_CALLS.keys())
+    def test_non_integer_count_rejected(self, call):
+        # multinomial used to truncate 2.5 to 2 draws, normalised by 2.5
+        with pytest.raises(ValueError, match="integer"):
+            call(2.5)
+
+    @pytest.mark.parametrize("call", SHOT_CALLS.values(), ids=SHOT_CALLS.keys())
+    def test_numpy_integer_count_accepted(self, call):
+        call(np.int64(3))
