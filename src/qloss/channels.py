@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .qudit import DensityOperator, Level, readout_partition, truncated_pauli
+from .qudit import (DensityOperator, Level, _conjugate, check_unitary, readout_partition,
+                    truncated_pauli)
 from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
@@ -174,12 +176,32 @@ def mixing_probability(phi: float, p_qnd: float) -> float:
     return p_qnd / denom
 
 
+@lru_cache(maxsize=None)
 def _extended_pauli(letter: str, dims: int) -> np.ndarray:
-    """Single-ion Pauli on {|0>,|1>}, extended as the identity on the other levels."""
+    """Single-ion Pauli on {|0>,|1>}, extended as the identity on the other levels
+    (read-only, checked unitary once)."""
     m = truncated_pauli(letter, dims)
     if letter != "I":
         m = m + (np.eye(dims) - truncated_pauli("X", dims) @ truncated_pauli("X", dims))
-    return m
+    m.setflags(write=False)
+    return check_unitary(m, dims)
+
+
+@lru_cache(maxsize=None)
+def _extended_gather(letter: str, qubit: int, n_ions: int, dims: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, phase)`` of :func:`_extended_pauli` on ``qubit`` of the register, as
+    ``qudit._gather_cached`` gives a word's, indexed by the level of ``qubit``
+    (no dense register matrix)."""
+    m = _extended_pauli(letter, dims)
+    row = np.argmax(m != 0, axis=0)  # one entry per column of a signed permutation
+    flat = np.arange(dims**n_ions)
+    stride = dims ** (n_ions - 1 - qubit)
+    level = flat // stride % dims
+    sigma, phase = flat + (row[level] - level) * stride, m[row[level], level]
+    sigma.setflags(write=False)
+    phase.setflags(write=False)
+    return sigma, phase
 
 
 def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
@@ -187,11 +209,14 @@ def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
 
     Equals the 1/4-weighted four-Pauli sum with each Pauli extended as the
     identity on non-computational levels, so leaked population is a fixed
-    point of the map.
+    point of the map.  Each extended Pauli is a signed permutation, so its
+    term is a reindexed copy of rho, and the identity term is rho itself.
     """
     acc = np.zeros_like(rho.mat)
-    for letter in "IXYZ":
-        acc += 0.25 * rho.apply_operator(_extended_pauli(letter, rho.dims), (qubit,)).mat
+    acc += 0.25 * rho.mat
+    for letter in "XYZ":
+        acc += 0.25 * _conjugate(_extended_gather(letter, qubit, rho.n_ions, rho.dims),
+                                 rho.mat)
     return DensityOperator(rho.n_ions, rho.dims, acc)
 
 

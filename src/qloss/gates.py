@@ -13,11 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit import (Level, PauliString, PureState, apply_unitary, check_unitary,
+from .qudit import (Level, PauliString, PureState, _apply_checked, check_unitary,
                     truncated_pauli)
 
 
@@ -95,15 +96,17 @@ def _loss_rotation_matrix(phi: float, dims: int) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=None)
 def _transfer_pulses() -> tuple[np.ndarray, np.ndarray]:
-    """The two addressed hide pulses: |0> <-> |H0> and |1> <-> |H1> swaps."""
-    p0 = np.eye(5, dtype=complex)
-    p0[Level.L0, Level.L0] = p0[Level.H0, Level.H0] = 0.0
-    p0[Level.L0, Level.H0] = p0[Level.H0, Level.L0] = 1.0
-    p1 = np.eye(5, dtype=complex)
-    p1[Level.L1, Level.L1] = p1[Level.H1, Level.H1] = 0.0
-    p1[Level.L1, Level.H1] = p1[Level.H1, Level.L1] = 1.0
-    return p0, p1
+    """The two addressed hide pulses: |0> <-> |H0> and |1> <-> |H1> swaps
+    (read-only, checked unitary once)."""
+    pulses = []
+    for a, b in ((Level.L0, Level.H0), (Level.L1, Level.H1)):
+        m = np.eye(5, dtype=complex)
+        m[[a, b]] = m[[b, a]]
+        m.setflags(write=False)
+        pulses.append(check_unitary(m, 5))
+    return pulses[0], pulses[1]
 
 
 def _ms_matrix(theta: float, k: int, dims: int) -> np.ndarray:
@@ -164,9 +167,9 @@ class Register:
             width = 2 if op.kind == GateKind.MS_X else 1
             factor = compile_gate(replace(op, support=tuple(range(width))), self.dims)
             for ions in itertools.combinations(op.support, width):
-                self.state = apply_unitary(self.state, factor, ions)
+                self.state = _apply_checked(self.state, factor, ions)
             return
-        self.state = apply_unitary(self.state, compile_gate(op, self.dims), op.support)
+        self.state = _apply_checked(self.state, compile_gate(op, self.dims), op.support)
 
     def run(self, ops: Iterable[GateOp]) -> None:
         for op in ops:

@@ -33,6 +33,7 @@ survival kernel `_survival_fast` for a G-point grid.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -203,13 +204,14 @@ def apply_losses(lattice: LossLattice,
                  spec: Iterable[int] | float,
                  rng: np.random.Generator | None = None) -> LossLattice:
     """Mark edges lost, either an explicit list or an iid rate in [0, 1] with a
-    generator."""
-    if isinstance(spec, float):
-        if not 0.0 <= spec <= 1.0:
+    generator.  Any real scalar but a bool (an int or a numpy number too) is a rate."""
+    if isinstance(spec, numbers.Real) and not isinstance(spec, bool):
+        rate = float(spec)
+        if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must lie in [0, 1], got {spec}")
         if rng is None:
             raise ValueError("iid loss rate requires a seeded generator")
-        mask = rng.random(lattice.n_edges) < spec
+        mask = rng.random(lattice.n_edges) < rate
         lost = frozenset(int(i) for i in np.nonzero(mask)[0])
     else:
         listed = [int(e) for e in spec]

@@ -26,9 +26,10 @@ from .channels import NoiseModel, _extended_pauli, mixing_probability, qnd_noise
 from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
                     compile_gate, loss_rotation, ms_gate)
 from .qudit import (DensityOperator, Level, PauliString, PureState,
-                    UndefinedExpectationError, apply_unitary, collapse, draw_outcome,
-                    expectation, make_state, outcome_probabilities, partial_trace,
-                    pure_expectation, readout_partition, seed_for)
+                    UndefinedExpectationError, _apply_checked, _conjugate, _gather_cached,
+                    _permute_rows, collapse, draw_outcome, expectation, make_state,
+                    outcome_probabilities, partial_trace, pure_expectation,
+                    readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -182,7 +183,7 @@ def apply_loss(state: PureState, phi: float, ion: int = 0) -> PureState:
 
 
 def _apply_op(state: PureState, op: GateOp) -> PureState:
-    return apply_unitary(state, compile_gate(op, state.dims), op.support)
+    return _apply_checked(state, compile_gate(op, state.dims), op.support)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def qnd_detect_density(rho: DensityOperator
                        ) -> tuple[float, DensityOperator, float, DensityOperator]:
     """Exact branch split: (p_loss, rho_loss, p_no_loss, rho_no_loss), renormalized."""
     for op in detection_ops((0, ANCILLA)):
-        rho = rho.apply_unitary(compile_gate(op, rho.dims), op.support)
+        rho = rho.apply_operator(compile_gate(op, rho.dims), op.support)
     bright, dark = readout_partition(rho.dims)
     rho_nl = rho.project_levels(ANCILLA, bright)
     rho_l = rho.project_levels(ANCILLA, dark)
@@ -290,15 +291,12 @@ def shrunk_stabilizer(n_ions: int = N_IONS) -> PauliString:
     return PauliString.from_map(n_ions, {q: "X" for q in SURVIVING_QUBITS})
 
 
-@lru_cache(maxsize=None)
-def _shrunk_projectors(dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """(1 + S)/2 and (1 - S)/2 for the shrunk stabilizer S = X2X3X4."""
-    stab = shrunk_stabilizer().embedded(dims)
-    eye = np.eye(len(stab))
-    plus, minus = 0.5 * (eye + stab), 0.5 * (eye - stab)
-    plus.setflags(write=False)
-    minus.setflags(write=False)
-    return plus, minus
+def _shrunk_project(arr: np.ndarray, pick: int, dims: int) -> np.ndarray:
+    """(1 + S)/2 @ arr for ``pick`` 0, (1 - S)/2 @ arr for ``pick`` 1, with the
+    shrunk stabilizer S = X2X3X4 applied as its signed permutation."""
+    half = 0.5 * arr
+    s_half = 0.5 * _permute_rows(_gather_cached(shrunk_stabilizer(), dims), arr)
+    return half + s_half if pick == 0 else half - s_half
 
 
 _ANCILLA_FLIP = collective_rotation("X", math.pi, (ANCILLA,))
@@ -315,7 +313,7 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
         raise ProtocolError("shrunk-stabilizer measurement requires the loss branch "
                             "(ancilla must be |1> after detection)")
     if mode == "exact":
-        plus = _shrunk_projectors(state.dims)[0] @ state.amps
+        plus = _shrunk_project(state.amps, 0, state.dims)
         p_plus = float(np.vdot(plus, plus).real / np.vdot(state.amps, state.amps).real)
         return state, np.array([p_plus, 1 - p_plus])
     if mode == "toolbox":
@@ -344,7 +342,7 @@ def _shrunk_draw(probs: np.ndarray, mode: str, rng: np.random.Generator | None,
 def _shrunk_post(pre: PureState, mode: str, pick: int) -> PureState:
     """Post state of shrunk outcome ``pick``, with the ancilla reset to |0>."""
     if mode == "exact":
-        amps = _shrunk_projectors(pre.dims)[pick] @ pre.amps
+        amps = _shrunk_project(pre.amps, pick, pre.dims)
         post = PureState(pre.n_ions, pre.dims, amps / np.linalg.norm(amps))
         return _apply_op(post, _ANCILLA_FLIP)  # ancilla |1> -> |0> reset (feed-forward)
     post = collapse(pre, ANCILLA, readout_partition(pre.dims)[pick])
@@ -394,9 +392,8 @@ def apply_frame_correction(state: PureState, frame: PauliFrame) -> PureState:
     corr = frame.correction(state.n_ions)
     if corr is None:
         return state
-    z = compile_gate(addressed_z(math.pi, corr.support[0]), state.dims)
     # addressed_z(pi) = diag(e^{-i pi/2}, e^{+i pi/2}) = -i Z on the qubit block
-    return apply_unitary(state, z, corr.support)
+    return _apply_op(state, addressed_z(math.pi, corr.support[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +461,17 @@ def _fidelity_with_pure(rho: DensityOperator, target: PureState) -> float:
     return float(np.real(np.vdot(amps, rho.mat @ amps)) / rho.trace())
 
 
+def _shrunk_correct(rho: np.ndarray, dims: int) -> np.ndarray:
+    """Both shrunk outcomes with their frame fix, unnormalized:
+    (1+S)/2 rho (1+S)/2 + Z (1-S)/2 rho (1-S)/2 Z^dagger, with Z the frame's
+    correction; every factor is applied as a signed permutation."""
+    # the projectors are real and symmetric, so the right factor acts on the
+    # rows of the transpose
+    rho_plus, rho_minus = (_shrunk_project(_shrunk_project(rho, pick, dims).T, pick, dims).T
+                           for pick in (0, 1))
+    return rho_plus + _conjugate(_gather_cached(PauliFrame(-1).correction(), dims), rho_minus)
+
+
 def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
                  ) -> ProtocolResult:
     """Exact density-mode run; the oracle for trajectory mode."""
@@ -489,12 +497,7 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
 
     # loss branch: shrunk-stabilizer measurement + frame correction, combined
     if p_l > ATOL_TRACE:
-        p_plus, p_minus = _shrunk_projectors(rho_l.dims)
-        rho_plus = p_plus @ rho_l.mat @ p_plus
-        rho_minus = p_minus @ rho_l.mat @ p_minus
-        zfix = PauliFrame(-1).correction().embedded(rho_l.dims)
-        # frame update realized as the equivalent Z on the -1 branch
-        combined = rho_plus + zfix @ rho_minus @ zfix.conj().T
+        combined = _shrunk_correct(rho_l.mat, rho_l.dims)
         rho_rec = DensityOperator(N_IONS, rho_l.dims, combined).normalized()
         if noise.enabled:
             rho_rec = qnd_noise_mixture(rho_rec, phi, noise, SURVIVING_QUBITS)
@@ -543,7 +546,7 @@ def _apply_noise(state: PureState, hit: tuple[int, str] | None) -> PureState:
     if hit is None:
         return state
     qubit, letter = hit
-    return apply_unitary(state, _extended_pauli(letter, state.dims), (qubit,))
+    return _apply_checked(state, _extended_pauli(letter, state.dims), (qubit,))
 
 
 def run_protocol(prep: PrepSpec | float, phi: float, shots: int = 0,
@@ -669,25 +672,30 @@ def _explicit_pattern(spectators: Sequence[int], addressing_error: float,
                  for _stage in range(2) for _ion in spectators for _pulse in range(2))
 
 
-def _explicit_state(phi: float, n: int, spectators: Sequence[int],
-                    fired: tuple[bool, ...]) -> PureState:
-    state = make_state(n, 5, [0] * n)
-    state = apply_loss(state, phi, ion=0)
-    p0, p1 = _transfer_pulses()
+def _explicit_key(fired: tuple[bool, ...]) -> tuple[tuple[bool, bool], ...]:
+    """What the readout can see of a pulse pattern: the sorted per-spectator
+    (p0, p1) hide pairs.
 
-    def pulse_pair(st: PureState, bits: tuple[bool, ...]) -> PureState:
-        for ion, fire0, fire1 in zip(spectators, bits[0::2], bits[1::2]):
-            if fire0:
-                st = apply_unitary(st, p0, (ion,))
-            if fire1:
-                st = apply_unitary(st, p1, (ion,))
-        return st
+    The readout looks at ion 0 and the ancilla only.  The unhide pulses act on
+    spectators after the last gate on either of them, and the all-|0> start
+    and the collective detection gates treat the spectators alike.
+    """
+    hide = fired[:len(fired) // 2]
+    return tuple(sorted(zip(hide[0::2], hide[1::2])))
 
-    half = len(fired) // 2
-    state = pulse_pair(state, fired[:half])
+
+def _explicit_state(phi: float, n: int, hides: tuple[tuple[bool, bool], ...]
+                    ) -> PureState:
+    """Pre-readout state of five-level hiding, with the hide pulses ``hides``
+    (per spectator 1, 2, ...: whether p0 and p1 fired) and no unhide pulses."""
+    state = apply_loss(make_state(n, 5, [0] * n), phi, ion=0)
+    for ion, fires in enumerate(hides, 1):
+        for fire, pulse in zip(fires, _transfer_pulses()):
+            if fire:
+                state = _apply_checked(state, pulse, (ion,))
     reg = Register(state)
     reg.run(detection_ops(tuple(range(n))))
-    return pulse_pair(reg.state, fired[half:])  # unhide before the final readout
+    return reg.state
 
 
 def _sweep_readout(state: PureState, ancilla: int, partition: Sequence[frozenset[Level]]
@@ -734,17 +742,17 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
             p_leak = math.sin(phi / 2) ** 2
             rows.append(SweepRow(phi, p_leak, p_leak, 0.0, 0.0, 0))
             continue
-        # shots with the same pulse pattern share their readout probabilities
+        # shots whose pulse patterns look alike to the readout share its probabilities
         readouts: dict[tuple, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
         n_direct = n_detect = n_fp = n_fn = n_true = 0
         for shot in range(shots):
             rng = seed_for(seed, pi_idx, shot)
             if explicit:
-                pattern = _explicit_pattern(spectators, addressing_error, rng)
+                pattern = _explicit_key(_explicit_pattern(spectators, addressing_error, rng))
             else:
                 pattern = _mask_pattern(spectators, addressing_error, rng)
             if pattern not in readouts:
-                state = (_explicit_state(phi, n, spectators, pattern) if explicit
+                state = (_explicit_state(phi, n, pattern) if explicit
                          else _mask_state(phi, n, pattern, ancilla))
                 readouts[pattern] = _sweep_readout(state, ancilla, partition)
             ancilla_probs, level_probs = readouts[pattern]

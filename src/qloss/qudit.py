@@ -16,6 +16,7 @@ amplitude of the basis ket ``|l0 l1 ... l_{n-1}>`` sits at flat index
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -151,7 +152,13 @@ def make_state(n_ions: int, dims: int, initial_levels: Iterable[Level | int]) ->
 def apply_unitary(state: PureState, matrix: np.ndarray, support: Sequence[int]) -> PureState:
     """Apply a unitary acting on ``support`` (validated to 1e-10) to a pure state."""
     sup = _check_support(support, state.n_ions)
-    matrix = check_unitary(matrix, state.dims ** len(sup))
+    return _apply_checked(state, check_unitary(matrix, state.dims ** len(sup)), sup)
+
+
+def _apply_checked(state: PureState, matrix: np.ndarray, support: Sequence[int]) -> PureState:
+    """:func:`apply_unitary` for a matrix that already passed :func:`check_unitary`
+    once, such as a cached compiled gate; only the support is checked."""
+    sup = _check_support(support, state.n_ions)
     out = _embed_apply_vec(state.amps, matrix, sup, state.n_ions, state.dims)
     return PureState(state.n_ions, state.dims, out)
 
@@ -184,10 +191,18 @@ def outcome_probabilities(state: PureState, ion: int,
 
 def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
                  force_outcome: int | None = None) -> int:
-    """Index of one outcome: ``force_outcome`` if given, else one ``rng.choice`` draw.
+    """Index of one outcome: ``force_outcome`` if given, else one ``rng.random()`` draw.
 
-    A forced outcome of (numerically) zero probability raises.
+    The drawn index, and the generator state after it, are those of
+    ``rng.choice(len(probs), p=probs / probs.sum())``: the first entry of the
+    normalized cdf above the uniform draw.  Probabilities must be
+    non-negative and sum to 1 within ATOL_TRACE, so NaN and inf raise too; a
+    forced outcome of (numerically) zero probability raises.
     """
+    entries = probs.tolist()
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= ATOL_TRACE or min(entries) < 0:
+        raise ContractViolation(f"invalid outcome probabilities {entries}")
     if force_outcome is not None:
         outcome = int(force_outcome)
         if probs[outcome] <= ATOL_TRACE:
@@ -196,7 +211,12 @@ def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
         return outcome
     if rng is None:
         raise ValueError("rng required unless force_outcome is given")
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+    # plain floats: for a handful of entries, faster than cumsum and searchsorted
+    acc, cdf = 0.0, []
+    for p in entries:
+        acc += p / total
+        cdf.append(acc)
+    return bisect.bisect_right([c / acc for c in cdf], rng.random())
 
 
 def collapse(state: PureState, ion: int, levels: Iterable[Level | int]) -> PureState:
@@ -447,10 +467,7 @@ def expectation(rho: DensityOperator, obs: PauliString) -> float:
 def pure_expectation(state: PureState, obs: PauliString) -> float:
     """Expectation on a pure state (norm-conditioned)."""
     amps = state.amps
-    sigma, phase = _gather_cached(obs, state.dims)
-    p_amps = np.empty_like(amps)
-    p_amps[sigma] = phase * amps  # P @ amps
-    val = np.vdot(amps, p_amps)
+    val = np.vdot(amps, _permute_rows(_gather_cached(obs, state.dims), amps))
     nrm = np.vdot(amps, amps).real
     if nrm <= ATOL_TRACE:
         raise UndefinedExpectationError("expectation undefined for zero state")
@@ -460,6 +477,24 @@ def pure_expectation(state: PureState, obs: PauliString) -> float:
     return float(val.real)
 
 
+def _permute_rows(perm: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.ndarray:
+    """``P @ arr`` for a signed permutation ``perm`` = (sigma, phase) of P, as
+    :func:`_gather_cached` gives it."""
+    sigma, phase = perm
+    out = np.empty(arr.shape, dtype=complex)
+    out[sigma] = phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr
+    return out
+
+
+def _conjugate(perm: tuple[np.ndarray, np.ndarray], mat: np.ndarray) -> np.ndarray:
+    """``P @ mat @ P^dagger`` for a signed permutation ``perm`` = (sigma, phase) of P,
+    as :func:`_gather_cached` gives it."""
+    sigma, phase = perm
+    out = np.empty(mat.shape, dtype=complex)
+    out[np.ix_(sigma, sigma)] = phase[:, None] * mat * phase.conj()
+    return out
+
+
 def seed_for(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-task generator: SeedSequence((master, *key))."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed,) + key))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed,) + key)))

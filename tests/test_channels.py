@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qloss.channels import (ChoiMatrix, DegenerateRateError, NoiseModel, branch_maps,
-                            channel_to_choi, depolarize_one, mixing_probability,
-                            qnd_noise_mixture, record_qubit)
+from qloss.channels import (ChoiMatrix, DegenerateRateError, NoiseModel, _extended_pauli,
+                            branch_maps, channel_to_choi, depolarize_one,
+                            mixing_probability, qnd_noise_mixture, record_qubit)
 from qloss.protocol import encode, three_qubit_code
 from qloss.qudit import DensityOperator, PauliString, PureState, expectation, make_state
 
@@ -146,6 +146,26 @@ class TestDepolarizeOne:
         out = depolarize_one(rho, 0)
         assert np.allclose(out.mat, oracle.mat, atol=1e-12)
         assert expectation(out, xxx) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dims, n_ions", [(3, 1), (3, 3), (3, 5), (5, 1), (5, 3)])
+    def test_equals_four_pauli_kraus_sum(self, dims, n_ions):
+        # the dense reference: each extended Pauli through apply_operator
+        rng = np.random.default_rng(dims * 10 + n_ions)
+        side = dims**n_ions
+        a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        rho = DensityOperator(n_ions, dims, a @ a.conj().T / np.trace(a @ a.conj().T))
+        for qubit in range(n_ions):
+            ref = sum(0.25 * rho.apply_operator(_extended_pauli(letter, dims), (qubit,)).mat
+                      for letter in "IXYZ")
+            out = depolarize_one(rho, qubit).mat
+            assert np.max(np.abs(out - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [3, 5])
+    def test_extended_paulis_are_fixed_read_only_unitaries(self, dims):
+        for letter in "IXYZ":
+            m = _extended_pauli(letter, dims)
+            assert m is _extended_pauli(letter, dims) and not m.flags.writeable
+            assert np.allclose(m.conj().T @ m, np.eye(dims), atol=1e-12)
 
 
 class TestNoiseMixture:

@@ -189,6 +189,7 @@ class TestHiding:
         p0, p1 = _transfer_pulses()
         u = p0 @ p1
         assert np.allclose(u @ u, np.eye(5))
+        assert _transfer_pulses()[0] is p0 and not p0.flags.writeable
 
     def test_hidden_excited_reads_bright(self):
         p0, p1 = _transfer_pulses()

@@ -107,6 +107,22 @@ class TestApplyLosses:
         with pytest.raises(IndexError):
             apply_losses(build_lattice(2), [99])
 
+    @pytest.mark.parametrize("rate", [0, 1, np.float32(0.5)])
+    def test_int_and_numpy_rates_are_rates(self, rate):
+        # these used to fall into the edge-list branch: "not iterable"
+        lat = build_lattice(4)
+        out = apply_losses(lat, rate, np.random.default_rng(5))
+        assert out.lost == apply_losses(lat, float(rate), np.random.default_rng(5)).lost
+        if rate in (0, 1):
+            assert len(out.lost) == rate * lat.n_edges
+
+    def test_explicit_edge_list_still_accepted(self):
+        lat = build_lattice(4)
+        assert apply_losses(lat, [0, 3, 7]).lost == frozenset({0, 3, 7})
+        assert apply_losses(lat, np.array([2, 5])).lost == frozenset({2, 5})
+        with pytest.raises(TypeError):
+            apply_losses(lat, True, np.random.default_rng(0))  # a bool is no rate
+
     @pytest.mark.parametrize("rate", [float("nan"), -0.2, 1.5, float("inf")])
     def test_rate_outside_unit_interval_rejected(self, rate):
         # these used to lose no edge (nan, -0.2) or every edge (1.5, inf)

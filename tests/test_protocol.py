@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
-from qloss.gates import GateKind, compile_gate, loss_rotation
+from qloss.gates import GateKind, Register, _transfer_pulses, compile_gate, loss_rotation
 from qloss.protocol import (CODE_QUBITS, SURVIVING_QUBITS, PauliFrame, PrepSpec,
-                            ProtocolError, analytic_run, apply_frame_correction, apply_loss,
-                            code_space_projector, detection_sweep, encode, encode_ops,
-                            four_qubit_code, frame_update, logical_target,
+                            ProtocolError, _explicit_key, _explicit_state, _shrunk_correct,
+                            _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
+                            code_space_projector, detection_ops, detection_sweep, encode,
+                            encode_ops, four_qubit_code, frame_update, logical_target,
                             measure_shrunk_stabilizer, qnd_detect, qnd_detect_density,
                             records_to_jsonl, run_protocol, seed_for,
                             shrunk_stabilizer, three_qubit_code)
 from qloss.qudit import (DensityOperator, Level, PauliString, PureState, apply_unitary,
-                         make_state, partial_trace, pure_expectation)
+                         make_state, partial_trace, pure_expectation, readout_partition)
 
 S1X_LAW = lambda phi: 4 * math.cos(phi / 2) / (3 + math.cos(phi))
 
@@ -200,6 +201,20 @@ class TestShrunkStabilizer:
         assert o1 == o2 == outcome
         assert p1 == pytest.approx(p2, abs=1e-10)
         assert s1.fidelity(s2) == pytest.approx(1.0, abs=1e-10)
+
+
+    @pytest.mark.parametrize("dims", [3, 5])
+    def test_combined_branches_equal_dense_products(self, dims):
+        # the dense reference: (1 +- S)/2 and the frame's Z as full matrices
+        rng = np.random.default_rng(dims)
+        side = dims**5
+        a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        stab = shrunk_stabilizer().embedded(dims)
+        plus, minus = 0.5 * (np.eye(side) + stab), 0.5 * (np.eye(side) - stab)
+        z = PauliFrame(-1).correction().embedded(dims)
+        dense = plus @ rho @ plus + z @ (minus @ rho @ minus) @ z.conj().T
+        assert np.max(np.abs(_shrunk_correct(rho, dims) - dense)) <= 1e-12
 
 
 class TestPauliFrame:
@@ -432,6 +447,42 @@ class TestDetectionSweep:
         assert abs(res.efficiency - expected) <= 4 * sigma
         assert abs(res.efficiency - 0.965) <= 0.02
 
+    @staticmethod
+    def full_pattern_state(phi, fired):
+        """Five-level hiding as simulated before the readout-visible key: all 12
+        pulses (hide, detection, unhide), spectators 1-3 in their own order."""
+        state = apply_loss(make_state(5, 5, [0] * 5), phi, ion=0)
+        p0, p1 = _transfer_pulses()
+
+        def pulse_pair(st, bits):
+            for ion, fire0, fire1 in zip((1, 2, 3), bits[0::2], bits[1::2]):
+                if fire0:
+                    st = apply_unitary(st, p0, (ion,))
+                if fire1:
+                    st = apply_unitary(st, p1, (ion,))
+            return st
+
+        reg = Register(pulse_pair(state, fired[:6]))
+        reg.run(detection_ops(tuple(range(5))))
+        return pulse_pair(reg.state, fired[6:])
+
+    @pytest.mark.parametrize("phi", [0.3 * math.pi, math.pi / 2, 0.9 * math.pi])
+    def test_memo_key_keeps_the_readout_bit_identical(self, phi):
+        rng = np.random.default_rng(round(phi * 1000))
+        patterns = {(True,) * 12}
+        while len(patterns) < 41:
+            patterns.add(tuple(bool(b) for b in rng.integers(0, 2, 12)))
+        partition = readout_partition(5)
+        for fired in patterns:
+            full = _sweep_readout(self.full_pattern_state(phi, fired), 4, partition)
+            keyed = _sweep_readout(_explicit_state(phi, 5, _explicit_key(fired)), 4,
+                                   partition)
+            assert np.array_equal(full[0], keyed[0])
+            assert full[1].keys() == keyed[1].keys()
+            for outcome, levels in full[1].items():
+                assert np.array_equal(levels, keyed[1][outcome])
+        assert len({_explicit_key(fired) for fired in patterns}) < len(patterns)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             detection_sweep([0.1], shots=0, register=5)
@@ -448,3 +499,6 @@ class TestSeeding:
         assert np.array_equal(a, b)
         c = seed_for(5, 2, 1).random(4)
         assert not np.array_equal(a, c)
+        # the stream of default_rng(SeedSequence(key))
+        ref = np.random.default_rng(np.random.SeedSequence((5, 1, 2))).random(4)
+        assert np.array_equal(a, ref)

@@ -11,8 +11,8 @@ from qloss.gates import (addressed_z, collective_rotation, compile_gate, loss_ro
                          ms_gate)
 from qloss.qudit import (BRIGHT_LEVELS, ContractViolation, DARK_LEVELS, DensityOperator,
                          DimensionError, Level, PauliString, PureState,
-                         UndefinedExpectationError, apply_unitary, expectation,
-                         check_unitary, make_state, measure_projective,
+                         UndefinedExpectationError, apply_unitary, draw_outcome,
+                         expectation, check_unitary, make_state, measure_projective,
                          outcome_probabilities, partial_trace, pure_expectation,
                          readout_partition, truncated_pauli)
 
@@ -100,6 +100,13 @@ class TestApplyUnitary:
 
 class TestNonFiniteContracts:
     """Contract checks reject NaN instead of letting it through."""
+
+    def test_apply_unitary_checks_read_only_matrices_too(self):
+        # cached gates skip the check internally; a caller's matrix never does
+        mat = truncated_pauli("X", 3)
+        mat.setflags(write=False)
+        with pytest.raises(ContractViolation):
+            apply_unitary(make_state(1, 3, [0]), mat, (0,))
 
     def test_apply_unitary_rejects_nan_matrix(self):
         with pytest.raises(ContractViolation):
@@ -281,6 +288,34 @@ class TestMeasureProjective:
         assert abs(probs.sum() - 1.0) <= 1e-12
         for levels, p in zip(sets, probs):
             assert p == pytest.approx(sum(pops[l] for l in levels) / pops.sum(), abs=1e-12)
+
+
+probability_vectors = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                               min_size=2, max_size=5).filter(lambda p: sum(p) > 0)
+
+
+class TestDrawOutcome:
+    @given(raw=probability_vectors, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_index_and_stream_as_choice(self, raw, seed):
+        p = np.array(raw) / sum(raw)
+        twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # reference: numpy's own draw over the normalized probabilities
+        assert draw_outcome(p, rng) == twin.choice(len(p), p=p / p.sum())
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [0.5, np.nan], [-0.1, 1.1],
+                                       [0.5, 0.6], [0.2, 0.3], [np.inf, 0.0]])
+    def test_invalid_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError):
+            draw_outcome(np.array(probs), np.random.default_rng(0))
+        with pytest.raises(ContractViolation):
+            draw_outcome(np.array(probs), force_outcome=0)
+
+    def test_forced_zero_probability_branch_rejected(self):
+        assert draw_outcome(np.array([0.0, 1.0]), force_outcome=1) == 1
+        with pytest.raises(ContractViolation):
+            draw_outcome(np.array([0.0, 1.0]), force_outcome=0)
 
 
 class TestPauliString:
