@@ -77,6 +77,8 @@ def parse_grid(text: str, parser=parse_angle) -> list[float]:
             grid = list(np.linspace(start, stop, count))
     else:
         grid = [parser(p) for p in t.split(",") if p.strip()]
+    if not grid:
+        raise ValueError(f"grid {text!r} has no points")
     if not all(math.isfinite(v) for v in grid):
         raise ValueError(f"grid {text!r} has a non-finite value")
     return grid

@@ -23,11 +23,18 @@ drops its lost edges.  A deformed logical Z exists iff the surviving
 primal graph connects its two terminals; a deformed logical X exists iff
 the surviving dual graph connects its two terminals.
 
+The survival kernel labels both graphs at once: in the combined graph the
+primal nodes come first and the dual cells follow, offset by
+``n_vertices + 2``, and every kept edge joins its two primal nodes and its
+two dual cells.  A mask survives when both terminal pairs share a label.
+
 Survival curves (`percolation_threshold`) draw one uniform vector per
 (L, sample) that serves every loss rate, so each curve is monotone and its
 points at different p are correlated; ``binom_std`` stays each point's
-marginal error.  A block of samples costs ceil(log2(G+1)) calls of the
-survival kernel `_survival_fast` for a G-point grid.
+marginal error.  A block of samples first contracts the edges kept at every
+grid rate (one components call over the whole block), then bisects on the
+much smaller graph of the edges whose fate varies across the grid: one
+call per bisection step, ceil(log2(G+1)) of them for a G-point grid.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,9 +115,21 @@ class LossLattice:
 
 
 def build_lattice(L: int) -> LossLattice:
-    """Construct the loss-free lattice with its stabilizer generators."""
+    """Construct the loss-free lattice with its stabilizer generators.
+
+    Each size is built once (`_cached_lattice`); every call gets its own
+    ``edges`` and generator lists, so mutating them changes no later lattice.
+    """
     if L < 2:
         raise ValueError(f"linear size must be >= 2, got {L}")
+    base = _cached_lattice(L)
+    return replace(base, edges=list(base.edges), z_generators=list(base.z_generators),
+                   x_generators=list(base.x_generators))
+
+
+#: a few sizes only: an L=256 lattice holds about 190 MB
+@lru_cache(maxsize=4)
+def _cached_lattice(L: int) -> LossLattice:
     return _build_minimal() if L == 2 else _build_planar(L)
 
 
@@ -373,10 +393,56 @@ class PercolationResult:
     threshold: float | None
 
 
-#: edges per block of masks that `percolation_threshold` hands to one kernel
-#: call (68 masks at L=16, 16 at L=32); it bounds the block's memory and
-#: changes no result
+#: edges per block of samples that `percolation_threshold` contracts and
+#: bisects together (68 samples at L=16, 16 at L=32); it bounds the block's
+#: memory and changes no result
 BLOCK_EDGES = 32_768
+
+
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Component label of each of ``n`` nodes under the undirected edges (a[i], b[i])."""
+    # imported here, not at module level: loading scipy.sparse.csgraph costs
+    # about 0.3 s, which every `import qloss` would otherwise pay
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    # CSR rows straight from a counting sort on ``a``: the COO route would also
+    # sort every row and sum duplicate edges, which labelling does not need
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    graph = sp.csr_matrix((np.ones(len(a)), b[np.argsort(a)], indptr), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _both_sides(lattice: LossLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The combined graph of one lattice: its (2 n_edges, 2) edge ends and its
+    four terminals (primal pair, then dual pair).
+
+    Primal nodes come first and dual cells after them, offset by
+    ``n_vertices + 2``; edge e is row e on the primal side and row
+    ``n_edges + e`` on the dual side.
+    """
+    n_primal = lattice.n_vertices + 2
+    n = n_primal + lattice.n_cells
+    ends = np.concatenate([lattice.primal, lattice.dual + n_primal])
+    return ends, np.array([n_primal - 2, n_primal - 1, n - 2, n - 1])
+
+
+def _block_edges(keep: np.ndarray, n_nodes: int, ends: np.ndarray):
+    """Copy index and both node ids of each kept edge of a (k, n_edges) mask
+    stack in the block-diagonal combined graph, copy i numbered from
+    i*n_nodes.  The primal sides of all kept edges come first, then their
+    dual sides, each in the row-major order of ``keep``'s true entries."""
+    copy, edge = np.nonzero(keep)
+    copy, rows = np.tile(copy, 2), np.concatenate([edge, edge + keep.shape[1]])
+    off = copy * n_nodes
+    return copy, ends[rows, 0] + off, ends[rows, 1] + off
+
+
+def _spans(labels: np.ndarray, terminals: np.ndarray) -> np.ndarray:
+    """Both terminal pairs connected, per row of (k, 4) terminal node ids."""
+    t = labels[terminals]
+    return (t[:, 0] == t[:, 1]) & (t[:, 2] == t[:, 3])
 
 
 def _survival_fast(lattice: LossLattice, keep: np.ndarray) -> np.ndarray:
@@ -384,33 +450,56 @@ def _survival_fast(lattice: LossLattice, keep: np.ndarray) -> np.ndarray:
 
     ``keep`` is a (k, n_edges) stack of masks (a single mask counts as k=1);
     the result holds one verdict per row.  The k masks become disjoint
-    copies in one block-diagonal graph per side, so a single
-    `connected_components` call per graph labels every copy: copy i numbers
-    its nodes from i*n_nodes, and its terminals stay its last two nodes.
+    copies of the combined graph (`_both_sides`) in one block-diagonal
+    graph, so a single `_components` call labels both sides of every copy.
     """
-    # imported here, not at module level: loading scipy.sparse.csgraph costs
-    # about 0.3 s, which every `import qloss` would otherwise pay
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
+    ends, terminals = _both_sides(lattice)
     keep = np.atleast_2d(keep)
-    k = len(keep)
-    copy, edge = np.nonzero(keep)
-
-    def spans(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
-        off = copy * n_nodes
-        graph = sp.coo_matrix((np.ones(len(edge)), (pairs[edge, 0] + off,
-                                                    pairs[edge, 1] + off)),
-                              shape=(k * n_nodes, k * n_nodes))
-        labels = connected_components(graph, directed=False)[1].reshape(k, n_nodes)
-        return labels[:, -2] == labels[:, -1]
-
-    return spans(lattice.primal, lattice.n_vertices + 2) & spans(lattice.dual, lattice.n_cells)
+    n = terminals[-1] + 1
+    _, a, b = _block_edges(keep, n, ends)
+    labels = _components(a, b, len(keep) * n)
+    return _spans(labels, np.arange(len(keep))[:, None] * n + terminals)
 
 
 def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
     """Correctability test for one loss mask (no generator reformation)."""
     return bool(_survival_fast(lattice, ~np.asarray(lost_mask, dtype=bool))[0])
+
+
+def _surviving_prefix(lattice: LossLattice, u: np.ndarray, p_sorted: np.ndarray) -> np.ndarray:
+    """Per row of ``u``: on how many leading points of ``p_sorted`` it survives.
+
+    Row s keeps the edges with ``u[s] >= p`` at rate p.  An edge with
+    ``u >= p_sorted[-1]`` is kept at every grid rate, so one `_components`
+    call over those edges labels the fixed part of every row; an edge with
+    ``u < p_sorted[0]`` is kept at none.  The rest are the varying edges:
+    each joins two fixed-part labels, and those inside one label drop out.
+    Bisection then answers each step with one `_components` call over the
+    varying edges kept at each open row's middle rate.
+    """
+    ends, terminals = _both_sides(lattice)
+    k, n = len(u), terminals[-1] + 1
+    _, a, b = _block_edges(u >= p_sorted[-1], n, ends)
+    labels = _components(a, b, k * n)
+    varying = (u >= p_sorted[0]) & (u < p_sorted[-1])
+    copy, a, b = _block_edges(varying, n, ends)
+    a, b, rate = labels[a], labels[b], np.tile(u[varying], 2)
+    between = a != b
+    copy, a, b, rate = copy[between], a[between], b[between], rate[between]
+    term = labels[np.arange(k)[:, None] * n + terminals]
+    n_labels = int(labels.max()) + 1
+    lo = np.zeros(k, dtype=np.int64)                # survives on p_sorted[:lo]
+    hi = np.full(k, len(p_sorted), dtype=np.int64)  # dies on p_sorted[hi:]
+    cut = np.empty(k)
+    while (todo := np.flatnonzero(lo < hi)).size:
+        mid = (lo[todo] + hi[todo] + 1) // 2
+        cut.fill(np.inf)
+        cut[todo] = p_sorted[mid - 1]
+        on = rate >= cut[copy]
+        alive = _spans(_components(a[on], b[on], n_labels), term[todo])
+        lo[todo] = np.where(alive, mid, lo[todo])
+        hi[todo] = np.where(alive, hi[todo], mid - 1)
+    return lo
 
 
 def percolation_threshold(L_grid: Sequence[int], samples: int,
@@ -423,13 +512,18 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
     them, so a sample survives on a prefix of the sorted p grid: its curve
     is monotone, and points at different p are correlated (``binom_std``
     stays each point's marginal error).  Samples are evaluated in blocks of
-    at most `BLOCK_EDGES` edges; each block finds every sample's last
-    surviving grid point by bisection, in ceil(log2(G+1)) kernel calls for
+    at most `BLOCK_EDGES` edges, on the combined primal and dual graph of
+    each sample.  A block contracts the edges kept at every grid rate once,
+    then finds every sample's last surviving grid point by bisection over
+    the edges whose fate varies across the grid (`_surviving_prefix`): one
+    components call for the contraction and ceil(log2(G+1)) small ones for
     a G-point grid.  Counts depend neither on the block size nor on the
     other grid points or their order.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples per point")
+    if len(L_grid) == 0 or len(p_grid) == 0:
+        raise ValueError("lattice sizes and loss rates must not be empty")
     if not all(0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError(f"loss rates must lie in [0, 1], got {list(p_grid)}")
     if len(set(L_grid)) != len(L_grid):
@@ -446,14 +540,7 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
         for start in range(0, samples, block):
             u = np.stack([seed_for(seed, L, s).random(lat.n_edges)
                           for s in range(start, min(start + block, samples))])
-            lo = np.zeros(len(u), dtype=np.int64)    # survives on sorted[:lo]
-            hi = np.full(len(u), n_p, dtype=np.int64)  # dies on sorted[hi:]
-            while (todo := np.flatnonzero(lo < hi)).size:
-                mid = (lo[todo] + hi[todo] + 1) // 2
-                alive = _survival_fast(lat, u[todo] >= p_sorted[mid - 1][:, None])
-                lo[todo] = np.where(alive, mid, lo[todo])
-                hi[todo] = np.where(alive, hi[todo], mid - 1)
-            hist += np.bincount(lo, minlength=n_p + 1)
+            hist += np.bincount(_surviving_prefix(lat, u, p_sorted), minlength=n_p + 1)
         survivors = np.empty(n_p, dtype=np.int64)
         survivors[order] = np.cumsum(hist[::-1])[::-1][1:]
         points.extend(SurvivalPoint(L, float(p), samples, int(n))

@@ -116,7 +116,9 @@ def _code(name: str, n_ions: int, qubits: tuple[int, ...]) -> CodeDefinition:
     stabilizers["S1X"] = p(dict.fromkeys(qubits, "X"))
     logicals = {"TX": p({last: "X"}), "TZ": p({first: "Z", last: "Z"}),
                 "TY": p({first: "Z", last: "Y"})}
-    return CodeDefinition(name, qubits, stabilizers, logicals)
+    code = CodeDefinition(name, qubits, stabilizers, logicals)
+    code.validate()
+    return code
 
 
 @lru_cache(maxsize=None)
@@ -719,6 +721,8 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
     ground truth (the loss-level occupation of the probed qubit).  ``hiding``
     picks the ideal support-mask model or the explicit five-level pulses.
     """
+    if len(phi_grid) == 0:
+        raise ValueError("phi_grid must not be empty")
     if register not in (2, 5):
         raise ValueError("register must be 2 or 5 ions")
     if shots <= 0 and not analytic:

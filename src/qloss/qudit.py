@@ -292,10 +292,6 @@ class DensityOperator:
             raise UndefinedExpectationError("cannot normalize zero-trace operator")
         return DensityOperator(self.n_ions, self.dims, self.mat / tr)
 
-    def apply_unitary(self, matrix: np.ndarray, support: Sequence[int]) -> "DensityOperator":
-        sup = _check_support(support, self.n_ions)
-        return self.apply_operator(check_unitary(matrix, self.dims ** len(sup)), sup)
-
     def apply_operator(self, matrix: np.ndarray, support: Sequence[int]) -> "DensityOperator":
         """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check)."""
         sup = _check_support(support, self.n_ions)

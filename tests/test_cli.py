@@ -51,6 +51,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="exceeds"):
             parse_grid("0:1:10000000")
 
+    @pytest.mark.parametrize("text", ["", ",", " , ,"])
+    def test_grid_without_points_is_rejected(self, text):
+        with pytest.raises(ValueError, match="no points"):
+            parse_grid(text)
+
     def test_grid_list(self):
         grid = parse_grid("0.1pi,0.2pi,0.5pi")
         assert grid == pytest.approx([0.1 * math.pi, 0.2 * math.pi, 0.5 * math.pi])
@@ -103,6 +108,12 @@ class TestDetectSweep:
                                    "--shots", "10", "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert "hiding=explicit" in read_lines(out)[1]
+
+    def test_empty_grid_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        res = runner.invoke(main, ["detect-sweep", "--phi-grid", ",", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
 
     def test_unknown_hiding_is_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["detect-sweep", "--hiding", "partial",
@@ -264,6 +275,13 @@ class TestPercolationCommand:
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 0, res.output
         assert seen == [MAX_SHOTS]
+
+    def test_empty_grid_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "perc.csv"
+        res = runner.invoke(main, ["percolation", "--L", "4", "--p", "", "--samples", "100",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
 
     def test_small_size_is_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["percolation", "--L", "1", "--p", "0.5",

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qloss"
 MODULES = sorted(SRC.glob("*.py"))
 
 #: (module, function) pairs that may import inside the function body
-LOCAL_IMPORTS_ALLOWED = {("lattice", "_survival_fast")}
+LOCAL_IMPORTS_ALLOWED = {("lattice", "_components")}
 
 #: (module, name) pairs imported only to stay importable from the module;
 #: the projector cache moved from tomography to protocol next to CodeDefinition

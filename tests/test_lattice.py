@@ -82,6 +82,19 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_lattice(1)
 
+    def test_each_call_owns_its_lists(self):
+        first = build_lattice(5)
+        fresh = [list(first.edges), list(first.z_generators), list(first.x_generators)]
+        first.edges.pop()
+        first.z_generators.clear()
+        first.x_generators.append(frozenset({0}))
+        again = build_lattice(5)
+        assert [again.edges, again.z_generators, again.x_generators] == fresh
+        again.validate_commutation()
+
+    def test_size_cache_is_bounded(self):
+        assert lattice_mod._cached_lattice.cache_info().maxsize is not None
+
 
 class TestApplyLosses:
     def test_empty_list_unchanged(self):
@@ -274,13 +287,21 @@ class TestBlockKernel:
         assert got.tolist() == expected
         assert expected[-2:] == [True, False]
 
+    @pytest.mark.parametrize("grid", [
+        # unsorted, a repeated rate, both endpoints
+        [0.5, 0.3, 1.0, 0.7, 0.5, 0.0],
+        # one rate: no edge varies, the contraction alone decides
+        [0.45],
+        # every sample spans at the largest rate (checked below)
+        [0.002, 0.0, 0.001],
+    ])
     @pytest.mark.parametrize("budget", [lattice_mod.BLOCK_EDGES, 100])
-    def test_sweep_matches_per_mask_loop(self, budget, monkeypatch):
-        # a budget of 100 edges puts 7, 4 and 2 masks in a block at L=3, 4, 5;
-        # 101 samples is a multiple of none of them.  The grid is unsorted,
-        # repeats a rate and holds both endpoints.
+    def test_sweep_matches_per_mask_loop(self, budget, grid, monkeypatch):
+        # a budget of 100 edges puts 25, 7, 4 and 2 masks in a block at
+        # L=2, 3, 4, 5; 101 samples is a multiple of none of them.  L=2's dual
+        # terminals are its two bottom corner cells.
         monkeypatch.setattr(lattice_mod, "BLOCK_EDGES", budget)
-        sizes, samples, grid, seed = [3, 4, 5], 101, [0.5, 0.3, 1.0, 0.7, 0.5, 0.0], 17
+        sizes, samples, seed = [2, 3, 4, 5], 101, 17
         res = percolation_threshold(sizes, samples, grid, seed=seed)
         ref = []
         for L in sizes:
@@ -290,6 +311,8 @@ class TestBlockKernel:
                     lat, ~(seed_for(seed, L, s).random(lat.n_edges) >= p))
                     for s in range(samples)))
         assert [pt.survivors for pt in res.points] == ref
+        if max(grid) == 0.002:
+            assert ref[::len(grid)] == [samples] * len(sizes)
 
     @given(L=st.integers(2, 6), data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -373,6 +396,12 @@ class TestPercolation:
     def test_repeated_size_raises(self):
         with pytest.raises(ValueError, match="must not repeat"):
             percolation_threshold([6, 6], 100, [0.3, 0.4, 0.5, 0.6])
+
+    def test_empty_grids_raise(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            percolation_threshold([], 100, [0.5])
+        with pytest.raises(ValueError, match="must not be empty"):
+            percolation_threshold([4], 100, [])
 
     def test_samples_floor(self):
         with pytest.raises(ValueError):

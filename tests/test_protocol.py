@@ -32,6 +32,11 @@ class TestCodes:
         four_qubit_code().validate()
         three_qubit_code().validate()
 
+    def test_builder_validates(self):
+        # a repeated first qubit leaves a lone Z that anticommutes with the X check
+        with pytest.raises(ValueError, match="do not commute"):
+            three_qubit_code(5, (0, 0, 1))
+
     def test_ty_is_i_tx_tz(self):
         for code in (four_qubit_code(), three_qubit_code()):
             tx = code.logicals["TX"].embedded(3)
@@ -490,6 +495,11 @@ class TestDetectionSweep:
             detection_sweep([0.1], shots=10, register=3)
         with pytest.raises(ValueError):
             detection_sweep([0.1], shots=10, register=5, hiding="telepathy")
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_empty_grid_raises(self, analytic):
+        with pytest.raises(ValueError, match="must not be empty"):
+            detection_sweep([], shots=10, analytic=analytic)
 
 
 class TestSeeding:

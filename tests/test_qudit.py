@@ -72,9 +72,6 @@ class TestApplyUnitary:
             check_unitary(u, 3)
         with pytest.raises(ContractViolation):
             check_unitary(truncated_pauli("Z", 3), 3)
-        # the density-operator route runs the same check
-        with pytest.raises(ContractViolation):
-            make_state(1, 3, [0]).to_density().apply_unitary(truncated_pauli("X", 3), (0,))
 
     def test_support_out_of_range(self):
         with pytest.raises(IndexError):
@@ -111,10 +108,6 @@ class TestNonFiniteContracts:
     def test_apply_unitary_rejects_nan_matrix(self):
         with pytest.raises(ContractViolation):
             apply_unitary(make_state(1, 3, [0]), np.full((3, 3), np.nan), (0,))
-
-    def test_density_apply_unitary_rejects_nan_matrix(self):
-        with pytest.raises(ContractViolation):
-            make_state(1, 3, [0]).to_density().apply_unitary(np.full((3, 3), np.nan), (0,))
 
     def test_density_validate_rejects_nan(self):
         with pytest.raises(ContractViolation):

@@ -359,7 +359,6 @@ class TestCodeSpace:
     def test_bounds_on_random_states(self, seed):
         mat = random_qubit_density(2, 100 + seed)
         rho = embed_qubit_density(mat, 2)
-        code = three_qubit_code(n_ions=2, qubits=(0, 1, 1))  # not used: build below
         # use the 2-qubit repetition-style code {ZZ} with logical X1, Z1
         from qloss.protocol import CodeDefinition
         code = CodeDefinition(
