@@ -43,7 +43,6 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,21 +114,9 @@ class LossLattice:
 
 
 def build_lattice(L: int) -> LossLattice:
-    """Construct the loss-free lattice with its stabilizer generators.
-
-    Each size is built once (`_cached_lattice`); every call gets its own
-    ``edges`` and generator lists, so mutating them changes no later lattice.
-    """
+    """Construct the loss-free lattice with its stabilizer generators."""
     if L < 2:
         raise ValueError(f"linear size must be >= 2, got {L}")
-    base = _cached_lattice(L)
-    return replace(base, edges=list(base.edges), z_generators=list(base.z_generators),
-                   x_generators=list(base.x_generators))
-
-
-#: a few sizes only: an L=256 lattice holds about 190 MB
-@lru_cache(maxsize=4)
-def _cached_lattice(L: int) -> LossLattice:
     return _build_minimal() if L == 2 else _build_planar(L)
 
 
@@ -406,11 +393,7 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    # CSR rows straight from a counting sort on ``a``: the COO route would also
-    # sort every row and sum duplicate edges, which labelling does not need
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
-    graph = sp.csr_matrix((np.ones(len(a)), b[np.argsort(a)], indptr), shape=(n, n))
+    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
     return connected_components(graph, directed=False)[1]
 
 

@@ -82,19 +82,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_lattice(1)
 
-    def test_each_call_owns_its_lists(self):
-        first = build_lattice(5)
-        fresh = [list(first.edges), list(first.z_generators), list(first.x_generators)]
-        first.edges.pop()
-        first.z_generators.clear()
-        first.x_generators.append(frozenset({0}))
-        again = build_lattice(5)
-        assert [again.edges, again.z_generators, again.x_generators] == fresh
-        again.validate_commutation()
-
-    def test_size_cache_is_bounded(self):
-        assert lattice_mod._cached_lattice.cache_info().maxsize is not None
-
 
 class TestApplyLosses:
     def test_empty_list_unchanged(self):
