@@ -3,8 +3,9 @@
 The files under ``tests/golden/`` hold the numbers a refactor must not move.
 Regenerate them with ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``
 only for a change that is meant to move them, and say so in CHANGES.md.  A
-NAME is a golden file (``sampled_tomography``) or one seeded digest
-(``process_tomography.sampled``); with none given, every file is rewritten.
+NAME is a golden file (``sampled_tomography``), one seeded digest
+(``process_tomography.sampled``) or one CLI run (``protocol``); with none
+given, every file is rewritten.
 """
 
 import hashlib
@@ -15,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from qloss.channels import NoiseModel
-from qloss.cli import parse_angle, parse_grid
+from qloss.cli import main, parse_angle, parse_grid
 from qloss.lattice import (apply_losses, build_lattice, find_logical,
                            percolation_threshold, reform_stabilizers)
 from qloss.protocol import analytic_run, detection_sweep, records_to_jsonl, run_protocol
@@ -187,10 +189,34 @@ def seeded_digests() -> dict:
     return {name: _sha1(make()) for name, make in SEEDED.items()}
 
 
+#: one run of each CLI command, as in test_cli's byte-identity check
+CLI_RUNS = {
+    "detect-sweep": ["detect-sweep", "--phi-grid", "0:pi:5", "--shots", "10"],
+    "protocol": ["protocol", "--alpha", "pi/2", "--phi", "0.5pi", "--shots", "15"],
+    "choi": ["choi", "--phi-grid", "0.3pi", "--shots", "50"],
+    "percolation": ["percolation", "--L", "4,6", "--p", "0.45,0.5", "--samples", "100"],
+    "stabilizer-sweep": ["stabilizer-sweep", "--phi-grid", "0.5pi", "--shots", "20"],
+}
+
+
+def _cli_files(args: list[str]) -> dict:
+    """sha1 of every file one CLI run writes, run in an empty working directory
+    with a relative ``--out`` (the header echoes it)."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["--seed", "11", *args, "--out", "run"])
+        assert res.exit_code == 0, res.output
+        return {f.name: _sha1(f.read_bytes()) for f in sorted(Path().iterdir())}
+
+
+def cli_digests() -> dict:
+    return {name: _cli_files(args) for name, args in CLI_RUNS.items()}
+
+
 GENERATORS = {"analytic_run": analytic_values, "process_choi": choi_values,
               "stabilizer_sweep": stabilizer_sweep_values,
               "sampled_tomography": sampled_tomography_values,
-              "seeded_sha1": seeded_digests}
+              "seeded_sha1": seeded_digests, "cli_sha1": cli_digests}
 
 
 def _load(name: str):
@@ -233,6 +259,11 @@ def test_seeded_output_digest_matches_golden(name):
     assert _sha1(SEEDED[name]()) == _load("seeded_sha1")[name]
 
 
+@pytest.mark.parametrize("name", list(CLI_RUNS))
+def test_cli_output_bytes_match_golden(name):
+    assert _cli_files(CLI_RUNS[name]) == _load("cli_sha1")[name]
+
+
 def _dump(name: str, payload) -> None:
     with open(GOLDEN / f"{name}.json", "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
@@ -244,5 +275,7 @@ if __name__ == "__main__":
     for name in sys.argv[1:] or list(GENERATORS):
         if name in SEEDED:
             _dump("seeded_sha1", {**_load("seeded_sha1"), name: _sha1(SEEDED[name]())})
+        elif name in CLI_RUNS:
+            _dump("cli_sha1", {**_load("cli_sha1"), name: _cli_files(CLI_RUNS[name])})
         else:
             _dump(name, GENERATORS[name]())
