@@ -11,7 +11,9 @@ top, left, right, bottom), whose X-string terminals degenerate to the two
 bottom corner cells.
 
 The lattice is two graphs over the same edges: the primal graph of
-vertices and the dual graph of cells.  Each graph's terminals are its last
+vertices and the dual graph of cells.  Its read-only ``primal`` and
+``dual`` arrays are the one edge representation: row e holds edge e's two
+primal nodes and its two dual cells.  Each graph's terminals are its last
 two nodes.  In the primal graph, every dangling top edge ends on node
 ``n_vertices`` and every dangling bottom edge on node ``n_vertices + 1``;
 in the dual graph, the two exterior regions are the last two cells.
@@ -54,29 +56,19 @@ class ConsistencyError(RuntimeError):
     """Internal invariant violated (reformed generators failed validation)."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    index: int
-    kind: str           # "V" | "H"
-    r: int
-    c: int
-    endpoints: tuple[int, int]   # primal node ids
-    cells: tuple[int, int]       # dual cell ids
-
-
 @dataclass
 class LossLattice:
     """Surface-code lattice with a lost-edge mask and current generators.
 
-    ``primal`` and ``dual`` are read-only (n_edges, 2) arrays holding each
-    edge's two primal nodes and two dual cells.  The primal graph has
+    The edges exist only as ``primal`` and ``dual``, read-only (n_edges, 2)
+    arrays holding each edge's two primal nodes and two dual cells; edge e
+    is row e of both, and qubit e of every generator.  The primal graph has
     ``n_vertices + 2`` nodes and the dual graph ``n_cells``; in both, the
     last two nodes are the terminals a logical string runs between.
     """
 
     L: int
     n_edges: int
-    edges: list[Edge]
     lost: frozenset[int]
     z_generators: list[frozenset[int]]
     x_generators: list[frozenset[int]]
@@ -84,9 +76,6 @@ class LossLattice:
     n_cells: int
     primal: np.ndarray = field(compare=False, repr=False)
     dual: np.ndarray = field(compare=False, repr=False)
-
-    def surviving(self) -> list[int]:
-        return [e for e in range(self.n_edges) if e not in self.lost]
 
     def validate_commutation(self) -> None:
         """Every (Z, X) generator pair must share an even number of edges.
@@ -138,30 +127,25 @@ def _build_planar(L: int) -> LossLattice:
 
     term_l, term_r = n_cell_grid, n_cell_grid + 1
 
-    edges: list[Edge] = []
-
-    def add_edge(kind: str, r: int, c: int, endpoints, cells_) -> None:
-        edges.append(Edge(len(edges), kind, r, c, endpoints, cells_))
-
+    primal: list[tuple[int, int]] = []
+    dual: list[tuple[int, int]] = []
     for rv in range(rows + 1):
-        for c in range(cols):
+        for c in range(cols):   # row rv of vertical edges
             if rv == 0:
-                ends = (top, vertex(0, c))
+                primal.append((top, vertex(0, c)))
             elif rv <= rows - 1:
-                ends = (vertex(rv - 1, c), vertex(rv, c))
+                primal.append((vertex(rv - 1, c), vertex(rv, c)))
             else:
-                ends = (vertex(rows - 1, c), bottom)
-            left_cell = term_l if c == 0 else cell(rv, c - 1)
-            right_cell = term_r if c == cols - 1 else cell(rv, c)
-            add_edge("V", rv, c, ends, (left_cell, right_cell))
+                primal.append((vertex(rows - 1, c), bottom))
+            dual.append((term_l if c == 0 else cell(rv, c - 1),
+                         term_r if c == cols - 1 else cell(rv, c)))
         if rv <= rows - 1:
-            for ch in range(1, cols):
-                add_edge("H", rv, ch,
-                         (vertex(rv, ch - 1), vertex(rv, ch)),
-                         (cell(rv, ch - 1), cell(rv + 1, ch - 1)))
+            for ch in range(1, cols):   # then the horizontal edges of vertex row rv
+                primal.append((vertex(rv, ch - 1), vertex(rv, ch)))
+                dual.append((cell(rv, ch - 1), cell(rv + 1, ch - 1)))
 
-    assert len(edges) == L * L + (L - 1) * (L - 1)
-    return _patch(L, edges, n_vertices=n_vertices, n_cells=n_cell_grid + 2)
+    assert len(primal) == L * L + (L - 1) * (L - 1)
+    return _patch(L, primal, dual, n_vertices=n_vertices, n_cells=n_cell_grid + 2)
 
 
 def _build_minimal() -> LossLattice:
@@ -173,34 +157,33 @@ def _build_minimal() -> LossLattice:
     edge on node 2.  Cells 0 and 1 are the plaquettes; the bottom-corner
     cells 2 and 3 are the X-string terminals.
     """
-    edges = [Edge(0, "V", 0, 0, (1, 0), (0, 1)),
-             Edge(1, "H", 0, 0, (1, 0), (0, 2)),
-             Edge(2, "H", 0, 1, (0, 1), (1, 3)),
-             Edge(3, "V", 1, 0, (0, 2), (2, 3))]
-    return _patch(2, edges, n_vertices=1, n_cells=4)
+    return _patch(2, [(1, 0), (1, 0), (0, 1), (0, 2)], [(0, 1), (0, 2), (1, 3), (2, 3)],
+                  n_vertices=1, n_cells=4)
 
 
-def _patch(L: int, edges: list[Edge], *, n_vertices: int, n_cells: int) -> LossLattice:
-    """The loss-free lattice on ``edges`` with its validated generators.
+def _patch(L: int, primal: list[tuple[int, int]], dual: list[tuple[int, int]], *,
+           n_vertices: int, n_cells: int) -> LossLattice:
+    """The loss-free lattice on the edges (``primal[e]``, ``dual[e]``) with its
+    validated generators.
 
     Every vertex (primal node below ``n_vertices``) gives a star, every
     cell but the two dual terminals a plaquette.
     """
-    star: dict[int, set[int]] = {v: set() for v in range(n_vertices)}
-    plaq: dict[int, set[int]] = {cl: set() for cl in range(n_cells - 2)}
-    for e in edges:
-        for node in e.endpoints:
+    star: list[set[int]] = [set() for _ in range(n_vertices)]
+    plaq: list[set[int]] = [set() for _ in range(n_cells - 2)]
+    for e, (ends, cells) in enumerate(zip(primal, dual)):
+        for node in ends:
             if node < n_vertices:
-                star[node].add(e.index)
-        for cl in e.cells:
-            if cl in plaq:
-                plaq[cl].add(e.index)
+                star[node].add(e)
+        for cl in cells:
+            if cl < n_cells - 2:
+                plaq[cl].add(e)
     lat = LossLattice(
-        L=L, n_edges=len(edges), edges=edges, lost=frozenset(),
-        z_generators=[frozenset(s) for _, s in sorted(plaq.items())],
-        x_generators=[frozenset(s) for _, s in sorted(star.items())],
+        L=L, n_edges=len(primal), lost=frozenset(),
+        z_generators=[frozenset(s) for s in plaq],
+        x_generators=[frozenset(s) for s in star],
         n_vertices=n_vertices, n_cells=n_cells,
-        primal=np.array([e.endpoints for e in edges]), dual=np.array([e.cells for e in edges]))
+        primal=np.array(primal), dual=np.array(dual))
     lat.primal.setflags(write=False)
     lat.dual.setflags(write=False)
     lat.validate_commutation()
@@ -253,47 +236,40 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     """Merge plaquettes across lost edges and shrink stars.
 
     Union-find runs over dual cells; classes that absorbed a terminal cell
-    (one of the last two) merge into the boundary and are discarded.  The
-    mod-2 product over each class removes the lost edges automatically.
+    (one of the last two) merge into the boundary and are discarded.  A
+    merged plaquette is the mod-2 product of its member cells: the kept
+    edges whose two cells lie in different classes, since an edge inside
+    one class cancels and a lost edge joins two cells of one class.
     Commutation of the result is re-verified exhaustively.
     """
-    terminals = range(lattice.n_cells - 2, lattice.n_cells)
+    lost, cells, ends = lattice.lost, lattice.dual.tolist(), lattice.primal.tolist()
     uf = _UnionFind(lattice.n_cells)
-    for e in lattice.lost:
-        uf.union(*lattice.edges[e].cells)
+    for e in lost:
+        uf.union(*cells[e])
 
-    term_classes = {uf.find(t) for t in terminals}
-    cell_support: dict[int, set[int]] = {}
-    for e in lattice.edges:
-        if e.index in lattice.lost:
-            continue
-        for cl in e.cells:
-            cell_support.setdefault(cl, set()).add(e.index)
-
+    cell_root = [uf.find(cl) for cl in range(lattice.n_cells)]
+    boundary = set(cell_root[-2:])
     merged: dict[int, set[int]] = {}
-    for cl, supp in cell_support.items():
-        root = uf.find(cl)
-        if root in term_classes or cl in terminals:
-            continue  # merged into the boundary / never a plaquette
-        merged.setdefault(root, set()).symmetric_difference_update(supp)
-
-    # a surviving edge interior to a merged class sits in two member cells
-    # and cancels in the symmetric difference; lost edges never enter
-    z_gens = [frozenset(s) for root, s in sorted(merged.items()) if s]
+    for e, (a, b) in enumerate(cells):
+        if (ra := cell_root[a]) != (rb := cell_root[b]):
+            for r in (ra, rb):
+                if r not in boundary:
+                    merged.setdefault(r, set()).add(e)
+    z_gens = [frozenset(s) for _, s in sorted(merged.items())]
 
     # losses can enclose an island: a surviving-graph component with no
     # terminal, whose shrunk stars multiply to the identity.  Drop the first
     # star of each island to keep the generator list independent.
     uf_p = _UnionFind(lattice.n_vertices + 2)
-    for e in lattice.edges:
-        if e.index not in lattice.lost:
-            uf_p.union(*e.endpoints)
+    for e, (a, b) in enumerate(ends):
+        if e not in lost:
+            uf_p.union(a, b)
     seen = {uf_p.find(lattice.n_vertices), uf_p.find(lattice.n_vertices + 1)}
     x_gens = []
     for g in lattice.x_generators:
-        if not (shrunk := g - lattice.lost):
+        if not (shrunk := g - lost):
             continue
-        root = uf_p.find(lattice.edges[next(iter(shrunk))].endpoints[0])
+        root = uf_p.find(ends[next(iter(shrunk))][0])
         if root in seen:
             x_gens.append(shrunk)
         seen.add(root)
@@ -343,7 +319,7 @@ def find_logical(lattice: LossLattice) -> LogicalSearch:
     Call after :func:`reform_stabilizers`; the returned strings commute with
     every current generator and anticommute with each other.
     """
-    surviving = lattice.surviving()
+    surviving = [e for e in range(lattice.n_edges) if e not in lattice.lost]
     z_path = _terminal_path(lattice.primal, lattice.n_vertices + 2, surviving)
     x_path = _terminal_path(lattice.dual, lattice.n_cells, surviving)
     t_z = (PauliString.from_map(lattice.n_edges, {e: "Z" for e in z_path})

@@ -197,6 +197,14 @@ class TestReform:
         assert trials > 50
 
 
+def vertical_edges(lat) -> np.ndarray:
+    """Mask of a planar lattice's vertical edges: they join vertices L apart
+    (one row apart) or touch a primal terminal; horizontal ones join
+    neighbours in a row."""
+    a, b = lat.primal.T
+    return (abs(a - b) == lat.L) | (np.maximum(a, b) >= lat.n_vertices)
+
+
 class TestFindLogical:
     def test_minimal_instance_deformed_tz(self):
         ref = reform_stabilizers(apply_losses(build_lattice(2), [0]))
@@ -209,12 +217,16 @@ class TestFindLogical:
         lat = build_lattice(5)
         res = find_logical(reform_stabilizers(lat))
         assert res.correctable
-        kinds_z = {lat.edges[e].kind for e in res.t_z.support}
-        assert kinds_z == {"V"}  # vertical top-to-bottom string
+        # a vertical top-to-bottom string
+        assert vertical_edges(lat)[list(res.t_z.support)].all()
 
     def test_full_horizontal_cut_defeats_tz(self):
         lat = build_lattice(4)
-        cut = [e.index for e in lat.edges if e.kind == "V" and e.r == 1]
+        # every vertical edge between vertex rows 0 and 1
+        a, b = lat.primal.T
+        cut = np.flatnonzero(vertical_edges(lat) & (np.minimum(a, b) < lat.L)
+                             & (np.maximum(a, b) < lat.n_vertices)).tolist()
+        assert len(cut) == lat.L
         ref = reform_stabilizers(apply_losses(lat, cut))
         res = find_logical(ref)
         assert res.t_z is None and not res.correctable
