@@ -326,21 +326,6 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _shrunk_draw(probs: np.ndarray, mode: str, rng: np.random.Generator | None,
-                 force_outcome: int | None = None) -> int:
-    """Index of the shrunk outcome (0 for +1, 1 for -1), forced or drawn from ``rng``."""
-    force = None if force_outcome is None else (0 if force_outcome == +1 else 1)
-    if mode == "toolbox":
-        return draw_outcome(probs, rng, force)
-    if force is not None:
-        if probs[force] <= ATOL_TRACE:
-            raise ProtocolError("deterministic request of zero-probability branch")
-        return force
-    if rng is None:
-        raise ValueError("rng required unless force_outcome is given")
-    return 0 if rng.random() < probs[0] else 1
-
-
 def _shrunk_post(pre: PureState, mode: str, pick: int) -> PureState:
     """Post state of shrunk outcome ``pick``, with the ancilla reset to |0>."""
     if mode == "exact":
@@ -363,7 +348,9 @@ def measure_shrunk_stabilizer(state: PureState, mode: str = "exact",
     post states.  Returns (outcome +-1, post state, probability).
     """
     pre, probs = _shrunk_split(state, mode)
-    pick = _shrunk_draw(probs, mode, rng, force_outcome)
+    # outcome index 0 is +1, index 1 is -1
+    pick = draw_outcome(probs, rng, None if force_outcome is None
+                        else (0 if force_outcome == +1 else 1))
     return (+1 if pick == 0 else -1), _shrunk_post(pre, mode, pick), float(probs[pick])
 
 
@@ -590,7 +577,7 @@ def run_protocol(prep: PrepSpec | float, phi: float, shots: int = 0,
         shrunk: int | None = None
         if branch == "loss":
             pre, probs = once((branch,), lambda: _shrunk_split(detect_post(), shrunk_mode))
-            pick = _shrunk_draw(probs, shrunk_mode, rng)
+            pick = draw_outcome(probs, rng)
             shrunk = +1 if pick == 0 else -1
             frame = frame_update(frame, shrunk)
             path = (branch, shrunk)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
-from qloss.gates import GateKind, Register, _transfer_pulses, compile_gate, loss_rotation
+from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotation,
+                         compile_gate, loss_rotation)
 from qloss.protocol import (CODE_QUBITS, SURVIVING_QUBITS, PauliFrame, PrepSpec,
                             ProtocolError, _explicit_key, _explicit_state, _shrunk_correct,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
@@ -17,8 +18,9 @@ from qloss.protocol import (CODE_QUBITS, SURVIVING_QUBITS, PauliFrame, PrepSpec,
                             measure_shrunk_stabilizer, qnd_detect, qnd_detect_density,
                             records_to_jsonl, run_protocol, seed_for,
                             shrunk_stabilizer, three_qubit_code)
-from qloss.qudit import (DensityOperator, Level, PauliString, PureState, apply_unitary,
-                         make_state, partial_trace, pure_expectation, readout_partition)
+from qloss.qudit import (ContractViolation, DensityOperator, Level, PauliString, PureState,
+                         apply_unitary, make_state, partial_trace, pure_expectation,
+                         readout_partition)
 
 S1X_LAW = lambda phi: 4 * math.cos(phi / 2) / (3 + math.cos(phi))
 
@@ -179,8 +181,6 @@ class TestShrunkStabilizer:
         assert fid == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_eigenstate_input_unchanged(self):
-        from qloss.gates import collective_rotation
-        from qloss.qudit import apply_unitary
         state = self.loss_state(0.0)
         _, plus_state, _ = measure_shrunk_stabilizer(state, "exact", force_outcome=+1)
         # re-arm the loss flag (ancilla |0> -> |1>) and measure again:
@@ -191,6 +191,17 @@ class TestShrunkStabilizer:
         out, post, p = measure_shrunk_stabilizer(rearmed, "exact", force_outcome=+1)
         assert out == +1 and p == pytest.approx(1.0, abs=1e-12)
         assert post.fidelity(plus_state) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "toolbox"])
+    def test_forcing_zero_probability_outcome_is_contract_violation(self, mode):
+        # a +1 eigenstate with the loss flag re-armed: outcome -1 has probability 0
+        _, plus_state, _ = measure_shrunk_stabilizer(self.loss_state(0.0), "exact",
+                                                     force_outcome=+1)
+        rearmed = apply_unitary(plus_state,
+                                compile_gate(collective_rotation("X", math.pi, (4,)), 3),
+                                (4,))
+        with pytest.raises(ContractViolation, match="zero-probability"):
+            measure_shrunk_stabilizer(rearmed, mode, force_outcome=-1)
 
     def test_requires_loss_branch(self):
         state = encode(0.0)  # ancilla |0>: not a loss branch
