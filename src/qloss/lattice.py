@@ -242,15 +242,19 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     one class cancels and a lost edge joins two cells of one class.
     Commutation of the result is re-verified exhaustively.
     """
-    lost, cells, ends = lattice.lost, lattice.dual.tolist(), lattice.primal.tolist()
+    lost = lattice.lost
+    # one flat list per column: an (n_edges, 2) .tolist() would allocate a
+    # list per edge on every call
+    cell_a, cell_b = lattice.dual.T.tolist()
+    end_a, end_b = lattice.primal.T.tolist()
     uf = _UnionFind(lattice.n_cells)
     for e in lost:
-        uf.union(*cells[e])
+        uf.union(cell_a[e], cell_b[e])
 
     cell_root = [uf.find(cl) for cl in range(lattice.n_cells)]
     boundary = set(cell_root[-2:])
     merged: dict[int, set[int]] = {}
-    for e, (a, b) in enumerate(cells):
+    for e, (a, b) in enumerate(zip(cell_a, cell_b)):
         if (ra := cell_root[a]) != (rb := cell_root[b]):
             for r in (ra, rb):
                 if r not in boundary:
@@ -261,7 +265,7 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     # terminal, whose shrunk stars multiply to the identity.  Drop the first
     # star of each island to keep the generator list independent.
     uf_p = _UnionFind(lattice.n_vertices + 2)
-    for e, (a, b) in enumerate(ends):
+    for e, (a, b) in enumerate(zip(end_a, end_b)):
         if e not in lost:
             uf_p.union(a, b)
     seen = {uf_p.find(lattice.n_vertices), uf_p.find(lattice.n_vertices + 1)}
@@ -269,7 +273,7 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     for g in lattice.x_generators:
         if not (shrunk := g - lost):
             continue
-        root = uf_p.find(ends[next(iter(shrunk))][0])
+        root = uf_p.find(end_a[next(iter(shrunk))])
         if root in seen:
             x_gens.append(shrunk)
         seen.add(root)
