@@ -180,26 +180,25 @@ class TestShrunkStabilizer:
         fid = float(np.real(np.vdot(tgt.amps, red.mat @ tgt.amps)))
         assert fid == pytest.approx(1.0, abs=1e-12)
 
+    def plus_rearmed(self) -> tuple[PureState, PureState]:
+        """A +1 post state, and that state with its loss flag re-armed
+        (ancilla |0> -> |1>) for a second shrunk measurement."""
+        _, plus_state, _ = measure_shrunk_stabilizer(self.loss_state(0.0), "exact",
+                                                     force_outcome=+1)
+        return plus_state, apply_unitary(
+            plus_state, compile_gate(collective_rotation("X", math.pi, (4,)), 3), (4,))
+
     def test_plus_eigenstate_input_unchanged(self):
-        state = self.loss_state(0.0)
-        _, plus_state, _ = measure_shrunk_stabilizer(state, "exact", force_outcome=+1)
-        # re-arm the loss flag (ancilla |0> -> |1>) and measure again:
         # outcome +1 with certainty, code state unchanged
-        rearmed = apply_unitary(plus_state,
-                                compile_gate(collective_rotation("X", math.pi, (4,)), 3),
-                                (4,))
+        plus_state, rearmed = self.plus_rearmed()
         out, post, p = measure_shrunk_stabilizer(rearmed, "exact", force_outcome=+1)
         assert out == +1 and p == pytest.approx(1.0, abs=1e-12)
         assert post.fidelity(plus_state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["exact", "toolbox"])
     def test_forcing_zero_probability_outcome_is_contract_violation(self, mode):
-        # a +1 eigenstate with the loss flag re-armed: outcome -1 has probability 0
-        _, plus_state, _ = measure_shrunk_stabilizer(self.loss_state(0.0), "exact",
-                                                     force_outcome=+1)
-        rearmed = apply_unitary(plus_state,
-                                compile_gate(collective_rotation("X", math.pi, (4,)), 3),
-                                (4,))
+        # outcome -1 has probability 0 on a re-armed +1 state
+        _, rearmed = self.plus_rearmed()
         with pytest.raises(ContractViolation, match="zero-probability"):
             measure_shrunk_stabilizer(rearmed, mode, force_outcome=-1)
 
