@@ -293,10 +293,10 @@ class LogicalSearch:
 
 def _terminal_path(pairs: np.ndarray, n_nodes: int, edges: Iterable[int]) -> list[int] | None:
     """Edges of a shortest path over ``edges`` between the last two nodes, or None."""
-    ends = pairs.tolist()
+    end_a, end_b = pairs.T.tolist()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for e in edges:
-        a, b = ends[e]
+        a, b = end_a[e], end_b[e]
         adjacency[a].append((b, e))
         adjacency[b].append((a, e))
     source, target = n_nodes - 2, n_nodes - 1
@@ -402,31 +402,15 @@ def _block_edges(keep: np.ndarray, n_nodes: int, ends: np.ndarray):
     return copy, ends[rows, 0] + off, ends[rows, 1] + off
 
 
-def _spans(labels: np.ndarray, terminals: np.ndarray) -> np.ndarray:
-    """Both terminal pairs connected, per row of (k, 4) terminal node ids."""
-    t = labels[terminals]
-    return (t[:, 0] == t[:, 1]) & (t[:, 2] == t[:, 3])
-
-
-def _survival_fast(lattice: LossLattice, keep: np.ndarray) -> np.ndarray:
-    """Primal and dual terminal-to-terminal spanning over the kept edges.
-
-    ``keep`` is a (k, n_edges) stack of masks (a single mask counts as k=1);
-    the result holds one verdict per row.  The k masks become disjoint
-    copies of the combined graph (`_both_sides`) in one block-diagonal
-    graph, so a single `_components` call labels both sides of every copy.
-    """
-    ends, terminals = _both_sides(lattice)
-    keep = np.atleast_2d(keep)
-    n = terminals[-1] + 1
-    _, a, b = _block_edges(keep, n, ends)
-    labels = _components(a, b, len(keep) * n)
-    return _spans(labels, np.arange(len(keep))[:, None] * n + terminals)
-
-
 def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
-    """Correctability test for one loss mask (no generator reformation)."""
-    return bool(_survival_fast(lattice, ~np.asarray(lost_mask, dtype=bool))[0])
+    """Correctability test for one loss mask (no generator reformation).
+
+    The mask is one coupled draw at rate 1/2: u = 0 on lost edges, 1 on
+    kept ones, so the sample survives on the one-point grid [0.5] exactly
+    when its kept edges span both sides.
+    """
+    u = np.where(np.asarray(lost_mask, dtype=bool), 0.0, 1.0)[None]
+    return bool(_surviving_prefix(lattice, u, np.array([0.5]))[0] == 1)
 
 
 def _surviving_prefix(lattice: LossLattice, u: np.ndarray, p_sorted: np.ndarray) -> np.ndarray:
@@ -459,7 +443,8 @@ def _surviving_prefix(lattice: LossLattice, u: np.ndarray, p_sorted: np.ndarray)
         cut.fill(np.inf)
         cut[todo] = p_sorted[mid - 1]
         on = rate >= cut[copy]
-        alive = _spans(_components(a[on], b[on], n_labels), term[todo])
+        t = _components(a[on], b[on], n_labels)[term[todo]]
+        alive = (t[:, 0] == t[:, 1]) & (t[:, 2] == t[:, 3])   # both sides span
         lo[todo] = np.where(alive, mid, lo[todo])
         hi[todo] = np.where(alive, hi[todo], mid - 1)
     return lo

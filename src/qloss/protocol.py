@@ -138,13 +138,6 @@ def three_qubit_code(n_ions: int = N_IONS, qubits: tuple[int, ...] = SURVIVING_Q
 # encoding
 
 
-@dataclass(frozen=True)
-class PrepSpec:
-    """Logical superposition angle: cos(a/2)|0_L> + i sin(a/2)|1_L>."""
-
-    alpha: float
-
-
 def logical_target(alpha: float, n_ions: int = N_IONS, dims: int = 3,
                    qubits: tuple[int, ...] = CODE_QUBITS) -> PureState:
     """Analytic logical state cos(a/2)|0_L> + i sin(a/2)|1_L> on ``qubits``.
@@ -538,17 +531,18 @@ def _apply_noise(state: PureState, hit: tuple[int, str] | None) -> PureState:
     return _apply_checked(state, _extended_pauli(letter, state.dims), (qubit,))
 
 
-def run_protocol(prep: PrepSpec | float, phi: float, shots: int = 0,
+def run_protocol(alpha: float, phi: float, shots: int = 0,
                  noise: NoiseModel | None = None, seed: int = 0,
                  shrunk_mode: str = "exact") -> ProtocolResult:
     """Analytic branch summaries plus (optionally) sampled trajectories.
 
+    ``alpha`` is the logical superposition angle: cos(a/2)|0_L> + i sin(a/2)|1_L>.
     Every shot draws its generator from a pure function of (seed, shot), so
     results do not depend on execution order.
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    alpha = prep.alpha if isinstance(prep, PrepSpec) else float(prep)
+    alpha = float(alpha)
     noise = noise or NoiseModel()
     result = analytic_run(alpha, phi, noise)
     if shots <= 0:

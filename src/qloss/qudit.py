@@ -111,12 +111,6 @@ class PureState:
         if self.amps.size != self.dims**self.n_ions:
             raise DimensionError("amplitude vector length does not match ion count")
 
-    def copy(self) -> "PureState":
-        return PureState(self.n_ions, self.dims, self.amps.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def level_populations(self, ion: int) -> np.ndarray:
         """Per-level population of one ion (marginal over the others)."""
         tens = np.abs(self.amps.reshape([self.dims] * self.n_ions)) ** 2
@@ -125,13 +119,6 @@ class PureState:
 
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.n_ions, self.dims, np.outer(self.amps, self.amps.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "PureState") -> float:
-        """Squared overlap; insensitive to global phase."""
-        return abs(self.overlap(other)) ** 2
 
 
 def make_state(n_ions: int, dims: int, initial_levels: Iterable[Level | int]) -> PureState:
@@ -268,9 +255,6 @@ class DensityOperator:
         side = self.dims**self.n_ions
         if self.mat.shape != (side, side):
             raise DimensionError("matrix side does not match ion count")
-
-    def copy(self) -> "DensityOperator":
-        return DensityOperator(self.n_ions, self.dims, self.mat.copy())
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.mat)))

@@ -42,12 +42,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channels import ChoiMatrix, branch_maps, channel_to_choi, readout_superoperator
-from .protocol import (SHOT_PRESETS, CodeDefinition, analytic_run, code_space_projector,
-                       detection_process, four_qubit_code, preset_shots, three_qubit_code)
+from .protocol import (PROCESS_INPUTS, SHOT_PRESETS, CodeDefinition, analytic_run,
+                       code_space_projector, detection_process, four_qubit_code,
+                       preset_shots, three_qubit_code)
 # moved to protocol next to CodeDefinition; still importable from here
 from .protocol import _PROJECTOR_CACHE  # noqa: F401
 from .qudit import DensityOperator, partial_trace, seed_for
-from .tolerances import ATOL_PSD, ATOL_TRACE
+from .tolerances import ATOL_TRACE
 
 #: +1/-1 eigenprojectors of X, Y and Z, indexed [setting letter][bit]
 _PROJECTORS = 0.5 * np.array([[[[1, 1], [1, 1]], [[1, -1], [-1, 1]]],
@@ -64,8 +65,6 @@ _DUAL = _INVERSION.reshape(3, 2, 2, 2).transpose(3, 2, 0, 1).reshape(4, 3, 2)
 
 Setting = tuple[str, ...]
 CountsTable = Mapping[Setting, np.ndarray]
-#: an int master seed or a whole ``seed_for`` key tuple
-Seed = int | tuple[int, ...]
 
 
 class EmptyBranchError(RuntimeError):
@@ -115,10 +114,6 @@ def setting_probabilities(rho2: np.ndarray) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def _generator(seed: Seed, *key: int) -> np.random.Generator:
-    return seed_for(*(seed if isinstance(seed, tuple) else (seed,)), *key)
-
-
 def invert_counts(counts: CountsTable,
                   attempted: Mapping[Setting, float] | None = None) -> np.ndarray:
     """Linear-inversion estimate rho_hat = 2^-n sum_W <W> W.
@@ -161,47 +156,47 @@ def sample_counts(rho2: np.ndarray, shots: int | np.ndarray,
 
 
 def state_tomography(rho: DensityOperator, qubits: Sequence[int] | None = None,
-                     shots_per_setting: int = 0, seed: Seed = 0
+                     shots_per_setting: int = 0, seed: int = 0
                      ) -> tuple[np.ndarray, dict[Setting, np.ndarray]]:
     """Reconstruct the recorded register state by linear inversion.
 
     ``shots_per_setting`` of 0 selects exact-probability mode, which
     reproduces the true computational-subspace density operator; finite
-    shots sample every setting multinomially from the generator of ``seed``
-    (an int, or a ``seed_for`` key tuple).  Returns (estimate, counts).
+    shots sample every setting multinomially from ``seed_for(seed)``.
+    Returns (estimate, counts).
     """
     _check_shots(shots_per_setting, "shots_per_setting")
     qs = tuple(qubits) if qubits is not None else tuple(range(rho.n_ions))
     rho2 = record_density(rho.normalized(), qs)
     table = (setting_probabilities(rho2) if shots_per_setting == 0
-             else sample_counts(rho2, shots_per_setting, _generator(seed)))
+             else sample_counts(rho2, shots_per_setting, seed_for(seed)))
     counts = dict(zip(settings(len(qs)), table))
     return invert_counts(counts), counts
 
 
-def _resampled_tables(table: np.ndarray, iterations: int, seed: Seed) -> np.ndarray:
+def _resampled_tables(table: np.ndarray, iterations: int, key: tuple[int, ...]) -> np.ndarray:
     """(iterations, *table.shape) redraws of ``table``, each row with its own
-    positive total; iteration ``it`` is one draw from ``_generator(seed, it)``."""
+    positive total; iteration ``it`` is one draw from ``seed_for(*key, it)``."""
     totals = table.sum(axis=1)
     probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
     stack = np.empty((iterations,) + table.shape)
     for it in range(iterations):
-        stack[it] = _generator(seed, it).multinomial(shots, probs)
+        stack[it] = seed_for(*key, it).multinomial(shots, probs)
     return stack
 
 
 def resample_errors(counts: CountsTable,
                     statistic: Callable[[CountsTable], Mapping[str, float]],
-                    iterations: int = 100, seed: Seed = 0) -> dict[str, float]:
+                    iterations: int = 100, seed: int = 0) -> dict[str, float]:
     """Multinomial-resampling standard deviations of derived observables.
 
     Each setting's counts are redrawn from a multinomial with its own total,
     all settings in sorted order by one draw per iteration (the stream of
     ``table_report``'s errors); ``statistic`` maps one counts table to named
     observables and runs once per iteration.  Iteration ``it`` draws from
-    ``seed_for(seed, it)``, or ``seed_for(*seed, it)`` for a key tuple, so
-    the result is deterministic for a fixed (counts, seed).  Fewer than two
-    iterations, or a setting with all-zero counts, raise ValueError.
+    ``seed_for(seed, it)``, so the result is deterministic for a fixed
+    (counts, seed).  Fewer than two iterations, or a setting with all-zero
+    counts, raise ValueError.
     """
     if iterations < 2:
         raise ValueError(f"iterations must be >= 2 for a standard deviation, got {iterations}")
@@ -211,7 +206,7 @@ def resample_errors(counts: CountsTable,
     if not np.all(totals > 0):
         raise ValueError(f"setting {keys[np.argmin(totals > 0)]} has all-zero counts")
     samples: dict[str, list[float]] = {}
-    for draws in _resampled_tables(table, iterations, seed):
+    for draws in _resampled_tables(table, iterations, (seed,)):
         stats = statistic(dict(zip(keys, draws)))
         for name, val in stats.items():
             samples.setdefault(name, []).append(float(val))
@@ -219,46 +214,7 @@ def resample_errors(counts: CountsTable,
 
 
 # ---------------------------------------------------------------------------
-# fidelities and code-space population
-
-
-def _sqrt_eigenvalues(evals: np.ndarray) -> np.ndarray:
-    # kill float noise near zero: sqrt would amplify it to ~1e-8
-    evals = np.clip(evals, 0.0, None)
-    cutoff = evals.max() * 1e-14 if evals.size else 0.0
-    evals[evals < cutoff] = 0.0
-    return np.sqrt(evals)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(mat)
-    if evals.min() < -ATOL_PSD:
-        raise ValueError(f"matrix not PSD (min eigenvalue {evals.min():.2e})")
-    return (evecs * _sqrt_eigenvalues(evals)) @ evecs.conj().T
-
-
-def clip_to_psd(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalue-clipped PSD projection (used before fidelity on raw estimates)."""
-    herm = 0.5 * (mat + mat.conj().T)
-    evals, evecs = np.linalg.eigh(herm)
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * evals) @ evecs.conj().T
-
-
-def fidelity(rho: np.ndarray | DensityOperator, sigma: np.ndarray | DensityOperator,
-             clip: bool = False) -> float:
-    """Uhlmann state fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 on unit traces."""
-    a = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    b = sigma.mat if isinstance(sigma, DensityOperator) else np.asarray(sigma, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    if clip:
-        a, b = clip_to_psd(a), clip_to_psd(b)
-    a = a / np.real(np.trace(a))
-    b = b / np.real(np.trace(b))
-    ra = _psd_sqrt(a)
-    inner = ra @ b @ ra
-    return float(np.sum(_sqrt_eigenvalues(np.linalg.eigvalsh(inner))) ** 2)
+# process fidelity
 
 
 def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
@@ -277,9 +233,6 @@ def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
 # generalized single-qubit process tomography
 
 
-_PROCESS_INPUT_ORDER = ("0", "1", "+", "+i")
-
-
 def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int = 0,
                        register: int = 2) -> tuple[ChoiMatrix, dict]:
     """Reconstruct the Choi matrix of the loss-detection process on qubit 1.
@@ -293,7 +246,7 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     est: dict[str, np.ndarray] = {}
     details: dict = {"phi": phi, "post_select": post_select, "inputs": {}}
     total_weight = 0.0
-    for idx, label in enumerate(_PROCESS_INPUT_ORDER):
+    for idx, label in enumerate(PROCESS_INPUTS):
         prob, rho_q = detection_process(phi, label, post_select, register)
         total_weight += prob
         details["inputs"][label] = {"branch_probability": prob}
@@ -336,7 +289,6 @@ def ideal_branch_choi(phi: float, branch: int) -> ChoiMatrix:
 
 
 TABLE_COLUMNS = ("P_CS", "S1X", "S1Z", "S2Z", "TX", "TY", "TZ")
-ALPHA_LABELS = {0.0: "0L", math.pi: "1L", math.pi / 2: "+iL"}
 
 
 @dataclass
@@ -400,7 +352,7 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
                     continue
                 key = (seed, a_idx, p_idx, b)
                 table = sample_counts(record_density(rho.normalized(), codes[b].qubits),
-                                      shots[p_idx], _generator(key))
+                                      shots[p_idx], seed_for(*key))
                 # each redraw keeps its row totals
                 totals = table.sum(axis=1, keepdims=True)
                 vals = _row_values(table / totals, functionals[b])

@@ -12,6 +12,11 @@ from qloss.gates import (GateKind, GateOp, Register, _transfer_pulses, addressed
 from qloss.qudit import Level, PureState, apply_unitary, make_state, truncated_pauli
 
 
+def squared_overlap(a: PureState, b: PureState) -> float:
+    """|<a|b>|^2, insensitive to global phase."""
+    return abs(np.vdot(a.amps, b.amps)) ** 2
+
+
 def expm_oracle(op: GateOp, dims: int) -> np.ndarray:
     """Independent compile route: exponentiate the embedded generator."""
     k = len(op.support)
@@ -100,7 +105,7 @@ class TestMSGate:
     def test_leaked_control_decouples(self):
         st = make_state(2, 3, [2, 0])
         out = apply_unitary(st, compile_gate(ms_gate(math.pi, (0, 1)), 3), (0, 1))
-        assert out.fidelity(st) == pytest.approx(1.0)
+        assert squared_overlap(out, st) == pytest.approx(1.0)
         assert out.amps[2 * 3] == pytest.approx(1.0)
 
     def test_zero_angle_is_identity(self):
@@ -121,7 +126,7 @@ class TestMSGate:
         # with ion 0 leaked, the two-ion MS acts as the identity
         st = make_state(2, 3, [2, 1])
         out = apply_unitary(st, compile_gate(ms_gate(theta, (0, 1)), 3), (0, 1))
-        assert out.fidelity(st) == pytest.approx(1.0, abs=1e-12)
+        assert squared_overlap(out, st) == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_from_full_entangler(self):
         st = make_state(4, 3, [0] * 4)
@@ -217,12 +222,12 @@ class TestHiding:
                     state = apply_unitary(state, pulse, (i,))
             return state
 
-        reg5 = Register(pulses(base5.copy()))
+        reg5 = Register(pulses(base5))
         reg5.apply(ms_gate(math.pi, (0, 1, 2, 3, 4)))
         hidden = pulses(reg5.state)
-        direct5 = Register(base5.copy())
+        direct5 = Register(base5)
         direct5.apply(ms_gate(math.pi, (0, 4)))
-        assert hidden.fidelity(direct5.state) == pytest.approx(1.0, abs=1e-12)
+        assert squared_overlap(hidden, direct5.state) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRegisterFactorization:
@@ -231,7 +236,7 @@ class TestRegisterFactorization:
         amps = rng.normal(size=3**4) + 1j * rng.normal(size=3**4)
         state = PureState(4, 3, amps / np.linalg.norm(amps))
         for op in (ms_gate(0.8, (0, 1, 3)), collective_rotation("Y", 2.1, (0, 2))):
-            reg = Register(state.copy())
+            reg = Register(state)
             reg.apply(op)
             dense = apply_unitary(state, compile_gate(op, 3), op.support)
             assert np.allclose(reg.state.amps, dense.amps, atol=1e-12)

@@ -91,35 +91,57 @@ CALLERLESS_ALLOWED = {
 }
 
 
+#: the package's module names, which qualify an attribute read
+MODULE_NAMES = {p.stem for p in MODULES if p.stem != "__init__"}
+
+
 def _read_names(tree: ast.AST) -> set[str]:
-    return ({node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    """Bare names loaded, plus ``module.name`` for each read qualified by a
+    package module: an attribute ``tomography.fidelity`` or a
+    ``getattr(protocol, "four_qubit_code")``.  An unqualified attribute such
+    as ``summary.fidelity`` reads no module-level name."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in MODULE_NAMES):
+            read.add(f"{node.value.id}.{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name) and node.args[0].id in MODULE_NAMES
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(f"{node.args[0].id}.{node.args[1].value}")
+    return read
 
 
 def _traced_names(tree: ast.Module) -> set[str]:
-    """Every dotted part of the strings in a module-level ``TRACED`` table."""
-    return {part
+    """``module.name`` of each (module, dotted path) pair in a module-level
+    ``TRACED`` table; a method path counts as a read of its class."""
+    return {f"{pair.elts[0].value}.{pair.elts[1].value.split('.')[0]}"
             for node in tree.body
             if isinstance(node, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
-            for const in ast.walk(node.value)
-            if isinstance(const, ast.Constant) and isinstance(const.value, str)
-            for part in const.value.split(".")}
+            for pair in ast.walk(node.value)
+            if isinstance(pair, ast.Tuple) and len(pair.elts) == 2
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in pair.elts)}
 
 
 def test_public_names_have_a_caller():
-    """A public, undecorated module-level function or class must be read by the
-    package (outside ``__init__``, which only re-exports) or by the benchmark."""
+    """A public module-level constant or undecorated function or class must
+    be read by the package (outside ``__init__``, which only re-exports) or
+    by the benchmark: by its bare name, or qualified by its module."""
     modules = [p for p in MODULES if p.stem != "__init__"]
     read = set()
     for path in modules + sorted(PERFBENCH.glob("*.py")):
         tree = _tree(path)
         read |= _read_names(tree) | _traced_names(tree)
-    callerless = [f"{path.stem}.{node.name}"
+    callerless = [f"{path.stem}.{name}"
                   for path in modules for node in _tree(path).body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and not node.decorator_list
-                  and node.name not in read
-                  and (path.stem, node.name) not in CALLERLESS_ALLOWED]
+                  if not getattr(node, "decorator_list", None)
+                  for name in _top_level_names(node)
+                  if not name.startswith("_")
+                  and name not in read and f"{path.stem}.{name}" not in read
+                  and (path.stem, name) not in CALLERLESS_ALLOWED]
     assert callerless == []

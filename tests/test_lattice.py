@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qloss import lattice as lattice_mod
 from qloss.lattice import (ConsistencyError, LossLattice, apply_losses, build_lattice,
                            crossing_estimate, find_logical, percolation_threshold,
-                           reform_stabilizers, survival_check, SurvivalPoint,
-                           _survival_fast)
+                           reform_stabilizers, survival_check, SurvivalPoint)
 from qloss.protocol import four_qubit_code, three_qubit_code
 from qloss.qudit import PauliString, seed_for
 
@@ -265,11 +264,10 @@ class TestSurvival:
                                                         np.nonzero(mask)[0]]))
             expected = find_logical(ref).correctable
             assert survival_check(lat, mask) == expected
-            assert _survival_fast(lat, ~mask) == expected
 
 
 class TestBlockKernel:
-    """The batched survival kernel against the per-mask references."""
+    """The block survival kernel against the per-mask references."""
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
     def test_stack_matches_find_logical_row_for_row(self, L):
@@ -281,9 +279,7 @@ class TestBlockKernel:
                           np.ones(lat.n_edges, dtype=bool)])
         expected = [find_logical(reform_stabilizers(apply_losses(
             lat, [int(e) for e in np.nonzero(row)[0]]))).correctable for row in lost]
-        got = _survival_fast(lat, ~lost)
-        assert got.shape == (len(lost),)
-        assert got.tolist() == expected
+        assert [survival_check(lat, row) for row in lost] == expected
         assert expected[-2:] == [True, False]
 
     @pytest.mark.parametrize("grid", [

@@ -1,4 +1,4 @@
-"""State/process tomography, resampling errors, fidelities, table report."""
+"""State/process tomography, resampling errors, process fidelities, table report."""
 
 import math
 
@@ -7,11 +7,11 @@ import pytest
 
 from qloss import tomography
 from qloss.channels import NoiseModel
-from qloss.protocol import (analytic_run, code_space_population, code_space_projector,
-                            encode, four_qubit_code, three_qubit_code)
+from qloss.protocol import (PROCESS_INPUTS, analytic_run, code_space_population,
+                            code_space_projector, detection_process, encode,
+                            four_qubit_code, three_qubit_code)
 from qloss.qudit import DensityOperator, PauliString, PureState, make_state, seed_for
-from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, clip_to_psd,
-                              fidelity, ideal_branch_choi,
+from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, ideal_branch_choi,
                               invert_counts, process_fidelity, process_tomography,
                               record_density, resample_errors, sample_counts,
                               setting_probabilities, settings, state_tomography,
@@ -224,6 +224,17 @@ class TestProcessTomography:
         assert np.max(np.abs(choi.matrix - ideal.matrix)) < 1e-9
         assert process_fidelity(choi, ideal) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("phi", np.linspace(0.0, math.pi, 9))
+    def test_five_ion_register_equals_two_ion(self, phi):
+        # the detection gates never touch the three spectators, so the 5-ion
+        # process is the 2-ion one bit for bit
+        for label in PROCESS_INPUTS:
+            for outcome in (0, 1):
+                p2, rho2 = detection_process(phi, label, outcome, register=2)
+                p5, rho5 = detection_process(phi, label, outcome, register=5)
+                assert p5 == p2
+                assert rho5.mat.tobytes() == rho2.mat.tobytes()
+
     @pytest.mark.parametrize("phi", np.linspace(0.05, math.pi, 7))
     def test_choi_pair_trace_one(self, phi):
         c0, _ = process_tomography(phi, 0)
@@ -328,9 +339,9 @@ class TestResampling:
     def test_draw_stack_equals_per_iteration_draws(self, seed):
         table = random_counts(3, 17)
         table[4] = [0, 0, 3, 0, 0, 0, 0, 0]
-        stack = tomography._resampled_tables(table, 7, seed)
-        totals = table.sum(axis=1)
         key = seed if isinstance(seed, tuple) else (seed,)
+        stack = tomography._resampled_tables(table, 7, key)
+        totals = table.sum(axis=1)
         loop = np.array([seed_for(*key, it).multinomial(np.rint(totals).astype(np.int64),
                                                         table / totals[:, None]).astype(float)
                          for it in range(7)])
@@ -395,22 +406,6 @@ class TestCodeSpace:
 
 
 class TestFidelities:
-    def test_self_fidelity(self):
-        mat = random_qubit_density(2, 0)
-        assert fidelity(mat, mat) == pytest.approx(1.0, abs=1e-10)
-
-    def test_orthogonal_states(self):
-        a = np.diag([1.0, 0.0]).astype(complex)
-        b = np.diag([0.0, 1.0]).astype(complex)
-        assert fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
-
-    def test_pure_target_reduces_to_overlap(self):
-        rho = random_qubit_density(1, 3)
-        psi = np.array([1, 1j]) / math.sqrt(2)
-        proj = np.outer(psi, psi.conj())
-        assert fidelity(rho, proj) == pytest.approx(
-            float(np.real(psi.conj() @ rho @ psi)), abs=5e-8)
-
     def test_process_fidelity_round_trip(self):
         phi = 0.3 * math.pi
         choi, _ = process_tomography(phi, 0)
@@ -481,16 +476,24 @@ class TestTableReport:
                 res = analytic_run(alpha, phi)
                 for b, (rho, code) in enumerate(((res.rho_no_loss, four_qubit_code()),
                                                  (res.rho_loss, three_qubit_code()))):
+                    # the cell's counts come from seed_for(*key), redraw it
+                    # (each setting keeping its total) from seed_for(*key, it)
                     key = (seed, a_idx, p_idx, b)
-                    est, counts = state_tomography(rho, code.qubits, shots, seed=key)
-                    stds = resample_errors(
-                        counts, lambda c: inverted_row(invert_counts(c), code),
-                        iterations=100, seed=key)
+                    table = sample_counts(record_density(rho.normalized(), code.qubits),
+                                          shots, seed_for(*key))
+                    totals = table.sum(axis=1)
+                    redraws = [seed_for(*key, it).multinomial(np.rint(totals).astype(int),
+                                                              table / totals[:, None])
+                               for it in range(100)]
+                    point, *resampled = [
+                        inverted_row(invert_counts(dict(zip(settings(len(code.qubits)), t))),
+                                     code) for t in [table] + redraws]
                     row = next(sampled)
                     assert (row.alpha, row.phi) == (alpha, phi)
                     for col in TABLE_COLUMNS:
-                        for got, ref in ((row.values[col], inverted_row(est, code)[col]),
-                                         (row.errors[col], stds[col])):
+                        std = np.std([r[col] for r in resampled])
+                        for got, ref in ((row.values[col], point[col]),
+                                         (row.errors[col], std)):
                             assert got == pytest.approx(ref, abs=1e-12, nan_ok=True)
                     checked += 1
         assert checked == 8 and next(sampled, None) is None
