@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qudit import (DensityOperator, Level, _conjugate, check_unitary, readout_partition,
-                    truncated_pauli)
+from .qudit import (DensityOperator, Level, _block_perm, _conjugate, _occupied_block,
+                    _on_block, check_unitary, readout_partition, truncated_pauli)
 from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
@@ -211,13 +211,21 @@ def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
     identity on non-computational levels, so leaked population is a fixed
     point of the map.  Each extended Pauli is a signed permutation, so its
     term is a reindexed copy of rho, and the identity term is rho itself.
+    The sum runs on rho's occupied block that keeps ``qubit`` whole (see
+    ``qudit``).
     """
-    acc = np.zeros_like(rho.mat)
-    acc += 0.25 * rho.mat
-    for letter in "XYZ":
-        acc += 0.25 * _conjugate(_extended_gather(letter, qubit, rho.n_ions, rho.dims),
-                                 rho.mat)
-    return DensityOperator(rho.n_ions, rho.dims, acc)
+    flat, _ = _occupied_block(rho.mat, rho.n_ions, rho.dims, (qubit,))
+    perms = [_block_perm(_extended_gather(letter, qubit, rho.n_ions, rho.dims), flat)
+             for letter in "XYZ"]
+
+    def depolarize(mat: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(mat)
+        acc += 0.25 * mat
+        for perm in perms:
+            acc += 0.25 * _conjugate(perm, mat)
+        return acc
+
+    return DensityOperator(rho.n_ions, rho.dims, _on_block(rho.mat, flat, depolarize))
 
 
 def qnd_noise_mixture(rho: DensityOperator, phi: float, model: NoiseModel,

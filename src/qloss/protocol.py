@@ -26,10 +26,10 @@ from .channels import NoiseModel, _extended_pauli, mixing_probability, qnd_noise
 from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
                     compile_gate, loss_rotation, ms_gate)
 from .qudit import (DensityOperator, Level, PauliString, PureState,
-                    UndefinedExpectationError, _apply_checked, _conjugate, _gather_cached,
-                    _permute_rows, collapse, draw_outcome, expectation, make_state,
-                    outcome_probabilities, partial_trace, pure_expectation,
-                    readout_partition, seed_for)
+                    UndefinedExpectationError, _apply_checked, _block_perm, _conjugate,
+                    _gather_cached, _occupied_block, _on_block, _permute_rows, collapse,
+                    draw_outcome, expectation, make_state, outcome_probabilities,
+                    partial_trace, pure_expectation, readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -286,11 +286,12 @@ def shrunk_stabilizer(n_ions: int = N_IONS) -> PauliString:
     return PauliString.from_map(n_ions, {q: "X" for q in SURVIVING_QUBITS})
 
 
-def _shrunk_project(arr: np.ndarray, pick: int, dims: int) -> np.ndarray:
+def _shrunk_project(arr: np.ndarray, pick: int,
+                    stab: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """(1 + S)/2 @ arr for ``pick`` 0, (1 - S)/2 @ arr for ``pick`` 1, with the
-    shrunk stabilizer S = X2X3X4 applied as its signed permutation."""
+    shrunk stabilizer S = X2X3X4 applied as its signed permutation ``stab``."""
     half = 0.5 * arr
-    s_half = 0.5 * _permute_rows(_gather_cached(shrunk_stabilizer(), dims), arr)
+    s_half = 0.5 * _permute_rows(stab, arr)
     return half + s_half if pick == 0 else half - s_half
 
 
@@ -308,7 +309,7 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
         raise ProtocolError("shrunk-stabilizer measurement requires the loss branch "
                             "(ancilla must be |1> after detection)")
     if mode == "exact":
-        plus = _shrunk_project(state.amps, 0, state.dims)
+        plus = _shrunk_project(state.amps, 0, _gather_cached(shrunk_stabilizer(), state.dims))
         p_plus = float(np.vdot(plus, plus).real / np.vdot(state.amps, state.amps).real)
         return state, np.array([p_plus, 1 - p_plus])
     if mode == "toolbox":
@@ -322,7 +323,7 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
 def _shrunk_post(pre: PureState, mode: str, pick: int) -> PureState:
     """Post state of shrunk outcome ``pick``, with the ancilla reset to |0>."""
     if mode == "exact":
-        amps = _shrunk_project(pre.amps, pick, pre.dims)
+        amps = _shrunk_project(pre.amps, pick, _gather_cached(shrunk_stabilizer(), pre.dims))
         post = PureState(pre.n_ions, pre.dims, amps / np.linalg.norm(amps))
         return _apply_op(post, _ANCILLA_FLIP)  # ancilla |1> -> |0> reset (feed-forward)
     post = collapse(pre, ANCILLA, readout_partition(pre.dims)[pick])
@@ -446,12 +447,21 @@ def _fidelity_with_pure(rho: DensityOperator, target: PureState) -> float:
 def _shrunk_correct(rho: np.ndarray, dims: int) -> np.ndarray:
     """Both shrunk outcomes with their frame fix, unnormalized:
     (1+S)/2 rho (1+S)/2 + Z (1-S)/2 rho (1-S)/2 Z^dagger, with Z the frame's
-    correction; every factor is applied as a signed permutation."""
-    # the projectors are real and symmetric, so the right factor acts on the
-    # rows of the transpose
-    rho_plus, rho_minus = (_shrunk_project(_shrunk_project(rho, pick, dims).T, pick, dims).T
-                           for pick in (0, 1))
-    return rho_plus + _conjugate(_gather_cached(PauliFrame(-1).correction(), dims), rho_minus)
+    correction; every factor is applied as a signed permutation.  Both act on
+    the surviving qubits only, so the sum runs on rho's occupied block that
+    keeps them whole (see ``qudit``)."""
+    flat, _ = _occupied_block(rho, N_IONS, dims, SURVIVING_QUBITS)
+    stab = _block_perm(_gather_cached(shrunk_stabilizer(), dims), flat)
+    fix = _block_perm(_gather_cached(PauliFrame(-1).correction(), dims), flat)
+
+    def correct(mat: np.ndarray) -> np.ndarray:
+        # the projectors are real and symmetric, so the right factor acts on the
+        # rows of the transpose
+        plus, minus = (_shrunk_project(_shrunk_project(mat, pick, stab).T, pick, stab).T
+                       for pick in (0, 1))
+        return plus + _conjugate(fix, minus)
+
+    return _on_block(rho, flat, correct)
 
 
 def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
@@ -586,7 +596,8 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
         hit = _draw_noise(p_mix, noisy, rng) if noisy else None
         leaf = once(path + (hit,), lambda: _outcome_thresholds(
             _apply_noise(once(path, make_state), hit), code))
-        obs = {name: 1.0 if rng.random() < p else other for name, p, other in leaf}
+        draws = rng.random(len(leaf)).tolist()
+        obs = {name: 1.0 if u < p else other for (name, p, other), u in zip(leaf, draws)}
         result.records.append(RunRecord(
             shot=shot, alpha=alpha, phi=phi, branch=branch,
             ancilla_outcome=outcome, shrunk_outcome=shrunk,

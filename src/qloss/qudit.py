@@ -12,6 +12,15 @@ hiding targets |H0>, |H1>).  Level semantics:
 Tensor index convention: ion 0 is the most significant factor, so the
 amplitude of the basis ket ``|l0 l1 ... l_{n-1}>`` sits at flat index
 ``l0 * dims**(n-1) + l1 * dims**(n-2) + ...``.
+
+Occupied blocks: an elementwise density kernel that acts on some ions keeps
+every level of those ions, and of every other ion only the levels that some
+nonzero row or column of its input uses (:func:`_occupied_block`).  It runs
+its arithmetic on that product block and scatters the result into a zero
+matrix, so every entry in the block takes the same operations as on the
+whole register and every entry outside it is +0.0.  A block that is the
+whole register is the input matrix itself.  Matrix products stay on the
+whole register: a BLAS product's bits can depend on the matrix width.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import bisect
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -306,6 +315,49 @@ class DensityOperator:
         shape_col[self.n_ions + ion] = self.dims
         tens = tens * keep.reshape(shape_row) * keep.reshape(shape_col)
         return DensityOperator(self.n_ions, self.dims, tens.reshape(d, d))
+
+
+def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int]
+                    ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Flat indices (ascending) and per-ion level counts of the smallest product
+    block that holds every nonzero row and column of ``mat``, with the ions in
+    ``whole`` kept at all levels.
+
+    A NaN compares unequal to zero, so it counts as occupied.  The block is
+    closed under any signed permutation that acts on ``whole`` only.
+    """
+    nonzero = mat != 0
+    occupied = (nonzero.any(axis=0) | nonzero.any(axis=1)).reshape([dims] * n_ions)
+    flat = np.zeros(1, dtype=np.intp)
+    shape = []
+    for ion in range(n_ions):
+        if ion in whole:
+            levels = np.arange(dims)
+        else:
+            others = tuple(i for i in range(n_ions) if i != ion)
+            levels = np.flatnonzero(occupied.any(axis=others))
+        flat = (flat[:, None] * dims + levels).reshape(-1)
+        shape.append(len(levels))
+    return flat, tuple(shape)
+
+
+def _block_perm(perm: tuple[np.ndarray, np.ndarray], flat: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """A signed permutation ``perm`` = (sigma, phase) of the register, re-indexed
+    onto the block ``flat`` of :func:`_occupied_block`, which it maps into itself."""
+    sigma, phase = perm
+    return np.searchsorted(flat, sigma[flat]), phase[flat]
+
+
+def _on_block(mat: np.ndarray, flat: np.ndarray,
+              kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``kernel`` run on the ``flat`` block of ``mat`` and scattered into a zero
+    matrix; ``kernel(mat)`` itself when the block is the whole register."""
+    if len(flat) == len(mat):
+        return kernel(mat)
+    out = np.zeros(mat.shape, dtype=complex)
+    out[np.ix_(flat, flat)] = kernel(mat[np.ix_(flat, flat)])
+    return out
 
 
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
 from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotation,
@@ -20,7 +21,7 @@ from qloss.protocol import (CODE_QUBITS, SURVIVING_QUBITS, PauliFrame,
                             shrunk_stabilizer, three_qubit_code)
 from qloss.qudit import (ContractViolation, DensityOperator, Level, PauliString, PureState,
                          apply_unitary, make_state, partial_trace, pure_expectation,
-                         readout_partition)
+                         readout_partition, truncated_pauli)
 
 
 def squared_overlap(a: PureState, b: PureState) -> float:
@@ -226,16 +227,33 @@ class TestShrunkStabilizer:
 
     @pytest.mark.parametrize("dims", [3, 5])
     def test_combined_branches_equal_dense_products(self, dims):
-        # the dense reference: (1 +- S)/2 and the frame's Z as full matrices
+        # the reference: (1 +- S)/2 and the frame's Z as sparse matrices, the
+        # kron of each word's truncated letters
+        def word(pauli):
+            mat = sparse.csr_matrix([[complex(pauli.sign)]])
+            for letter in pauli.letters:
+                mat = sparse.kron(mat, truncated_pauli(letter, dims), format="csr")
+            return mat
+
         rng = np.random.default_rng(dims)
         side = dims**5
-        a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-        stab = shrunk_stabilizer().embedded(dims)
-        plus, minus = 0.5 * (np.eye(side) + stab), 0.5 * (np.eye(side) - stab)
-        z = PauliFrame(-1).correction().embedded(dims)
-        dense = plus @ rho @ plus + z @ (minus @ rho @ minus) @ z.conj().T
-        assert np.max(np.abs(_shrunk_correct(rho, dims) - dense)) <= 1e-12
+        eye, stab = sparse.identity(side, format="csr"), word(shrunk_stabilizer())
+        plus, minus = 0.5 * (eye + stab), 0.5 * (eye - stab)
+        z = word(PauliFrame(-1).correction())
+        # the kernel is linear, so any matrix will do: one on the whole register,
+        # and one on a product of level sets, which the kernel runs on the block
+        # that keeps the surviving qubits whole
+        full = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        levels = [{1, 2}, {0, 1}, {0, 2}, None, {1}]
+        keep = np.ones(1, dtype=bool)
+        for ion_levels in levels:
+            keep = np.kron(keep, [ion_levels is None or l in ion_levels for l in range(dims)])
+        block = np.where(np.outer(keep, keep), full, 0)
+        for rho in (full, block):
+            err = _shrunk_correct(rho, dims)
+            err -= plus @ rho @ plus
+            err -= z @ (minus @ rho @ minus) @ z.conj().T
+            assert np.max(np.abs(err)) <= 1e-12
 
 
 class TestPauliFrame:
