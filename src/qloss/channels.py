@@ -214,7 +214,7 @@ def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
     The sum runs on rho's occupied block that keeps ``qubit`` whole (see
     ``qudit``).
     """
-    flat, _ = _occupied_block(rho.mat, rho.n_ions, rho.dims, (qubit,))
+    flat = _occupied_block(rho.mat, rho.n_ions, rho.dims, (qubit,))
     perms = [_block_perm(_extended_gather(letter, qubit, rho.n_ions, rho.dims), flat)
              for letter in "XYZ"]
 

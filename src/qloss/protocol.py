@@ -450,7 +450,7 @@ def _shrunk_correct(rho: np.ndarray, dims: int) -> np.ndarray:
     correction; every factor is applied as a signed permutation.  Both act on
     the surviving qubits only, so the sum runs on rho's occupied block that
     keeps them whole (see ``qudit``)."""
-    flat, _ = _occupied_block(rho, N_IONS, dims, SURVIVING_QUBITS)
+    flat = _occupied_block(rho, N_IONS, dims, SURVIVING_QUBITS)
     stab = _block_perm(_gather_cached(shrunk_stabilizer(), dims), flat)
     fix = _block_perm(_gather_cached(PauliFrame(-1).correction(), dims), flat)
 

@@ -318,10 +318,10 @@ class DensityOperator:
 
 
 def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int]
-                    ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Flat indices (ascending) and per-ion level counts of the smallest product
-    block that holds every nonzero row and column of ``mat``, with the ions in
-    ``whole`` kept at all levels.
+                    ) -> np.ndarray:
+    """Flat indices (ascending) of the smallest product block that holds every
+    nonzero row and column of ``mat``, with the ions in ``whole`` kept at all
+    levels.
 
     A NaN compares unequal to zero, so it counts as occupied.  The block is
     closed under any signed permutation that acts on ``whole`` only.
@@ -329,7 +329,6 @@ def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int
     nonzero = mat != 0
     occupied = (nonzero.any(axis=0) | nonzero.any(axis=1)).reshape([dims] * n_ions)
     flat = np.zeros(1, dtype=np.intp)
-    shape = []
     for ion in range(n_ions):
         if ion in whole:
             levels = np.arange(dims)
@@ -337,8 +336,7 @@ def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int
             others = tuple(i for i in range(n_ions) if i != ion)
             levels = np.flatnonzero(occupied.any(axis=others))
         flat = (flat[:, None] * dims + levels).reshape(-1)
-        shape.append(len(levels))
-    return flat, tuple(shape)
+    return flat
 
 
 def _block_perm(perm: tuple[np.ndarray, np.ndarray], flat: np.ndarray
