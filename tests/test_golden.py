@@ -168,6 +168,10 @@ SEEDED = {
     "run_protocol.exact.pqnd=0.033.no_loss.0.1pi": lambda: _records(
         0.1 * PI, noise=NoiseModel(p_qnd=0.033, mode="depolarizing_per_qubit",
                                    apply_to_no_loss=True)),
+    # exact-mode noise on the loss branch, at the rate with the largest mixing
+    # weight (p = 0.73)
+    "run_protocol.exact.pqnd=0.033.0.1pi": lambda: _records(0.1 * PI,
+                                                            noise=NOISES["pqnd=0.033"]),
     # both shrunk outcomes through the toolbox readout
     "run_protocol.toolbox.0.9pi": lambda: _records(0.9 * PI, shrunk_mode="toolbox"),
     "detection_sweep.mask": _sweep,
