@@ -31,7 +31,7 @@ import numpy as np
 
 from .qudit import (DensityOperator, Level, _block_perm, _conjugate, _occupied_block,
                     _on_block, check_unitary, readout_partition, truncated_pauli)
-from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
+from .tolerances import ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
 
@@ -97,18 +97,9 @@ class ChoiMatrix:
     """d_in*d_out square PSD representation of a (possibly trace-decreasing) map."""
 
     matrix: np.ndarray
-    basis_order: str = CHOI_BASIS_ORDER
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=complex)
-
-    def validate(self) -> None:
-        dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if not dev <= ATOL_ALGEBRA:
-            raise ValueError(f"Choi matrix not Hermitian (deviation {dev:.2e})")
-        evals = np.linalg.eigvalsh(self.matrix)
-        if evals.min() < -ATOL_PSD:
-            raise ValueError(f"Choi matrix not PSD (min eigenvalue {evals.min():.2e})")
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
@@ -154,7 +145,6 @@ class NoiseModel:
 
     p_qnd: float = 0.0
     mode: str = "off"  # "off" | "depolarizing_per_qubit"
-    apply_to_no_loss: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_qnd <= 1.0:
@@ -229,17 +219,15 @@ def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
 
 
 def qnd_noise_mixture(rho: DensityOperator, phi: float, model: NoiseModel,
-                      qubits: Sequence[int] | None = None) -> DensityOperator:
-    """rho -> (p/3) sum_k M_k(rho) + (1-p) rho over the surviving code qubits."""
-    if model.mode == "off":
+                      qubits: Sequence[int]) -> DensityOperator:
+    """rho -> (p/n) sum_k M_k(rho) + (1-p) rho, with M_k :func:`depolarize_one` on
+    the k-th of the n ``qubits``."""
+    if not model.enabled:
         return rho
     p = mixing_probability(phi, model.p_qnd)
-    if p == 0.0:
-        return rho
-    qs = tuple(qubits) if qubits is not None else tuple(range(rho.n_ions))
     acc = (1.0 - p) * rho.mat
-    for q in qs:
-        acc = acc + (p / len(qs)) * depolarize_one(rho, q).mat
+    for q in qubits:
+        acc = acc + (p / len(qubits)) * depolarize_one(rho, q).mat
     out = DensityOperator(rho.n_ions, rho.dims, acc)
     if not abs(out.trace() - rho.trace()) <= ATOL_TRACE:  # pragma: no cover - safety net
         raise AssertionError("noise mixture changed the trace")

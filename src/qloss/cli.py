@@ -4,8 +4,9 @@ All angles on the command line are written in units of pi ("0.5pi", "pi/2",
 or a bare number that is read as a multiple of pi).  Grids are either
 comma lists ("0.1pi,0.2pi,0.5pi") or ranges "start:stop:count" (inclusive).
 Exit codes: 0 success, 2 configuration error, 3 internal invariant
-violation.  The default seed comes from --seed or the QLOSS_SEED variable;
-a key=value config file can supply any long option's default.
+violation.  The seed comes from --seed or the QLOSS_SEED variable.  A
+subcommand's --config names a key=value file that supplies defaults for that
+subcommand's own options; an option given on the command line still wins.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def parse_noise(text: str | None) -> NoiseModel:
     params = {}
     for item in text.split(","):
         key, _, val = item.partition("=")
+        if key.strip() in params:
+            raise ValueError(f"noise parameter {key.strip()!r} repeats in {text!r}")
         params[key.strip()] = val.strip()
     if set(params) != {"pqnd"}:
         raise ValueError(f"unknown noise parameters in {text!r} (expected pqnd=...)")
@@ -236,13 +239,18 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
             phis = [parse_angle(phi)]
         else:
             raise ValueError("pass --phi or --phi-grid")
+        # the density files of a grid run are named by each loss angle
+        tags = [""] if len(phis) == 1 else [f"_phi{fmt(p / math.pi)}pi" for p in phis]
+        if len(set(tags)) < len(tags):
+            raise ValueError(f"phi grid {phi_grid!r} repeats a value at 12 significant "
+                             "digits, so two runs would write the same density files")
         model = NoiseModel() if ideal else parse_noise(noise)
         seed = ctx.obj["seed"]
         header = header_lines(ctx.params, seed)
 
         records = []
         rows = []
-        for phi_v in phis:
+        for phi_v, tag in zip(phis, tags):
             n_shots = preset_shots(phi_v) if paper_shots else shots_n
             res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
                                seed=seed, shrunk_mode=shrunk_mode)
@@ -254,7 +262,6 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
                 rows.append([section, phi_v, summary.probability,
                              summary.fidelity] +
                             [vals.get(c) for c in TABLE_COLUMNS])
-            tag = "" if len(phis) == 1 else f"_phi{fmt(phi_v / math.pi)}pi"
             for label, rho in (("no_loss", res.rho_no_loss), ("loss", res.rho_loss)):
                 if rho is not None:
                     write_json(f"{out}_rho_{label}{tag}.json", header,

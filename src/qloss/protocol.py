@@ -122,23 +122,22 @@ def _code(name: str, n_ions: int, qubits: tuple[int, ...]) -> CodeDefinition:
 
 
 @lru_cache(maxsize=None)
-def four_qubit_code(n_ions: int = N_IONS) -> CodeDefinition:
+def four_qubit_code() -> CodeDefinition:
     """The one-plaquette patch: {Z1Z2, Z1Z3, X1X2X3X4} on ions 0..3."""
-    return _code("four_qubit", n_ions, CODE_QUBITS)
+    return _code("four_qubit", N_IONS, CODE_QUBITS)
 
 
 @lru_cache(maxsize=None)
-def three_qubit_code(n_ions: int = N_IONS, qubits: tuple[int, ...] = SURVIVING_QUBITS
-                     ) -> CodeDefinition:
+def three_qubit_code() -> CodeDefinition:
     """The reconstructed code on the surviving qubits: {Z2Z3, X2X3X4}."""
-    return _code("three_qubit", n_ions, qubits)
+    return _code("three_qubit", N_IONS, SURVIVING_QUBITS)
 
 
 # ---------------------------------------------------------------------------
 # encoding
 
 
-def logical_target(alpha: float, n_ions: int = N_IONS, dims: int = 3,
+def logical_target(alpha: float, n_ions: int = N_IONS,
                    qubits: tuple[int, ...] = CODE_QUBITS) -> PureState:
     """Analytic logical state cos(a/2)|0_L> + i sin(a/2)|1_L> on ``qubits``.
 
@@ -148,12 +147,12 @@ def logical_target(alpha: float, n_ions: int = N_IONS, dims: int = 3,
     3-qubit code after reconstruction.
     """
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
-    amps = np.zeros(dims**n_ions, dtype=complex)
-    strides = [dims ** (n_ions - 1 - q) for q in qubits]
+    amps = np.zeros(3**n_ions, dtype=complex)
+    strides = [3 ** (n_ions - 1 - q) for q in qubits]
     ones, last = sum(strides), strides[-1]
     amps[0] = amps[ones] = c / math.sqrt(2)
     amps[last] = amps[ones - last] = 1j * s / math.sqrt(2)
-    return PureState(n_ions, dims, amps)
+    return PureState(n_ions, 3, amps)
 
 
 def encode_ops(alpha: float) -> list[GateOp]:
@@ -165,16 +164,16 @@ def encode_ops(alpha: float) -> list[GateOp]:
     ]
 
 
-def encode(alpha: float, dims: int = 3) -> PureState:
+def encode(alpha: float) -> PureState:
     """Encode cos(a/2)|0_L> + i sin(a/2)|1_L> on ions 0-3; ancilla stays |0>."""
-    reg = Register(make_state(N_IONS, dims, [0] * N_IONS))
+    reg = Register(make_state(N_IONS, 3, [0] * N_IONS))
     reg.run(encode_ops(alpha))
     return reg.state
 
 
-def apply_loss(state: PureState, phi: float, ion: int = 0) -> PureState:
-    op = loss_rotation(phi, ion)
-    return _apply_op(state, op)
+def apply_loss(state: PureState, phi: float) -> PureState:
+    """The controlled loss rotation by ``phi`` on ion 0, the probed ion."""
+    return _apply_op(state, loss_rotation(phi, 0))
 
 
 def _apply_op(state: PureState, op: GateOp) -> PureState:
@@ -272,18 +271,17 @@ def _cnot_ops(control: int, target: int) -> list[GateOp]:
     ]
 
 
-def shrunk_measurement_ops(qubits: tuple[int, ...] = SURVIVING_QUBITS,
-                           ancilla: int = ANCILLA) -> list[GateOp]:
+def shrunk_measurement_ops() -> list[GateOp]:
     """Gate list mapping the X2X3X4 syndrome onto the (reset) ancilla."""
-    ops = [collective_rotation("Y", math.pi / 2, (ancilla,))]
-    for q in qubits:
-        ops.extend(_cnot_ops(ancilla, q))
-    ops.append(collective_rotation("Y", -math.pi / 2, (ancilla,)))
+    ops = [collective_rotation("Y", math.pi / 2, (ANCILLA,))]
+    for q in SURVIVING_QUBITS:
+        ops.extend(_cnot_ops(ANCILLA, q))
+    ops.append(collective_rotation("Y", -math.pi / 2, (ANCILLA,)))
     return ops
 
 
-def shrunk_stabilizer(n_ions: int = N_IONS) -> PauliString:
-    return PauliString.from_map(n_ions, {q: "X" for q in SURVIVING_QUBITS})
+def shrunk_stabilizer() -> PauliString:
+    return PauliString.from_map(N_IONS, {q: "X" for q in SURVIVING_QUBITS})
 
 
 def _shrunk_project(arr: np.ndarray, pick: int,
@@ -359,10 +357,10 @@ class PauliFrame:
 
     sx_sign: int = 1
 
-    def correction(self, n_ions: int = N_IONS) -> PauliString | None:
+    def correction(self) -> PauliString | None:
         if self.sx_sign == 1:
             return None
-        return PauliString.from_map(n_ions, {SURVIVING_QUBITS[0]: "Z"})
+        return PauliString.from_map(N_IONS, {SURVIVING_QUBITS[0]: "Z"})
 
 
 def frame_update(frame: PauliFrame, outcome: int) -> PauliFrame:
@@ -372,7 +370,7 @@ def frame_update(frame: PauliFrame, outcome: int) -> PauliFrame:
 
 
 def apply_frame_correction(state: PureState, frame: PauliFrame) -> PureState:
-    corr = frame.correction(state.n_ions)
+    corr = frame.correction()
     if corr is None:
         return state
     # addressed_z(pi) = diag(e^{-i pi/2}, e^{+i pi/2}) = -i Z on the qubit block
@@ -479,8 +477,6 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
 
     # no-loss branch
     if p_nl > ATOL_TRACE:
-        if noise.enabled and noise.apply_to_no_loss:
-            rho_nl = qnd_noise_mixture(rho_nl, phi, noise, CODE_QUBITS)
         nl_obs = _code_observables(rho_nl, code4)
         nl_fid = _fidelity_with_pure(rho_nl, logical_target(alpha))
     else:
@@ -587,13 +583,13 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
             path = (branch, shrunk)
             make_state = lambda: apply_frame_correction(
                 _shrunk_post(pre, shrunk_mode, pick), frame)
-            code, noisy = code3, SURVIVING_QUBITS if noise.enabled else ()
+            code = code3
+            # the imperfection model mixes noise into the loss branch only
+            hit = _draw_noise(p_mix, SURVIVING_QUBITS, rng) if noise.enabled else None
         else:
             path = (branch,)
             make_state = detect_post
-            code = code4
-            noisy = CODE_QUBITS if noise.enabled and noise.apply_to_no_loss else ()
-        hit = _draw_noise(p_mix, noisy, rng) if noisy else None
+            code, hit = code4, None
         leaf = once(path + (hit,), lambda: _outcome_thresholds(
             _apply_noise(once(path, make_state), hit), code))
         draws = rng.random(len(leaf)).tolist()
@@ -651,7 +647,7 @@ def _mask_pattern(spectators: Sequence[int], addressing_error: float,
 
 def _mask_state(phi: float, n: int, exposed: tuple[int, ...], ancilla: int) -> PureState:
     state = make_state(n, 3, [0] * n)
-    state = apply_loss(state, phi, ion=0)
+    state = apply_loss(state, phi)
     reg = Register(state)
     reg.run(detection_ops((0,) + exposed + (ancilla,)))
     return reg.state
@@ -682,7 +678,7 @@ def _explicit_state(phi: float, n: int, hides: tuple[tuple[bool, bool], ...]
                     ) -> PureState:
     """Pre-readout state of five-level hiding, with the hide pulses ``hides``
     (per spectator 1, 2, ...: whether p0 and p1 fired) and no unhide pulses."""
-    state = apply_loss(make_state(n, 5, [0] * n), phi, ion=0)
+    state = apply_loss(make_state(n, 5, [0] * n), phi)
     for ion, fires in enumerate(hides, 1):
         for fire, pulse in zip(fires, _transfer_pulses()):
             if fire:
@@ -804,7 +800,7 @@ def detection_process(phi: float, input_label: str, ancilla_outcome: int,
     amps[0] = vec[0]
     amps[stride] = vec[1]
     state = PureState(n, 3, amps)
-    state = apply_loss(state, phi, ion=0)
+    state = apply_loss(state, phi)
     reg = Register(state)
     reg.run(detection_ops((0, ancilla)))
     _ancilla_guard(reg.state, ancilla)

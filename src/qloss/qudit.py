@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .tolerances import ATOL_ALGEBRA, ATOL_PSD, ATOL_TRACE
+from .tolerances import ATOL_ALGEBRA, ATOL_TRACE
 
 
 class Level(IntEnum):
@@ -63,7 +63,7 @@ class DimensionError(ValueError):
 
 
 class ContractViolation(ValueError):
-    """An operator failed a contract check (unitarity, PSD, ...)."""
+    """An operator or state failed a contract check (unitarity, probabilities, ...)."""
 
 
 class UndefinedExpectationError(ZeroDivisionError):
@@ -268,17 +268,6 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.real(np.trace(self.mat)))
 
-    def validate(self) -> None:
-        dev = np.max(np.abs(self.mat - self.mat.conj().T))
-        if not dev <= ATOL_ALGEBRA:
-            raise ContractViolation(f"not Hermitian (max deviation {dev:.2e})")
-        evals = np.linalg.eigvalsh(self.mat)
-        if evals.min() < -ATOL_PSD:
-            raise ContractViolation(f"not PSD (min eigenvalue {evals.min():.2e})")
-        tr = self.trace()
-        if not 0.0 < tr <= 1.0 + ATOL_PSD:
-            raise ContractViolation(f"trace {tr} outside (0, 1]")
-
     def normalized(self) -> "DensityOperator":
         tr = self.trace()
         if not tr > ATOL_TRACE:
@@ -415,11 +404,11 @@ class PauliString:
                 raise ValueError(f"invalid Pauli letter {l!r}")
 
     @classmethod
-    def from_map(cls, n_ions: int, mapping: dict[int, str], sign: int = 1) -> "PauliString":
+    def from_map(cls, n_ions: int, mapping: dict[int, str]) -> "PauliString":
         letters = ["I"] * n_ions
         for ion, letter in mapping.items():
             letters[ion] = letter
-        return cls(sign, tuple(letters))
+        return cls(1, tuple(letters))
 
     @property
     def n_ions(self) -> int:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qloss.channels import (ChoiMatrix, DegenerateRateError, NoiseModel, _extended_pauli,
                             branch_maps, channel_to_choi, depolarize_one,
                             mixing_probability, qnd_noise_mixture, record_qubit)
-from qloss.protocol import encode, three_qubit_code
+from qloss.protocol import _code, encode
 from qloss.qudit import DensityOperator, PauliString, PureState, expectation, make_state
 
 COMP = np.diag([1.0, 1.0, 0.0])
@@ -82,7 +82,7 @@ class TestChoi:
         total = sum(k.conj().T @ k for k in ks)
         scale = math.sqrt(np.linalg.eigvalsh(total).max()) or 1.0
         choi = channel_to_choi([k / scale for k in ks])
-        choi.validate()
+        assert np.max(np.abs(choi.matrix - choi.matrix.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(choi.matrix).min() > -1e-9
 
 
@@ -181,13 +181,13 @@ class TestNoiseMixture:
 
     def test_disabled_model_is_identity(self):
         rho = make_state(2, 3, [0, 1]).to_density()
-        out = qnd_noise_mixture(rho, 0.3, NoiseModel())
+        out = qnd_noise_mixture(rho, 0.3, NoiseModel(), (0, 1))
         assert np.allclose(out.mat, rho.mat)
 
     def test_p_qnd_zero_leaves_state(self):
         rho = make_state(2, 3, [0, 1]).to_density()
         model = NoiseModel(p_qnd=0.0, mode="depolarizing_per_qubit")
-        out = qnd_noise_mixture(rho, 0.3, model)
+        out = qnd_noise_mixture(rho, 0.3, model, (0, 1))
         assert np.allclose(out.mat, rho.mat)
 
     def test_trace_preserved(self):
@@ -196,7 +196,7 @@ class TestNoiseMixture:
         m = m @ m.conj().T
         rho = DensityOperator(3, 3, m / np.trace(m))
         model = NoiseModel(p_qnd=0.05, mode="depolarizing_per_qubit")
-        out = qnd_noise_mixture(rho, 0.2 * math.pi, model)
+        out = qnd_noise_mixture(rho, 0.2 * math.pi, model, (0, 1, 2))
         assert out.trace() == pytest.approx(rho.trace(), abs=1e-12)
 
     def test_code_space_population_against_closed_form(self):
@@ -207,11 +207,11 @@ class TestNoiseMixture:
         amps = np.zeros(27, dtype=complex)
         amps[1] = amps[12] = 1 / math.sqrt(2)  # |001> + |110>
         rho = PureState(3, 3, amps).to_density()
-        code = three_qubit_code(n_ions=3, qubits=(0, 1, 2))
+        code = _code("three_qubit", 3, (0, 1, 2))
         model = NoiseModel(p_qnd=0.033, mode="depolarizing_per_qubit")
         for phi in (0.1 * math.pi, 0.5 * math.pi):
             p = mixing_probability(phi, 0.033)
-            out = qnd_noise_mixture(rho, phi, model)
+            out = qnd_noise_mixture(rho, phi, model, (0, 1, 2))
             assert code_space_population(out, code) == pytest.approx(1 - 2 * p / 3,
                                                                      abs=1e-12)
 

@@ -426,6 +426,11 @@ class TestNonFiniteInputs:
         (["protocol", "--phi", "0.5pi", "--shots", str(MAX_SHOTS + 1)], "run_tables.csv"),
         (["percolation", "--L", "4", "--samples", str(MAX_SHOTS + 1)], "run"),
         (["detect-sweep", "--shots", str(MAX_SHOTS + 1)], "run"),
+        # grid values whose density-file tags coincide
+        (["protocol", "--phi-grid", "0.5pi,0.5000000000001pi,0.2pi"],
+         "run_rho_no_loss_phi0.5pi.json"),
+        (["protocol", "--phi-grid", "0.5pi,0.5pi"], "run_rho_no_loss_phi0.5pi.json"),
+        (["protocol", "--phi", "0.5pi", "--noise", "pqnd=0.5,pqnd=0.033"], "run_tables.csv"),
     ])
     def test_config_error_and_no_output(self, runner, tmp_path, args, written):
         res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])

@@ -164,10 +164,6 @@ SEEDED = {
     "run_protocol.exact": _records,
     "run_protocol.toolbox.pqnd=0.033": lambda: _records(
         shrunk_mode="toolbox", noise=NOISES["pqnd=0.033"]),
-    # noise in the no-loss branch too: every (qubit, letter) leaf of both branches
-    "run_protocol.exact.pqnd=0.033.no_loss.0.1pi": lambda: _records(
-        0.1 * PI, noise=NoiseModel(p_qnd=0.033, mode="depolarizing_per_qubit",
-                                   apply_to_no_loss=True)),
     # exact-mode noise on the loss branch, at the rate with the largest mixing
     # weight (p = 0.73)
     "run_protocol.exact.pqnd=0.033.0.1pi": lambda: _records(0.1 * PI,

@@ -5,7 +5,9 @@ level; the one exception is the lazy scipy import of the lattice survival
 kernel, which keeps about 0.3 s of scipy loading out of ``import qloss``.
 A top-level import must be read by its module, unless it only keeps a
 moved name importable from its old module, and a top-level private name
-must be read somewhere in the package.
+must be read somewhere in the package.  Public names need a caller in the
+package or the benchmark, and so does every default that a caller may
+override.
 """
 
 import ast
@@ -145,3 +147,103 @@ def test_public_names_have_a_caller():
                   and name not in read and f"{path.stem}.{name}" not in read
                   and (path.stem, name) not in CALLERLESS_ALLOWED]
     assert callerless == []
+
+
+#: (module, callable, parameter) defaults that no call in the package or the
+#: benchmark passes, and why they stay
+UNPASSED_DEFAULTS_ALLOWED = {
+    # the per-shot generators are the reference the tests compare run_protocol against
+    ("protocol", "qnd_detect", "rng"),
+    ("protocol", "measure_shrunk_stabilizer", "rng"),
+    ("qudit", "measure_projective", "rng"),
+    ("qudit", "measure_projective", "force_outcome"),
+    # the noisy table is the paper's imperfection model; the planned `qloss table`
+    # command passes it
+    ("tomography", "table_report", "noise"),
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _parameters(func: ast.FunctionDef, drop_first: bool):
+    """(parameter, position or None if keyword-only) of each defaulted parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    for pos, arg in enumerate(positional[first:], first):
+        yield arg.arg, pos - drop_first
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _fields(cls: ast.ClassDef):
+    """(field, position) of each defaulted dataclass field; a ``default_factory``
+    is not a settable value."""
+    fields = [n for n in cls.body
+              if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    for pos, node in enumerate(fields):
+        value = node.value
+        if value is None or (isinstance(value, ast.Call)
+                             and any(k.arg == "default_factory" for k in value.keywords)):
+            continue
+        yield node.target.id, pos
+
+
+def _defaulted(path: Path):
+    """(call name, qualified name, parameter, position) of every defaulted
+    parameter of a public function or method and every defaulted field of a
+    public dataclass in one module."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for param, pos in _parameters(node, drop_first=False):
+                yield node.name, node.name, param, pos
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if _is_dataclass(node):
+            for param, pos in _fields(node):
+                yield node.name, node.name, param, pos
+        for meth in node.body:
+            if not isinstance(meth, ast.FunctionDef) or (
+                    meth.name.startswith("_") and meth.name != "__init__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in meth.decorator_list)
+            call = node.name if meth.name == "__init__" else meth.name
+            for param, pos in _parameters(meth, drop_first=not static):
+                yield call, f"{node.name}.{meth.name}", param, pos
+
+
+def _passes(tree: ast.AST, name: str, param: str, pos: int | None) -> bool:
+    """Whether a call of ``name`` (bare or as an attribute) in ``tree`` passes
+    ``param``, by keyword or by position."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = (func.id if isinstance(func, ast.Name)
+                  else func.attr if isinstance(func, ast.Attribute) else None)
+        if called != name:
+            continue
+        keywords = {k.arg for k in node.keywords}  # None: a ** argument
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        if param in keywords or None in keywords or starred or (
+                pos is not None and len(node.args) > pos):
+            return True
+    return False
+
+
+def test_defaulted_parameters_are_passed():
+    """A default that no call in the package or the benchmark overrides is a
+    constant: every run uses its one value."""
+    callers = [_tree(p) for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
+    unpassed = [f"{path.stem}.{qualname}({param})"
+                for path in MODULES if path.stem != "__init__"
+                for call, qualname, param, pos in _defaulted(path)
+                if (path.stem, qualname, param) not in UNPASSED_DEFAULTS_ALLOWED
+                and not any(_passes(tree, call, param, pos) for tree in callers)]
+    assert unpassed == []

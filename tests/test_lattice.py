@@ -11,7 +11,7 @@ from qloss import lattice as lattice_mod
 from qloss.lattice import (ConsistencyError, LossLattice, apply_losses, build_lattice,
                            crossing_estimate, find_logical, percolation_threshold,
                            reform_stabilizers, survival_check, SurvivalPoint)
-from qloss.protocol import four_qubit_code, three_qubit_code
+from qloss.protocol import CODE_QUBITS, SURVIVING_QUBITS, _code
 from qloss.qudit import PauliString, seed_for
 
 
@@ -233,7 +233,7 @@ class TestFindLogical:
     def test_minimal_instance_matches_protocol_code(self):
         # the lattice pipeline reproduces the protocol's code definitions
         lat = build_lattice(2)
-        code4 = four_qubit_code(n_ions=4)
+        code4 = _code("four_qubit", 4, CODE_QUBITS)
         z_words = {str(PauliString.from_map(4, {e: "Z" for e in g}))
                    for g in lat.z_generators}
         assert z_words == {str(code4.stabilizers["S1Z"]),
@@ -243,7 +243,7 @@ class TestFindLogical:
         assert x_words == {str(code4.stabilizers["S1X"])}
 
         ref = reform_stabilizers(apply_losses(lat, [0]))
-        code3 = three_qubit_code(n_ions=4, qubits=(1, 2, 3))
+        code3 = _code("three_qubit", 4, SURVIVING_QUBITS)
         assert {str(PauliString.from_map(4, {e: "Z" for e in g}))
                 for g in ref.z_generators} == {str(code3.stabilizers["S1Z"])}
         assert {str(PauliString.from_map(4, {e: "X" for e in g}))

@@ -11,8 +11,8 @@ from scipy import sparse
 from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
 from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotation,
                          compile_gate, loss_rotation)
-from qloss.protocol import (CODE_QUBITS, SURVIVING_QUBITS, PauliFrame,
-                            ProtocolError, _explicit_key, _explicit_state, _shrunk_correct,
+from qloss.protocol import (SURVIVING_QUBITS, PauliFrame,
+                            ProtocolError, _code, _explicit_key, _explicit_state, _shrunk_correct,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
                             code_space_projector, detection_ops, detection_sweep, encode,
                             encode_ops, four_qubit_code, frame_update, logical_target,
@@ -44,7 +44,7 @@ class TestCodes:
     def test_builder_validates(self):
         # a repeated first qubit leaves a lone Z that anticommutes with the X check
         with pytest.raises(ValueError, match="do not commute"):
-            three_qubit_code(5, (0, 0, 1))
+            _code("three_qubit", 5, (0, 0, 1))
 
     def test_ty_is_i_tx_tz(self):
         for code in (four_qubit_code(), three_qubit_code()):
@@ -340,7 +340,7 @@ class TestTrajectories:
     @pytest.mark.parametrize("mode", ["exact", "toolbox"])
     @pytest.mark.parametrize("noise", [
         NoiseModel(),
-        NoiseModel(p_qnd=0.2, mode="depolarizing_per_qubit", apply_to_no_loss=True)])
+        NoiseModel(p_qnd=0.2, mode="depolarizing_per_qubit")])
     def test_records_equal_shot_by_shot_reference(self, mode, noise):
         """Each record equals one shot simulated on its own with the per-shot calls."""
         phi, seed, shots = 1.9, 3, 60
@@ -355,12 +355,12 @@ class TestTrajectories:
                 shrunk, state, _ = measure_shrunk_stabilizer(state, mode, rng)
                 frame = frame_update(frame, shrunk)
                 state = apply_frame_correction(state, frame)
-                code, qubits = three_qubit_code(), SURVIVING_QUBITS
+                code = three_qubit_code()
             else:
-                code, qubits = four_qubit_code(), CODE_QUBITS
-            if noise.enabled and (det.branch == "loss" or noise.apply_to_no_loss) \
+                code = four_qubit_code()
+            if noise.enabled and det.branch == "loss" \
                     and rng.random() < mixing_probability(phi, noise.p_qnd):
-                qubit = qubits[rng.integers(len(qubits))]
+                qubit = SURVIVING_QUBITS[rng.integers(len(SURVIVING_QUBITS))]
                 letter = "IXYZ"[rng.integers(4)]
                 if letter != "I":
                     state = apply_unitary(state, _extended_pauli(letter, 3), (qubit,))
@@ -375,8 +375,7 @@ class TestTrajectories:
 
     @pytest.mark.parametrize("mode", ["exact", "toolbox"])
     def test_shots_do_not_depend_on_one_another(self, mode):
-        noise = NoiseModel(p_qnd=0.08, mode="depolarizing_per_qubit",
-                           apply_to_no_loss=True)
+        noise = NoiseModel(p_qnd=0.08, mode="depolarizing_per_qubit")
         run = lambda shots: run_protocol(math.pi / 2, 0.9, shots=shots, seed=5,
                                          noise=noise, shrunk_mode=mode).records
         assert run(80)[:30] == run(30)
@@ -490,7 +489,7 @@ class TestDetectionSweep:
     def full_pattern_state(phi, fired):
         """Five-level hiding as simulated before the readout-visible key: all 12
         pulses (hide, detection, unhide), spectators 1-3 in their own order."""
-        state = apply_loss(make_state(5, 5, [0] * 5), phi, ion=0)
+        state = apply_loss(make_state(5, 5, [0] * 5), phi)
         p0, p1 = _transfer_pulses()
 
         def pulse_pair(st, bits):

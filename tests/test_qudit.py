@@ -109,10 +109,6 @@ class TestNonFiniteContracts:
         with pytest.raises(ContractViolation):
             apply_unitary(make_state(1, 3, [0]), np.full((3, 3), np.nan), (0,))
 
-    def test_density_validate_rejects_nan(self):
-        with pytest.raises(ContractViolation):
-            DensityOperator(1, 3, np.full((3, 3), np.nan)).validate()
-
     def test_normalized_rejects_nan(self):
         with pytest.raises(UndefinedExpectationError):
             DensityOperator(1, 3, np.full((3, 3), np.nan)).normalized()
