@@ -11,6 +11,7 @@ override.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -218,32 +219,29 @@ def _defaulted(path: Path):
                 yield call, f"{node.name}.{meth.name}", param, pos
 
 
-def _passes(tree: ast.AST, name: str, param: str, pos: int | None) -> bool:
-    """Whether a call of ``name`` (bare or as an attribute) in ``tree`` passes
-    ``param``, by keyword or by position."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        called = (func.id if isinstance(func, ast.Name)
-                  else func.attr if isinstance(func, ast.Attribute) else None)
-        if called != name:
-            continue
-        keywords = {k.arg for k in node.keywords}  # None: a ** argument
-        starred = any(isinstance(a, ast.Starred) for a in node.args)
-        if param in keywords or None in keywords or starred or (
-                pos is not None and len(node.args) > pos):
-            return True
-    return False
+def _calls(path: Path):
+    """(called name, positions passed, keywords passed) of each call in one
+    module, bare or as an attribute; a starred argument passes every position,
+    and a ``**`` argument every keyword (keyword None)."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield name, math.inf if starred else len(node.args), {k.arg for k in node.keywords}
 
 
 def test_defaulted_parameters_are_passed():
     """A default that no call in the package or the benchmark overrides is a
     constant: every run uses its one value."""
-    callers = [_tree(p) for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
+    calls: dict[str, list] = {}
+    for path in MODULES + sorted(PERFBENCH.glob("*.py")):
+        for name, positions, keywords in _calls(path):
+            calls.setdefault(name, []).append((positions, keywords))
     unpassed = [f"{path.stem}.{qualname}({param})"
                 for path in MODULES if path.stem != "__init__"
                 for call, qualname, param, pos in _defaulted(path)
                 if (path.stem, qualname, param) not in UNPASSED_DEFAULTS_ALLOWED
-                and not any(_passes(tree, call, param, pos) for tree in callers)]
+                and not any(param in keywords or None in keywords
+                            or (pos is not None and positions > pos)
+                            for positions, keywords in calls.get(call, ()))]
     assert unpassed == []
