@@ -116,7 +116,10 @@ def load_config_defaults(path: str | None) -> dict[str, str]:
             key, sep, val = line.partition("=")
             if not sep:
                 raise ValueError(f"config line is not key=value: {raw!r}")
-            defaults[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in defaults:
+                raise ValueError(f"config key {key!r} repeats in {path}")
+            defaults[key] = val.strip()
     return defaults
 
 
@@ -250,6 +253,7 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
 
         records = []
         rows = []
+        outputs = []
         for phi_v, tag in zip(phis, tags):
             n_shots = preset_shots(phi_v) if paper_shots else shots_n
             res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
@@ -264,12 +268,13 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
                             [vals.get(c) for c in TABLE_COLUMNS])
             for label, rho in (("no_loss", res.rho_no_loss), ("loss", res.rho_loss)):
                 if rho is not None:
-                    write_json(f"{out}_rho_{label}{tag}.json", header,
+                    outputs.append(f"{out}_rho_{label}{tag}.json")
+                    write_json(outputs[-1], header,
                                matrix_to_json_dict(rho.mat, "density",
                                                    "ions msb-first; levels 0,1,2"))
         write_csv(f"{out}_tables.csv", header,
                   ["branch", "phi", "probability", "fidelity", *TABLE_COLUMNS], rows)
-        outputs = [f"{out}_tables.csv"]
+        outputs.append(f"{out}_tables.csv")
         if records:
             with open(f"{out}_records.jsonl", "w") as fh:
                 fh.write(records_to_jsonl(records))
@@ -285,12 +290,15 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
               help="cycles per input and setting (0: exact)")
 @click.option("--post-select", type=click.Choice(["0", "1"]), default="0",
               show_default=True)
-@click.option("--register", type=click.Choice(["2", "5"]), default="2", show_default=True)
 @config_option
 @click.option("--out", default="choi.json", show_default=True)
 @click.pass_context
-def cmd_choi(ctx, phi_grid, shots, post_select, register, out):
-    """Process tomography of the detection unit against the ideal branch maps."""
+def cmd_choi(ctx, phi_grid, shots, post_select, out):
+    """Process tomography of the detection unit against the ideal branch maps.
+
+    It runs on the probed ion and the ancilla: the hidden spectators never
+    enter the detection circuit, so a five-ion register gives the same result.
+    """
 
     def go():
         shots_n = _run_size(shots, "shots")
@@ -299,8 +307,7 @@ def cmd_choi(ctx, phi_grid, shots, post_select, register, out):
         entries = []
         for phi_v in parse_grid(phi_grid):
             try:
-                choi, details = process_tomography(
-                    phi_v, branch, shots=shots_n, seed=seed, register=int(register))
+                choi, details = process_tomography(phi_v, branch, shots=shots_n, seed=seed)
             except EmptyBranchError as exc:
                 entries.append({"phi": phi_v, "flag": str(exc)})
                 continue

@@ -193,12 +193,17 @@ def detection_ops(support: Sequence[int]) -> list[GateOp]:
     return [ms_gate(math.pi, support), collective_rotation("X", math.pi, support)]
 
 
-def _ancilla_guard(state: PureState, ancilla: int) -> None:
-    pops = state.level_populations(ancilla)
-    stray = pops[2:].sum()
+def _detect(state: PureState, support: Sequence[int]) -> PureState:
+    """Pre-readout state of the detection circuit on ``support``, whose last ion
+    is the ancilla; an ancilla with population outside the computational
+    subspace raises ``ProtocolError``."""
+    reg = Register(state)
+    reg.run(detection_ops(support))
+    stray = reg.state.level_populations(support[-1])[2:].sum()
     if not stray <= ATOL_LEAK_GUARD:
         raise ProtocolError(
             f"ancilla has population {stray:.2e} outside the computational subspace")
+    return reg.state
 
 
 @dataclass
@@ -213,11 +218,9 @@ def _detection_unit(state: PureState
                     ) -> tuple[PureState, list[frozenset[Level]], np.ndarray]:
     """Pre-readout state of the detection unit, with its ancilla readout sets and
     their probabilities."""
-    reg = Register(state)
-    reg.run(detection_ops((0, ANCILLA)))
-    _ancilla_guard(reg.state, ANCILLA)
-    sets, probs = outcome_probabilities(reg.state, ANCILLA, readout_partition(state.dims))
-    return reg.state, sets, probs
+    pre = _detect(state, (0, ANCILLA))
+    sets, probs = outcome_probabilities(pre, ANCILLA, readout_partition(state.dims))
+    return pre, sets, probs
 
 
 def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
@@ -645,14 +648,6 @@ def _mask_pattern(spectators: Sequence[int], addressing_error: float,
                       or rng.random() < addressing_error))
 
 
-def _mask_state(phi: float, n: int, exposed: tuple[int, ...], ancilla: int) -> PureState:
-    state = make_state(n, 3, [0] * n)
-    state = apply_loss(state, phi)
-    reg = Register(state)
-    reg.run(detection_ops((0,) + exposed + (ancilla,)))
-    return reg.state
-
-
 def _explicit_pattern(spectators: Sequence[int], addressing_error: float,
                       rng: np.random.Generator) -> tuple[bool, ...]:
     """Five-level hiding: which physical transfer pulses fire, in application order
@@ -683,9 +678,7 @@ def _explicit_state(phi: float, n: int, hides: tuple[tuple[bool, bool], ...]
         for fire, pulse in zip(fires, _transfer_pulses()):
             if fire:
                 state = _apply_checked(state, pulse, (ion,))
-    reg = Register(state)
-    reg.run(detection_ops(tuple(range(n))))
-    return reg.state
+    return _detect(state, tuple(range(n)))
 
 
 def _sweep_readout(state: PureState, ancilla: int, partition: Sequence[frozenset[Level]]
@@ -719,8 +712,7 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
         raise ValueError(f"unknown hiding mode {hiding!r}")
     if not 0.0 <= addressing_error <= 1.0:
         raise ValueError(f"addressing_error must lie in [0, 1], got {addressing_error}")
-    n = 2 if register == 2 else 5
-    ancilla = n - 1
+    n, ancilla = register, register - 1
     spectators = tuple(range(1, n - 1))
     explicit = hiding == "explicit" and n > 2
     dims = 5 if explicit else 3
@@ -745,7 +737,8 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
                 pattern = _mask_pattern(spectators, addressing_error, rng)
             if pattern not in readouts:
                 state = (_explicit_state(phi, n, pattern) if explicit
-                         else _mask_state(phi, n, pattern, ancilla))
+                         else _detect(apply_loss(make_state(n, 3, [0] * n), phi),
+                                      (0,) + pattern + (ancilla,)))
                 readouts[pattern] = _sweep_readout(state, ancilla, partition)
             ancilla_probs, level_probs = readouts[pattern]
             out_a = draw_outcome(ancilla_probs, rng)
@@ -779,35 +772,23 @@ PROCESS_INPUTS: dict[str, np.ndarray] = {
 }
 
 
-def detection_process(phi: float, input_label: str, ancilla_outcome: int,
-                      register: int = 2) -> tuple[float, DensityOperator]:
+def detection_process(phi: float, input_label: str, ancilla_outcome: int
+                      ) -> tuple[float, DensityOperator]:
     """Exact branch probability and output state of the probed qubit.
 
-    Prepares the given input on the probed qubit (spectators and ancilla in
-    |0>), runs loss + detection, post-selects the ancilla outcome and traces
-    down to the probed qubit (3-level operator).  The detection gates act on
-    the probed qubit and the ancilla only, so the spectators stay hidden.
+    Prepares the given input on the probed qubit (ancilla in |0>), runs loss
+    + detection, post-selects the ancilla outcome and traces down to the
+    probed qubit (3-level operator).  The register is the probed qubit and
+    the ancilla only: the hidden spectators never enter the detection
+    circuit, so a five-ion register gives the same process bit for bit.
     """
-    if register not in (2, 5):
-        raise ValueError("register must be 2 or 5 ions")
     if ancilla_outcome not in (0, 1):
         raise ValueError(f"ancilla outcome must be 0 or 1, got {ancilla_outcome}")
-    n = 2 if register == 2 else 5
-    ancilla = n - 1
-    vec = PROCESS_INPUTS[input_label]
-    amps = np.zeros(3**n, dtype=complex)
-    stride = 3 ** (n - 1)
-    amps[0] = vec[0]
-    amps[stride] = vec[1]
-    state = PureState(n, 3, amps)
-    state = apply_loss(state, phi)
-    reg = Register(state)
-    reg.run(detection_ops((0, ancilla)))
-    _ancilla_guard(reg.state, ancilla)
-    rho = reg.state.to_density()
-    branch = rho.project_levels(ancilla, readout_partition(3)[ancilla_outcome])
+    amps = np.zeros(9, dtype=complex)
+    amps[0], amps[3] = PROCESS_INPUTS[input_label]
+    state = _detect(apply_loss(PureState(2, 3, amps), phi), (0, 1))
+    branch = state.to_density().project_levels(1, readout_partition(3)[ancilla_outcome])
     prob = branch.trace()
     if prob <= ATOL_TRACE:
         return 0.0, DensityOperator(1, 3, np.zeros((3, 3), dtype=complex))
-    reduced = partial_trace(DensityOperator(n, 3, branch.mat), (0,))
-    return prob, reduced
+    return prob, partial_trace(DensityOperator(2, 3, branch.mat), (0,))

@@ -391,14 +391,11 @@ def truncated_pauli(letter: str, dims: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliString:
-    """Signed Pauli word over a register, embedded to annihilate leaked levels."""
+    """Pauli word over a register, embedded to annihilate leaked levels."""
 
-    sign: int
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         for l in self.letters:
             if l not in "IXYZ":
                 raise ValueError(f"invalid Pauli letter {l!r}")
@@ -408,7 +405,7 @@ class PauliString:
         letters = ["I"] * n_ions
         for ion, letter in mapping.items():
             letters[ion] = letter
-        return cls(1, tuple(letters))
+        return cls(tuple(letters))
 
     @property
     def n_ions(self) -> int:
@@ -434,16 +431,15 @@ class PauliString:
         for i in self.support:
             if i not in ions:
                 raise ValueError("support not contained in the sub-register")
-        return PauliString(self.sign, tuple(self.letters[i] for i in ions))
+        return PauliString(tuple(self.letters[i] for i in ions))
 
     def __str__(self) -> str:
-        body = "".join(self.letters)
-        return body if self.sign == 1 else "-" + body
+        return "".join(self.letters)
 
 
 @lru_cache(maxsize=4096)
 def _embedded_cached(pauli: PauliString, dims: int) -> np.ndarray:
-    mat = np.array([[complex(pauli.sign)]])
+    mat = np.ones((1, 1), dtype=complex)
     for l in pauli.letters:
         mat = np.kron(mat, truncated_pauli(l, dims))
     mat.setflags(write=False)

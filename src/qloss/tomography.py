@@ -233,21 +233,25 @@ def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
 # generalized single-qubit process tomography
 
 
-def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int = 0,
-                       register: int = 2) -> tuple[ChoiMatrix, dict]:
+def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int = 0
+                       ) -> tuple[ChoiMatrix, dict]:
     """Reconstruct the Choi matrix of the loss-detection process on qubit 1.
 
     Inputs {|0>, |1>, |+>, |+i>} are prepared, the detection unit runs, the
     ancilla outcome is post-selected, and the surviving fraction is tracked
     so the reconstruction is trace-non-increasing.  ``shots`` = 0 selects
     exact-probability mode, which reproduces the ideal branch Choi matrices.
+    It runs on the probed qubit and the ancilla, as ``detection_process``
+    explains.  A branch empty for every input, or that retains no shot of
+    any input, raises ``EmptyBranchError``.
     """
     _check_shots(shots, "shots")
     est: dict[str, np.ndarray] = {}
     details: dict = {"phi": phi, "post_select": post_select, "inputs": {}}
     total_weight = 0.0
+    retained = 0
     for idx, label in enumerate(PROCESS_INPUTS):
-        prob, rho_q = detection_process(phi, label, post_select, register)
+        prob, rho_q = detection_process(phi, label, post_select)
         total_weight += prob
         details["inputs"][label] = {"branch_probability": prob}
         if prob <= ATOL_TRACE:
@@ -260,7 +264,9 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
         # one generator per input: the retained shots of the three settings,
         # then their counts
         rng = seed_for(seed, idx)
-        table = sample_counts(rec, rng.binomial(shots, prob, size=3), rng)
+        kept = rng.binomial(shots, prob, size=3)
+        retained += kept.sum()
+        table = sample_counts(rec, kept, rng)
         counts = dict(zip(settings(1), table))
         est[label] = invert_counts(counts, dict.fromkeys(counts, float(shots)))
         details["inputs"][label]["counts"] = {"".join(k): v.tolist()
@@ -268,6 +274,9 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     if total_weight <= ATOL_TRACE:
         raise EmptyBranchError(
             f"post-selected branch {post_select} is empty for every input")
+    if shots and not retained:
+        raise EmptyBranchError(
+            f"post-selected branch {post_select} retained no shot of any input")
 
     e00, e11 = est["0"], est["1"]
     s = e00 + e11

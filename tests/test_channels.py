@@ -126,7 +126,7 @@ class TestDepolarizeOne:
         amps = np.zeros(27, dtype=complex)
         amps[0] = amps[13] = 1 / math.sqrt(2)  # |000> + |111>
         rho = PureState(3, 3, amps).to_density()
-        xxx = PauliString(1, ("X", "X", "X"))
+        xxx = PauliString(("X", "X", "X"))
         assert expectation(rho, xxx) == pytest.approx(1.0)
 
         # oracle: independent four-Pauli sum on the embedded matrices

@@ -188,6 +188,19 @@ class TestProtocolCommand:
                            if not l.startswith("#")])
         assert bodies[0] == bodies[1]
 
+    def test_echo_names_every_written_file(self, runner, tmp_path):
+        prefix = str(tmp_path / "run")
+        res = runner.invoke(main, ["protocol", "--phi-grid", "0.1pi,0.5pi", "--shots", "3",
+                                   "--out", prefix])
+        assert res.exit_code == 0, res.output
+        echoed = res.output.strip().removeprefix("wrote ").split(", ")
+        # in write order: each angle's density files, then the table and the records
+        assert echoed == [f"{prefix}_{name}" for name in (
+            "rho_no_loss_phi0.1pi.json", "rho_loss_phi0.1pi.json",
+            "rho_no_loss_phi0.5pi.json", "rho_loss_phi0.5pi.json",
+            "tables.csv", "records.jsonl")]
+        assert sorted(echoed) == sorted(str(f) for f in tmp_path.iterdir())
+
     def test_records_and_noise_grid(self, runner, tmp_path):
         prefix = str(tmp_path / "noisy")
         res = runner.invoke(main, ["--seed", "5", "protocol", "--alpha", "pi",
@@ -227,6 +240,20 @@ class TestChoiCommand:
                                        if not l.startswith("#")))
         entry = payload["results"][0]
         assert "flag" in entry and "0" in entry["flag"]
+
+    @pytest.mark.parametrize("grid,flagged", [("0.025pi", 1), ("0:pi:41", 2)])
+    def test_sampled_branch_without_a_retained_shot_is_flagged(self, runner, tmp_path,
+                                                              grid, flagged):
+        # at phi = 0 the loss branch is empty; at 0.025pi it keeps no shot of 100
+        out = tmp_path / "choi1.json"
+        res = runner.invoke(main, ["choi", "--phi-grid", grid, "--post-select", "1",
+                                   "--shots", "100", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads("\n".join(l for l in read_lines(out)
+                                       if not l.startswith("#")))
+        assert len(payload["results"]) == len(parse_grid(grid))
+        flags = [e["flag"] for e in payload["results"] if "choi" not in e]
+        assert len(flags) == flagged and "retained no shot" in flags[-1]
 
     def test_finite_shots(self, runner, tmp_path):
         out = tmp_path / "chois.json"
@@ -431,8 +458,16 @@ class TestNonFiniteInputs:
          "run_rho_no_loss_phi0.5pi.json"),
         (["protocol", "--phi-grid", "0.5pi,0.5pi"], "run_rho_no_loss_phi0.5pi.json"),
         (["protocol", "--phi", "0.5pi", "--noise", "pqnd=0.5,pqnd=0.033"], "run_tables.csv"),
+        # config keys that repeat, before or after the - to _ mapping
+        (["protocol", "--phi", "0.5pi", "--config", "shots=10\nshots=20\n"], "run_tables.csv"),
+        (["choi", "--config", "phi-grid=0.1pi\nphi_grid=0.5pi\n"], "run"),
     ])
     def test_config_error_and_no_output(self, runner, tmp_path, args, written):
+        if "--config" in args:  # the argument after it is the file's text
+            at = args.index("--config") + 1
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(args[at])
+            args = args[:at] + [str(cfg)] + args[at + 1:]
         res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
         assert res.exit_code == 2, res.output
         assert not (tmp_path / written).exists()

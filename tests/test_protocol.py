@@ -12,7 +12,8 @@ from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
 from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotation,
                          compile_gate, loss_rotation)
 from qloss.protocol import (SURVIVING_QUBITS, PauliFrame,
-                            ProtocolError, _code, _explicit_key, _explicit_state, _shrunk_correct,
+                            ProtocolError, _code, _detect, _explicit_key, _explicit_state,
+                            _shrunk_correct,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
                             code_space_projector, detection_ops, detection_sweep, encode,
                             encode_ops, four_qubit_code, frame_update, logical_target,
@@ -134,6 +135,13 @@ class TestQndDetect:
         with pytest.raises(ProtocolError):
             qnd_detect(state, force_branch="no_loss")
 
+    @pytest.mark.parametrize("n,dims,level", [(2, 3, 2), (5, 5, 2), (5, 5, 3), (5, 5, 4)])
+    def test_detect_guards_the_last_ion_of_its_support(self, n, dims, level):
+        # the two-ion register of process tomography, and the explicit-hiding
+        # sweep's whole five-level register with the ancilla last
+        with pytest.raises(ProtocolError, match="ancilla"):
+            _detect(make_state(n, dims, [0] * (n - 1) + [level]), tuple(range(n)))
+
     @pytest.mark.parametrize("alpha", [0.0, math.pi, math.pi / 2])
     @pytest.mark.parametrize("phi", np.linspace(0.1, math.pi, 7))
     def test_branch_probability_against_projection_oracle(self, alpha, phi):
@@ -230,7 +238,7 @@ class TestShrunkStabilizer:
         # the reference: (1 +- S)/2 and the frame's Z as sparse matrices, the
         # kron of each word's truncated letters
         def word(pauli):
-            mat = sparse.csr_matrix([[complex(pauli.sign)]])
+            mat = sparse.csr_matrix([[1 + 0j]])
             for letter in pauli.letters:
                 mat = sparse.kron(mat, truncated_pauli(letter, dims), format="csr")
             return mat

@@ -137,7 +137,7 @@ class TestExpectation:
         amps[at(1, 1, 1, 0)] = 1j
         amps /= np.linalg.norm(amps)
         rho = PureState(4, 3, amps).to_density()
-        sx = PauliString(1, ("X", "X", "X", "X"))
+        sx = PauliString(("X", "X", "X", "X"))
         assert expectation(rho, sx) == pytest.approx(4 * math.cos(math.pi / 4) / 3,
                                                      abs=1e-12)
 
@@ -150,7 +150,7 @@ class TestExpectation:
         """The gathered traces are the dense formulas, bit for bit."""
         rng = np.random.default_rng(dims)
         for letters in itertools.product("IXYZ", repeat=3):
-            obs = PauliString(1 if rng.random() < 0.5 else -1, letters)
+            obs = PauliString(letters)
             mat = obs.embedded(dims)
             state = random_state(3, dims, int(rng.integers(10**6)))
             amps = state.amps
@@ -312,8 +312,8 @@ class TestPauliString:
         # embedded-matrix commutator vanishes iff the site-count rule says so
         for letters_a in itertools.product("IXYZ", repeat=2):
             for letters_b in itertools.product("IXYZ", repeat=2):
-                a = PauliString(1, letters_a)
-                b = PauliString(1, letters_b)
+                a = PauliString(letters_a)
+                b = PauliString(letters_b)
                 ma, mb = a.embedded(3), b.embedded(3)
                 comm = ma @ mb - mb @ ma
                 assert (np.max(np.abs(comm)) < 1e-12) == a.commutes(b), \
@@ -323,7 +323,7 @@ class TestPauliString:
            st.tuples(*[st.sampled_from("IXYZ")] * 3))
     @settings(max_examples=60, deadline=None)
     def test_commutation_rule_three_ions(self, la, lb):
-        a, b = PauliString(1, la), PauliString(1, lb)
+        a, b = PauliString(la), PauliString(lb)
         ma, mb = a.embedded(3), b.embedded(3)
         matches = np.max(np.abs(ma @ mb - mb @ ma)) < 1e-12
         assert matches == a.commutes(b)
@@ -336,9 +336,7 @@ class TestPauliString:
             assert np.allclose(x @ vec, 0.0)
 
     def test_sign_and_str(self):
-        p = PauliString(-1, ("X", "I"))
-        assert str(p) == "-XI"
-        assert np.allclose(p.embedded(3), -PauliString(1, ("X", "I")).embedded(3))
+        assert str(PauliString(("X", "I"))) == "XI"
 
     def test_restricted(self):
         p = PauliString.from_map(5, {1: "X", 3: "Z"})

@@ -7,9 +7,8 @@ import pytest
 
 from qloss import tomography
 from qloss.channels import NoiseModel
-from qloss.protocol import (PROCESS_INPUTS, analytic_run, code_space_population,
-                            code_space_projector, detection_process, encode,
-                            four_qubit_code, three_qubit_code)
+from qloss.protocol import (analytic_run, code_space_population, code_space_projector,
+                            encode, four_qubit_code, three_qubit_code)
 from qloss.qudit import DensityOperator, PauliString, PureState, make_state, seed_for
 from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, ideal_branch_choi,
                               invert_counts, process_fidelity, process_tomography,
@@ -184,8 +183,7 @@ class TestStateTomography:
             freqs = table / table.sum(axis=1, keepdims=True)
             est = invert_counts(dict(zip(settings(n), table)))
             herm = rng.normal(size=(2**n,) * 2) + 1j * rng.normal(size=(2**n,) * 2)
-            words = [PauliString(int(rng.choice((1, -1))),
-                                 tuple(rng.choice(list("IXYZ"), n))).embedded(2)
+            words = [PauliString(tuple(rng.choice(list("IXYZ"), n))).embedded(2)
                      for _ in range(6)]
             ops = [np.eye(2**n), (herm + herm.conj().T) / 2**(n + 1)] + words
             c = [tomography._per_ion_map(m.reshape((2,) * (2 * n)), tomography._DUAL, n)
@@ -224,17 +222,6 @@ class TestProcessTomography:
         assert np.max(np.abs(choi.matrix - ideal.matrix)) < 1e-9
         assert process_fidelity(choi, ideal) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("phi", np.linspace(0.0, math.pi, 9))
-    def test_five_ion_register_equals_two_ion(self, phi):
-        # the detection gates never touch the three spectators, so the 5-ion
-        # process is the 2-ion one bit for bit
-        for label in PROCESS_INPUTS:
-            for outcome in (0, 1):
-                p2, rho2 = detection_process(phi, label, outcome, register=2)
-                p5, rho5 = detection_process(phi, label, outcome, register=5)
-                assert p5 == p2
-                assert rho5.mat.tobytes() == rho2.mat.tobytes()
-
     @pytest.mark.parametrize("phi", np.linspace(0.05, math.pi, 7))
     def test_choi_pair_trace_one(self, phi):
         c0, _ = process_tomography(phi, 0)
@@ -256,6 +243,12 @@ class TestProcessTomography:
         with pytest.raises(EmptyBranchError):
             process_tomography(0.0, 1)
 
+    def test_sampled_branch_without_a_retained_shot_raises(self):
+        # the loss branch keeps at most sin^2(0.0125 pi) ~ 1.5e-3 of an input, and
+        # at seed 0 none of the 100 shots of any input and setting survive
+        with pytest.raises(EmptyBranchError, match="retained no shot"):
+            process_tomography(0.025 * math.pi, 1, shots=100, seed=0)
+
     @pytest.mark.parametrize("post_select", [-1, 2])
     def test_unknown_post_selection_raises(self, post_select):
         with pytest.raises(ValueError, match="ancilla outcome"):
@@ -275,12 +268,6 @@ class TestProcessTomography:
     def test_ideal_choi_rejects_unknown_branch(self, branch):
         with pytest.raises(ValueError):
             ideal_branch_choi(0.3, branch)
-
-    def test_five_ion_register_matches_two_ion(self):
-        phi = 0.4 * math.pi
-        a, _ = process_tomography(phi, 0, register=2)
-        b, _ = process_tomography(phi, 0, register=5)
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
 
     def test_sampled_mode_statistics(self):
         phi = 0.3 * math.pi
