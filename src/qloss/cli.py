@@ -25,6 +25,7 @@ from .serialize import (fmt, header_lines, matrix_to_json_dict, write_csv,
                         write_json)
 from .tomography import (EmptyBranchError, ideal_branch_choi, process_fidelity,
                          process_tomography, TABLE_COLUMNS)
+from .tolerances import ATOL_TRACE
 
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
@@ -313,7 +314,7 @@ def cmd_choi(ctx, phi_grid, shots, post_select, out):
                 continue
             ideal = ideal_branch_choi(phi_v, branch)
             empty = [lbl for lbl, d in details["inputs"].items()
-                     if d["branch_probability"] <= 1e-15]
+                     if d["branch_probability"] <= ATOL_TRACE]
             entry = {
                 "phi": phi_v,
                 "choi": matrix_to_json_dict(choi.matrix, "choi", CHOI_BASIS_ORDER),

@@ -45,11 +45,12 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit import PauliString, seed_for
+from .qudit import PauliString, seed_streams
 
 
 class ConsistencyError(RuntimeError):
@@ -485,9 +486,9 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
         block = max(1, BLOCK_EDGES // lat.n_edges)
         # hist[j]: samples that survive on exactly the first j sorted points
         hist = np.zeros(n_p + 1, dtype=np.int64)
+        streams = seed_streams(seed, L, count=samples)
         for start in range(0, samples, block):
-            u = np.stack([seed_for(seed, L, s).random(lat.n_edges)
-                          for s in range(start, min(start + block, samples))])
+            u = np.stack([rng.random(lat.n_edges) for rng in islice(streams, block)])
             hist += np.bincount(_surviving_prefix(lat, u, p_sorted), minlength=n_p + 1)
         survivors = np.empty(n_p, dtype=np.int64)
         survivors[order] = np.cumsum(hist[::-1])[::-1][1:]

@@ -29,7 +29,9 @@ from .qudit import (DensityOperator, Level, PauliString, PureState,
                     UndefinedExpectationError, _apply_checked, _block_perm, _conjugate,
                     _gather_cached, _occupied_block, _on_block, _permute_rows, collapse,
                     draw_outcome, expectation, make_state, outcome_probabilities,
-                    partial_trace, pure_expectation, readout_partition, seed_for)
+                    partial_trace, pure_expectation, readout_partition, seed_streams)
+# perfbench traces protocol.seed_for, so the name stays importable here
+from .qudit import seed_for  # noqa: F401
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -571,8 +573,7 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
             memo[key] = make()
         return memo[key]
 
-    for shot in range(shots):
-        rng = seed_for(seed, shot)
+    for shot, rng in enumerate(seed_streams(seed, count=shots)):
         outcome = draw_outcome(det_probs, rng)
         branch = "loss" if outcome == 1 else "no_loss"
         detect_post = lambda: collapse(detected, ANCILLA, det_sets[outcome])
@@ -729,8 +730,7 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
         # shots whose pulse patterns look alike to the readout share its probabilities
         readouts: dict[tuple, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
         n_direct = n_detect = n_fp = n_fn = n_true = 0
-        for shot in range(shots):
-            rng = seed_for(seed, pi_idx, shot)
+        for rng in seed_streams(seed, pi_idx, count=shots):
             if explicit:
                 pattern = _explicit_key(_explicit_pattern(spectators, addressing_error, rng))
             else:

@@ -47,7 +47,7 @@ from .protocol import (PROCESS_INPUTS, SHOT_PRESETS, CodeDefinition, analytic_ru
                        preset_shots, three_qubit_code)
 # moved to protocol next to CodeDefinition; still importable from here
 from .protocol import _PROJECTOR_CACHE  # noqa: F401
-from .qudit import DensityOperator, partial_trace, seed_for
+from .qudit import DensityOperator, partial_trace, seed_for, seed_streams
 from .tolerances import ATOL_TRACE
 
 #: +1/-1 eigenprojectors of X, Y and Z, indexed [setting letter][bit]
@@ -180,8 +180,8 @@ def _resampled_tables(table: np.ndarray, iterations: int, key: tuple[int, ...]) 
     totals = table.sum(axis=1)
     probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
     stack = np.empty((iterations,) + table.shape)
-    for it in range(iterations):
-        stack[it] = seed_for(*key, it).multinomial(shots, probs)
+    for it, rng in enumerate(seed_streams(*key, count=iterations)):
+        stack[it] = rng.multinomial(shots, probs)
     return stack
 
 

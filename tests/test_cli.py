@@ -472,6 +472,18 @@ class TestNonFiniteInputs:
         assert res.exit_code == 2, res.output
         assert not (tmp_path / written).exists()
 
+    @pytest.mark.parametrize("args", [["protocol", "--phi", "0.5pi", "--shots", "3"],
+                                      ["detect-sweep"],
+                                      ["percolation", "--samples", "100"]])
+    @pytest.mark.parametrize("source", ["option", "env"])
+    def test_negative_seed_is_config_error(self, runner, tmp_path, args, source):
+        seed = ["--seed", "-1"] if source == "option" else []
+        env = {"QLOSS_SEED": "-1"} if source == "env" else {}
+        res = runner.invoke(main, seed + args + ["--out", str(tmp_path / "run")], env=env)
+        assert res.exit_code == 2, res.output
+        assert "expected non-negative integer" in res.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["protocol", "stabilizer-sweep", "choi"])
     def test_run_size_cap_reads_config_files(self, runner, tmp_path, command):
         cfg = tmp_path / "big.cfg"

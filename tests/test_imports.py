@@ -23,8 +23,9 @@ MODULES = sorted(SRC.glob("*.py"))
 LOCAL_IMPORTS_ALLOWED = {("lattice", "_components")}
 
 #: (module, name) pairs imported only to stay importable from the module;
-#: the projector cache moved from tomography to protocol next to CodeDefinition
-RE_EXPORTS = {("tomography", "_PROJECTOR_CACHE")}
+#: the projector cache moved from tomography to protocol next to CodeDefinition,
+#: and seed_for from protocol to qudit (the benchmark traces protocol.seed_for)
+RE_EXPORTS = {("tomography", "_PROJECTOR_CACHE"), ("protocol", "seed_for")}
 
 
 def _tree(path: Path) -> ast.Module:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qloss import qudit
 from qloss.gates import (addressed_z, collective_rotation, compile_gate, loss_rotation,
                          ms_gate)
 from qloss.qudit import (BRIGHT_LEVELS, ContractViolation, DARK_LEVELS, DensityOperator,
@@ -14,7 +15,7 @@ from qloss.qudit import (BRIGHT_LEVELS, ContractViolation, DARK_LEVELS, DensityO
                          UndefinedExpectationError, apply_unitary, draw_outcome,
                          expectation, check_unitary, make_state, measure_projective,
                          outcome_probabilities, partial_trace, pure_expectation,
-                         readout_partition, truncated_pauli)
+                         readout_partition, seed_for, seed_streams, truncated_pauli)
 
 
 def random_state(n_ions, dims, seed):
@@ -305,6 +306,59 @@ class TestDrawOutcome:
         assert draw_outcome(np.array([0.0, 1.0]), force_outcome=1) == 1
         with pytest.raises(ContractViolation):
             draw_outcome(np.array([0.0, 1.0]), force_outcome=0)
+
+
+#: draws that exercise the seeding paths: 32-bit integers leave half a
+#: 64-bit word buffered, which the next stream must not inherit
+SEED_DRAWS = {
+    "random": lambda rng: rng.random(),
+    "integers3": lambda rng: int(rng.integers(3, dtype=np.int32)),
+    "integers4": lambda rng: int(rng.integers(4)),
+    "binomial": lambda rng: int(rng.binomial(40, 0.3)),
+    "multinomial": lambda rng: rng.multinomial(25, [0.2, 0.3, 0.5]).tolist(),
+}
+#: key entries of one and of several 32-bit words
+key_entries = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
+
+
+def seed_draws(rng, ops):
+    return [SEED_DRAWS[op](rng) for op in ops]
+
+
+class TestSeedStreams:
+    @given(master=key_entries, prefix=st.lists(key_entries, max_size=5),
+           count=st.integers(0, 6),
+           ops=st.lists(st.sampled_from(sorted(SEED_DRAWS)), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_draws_match_seed_for(self, master, prefix, count, ops):
+        got = [seed_draws(rng, ops) for rng in seed_streams(master, *prefix, count=count)]
+        assert got == [seed_draws(seed_for(master, *prefix, i), ops) for i in range(count)]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_counts_around_the_chunk_size(self, offset):
+        count = qudit._SEED_CHUNK + offset
+        got = [rng.random() for rng in seed_streams(9, 2**33, count=count)]
+        assert got == [seed_for(9, 2**33, i).random() for i in range(count)]
+
+    @given(master=key_entries, prefix=st.lists(key_entries, max_size=3),
+           ops=st.lists(st.sampled_from(sorted(SEED_DRAWS)), min_size=1, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_chunk_size_does_not_change_the_streams(self, master, prefix, ops):
+        def draws():
+            return [seed_draws(rng, ops) for rng in seed_streams(master, *prefix, count=7)]
+
+        ref = draws()
+        for chunk in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qudit, "_SEED_CHUNK", chunk)
+                assert draws() == ref
+
+    @pytest.mark.parametrize("key", [(-1,), (0, -1), (2, 2**40, -5)])
+    def test_negative_entry_raises_like_seed_sequence(self, key):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(key + (0,))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            list(seed_streams(*key, count=1))
 
 
 class TestPauliString:

@@ -9,7 +9,8 @@ from qloss import tomography
 from qloss.channels import NoiseModel
 from qloss.protocol import (analytic_run, code_space_population, code_space_projector,
                             encode, four_qubit_code, three_qubit_code)
-from qloss.qudit import DensityOperator, PauliString, PureState, make_state, seed_for
+from qloss.qudit import (DensityOperator, PauliString, PureState, make_state, seed_for,
+                         seed_streams)
 from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, ideal_branch_choi,
                               invert_counts, process_fidelity, process_tomography,
                               record_density, resample_errors, sample_counts,
@@ -498,10 +499,18 @@ class TestTableReport:
             keys.append(key)
             return seed_for(*key)
 
+        def recording_seed_streams(*prefix, count):
+            keys.extend(prefix + (i,) for i in range(count))
+            return seed_streams(*prefix, count=count)
+
         monkeypatch.setattr(tomography, "seed_for", recording_seed_for)
+        monkeypatch.setattr(tomography, "seed_streams", recording_seed_streams)
         phis = (0.2 * math.pi, 0.5 * math.pi)
         table_report(alphas=(0.0, math.pi), phis=phis, sampled=True,
                      shots_per_setting=dict.fromkeys(phis, 5), seed=3)
+        # each cell's counts key and its 100 resampling keys
+        cells = sum(len(k) == 4 for k in keys)
+        assert cells and sum(len(k) == 5 for k in keys) == 100 * cells
         assert keys and len(set(keys)) == len(keys)
         # distinct keys must also seed distinct streams
         states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
