@@ -334,11 +334,12 @@ class TestSeedStreams:
         got = [seed_draws(rng, ops) for rng in seed_streams(master, *prefix, count=count)]
         assert got == [seed_draws(seed_for(master, *prefix, i), ops) for i in range(count)]
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_counts_around_the_chunk_size(self, offset):
-        count = qudit._SEED_CHUNK + offset
-        got = [rng.random() for rng in seed_streams(9, 2**33, count=count)]
-        assert got == [seed_for(9, 2**33, i).random() for i in range(count)]
+    @pytest.mark.parametrize("count", [0, 1, qudit._SEED_CHUNK - 1, qudit._SEED_CHUNK,
+                                       qudit._SEED_CHUNK + 1])
+    @pytest.mark.parametrize("prefix", [(), (2**33,)])
+    def test_count_edges(self, prefix, count):
+        got = [rng.random() for rng in seed_streams(9, *prefix, count=count)]
+        assert got == [seed_for(9, *prefix, i).random() for i in range(count)]
 
     @given(master=key_entries, prefix=st.lists(key_entries, max_size=3),
            ops=st.lists(st.sampled_from(sorted(SEED_DRAWS)), min_size=1, max_size=4))
