@@ -29,6 +29,13 @@ The survival kernel labels both graphs at once: in the combined graph the
 primal nodes come first and the dual cells follow, offset by
 ``n_vertices + 2``, and every kept edge joins its two primal nodes and its
 two dual cells.  A mask survives when both terminal pairs share a label.
+The labels come from `_components`, a numpy hook-and-jump kernel in the
+style of Shiloach and Vishkin: each round hooks every root under the
+smallest root it shares an edge with, then pointer-jumps until each node
+points at its root.  Parents are always smaller ids, so no cycle forms,
+and each round removes a root, so the rounds end.  Each component's root is
+its smallest node, and components are numbered in that order, as scipy's
+``connected_components`` numbers them; scipy is only the tests' reference.
 
 Survival curves (`percolation_threshold`) draw one uniform vector per
 (L, sample) that serves every loss rate, so each curve is monotone and its
@@ -81,19 +88,30 @@ class LossLattice:
     def validate_commutation(self) -> None:
         """Every (Z, X) generator pair must share an even number of edges.
 
-        Z generators are indexed by edge, so each X generator toggles the
-        overlap parity of only the Z generators it meets.
+        Edge e holds a Python int bitset of the Z generators on it: bit
+        ``zi - base[e]`` for generator zi, where ``base[e]`` is the lowest
+        generator on the edge.  Aligned at the lowest base among an X
+        generator's edges, their XOR leaves set exactly the Z generators that
+        X generator overlaps oddly, and the lowest of them is named.  The
+        offset keeps a bitset as wide as the spread of generators on one
+        edge: bit zi itself would make the check quadratic in the lattice.
         """
-        z_on_edge: dict[int, list[int]] = {}
+        n_z = len(self.z_generators)
+        base, bits = [n_z] * self.n_edges, [0] * self.n_edges
         for zi, zg in enumerate(self.z_generators):
             for e in zg:
-                z_on_edge.setdefault(e, []).append(zi)
-        for xg in self.x_generators:
-            odd: set[int] = set()
+                if bits[e]:
+                    bits[e] |= 1 << (zi - base[e])
+                else:
+                    base[e], bits[e] = zi, 1
+        base_of = base.__getitem__
+        for xg in filter(None, self.x_generators):   # an empty one overlaps nothing
+            low = min(map(base_of, xg))
+            odd = 0
             for e in xg:
-                odd.symmetric_difference_update(z_on_edge.get(e, ()))
+                odd ^= bits[e] << (base[e] - low)
             if odd:
-                zg = self.z_generators[min(odd)]
+                zg = self.z_generators[low + (odd & -odd).bit_length() - 1]
                 raise ConsistencyError(
                     f"generators {sorted(zg)} and {sorted(xg)} anticommute")
 
@@ -368,14 +386,28 @@ BLOCK_EDGES = 32_768
 
 
 def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Component label of each of ``n`` nodes under the undirected edges (a[i], b[i])."""
-    # imported here, not at module level: loading scipy.sparse.csgraph costs
-    # about 0.3 s, which every `import qloss` would otherwise pay
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+    """Component label of each of ``n`` nodes under the undirected edges (a[i], b[i]).
 
-    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    Components are numbered 0, 1, ... in the order of their smallest node,
+    as scipy's ``connected_components`` numbers them.  ``root`` starts as
+    the identity, and the edges are carried as the roots of their two ends.
+    Each round hooks every larger root under the smallest root it meets on
+    an edge, pointer-jumps (``root = root[root]``) until every node points at
+    a root again, maps the edges to the new roots and drops those whose two
+    ends now share one.  A parent is always smaller than its child, so there
+    are no cycles; an edge kept for the next round joins two distinct roots,
+    so that round removes at least one root and the rounds end.  Each root is
+    then its component's smallest node.
+    """
+    root = np.arange(n)
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        a, b = root[a], root[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def _both_sides(lattice: LossLattice) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,8 @@
 """Import hygiene of the package, checked on the source with ``ast``.
 
 Function-local imports hide module cycles, so every import sits at module
-level; the one exception is the lazy scipy import of the lattice survival
-kernel, which keeps about 0.3 s of scipy loading out of ``import qloss``.
+level, with no exception.  scipy is a test-only reference: no run of the
+package loads it (checked in a fresh interpreter).
 A top-level import must be read by its module, unless it only keeps a
 moved name importable from its old module, and a top-level private name
 must be read somewhere in the package.  Public names need a caller in the
@@ -12,6 +12,9 @@ override.
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qloss"
 MODULES = sorted(SRC.glob("*.py"))
 
 #: (module, function) pairs that may import inside the function body
-LOCAL_IMPORTS_ALLOWED = {("lattice", "_components")}
+LOCAL_IMPORTS_ALLOWED: set[tuple[str, str]] = set()
 
 #: (module, name) pairs imported only to stay importable from the module;
 #: the projector cache moved from tomography to protocol next to CodeDefinition,
@@ -40,6 +43,30 @@ def test_no_function_local_imports(path):
              and (path.stem, func.name) not in LOCAL_IMPORTS_ALLOWED
              for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+#: the lattice layer end to end on small lattices, then every scipy module loaded
+_LATTICE_RUN = """
+import sys
+import numpy as np
+import qloss
+from qloss.lattice import (apply_losses, build_lattice, find_logical,
+                           percolation_threshold, reform_stabilizers, survival_check)
+percolation_threshold([3, 4], 100, [0.3, 0.5, 0.7], seed=1)
+lat = build_lattice(4)
+survival_check(lat, np.random.default_rng(2).random(lat.n_edges) < 0.4)
+find_logical(reform_stabilizers(apply_losses(lat, 0.4, np.random.default_rng(3))))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_lattice_layer_runs_without_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LATTICE_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from qloss import lattice as lattice_mod
 from qloss.lattice import (ConsistencyError, LossLattice, apply_losses, build_lattice,
@@ -64,6 +66,19 @@ class TestBuild:
         bad = replace(lat, z_generators=[frozenset({edge})] + lat.z_generators[1:])
         with pytest.raises(ConsistencyError, match="anticommute"):
             bad.validate_commutation()
+
+    def test_lowest_anticommuting_z_generator_is_named(self):
+        # two single-edge Z generators each meet the first star once; the
+        # lower-indexed one sits on the star's higher edge, so the name comes
+        # from the generator index, not from the edge order
+        lat = build_lattice(3)
+        star = lat.x_generators[0]
+        low_edge, high_edge = min(star), max(star)
+        z = list(lat.z_generators)
+        z[1], z[3] = frozenset({high_edge}), frozenset({low_edge})
+        with pytest.raises(ConsistencyError) as err:
+            replace(lat, z_generators=z).validate_commutation()
+        assert str(err.value) == f"generators [{high_edge}] and {sorted(star)} anticommute"
 
     def test_l3_generator_count_by_enumeration(self):
         lat = build_lattice(3)
@@ -264,6 +279,56 @@ class TestSurvival:
                                                         np.nonzero(mask)[0]]))
             expected = find_logical(ref).correctable
             assert survival_check(lat, mask) == expected
+
+
+def scipy_labels(a, b, n):
+    """Reference labelling: scipy numbers components by their smallest node."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+_GRAPHS = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n)))
+
+
+class TestComponents:
+    """`_components` against scipy's labels, not just the same partition."""
+
+    @given(graph=_GRAPHS)
+    @settings(max_examples=300, deadline=None)
+    @example(graph=(1, []))                          # one node, no edges
+    @example(graph=(1, [(0, 0), (0, 0)]))            # self-loops only
+    @example(graph=(5, []))                          # isolated nodes only
+    @example(graph=(2, [(0, 1), (1, 0), (0, 1)]))    # parallel edges
+    @example(graph=(6, [(4, 2), (2, 2), (5, 4)]))    # isolated 0, 1 and 3
+    def test_labels_equal_scipy(self, graph):
+        n, edges = graph
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        a, b = ends[:, 0], ends[:, 1]
+        assert np.array_equal(lattice_mod._components(a, b, n), scipy_labels(a, b, n))
+
+    def test_long_shuffled_path(self):
+        rng = np.random.default_rng(4)
+        n = 20_000
+        nodes = rng.permutation(n)
+        order = rng.permutation(n - 1)
+        a, b = nodes[:-1][order], nodes[1:][order]
+        labels = lattice_mod._components(a, b, n)
+        assert np.array_equal(labels, scipy_labels(a, b, n))
+        assert not labels.any()
+
+    def test_block_contraction_graph(self):
+        # the graph `_surviving_prefix` contracts first: one block of L=16
+        # samples, the edges kept at the largest rate of a grid
+        lat = build_lattice(16)
+        ends, terminals = lattice_mod._both_sides(lat)
+        n = terminals[-1] + 1
+        k = lattice_mod.BLOCK_EDGES // lat.n_edges
+        u = np.random.default_rng(16).random((k, lat.n_edges))
+        _, a, b = lattice_mod._block_edges(u >= 0.55, n, ends)
+        assert np.array_equal(lattice_mod._components(a, b, k * n),
+                              scipy_labels(a, b, k * n))
 
 
 class TestBlockKernel:
