@@ -52,12 +52,11 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit import PauliString, seed_streams
+from .qudit import PauliString, SeedDomain, seed_for
 
 
 class ConsistencyError(RuntimeError):
@@ -487,8 +486,9 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
                           p_grid: Sequence[float], seed: int = 0) -> PercolationResult:
     """Monte Carlo survival curves and the two-size crossing estimate.
 
-    Each (L, sample) draws one uniform vector ``u`` from the generator
-    seeded by (seed, L, sample index), and its loss mask at every rate p is
+    Each L draws from one generator, ``seed_for(seed,
+    SeedDomain.PERCOLATION_SAMPLES, L)``: sample i is row i of its (samples,
+    n_edges) block of uniforms ``u``, and its loss mask at every rate p is
     ``u < p``.  The kept sets shrink as p grows and spanning is monotone in
     them, so a sample survives on a prefix of the sorted p grid: its curve
     is monotone, and points at different p are correlated (``binom_std``
@@ -518,9 +518,9 @@ def percolation_threshold(L_grid: Sequence[int], samples: int,
         block = max(1, BLOCK_EDGES // lat.n_edges)
         # hist[j]: samples that survive on exactly the first j sorted points
         hist = np.zeros(n_p + 1, dtype=np.int64)
-        streams = seed_streams(seed, L, count=samples)
+        rng = seed_for(seed, SeedDomain.PERCOLATION_SAMPLES, L)
         for start in range(0, samples, block):
-            u = np.stack([rng.random(lat.n_edges) for rng in islice(streams, block)])
+            u = rng.random((min(block, samples - start), lat.n_edges))
             hist += np.bincount(_surviving_prefix(lat, u, p_sorted), minlength=n_p + 1)
         survivors = np.empty(n_p, dtype=np.int64)
         survivors[order] = np.cumsum(hist[::-1])[::-1][1:]

@@ -14,6 +14,7 @@ density mode is the oracle for the trajectories.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -25,13 +26,11 @@ import numpy as np
 from .channels import NoiseModel, _extended_pauli, mixing_probability, qnd_noise_mixture
 from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
                     compile_gate, loss_rotation, ms_gate)
-from .qudit import (DensityOperator, Level, PauliString, PureState,
+from .qudit import (DensityOperator, Level, PauliString, PureState, SeedDomain,
                     UndefinedExpectationError, _apply_checked, _block_perm, _conjugate,
-                    _gather_cached, _occupied_block, _on_block, _permute_rows, collapse,
-                    draw_outcome, expectation, make_state, outcome_probabilities,
-                    partial_trace, pure_expectation, readout_partition, seed_streams)
-# perfbench traces protocol.seed_for, so the name stays importable here
-from .qudit import seed_for  # noqa: F401
+                    _gather_cached, _occupied_block, _on_block, _outcome_cdf, _permute_rows,
+                    collapse, draw_outcome, expectation, make_state, outcome_probabilities,
+                    partial_trace, pure_expectation, readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -388,7 +387,11 @@ def apply_frame_correction(state: PureState, frame: PauliFrame) -> PureState:
 
 @dataclass
 class RunRecord:
-    """One trajectory shot of the full protocol."""
+    """One trajectory shot of the full protocol.
+
+    ``seed_key`` names the generator key (master seed, domain) and the row
+    of its block that the shot read, as ``"(seed,domain)[row]"``.
+    """
 
     shot: int
     alpha: float
@@ -525,13 +528,21 @@ def _outcome_thresholds(state: PureState, code: CodeDefinition
     return tuple(out)
 
 
-def _draw_noise(p_mix: float, qubits: tuple[int, ...], rng: np.random.Generator
-                ) -> tuple[int, str] | None:
-    """Trajectory unraveling of the depolarizing mixture: the (qubit, Pauli) hit, if any."""
-    if rng.random() >= p_mix:
+#: the columns of a shot's row: the detection readout, the shrunk readout, the
+#: noise hit, its qubit and its letter, then one per output of the branch's code
+#: (at most the four-qubit code's six Paulis and P_CS)
+_DETECT, _SHRUNK, _HIT, _HIT_QUBIT, _HIT_LETTER, _OUTPUTS = range(6)
+_SHOT_WIDTH = _OUTPUTS + 7
+
+
+def _noise_hit(p_mix: float, row: Sequence[float]) -> tuple[int, str] | None:
+    """Trajectory unraveling of the depolarizing mixture: the (qubit, Pauli) hit
+    of one shot's row, if any; the qubit and letter columns map [0, 1) onto
+    the surviving qubits and IXYZ in equal parts."""
+    if not row[_HIT] < p_mix:
         return None
-    qubit = qubits[rng.integers(len(qubits))]
-    letter = "IXYZ"[rng.integers(4)]
+    letter = "IXYZ"[int(row[_HIT_LETTER] * 4)]
+    qubit = SURVIVING_QUBITS[int(row[_HIT_QUBIT] * len(SURVIVING_QUBITS))]
     return None if letter == "I" else (qubit, letter)
 
 
@@ -548,8 +559,11 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
     """Analytic branch summaries plus (optionally) sampled trajectories.
 
     ``alpha`` is the logical superposition angle: cos(a/2)|0_L> + i sin(a/2)|1_L>.
-    Every shot draws its generator from a pure function of (seed, shot), so
-    results do not depend on execution order.
+    The shots draw from one generator, ``seed_for(seed,
+    SeedDomain.PROTOCOL_SHOTS)``: shot i reads row i of one (shots,
+    ``_SHOT_WIDTH``) block of uniforms, one fixed column per draw, so a shot
+    is a pure function of (seed, shot) and the first n shots of a longer run
+    are the n shots of a shorter one.
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
@@ -561,11 +575,12 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
 
     code4, code3 = four_qubit_code(), three_qubit_code()
     detected, det_sets, det_probs = _detection_unit(apply_loss(encode(alpha), phi))
+    det_cdf = _outcome_cdf(det_probs)
     p_mix = mixing_probability(phi, noise.p_qnd) if noise.enabled else 0.0
     # The states along an outcome path (detection branch, shrunk outcome, noise
     # hit) are the same for every shot that takes it: each node is computed on
-    # its first shot, and every shot replays its own draws, in the original
-    # order, against the cached probabilities.
+    # its first shot, and every shot compares its own columns with the cached
+    # probabilities.
     memo: dict[tuple, Any] = {}
 
     def once(key: tuple, make: Callable[[], Any]) -> Any:
@@ -573,15 +588,17 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
             memo[key] = make()
         return memo[key]
 
-    for shot, rng in enumerate(seed_streams(seed, count=shots)):
-        outcome = draw_outcome(det_probs, rng)
+    rows = seed_for(seed, SeedDomain.PROTOCOL_SHOTS).random((shots, _SHOT_WIDTH))
+    for shot, row in enumerate(rows.tolist()):
+        outcome = bisect.bisect_right(det_cdf, row[_DETECT])
         branch = "loss" if outcome == 1 else "no_loss"
         detect_post = lambda: collapse(detected, ANCILLA, det_sets[outcome])
         frame = PauliFrame()
         shrunk: int | None = None
         if branch == "loss":
             pre, probs = once((branch,), lambda: _shrunk_split(detect_post(), shrunk_mode))
-            pick = draw_outcome(probs, rng)
+            cdf = once(("cdf",), lambda: _outcome_cdf(probs))
+            pick = bisect.bisect_right(cdf, row[_SHRUNK])
             shrunk = +1 if pick == 0 else -1
             frame = frame_update(frame, shrunk)
             path = (branch, shrunk)
@@ -589,20 +606,20 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
                 _shrunk_post(pre, shrunk_mode, pick), frame)
             code = code3
             # the imperfection model mixes noise into the loss branch only
-            hit = _draw_noise(p_mix, SURVIVING_QUBITS, rng) if noise.enabled else None
+            hit = _noise_hit(p_mix, row) if noise.enabled else None
         else:
             path = (branch,)
             make_state = detect_post
             code, hit = code4, None
         leaf = once(path + (hit,), lambda: _outcome_thresholds(
             _apply_noise(once(path, make_state), hit), code))
-        draws = rng.random(len(leaf)).tolist()
-        obs = {name: 1.0 if u < p else other for (name, p, other), u in zip(leaf, draws)}
+        obs = {name: 1.0 if u < p else other
+               for (name, p, other), u in zip(leaf, row[_OUTPUTS:])}
         result.records.append(RunRecord(
             shot=shot, alpha=alpha, phi=phi, branch=branch,
             ancilla_outcome=outcome, shrunk_outcome=shrunk,
             frame_sx=frame.sx_sign, observables=obs,
-            seed_key=f"({seed},{shot})"))
+            seed_key=f"({seed},{int(SeedDomain.PROTOCOL_SHOTS)})[{shot}]"))
     return result
 
 
@@ -639,28 +656,16 @@ class SweepResult:
     efficiency: float  # fraction of shots where detected == actually leaked
 
 
-def _mask_pattern(spectators: Sequence[int], addressing_error: float,
-                  rng: np.random.Generator) -> tuple[int, ...]:
-    """Ideal hiding: the spectators a hide leaves fully exposed to the collective
-    detection gates, because either of its two transfer pulses failed."""
-    return tuple(i for i in spectators
-                 if addressing_error > 0
-                 and (rng.random() < addressing_error
-                      or rng.random() < addressing_error))
-
-
-def _explicit_pattern(spectators: Sequence[int], addressing_error: float,
-                      rng: np.random.Generator) -> tuple[bool, ...]:
-    """Five-level hiding: which physical transfer pulses fire, in application order
-    (hide, then unhide; per spectator pulse p0 then p1), each skipped
-    independently with the addressing-error probability."""
-    return tuple(not (addressing_error > 0 and rng.random() < addressing_error)
-                 for _stage in range(2) for _ion in spectators for _pulse in range(2))
+#: a sweep shot's row: the ancilla readout, the level of ion 0, then the
+#: transfer pulses of the five-ion register's three spectators (two stages,
+#: two pulses each); a two-ion register reads the first two columns only
+_SWEEP_WIDTH = 2 + 4 * 3
 
 
 def _explicit_key(fired: tuple[bool, ...]) -> tuple[tuple[bool, bool], ...]:
     """What the readout can see of a pulse pattern: the sorted per-spectator
-    (p0, p1) hide pairs.
+    (p0, p1) hide pairs.  ``fired`` says which transfer pulses fire, in
+    application order: hide, then unhide; per spectator pulse p0, then p1.
 
     The readout looks at ion 0 and the ancilla only.  The unhide pulses act on
     spectators after the last gate on either of them, and the all-|0> start
@@ -702,6 +707,13 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
     flag.  False positives/negatives are counted against the simulator's
     ground truth (the loss-level occupation of the probed qubit).  ``hiding``
     picks the ideal support-mask model or the explicit five-level pulses.
+    The shots of grid point ``pi_idx`` draw from one generator,
+    ``seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx)``: shot i reads row i of
+    one block whose columns are the ancilla readout, the level of ion 0 and
+    the transfer pulses (``_SWEEP_WIDTH``), each pulse skipped with the
+    addressing-error probability.  The ideal hiding exposes a spectator when
+    either of its two hide pulses is skipped.  Both registers read the same
+    readout columns, so without addressing errors they count alike.
     """
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must not be empty")
@@ -728,21 +740,26 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
             rows.append(SweepRow(phi, p_leak, p_leak, 0.0, 0.0, 0))
             continue
         # shots whose pulse patterns look alike to the readout share its probabilities
-        readouts: dict[tuple, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
+        readouts: dict[tuple, tuple[list[float], dict[int, list[float]]]] = {}
         n_direct = n_detect = n_fp = n_fn = n_true = 0
-        for rng in seed_streams(seed, pi_idx, count=shots):
+        block = seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx).random((shots, _SWEEP_WIDTH))
+        for u_anc, u_lvl, *u_pulses in block.tolist():
+            fired = tuple(u >= addressing_error for u in u_pulses[:4 * len(spectators)])
             if explicit:
-                pattern = _explicit_key(_explicit_pattern(spectators, addressing_error, rng))
+                pattern = _explicit_key(fired)
             else:
-                pattern = _mask_pattern(spectators, addressing_error, rng)
+                pattern = tuple(i for i, p0, p1 in zip(spectators, fired[0::2], fired[1::2])
+                                if not (p0 and p1))
             if pattern not in readouts:
                 state = (_explicit_state(phi, n, pattern) if explicit
                          else _detect(apply_loss(make_state(n, 3, [0] * n), phi),
                                       (0,) + pattern + (ancilla,)))
-                readouts[pattern] = _sweep_readout(state, ancilla, partition)
-            ancilla_probs, level_probs = readouts[pattern]
-            out_a = draw_outcome(ancilla_probs, rng)
-            lvl = draw_outcome(level_probs[out_a], rng)
+                probs, levels = _sweep_readout(state, ancilla, partition)
+                readouts[pattern] = (_outcome_cdf(probs),
+                                     {k: _outcome_cdf(v) for k, v in levels.items()})
+            ancilla_cdf, level_cdfs = readouts[pattern]
+            out_a = bisect.bisect_right(ancilla_cdf, u_anc)
+            lvl = bisect.bisect_right(level_cdfs[out_a], u_lvl)
             detected = out_a == 1
             direct_dark = Level(lvl) in partition[1]
             true_leak = lvl == Level.L2

@@ -26,11 +26,10 @@ whole register: a BLAS product's bits can depend on the matrix width.
 from __future__ import annotations
 
 import bisect
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -186,20 +185,33 @@ def outcome_probabilities(state: PureState, ion: int,
     return sets, probs
 
 
-def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
-                 force_outcome: int | None = None) -> int:
-    """Index of one outcome: ``force_outcome`` if given, else one ``rng.random()`` draw.
+def _outcome_cdf(probs: np.ndarray) -> list[float]:
+    """The normalized cdf of outcome probabilities; outcome k is drawn by a
+    uniform u exactly when ``bisect_right(cdf, u) == k``, as
+    ``rng.choice(len(probs), p=probs / probs.sum())`` picks it from the same u.
 
-    The drawn index, and the generator state after it, are those of
-    ``rng.choice(len(probs), p=probs / probs.sum())``: the first entry of the
-    normalized cdf above the uniform draw.  Probabilities must be
-    non-negative and sum to 1 within ATOL_TRACE, so NaN and inf raise too; a
-    forced outcome of (numerically) zero probability raises.
+    Probabilities must be non-negative and sum to 1 within ATOL_TRACE, so
+    NaN and inf raise too.
     """
     entries = probs.tolist()
     total = float(probs.sum())
     if not abs(total - 1.0) <= ATOL_TRACE or min(entries) < 0:
         raise ContractViolation(f"invalid outcome probabilities {entries}")
+    # plain floats: for a handful of entries, faster than cumsum
+    acc, cdf = 0.0, []
+    for p in entries:
+        acc += p / total
+        cdf.append(acc)
+    return [c / acc for c in cdf]
+
+
+def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
+                 force_outcome: int | None = None) -> int:
+    """Index of one outcome: ``force_outcome`` if given, else one ``rng.random()``
+    draw against :func:`_outcome_cdf`.  A forced outcome of (numerically) zero
+    probability raises.
+    """
+    cdf = _outcome_cdf(probs)
     if force_outcome is not None:
         outcome = int(force_outcome)
         if probs[outcome] <= ATOL_TRACE:
@@ -208,12 +220,7 @@ def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
         return outcome
     if rng is None:
         raise ValueError("rng required unless force_outcome is given")
-    # plain floats: for a handful of entries, faster than cumsum and searchsorted
-    acc, cdf = 0.0, []
-    for p in entries:
-        acc += p / total
-        cdf.append(acc)
-    return bisect.bisect_right([c / acc for c in cdf], rng.random())
+    return bisect.bisect_right(cdf, rng.random())
 
 
 def collapse(state: PureState, ion: int, levels: Iterable[Level | int]) -> PureState:
@@ -511,96 +518,31 @@ def _conjugate(perm: tuple[np.ndarray, np.ndarray], mat: np.ndarray) -> np.ndarr
     return out
 
 
-def seed_for(master_seed: int, *key: int) -> np.random.Generator:
-    """Deterministic per-task generator: SeedSequence((master, *key))."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed,) + key)))
+class SeedDomain(IntEnum):
+    """The sampled loops, one stream family each; the first word of every
+    generator key."""
+
+    PROTOCOL_SHOTS = 0
+    SWEEP_SHOTS = 1
+    PERCOLATION_SAMPLES = 2
+    TABLE_CELLS = 3
+    TABLE_RESAMPLING = 4
+    PROCESS_TOMOGRAPHY = 5
 
 
-#: indices that `seed_streams` hashes in one vectorised pass
-_SEED_CHUNK = 4096
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+def seed_for(master_seed: int, domain: SeedDomain, *key: int) -> np.random.Generator:
+    """The one generator of a sampled loop: ``SeedSequence(master_seed,
+    spawn_key=(domain, *key))`` drives PCG64.
 
-
-def _uint32_words(value: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence reads from one key entry."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_keys(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiplier) columns of ``steps`` successive SeedSequence hash
-    steps: step k xors with init*mult**k and multiplies by init*mult**(k+1),
-    mod 2**32."""
-    keys = [init]
-    for _ in range(steps):
-        keys.append(keys[-1] * mult & _MASK32)
-    cols = np.array(keys, dtype=np.uint32)[:, None]
-    return cols[:-1], cols[1:]
-
-
-def _seed_sequence_state(entropy: np.ndarray) -> list[list[int]]:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` of many keys at once:
-    column j of the (words, keys) uint32 array ``entropy`` is the entropy of
-    key j.  Returns the four state words, each as a list over the keys."""
-    n_words, n_keys = entropy.shape
-    xor, mul = _hash_keys(_INIT_A, _MULT_A, 16 + 4 * max(n_words - 4, 0))
-
-    def hashmix(v: np.ndarray, step: int, rows: int) -> np.ndarray:
-        # ``rows`` steps from ``step`` on, one per row of the result
-        v = (v ^ xor[step:step + rows]) * mul[step:step + rows]
-        return v ^ (v >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> 16)
-
-    # the 4-word pool hashes zeros where the entropy is shorter; each pool
-    # word then mixes into the other three, and each later entropy word into
-    # all four, one hash step per (source, destination) pair in numpy's order
-    pool = np.zeros((4, n_keys), dtype=np.uint32)
-    pool[:n_words] = entropy[:4]
-    pool = hashmix(pool, 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src:src + 1], 4 + 3 * src, 3))
-    for k in range(4, n_words):
-        pool = mix(pool, hashmix(entropy[k:k + 1], 16 + 4 * (k - 4), 4))
-    xor, mul = _hash_keys(_INIT_B, _MULT_B, 8)
-    out = (np.tile(pool, (2, 1)) ^ xor) * mul
-    out = (out ^ (out >> 16)).astype(np.uint64)
-    return (out[0::2] | out[1::2] << 32).tolist()
-
-
-def seed_streams(master_seed: int, *prefix: int, count: int) -> Iterator[np.random.Generator]:
-    """For i in range(count), a generator that draws bit for bit what
-    ``seed_for(master_seed, *prefix, i)`` draws.
-
-    The SeedSequence hash runs once per chunk of indices in uint32
-    arithmetic, and PCG64's seeding step in Python ints.  The one Generator
-    it yields is re-seeded in place, so each must be used before the next
-    is drawn.  A negative entry raises SeedSequence's ValueError.
+    Each call site has its own ``domain`` and a key of fixed length; shot i
+    of the loop reads row i of one ``random((count, width))`` block, or the
+    loop's i-th draw.  With a spawn key, SeedSequence pads the master seed to
+    its full pool before it appends the key words, so keys that differ only
+    by trailing zeros, or only by domain, draw different streams.  Every key
+    entry must be a 32-bit word, so no two keys share their words.
     """
-    words = [w for v in (master_seed,) + prefix for w in _uint32_words(v)]
-    if count > 2**32:
-        raise ValueError(f"count must be at most 2**32, got {count}")
-    bitgen = np.random.PCG64(0)  # its state is replaced before the first draw
-    rng = np.random.Generator(bitgen)
-    for start in range(0, count, _SEED_CHUNK):
-        index = np.arange(start, min(start + _SEED_CHUNK, count), dtype=np.uint32)
-        entropy = np.empty((len(words) + 1, len(index)), dtype=np.uint32)
-        entropy[:-1], entropy[-1] = np.array(words, dtype=np.uint32)[:, None], index
-        for s0, s1, i0, i1 in zip(*_seed_sequence_state(entropy)):
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield rng
+    spawn = (int(domain),) + tuple(int(k) for k in key)
+    if not all(0 <= k < 2**32 for k in spawn):
+        raise ValueError(f"seed key entries must lie in [0, 2**32), got {spawn}")
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(master_seed, spawn_key=spawn)))

@@ -47,7 +47,7 @@ from .protocol import (PROCESS_INPUTS, SHOT_PRESETS, CodeDefinition, analytic_ru
                        preset_shots, three_qubit_code)
 # moved to protocol next to CodeDefinition; still importable from here
 from .protocol import _PROJECTOR_CACHE  # noqa: F401
-from .qudit import DensityOperator, partial_trace, seed_for, seed_streams
+from .qudit import DensityOperator, SeedDomain, partial_trace, seed_for
 from .tolerances import ATOL_TRACE
 
 #: +1/-1 eigenprojectors of X, Y and Z, indexed [setting letter][bit]
@@ -162,27 +162,27 @@ def state_tomography(rho: DensityOperator, qubits: Sequence[int] | None = None,
 
     ``shots_per_setting`` of 0 selects exact-probability mode, which
     reproduces the true computational-subspace density operator; finite
-    shots sample every setting multinomially from ``seed_for(seed)``.
-    Returns (estimate, counts).
+    shots sample every setting multinomially, in one draw from ``seed_for(seed,
+    SeedDomain.TABLE_CELLS)`` with the empty key.  Returns (estimate, counts).
     """
     _check_shots(shots_per_setting, "shots_per_setting")
     qs = tuple(qubits) if qubits is not None else tuple(range(rho.n_ions))
     rho2 = record_density(rho.normalized(), qs)
     table = (setting_probabilities(rho2) if shots_per_setting == 0
-             else sample_counts(rho2, shots_per_setting, seed_for(seed)))
+             else sample_counts(rho2, shots_per_setting,
+                                seed_for(seed, SeedDomain.TABLE_CELLS)))
     counts = dict(zip(settings(len(qs)), table))
     return invert_counts(counts), counts
 
 
-def _resampled_tables(table: np.ndarray, iterations: int, key: tuple[int, ...]) -> np.ndarray:
+def _resampled_tables(table: np.ndarray, iterations: int, rng: np.random.Generator
+                      ) -> np.ndarray:
     """(iterations, *table.shape) redraws of ``table``, each row with its own
-    positive total; iteration ``it`` is one draw from ``seed_for(*key, it)``."""
+    positive total, in one multinomial call: iteration ``it`` is row ``it``
+    of the draw, so the first n iterations of a longer draw are an n-fold one."""
     totals = table.sum(axis=1)
     probs, shots = table / totals[:, None], np.rint(totals).astype(np.int64)
-    stack = np.empty((iterations,) + table.shape)
-    for it, rng in enumerate(seed_streams(*key, count=iterations)):
-        stack[it] = rng.multinomial(shots, probs)
-    return stack
+    return rng.multinomial(shots, probs, size=(iterations, len(table))).astype(float)
 
 
 def resample_errors(counts: CountsTable,
@@ -193,9 +193,10 @@ def resample_errors(counts: CountsTable,
     Each setting's counts are redrawn from a multinomial with its own total,
     all settings in sorted order by one draw per iteration (the stream of
     ``table_report``'s errors); ``statistic`` maps one counts table to named
-    observables and runs once per iteration.  Iteration ``it`` draws from
-    ``seed_for(seed, it)``, so the result is deterministic for a fixed
-    (counts, seed).  Fewer than two iterations, or a setting with all-zero
+    observables and runs once per iteration.  All iterations are one draw
+    from ``seed_for(seed, SeedDomain.TABLE_RESAMPLING)`` with the empty key,
+    iteration ``it`` on row ``it``, so the result is deterministic for a
+    fixed (counts, seed).  Fewer than two iterations, or a setting with all-zero
     counts, raise ValueError.
     """
     if iterations < 2:
@@ -206,7 +207,8 @@ def resample_errors(counts: CountsTable,
     if not np.all(totals > 0):
         raise ValueError(f"setting {keys[np.argmin(totals > 0)]} has all-zero counts")
     samples: dict[str, list[float]] = {}
-    for draws in _resampled_tables(table, iterations, (seed,)):
+    for draws in _resampled_tables(table, iterations,
+                                   seed_for(seed, SeedDomain.TABLE_RESAMPLING)):
         stats = statistic(dict(zip(keys, draws)))
         for name, val in stats.items():
             samples.setdefault(name, []).append(float(val))
@@ -242,15 +244,18 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     so the reconstruction is trace-non-increasing.  ``shots`` = 0 selects
     exact-probability mode, which reproduces the ideal branch Choi matrices.
     It runs on the probed qubit and the ancilla, as ``detection_process``
-    explains.  A branch empty for every input, or that retains no shot of
-    any input, raises ``EmptyBranchError``.
+    explains.  Sampled inputs draw in ``PROCESS_INPUTS`` order from one
+    generator, ``seed_for(seed, SeedDomain.PROCESS_TOMOGRAPHY)``: each its
+    retained shots per setting, then their counts.  A branch empty for every
+    input, or that retains no shot of any input, raises ``EmptyBranchError``.
     """
     _check_shots(shots, "shots")
     est: dict[str, np.ndarray] = {}
     details: dict = {"phi": phi, "post_select": post_select, "inputs": {}}
     total_weight = 0.0
     retained = 0
-    for idx, label in enumerate(PROCESS_INPUTS):
+    rng = seed_for(seed, SeedDomain.PROCESS_TOMOGRAPHY)
+    for label in PROCESS_INPUTS:
         prob, rho_q = detection_process(phi, label, post_select)
         total_weight += prob
         details["inputs"][label] = {"branch_probability": prob}
@@ -261,9 +266,8 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
         if shots == 0:
             est[label] = rec
             continue
-        # one generator per input: the retained shots of the three settings,
-        # then their counts
-        rng = seed_for(seed, idx)
+        # each input in turn: the retained shots of the three settings, then
+        # their counts
         kept = rng.binomial(shots, prob, size=3)
         retained += kept.sum()
         table = sample_counts(rec, kept, rng)
@@ -327,8 +331,10 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
     deviations over 100 multinomial resampling iterations; every row is a
     linear functional of its frequency table, so neither the resampled
     tables nor the point table are inverted.  Cell (a_idx, p_idx, branch b)
-    draws its counts from ``seed_for(seed, a_idx, p_idx, b)`` and resampling
-    iteration ``it`` from ``seed_for(seed, a_idx, p_idx, b, it)``.
+    draws its counts in one call from ``seed_for(seed, SeedDomain.TABLE_CELLS,
+    a_idx, p_idx, b)``, and its 100 resampled tables in one call from
+    ``seed_for(seed, SeedDomain.TABLE_RESAMPLING, a_idx, p_idx, b)``,
+    iteration ``it`` on row ``it``.
     """
     presets = dict(SHOT_PRESETS)
     if shots_per_setting:
@@ -359,14 +365,16 @@ def table_report(alphas: Sequence[float] = (0.0, math.pi, math.pi / 2),
                     rows.append(TableRow(section, alpha, phi,
                                          _branch_row_values(summary.observables)))
                     continue
-                key = (seed, a_idx, p_idx, b)
+                cell = (a_idx, p_idx, b)
                 table = sample_counts(record_density(rho.normalized(), codes[b].qubits),
-                                      shots[p_idx], seed_for(*key))
+                                      shots[p_idx],
+                                      seed_for(seed, SeedDomain.TABLE_CELLS, *cell))
                 # each redraw keeps its row totals
                 totals = table.sum(axis=1, keepdims=True)
                 vals = _row_values(table / totals, functionals[b])
-                stds = np.std(_row_values(_resampled_tables(table, 100, key) / totals,
-                                          functionals[b]), axis=0)
+                redraws = _resampled_tables(
+                    table, 100, seed_for(seed, SeedDomain.TABLE_RESAMPLING, *cell))
+                stds = np.std(_row_values(redraws / totals, functionals[b]), axis=0)
                 rows.append(TableRow(section, alpha, phi,
                                      dict(zip(TABLE_COLUMNS, vals.tolist())),
                                      dict(zip(TABLE_COLUMNS, stds.tolist()))))

@@ -14,7 +14,7 @@ from qloss.lattice import (ConsistencyError, LossLattice, apply_losses, build_la
                            crossing_estimate, find_logical, percolation_threshold,
                            reform_stabilizers, survival_check, SurvivalPoint)
 from qloss.protocol import CODE_QUBITS, SURVIVING_QUBITS, _code
-from qloss.qudit import PauliString, seed_for
+from qloss.qudit import PauliString, SeedDomain, seed_for
 
 
 def gf2_rank(gens, n_edges):
@@ -362,13 +362,22 @@ class TestBlockKernel:
         ref = []
         for L in sizes:
             lat = build_lattice(L)
+            # sample s is row s of its size's block
+            u = seed_for(seed, SeedDomain.PERCOLATION_SAMPLES, L).random((samples, lat.n_edges))
             for p in grid:
-                ref.append(sum(survival_check(
-                    lat, ~(seed_for(seed, L, s).random(lat.n_edges) >= p))
-                    for s in range(samples)))
+                ref.append(sum(survival_check(lat, ~(row >= p)) for row in u))
         assert [pt.survivors for pt in res.points] == ref
         if max(grid) == 0.002:
             assert ref[::len(grid)] == [samples] * len(sizes)
+
+    def test_first_samples_of_a_longer_run(self):
+        # the n samples of a run are the first n rows of a longer run's block
+        L, grid, seed, samples = 4, [0.35, 0.5], 23, 150
+        lat = build_lattice(L)
+        u = seed_for(seed, SeedDomain.PERCOLATION_SAMPLES, L).random((samples + 60, lat.n_edges))
+        res = percolation_threshold([L], samples, grid, seed=seed)
+        assert [pt.survivors for pt in res.points] == [
+            sum(survival_check(lat, row < p) for row in u[:samples]) for p in grid]
 
     @given(L=st.integers(2, 6), data=st.data())
     @settings(max_examples=80, deadline=None)

@@ -21,8 +21,8 @@ from qloss.protocol import (SURVIVING_QUBITS, PauliFrame,
                             records_to_jsonl, run_protocol, seed_for,
                             shrunk_stabilizer, three_qubit_code)
 from qloss.qudit import (ContractViolation, DensityOperator, Level, PauliString, PureState,
-                         apply_unitary, make_state, partial_trace, pure_expectation,
-                         readout_partition, truncated_pauli)
+                         SeedDomain, apply_unitary, draw_outcome, make_state, partial_trace,
+                         pure_expectation, readout_partition, truncated_pauli)
 
 
 def squared_overlap(a: PureState, b: PureState) -> float:
@@ -31,6 +31,21 @@ def squared_overlap(a: PureState, b: PureState) -> float:
 
 
 S1X_LAW = lambda phi: 4 * math.cos(phi / 2) / (3 + math.cos(phi))
+
+
+class RowSlots:
+    """Stands in for a generator: each ``random()`` returns the next given value."""
+
+    def __init__(self, *values: float):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
+#: a protocol shot's row: detection readout, shrunk readout, noise hit, its
+#: qubit, its letter, then the outputs of the branch's code in order
+PROTOCOL_ROW = 12
 
 
 def plus_i_logical_with_ancilla() -> PureState:
@@ -350,36 +365,40 @@ class TestTrajectories:
         NoiseModel(),
         NoiseModel(p_qnd=0.2, mode="depolarizing_per_qubit")])
     def test_records_equal_shot_by_shot_reference(self, mode, noise):
-        """Each record equals one shot simulated on its own with the per-shot calls."""
+        """Each record equals one shot simulated on its own with the per-shot
+        calls, each fed its slot of the shot's row."""
         phi, seed, shots = 1.9, 3, 60
         res = run_protocol(math.pi / 2, phi, shots=shots, noise=noise, seed=seed,
                            shrunk_mode=mode)
         lost = apply_loss(encode(math.pi / 2), phi)
-        for shot, rec in enumerate(res.records):
-            rng = seed_for(seed, shot)
-            det = qnd_detect(lost, rng)
+        block = seed_for(seed, SeedDomain.PROTOCOL_SHOTS).random((shots, PROTOCOL_ROW))
+        assert len(res.records) == shots
+        for shot, (rec, row) in enumerate(zip(res.records, block.tolist())):
+            det = qnd_detect(lost, RowSlots(row[0]))
             state, frame, shrunk = det.state, PauliFrame(), None
             if det.branch == "loss":
-                shrunk, state, _ = measure_shrunk_stabilizer(state, mode, rng)
+                shrunk, state, _ = measure_shrunk_stabilizer(state, mode, RowSlots(row[1]))
                 frame = frame_update(frame, shrunk)
                 state = apply_frame_correction(state, frame)
                 code = three_qubit_code()
             else:
                 code = four_qubit_code()
             if noise.enabled and det.branch == "loss" \
-                    and rng.random() < mixing_probability(phi, noise.p_qnd):
-                qubit = SURVIVING_QUBITS[rng.integers(len(SURVIVING_QUBITS))]
-                letter = "IXYZ"[rng.integers(4)]
+                    and row[2] < mixing_probability(phi, noise.p_qnd):
+                qubit = SURVIVING_QUBITS[int(row[3] * len(SURVIVING_QUBITS))]
+                letter = "IXYZ"[int(row[4] * 4)]
                 if letter != "I":
                     state = apply_unitary(state, _extended_pauli(letter, 3), (qubit,))
-            obs = {name: 1.0 if rng.random() < 0.5 * (1 + pure_expectation(state, p))
+            outputs = iter(row[5:])
+            obs = {name: 1.0 if next(outputs) < 0.5 * (1 + pure_expectation(state, p))
                    else -1.0 for name, p in code.all_observables().items()}
             proj = code_space_projector(code.stabilizers.values(), 3)
             p_cs = float(np.real(np.vdot(state.amps, proj @ state.amps)))
-            obs["P_CS"] = 1.0 if rng.random() < p_cs else 0.0
+            obs["P_CS"] = 1.0 if next(outputs) < p_cs else 0.0
             assert (rec.branch, rec.ancilla_outcome, rec.shrunk_outcome, rec.frame_sx,
                     rec.observables) == (det.branch, det.ancilla_outcome, shrunk,
                                          frame.sx_sign, obs)
+            assert rec.shot == shot and rec.seed_key == f"({seed},0)[{shot}]"
 
     @pytest.mark.parametrize("mode", ["exact", "toolbox"])
     def test_shots_do_not_depend_on_one_another(self, mode):
@@ -494,6 +513,57 @@ class TestDetectionSweep:
         assert abs(res.efficiency - 0.965) <= 0.02
 
     @staticmethod
+    def shot_by_shot(phi_grid, shots, seed, hiding, addressing_error):
+        """Five-ion sweep counts tallied one shot at a time from the rows:
+        [ancilla readout, level of ion 0, 12 pulse columns] per shot.  Each
+        grid point gives the (direct, detected, false positive, false negative,
+        true leak) counts of every prefix of its shots."""
+        explicit = hiding == "explicit"
+        partition = readout_partition(5 if explicit else 3)
+        out = []
+        for pi_idx, phi in enumerate(phi_grid):
+            block = seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx).random((shots, 14))
+            tally, prefixes = np.zeros(5, dtype=int), []
+            for row in block.tolist():
+                fired = tuple(u >= addressing_error for u in row[2:])
+                if explicit:
+                    state = _explicit_state(phi, 5, _explicit_key(fired))
+                else:
+                    exposed = tuple(ion for ion in (1, 2, 3)
+                                    if not (fired[2 * ion - 2] and fired[2 * ion - 1]))
+                    state = _detect(apply_loss(make_state(5, 3, [0] * 5), phi),
+                                    (0,) + exposed + (4,))
+                probs, levels = _sweep_readout(state, 4, partition)
+                out_a = draw_outcome(probs, RowSlots(row[0]))
+                lvl = draw_outcome(levels[out_a], RowSlots(row[1]))
+                detected, leak = out_a == 1, lvl == Level.L2
+                tally += [Level(lvl) in partition[1], detected, detected and not leak,
+                          leak and not detected, leak]
+                prefixes.append(tally.copy())
+            out.append(prefixes)
+        return out
+
+    @pytest.mark.parametrize("hiding,error", [("mask", 0.3), ("explicit", 0.3),
+                                              ("explicit", 0.0)])
+    def test_counts_equal_shot_by_shot_reference(self, hiding, error):
+        """Every grid point of an n-shot sweep counts the first n shots of a
+        longer one, each shot as simulated on its own."""
+        grid, seed, longest = [0.4 * math.pi, math.pi / 2], 6, 30
+        ref = self.shot_by_shot(grid, longest, seed, hiding, error)
+        for shots in (1, 17, longest):
+            res = detection_sweep(grid, shots, seed=seed, register=5, hiding=hiding,
+                                  addressing_error=error)
+            agree = 0
+            for row, prefixes in zip(res.rows, ref):
+                direct, detected, fp, fn, leak = prefixes[shots - 1].tolist()
+                assert (row.direct_loss, row.detected_loss) == (direct / shots,
+                                                                 detected / shots)
+                assert row.false_positive_rate == fp / max(shots - leak, 1)
+                assert row.false_negative_rate == fn / max(leak, 1)
+                agree += shots - fp - fn
+            assert res.efficiency == agree / (shots * len(grid))
+
+    @staticmethod
     def full_pattern_state(phi, fired):
         """Five-level hiding as simulated before the readout-visible key: all 12
         pulses (hide, detection, unhide), spectators 1-3 in their own order."""
@@ -545,11 +615,11 @@ class TestDetectionSweep:
 
 class TestSeeding:
     def test_seed_for_is_pure(self):
-        a = seed_for(5, 1, 2).random(4)
-        b = seed_for(5, 1, 2).random(4)
+        a = seed_for(5, SeedDomain.SWEEP_SHOTS, 2).random(4)
+        b = seed_for(5, SeedDomain.SWEEP_SHOTS, 2).random(4)
         assert np.array_equal(a, b)
-        c = seed_for(5, 2, 1).random(4)
+        c = seed_for(5, SeedDomain.SWEEP_SHOTS, 1).random(4)
         assert not np.array_equal(a, c)
-        # the stream of default_rng(SeedSequence(key))
-        ref = np.random.default_rng(np.random.SeedSequence((5, 1, 2))).random(4)
+        # the stream of default_rng(SeedSequence(master, spawn_key=(domain, *key)))
+        ref = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1, 2))).random(4)
         assert np.array_equal(a, ref)

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from qloss import qudit
 from qloss.gates import (addressed_z, collective_rotation, compile_gate, loss_rotation,
                          ms_gate)
-from qloss.qudit import (BRIGHT_LEVELS, ContractViolation, DARK_LEVELS, DensityOperator,
+from qloss.qudit import (BRIGHT_LEVELS, SeedDomain, ContractViolation, DARK_LEVELS, DensityOperator,
                          DimensionError, Level, PauliString, PureState,
                          UndefinedExpectationError, apply_unitary, draw_outcome,
                          expectation, check_unitary, make_state, measure_projective,
                          outcome_probabilities, partial_trace, pure_expectation,
-                         readout_partition, seed_for, seed_streams, truncated_pauli)
+                         readout_partition, seed_for, truncated_pauli)
 
 
 def random_state(n_ions, dims, seed):
@@ -308,58 +308,39 @@ class TestDrawOutcome:
             draw_outcome(np.array([0.0, 1.0]), force_outcome=0)
 
 
-#: draws that exercise the seeding paths: 32-bit integers leave half a
-#: 64-bit word buffered, which the next stream must not inherit
-SEED_DRAWS = {
-    "random": lambda rng: rng.random(),
-    "integers3": lambda rng: int(rng.integers(3, dtype=np.int32)),
-    "integers4": lambda rng: int(rng.integers(4)),
-    "binomial": lambda rng: int(rng.binomial(40, 0.3)),
-    "multinomial": lambda rng: rng.multinomial(25, [0.2, 0.3, 0.5]).tolist(),
-}
-#: key entries of one and of several 32-bit words
-key_entries = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
-
-
-def seed_draws(rng, ops):
-    return [SEED_DRAWS[op](rng) for op in ops]
-
-
 class TestSeedStreams:
-    @given(master=key_entries, prefix=st.lists(key_entries, max_size=5),
-           count=st.integers(0, 6),
-           ops=st.lists(st.sampled_from(sorted(SEED_DRAWS)), min_size=1, max_size=6))
-    @settings(max_examples=80, deadline=None)
-    def test_draws_match_seed_for(self, master, prefix, count, ops):
-        got = [seed_draws(rng, ops) for rng in seed_streams(master, *prefix, count=count)]
-        assert got == [seed_draws(seed_for(master, *prefix, i), ops) for i in range(count)]
+    @pytest.mark.parametrize("short,long", [
+        # SeedSequence((0, 16)) and ((0, 16, 0)) used to draw one stream: the
+        # entropy was zero-padded to the pool size
+        ((0, 16), (0, 16, 0)),
+        ((5, 0, 1), (5, 0, 1, 0)),
+    ])
+    def test_trailing_zeros_draw_another_stream(self, short, long):
+        master, domain, *key = short
+        first = seed_for(master, domain, *key).random()
+        master, domain, *key = long
+        assert seed_for(master, domain, *key).random() != first
 
-    @pytest.mark.parametrize("count", [0, 1, qudit._SEED_CHUNK - 1, qudit._SEED_CHUNK,
-                                       qudit._SEED_CHUNK + 1])
-    @pytest.mark.parametrize("prefix", [(), (2**33,)])
-    def test_count_edges(self, prefix, count):
-        got = [rng.random() for rng in seed_streams(9, *prefix, count=count)]
-        assert got == [seed_for(9, *prefix, i).random() for i in range(count)]
+    @pytest.mark.parametrize("key", [(), (0,), (16, 0), (5, 0, 1)])
+    def test_equal_keys_in_other_domains_draw_other_streams(self, key):
+        firsts = {seed_for(7, domain, *key).random() for domain in SeedDomain}
+        assert len(firsts) == len(SeedDomain)
 
-    @given(master=key_entries, prefix=st.lists(key_entries, max_size=3),
-           ops=st.lists(st.sampled_from(sorted(SEED_DRAWS)), min_size=1, max_size=4))
-    @settings(max_examples=20, deadline=None)
-    def test_chunk_size_does_not_change_the_streams(self, master, prefix, ops):
-        def draws():
-            return [seed_draws(rng, ops) for rng in seed_streams(master, *prefix, count=7)]
-
-        ref = draws()
-        for chunk in (1, 3):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(qudit, "_SEED_CHUNK", chunk)
-                assert draws() == ref
+    def test_the_stream_of_a_spawn_key(self):
+        got = seed_for(5, SeedDomain.TABLE_CELLS, 1, 2).random(4)
+        ref = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(3, 1, 2))).random(4)
+        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("key", [(-1,), (0, -1), (2, 2**40, -5)])
     def test_negative_entry_raises_like_seed_sequence(self, key):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            np.random.SeedSequence(key + (0,))
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            list(seed_streams(*key, count=1))
+        with pytest.raises(ValueError):
+            seed_for(key[0], SeedDomain.PROTOCOL_SHOTS, *key[1:])
+
+    @pytest.mark.parametrize("key", [(2**32,), (0, 2**40)])
+    def test_key_entries_are_one_word(self, key):
+        # a two-word entry would share its words with a longer key
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            seed_for(0, SeedDomain.SWEEP_SHOTS, *key)
 
 
 class TestPauliString:

@@ -9,8 +9,8 @@ from qloss import tomography
 from qloss.channels import NoiseModel
 from qloss.protocol import (analytic_run, code_space_population, code_space_projector,
                             encode, four_qubit_code, three_qubit_code)
-from qloss.qudit import (DensityOperator, PauliString, PureState, make_state, seed_for,
-                         seed_streams)
+from qloss.qudit import (DensityOperator, PauliString, PureState, SeedDomain, make_state,
+                         seed_for)
 from qloss.tomography import (EmptyBranchError, TABLE_COLUMNS, ideal_branch_choi,
                               invert_counts, process_fidelity, process_tomography,
                               record_density, resample_errors, sample_counts,
@@ -208,7 +208,7 @@ class TestStateTomography:
 
     @pytest.mark.parametrize("shots", [1, 37, np.arange(1, 28)])
     def test_sampled_rows_sum_to_shots(self, shots):
-        table = sample_counts(random_qubit_density(3, 11), shots, seed_for(0))
+        table = sample_counts(random_qubit_density(3, 11), shots, seed_for(0, SeedDomain.TABLE_CELLS))
         assert table.shape == (27, 8)
         assert np.array_equal(table.sum(axis=1), np.broadcast_to(shots, 27))
 
@@ -325,15 +325,19 @@ class TestResampling:
 
     @pytest.mark.parametrize("seed", [5, (5, 1, 2, 0)])
     def test_draw_stack_equals_per_iteration_draws(self, seed):
+        # one multinomial call draws the iterations one after another
         table = random_counts(3, 17)
         table[4] = [0, 0, 3, 0, 0, 0, 0, 0]
-        key = seed if isinstance(seed, tuple) else (seed,)
-        stack = tomography._resampled_tables(table, 7, key)
+        master, *key = seed if isinstance(seed, tuple) else (seed,)
+        rng = lambda: seed_for(master, SeedDomain.TABLE_RESAMPLING, *key)
+        stack = tomography._resampled_tables(table, 7, rng())
         totals = table.sum(axis=1)
-        loop = np.array([seed_for(*key, it).multinomial(np.rint(totals).astype(np.int64),
-                                                        table / totals[:, None]).astype(float)
+        loop_rng = rng()
+        loop = np.array([loop_rng.multinomial(np.rint(totals).astype(np.int64),
+                                              table / totals[:, None]).astype(float)
                          for it in range(7)])
         assert stack.dtype == loop.dtype and stack.tobytes() == loop.tobytes()
+        assert np.array_equal(tomography._resampled_tables(table, 3, rng()), stack[:3])
 
 
 class TestCodeSpace:
@@ -464,14 +468,16 @@ class TestTableReport:
                 res = analytic_run(alpha, phi)
                 for b, (rho, code) in enumerate(((res.rho_no_loss, four_qubit_code()),
                                                  (res.rho_loss, three_qubit_code()))):
-                    # the cell's counts come from seed_for(*key), redraw it
-                    # (each setting keeping its total) from seed_for(*key, it)
-                    key = (seed, a_idx, p_idx, b)
+                    # the cell's counts come from its table-cell generator; its
+                    # resampling generator redraws them (each setting keeping its
+                    # total) once per iteration
+                    cell = (a_idx, p_idx, b)
                     table = sample_counts(record_density(rho.normalized(), code.qubits),
-                                          shots, seed_for(*key))
+                                          shots, seed_for(seed, SeedDomain.TABLE_CELLS, *cell))
                     totals = table.sum(axis=1)
-                    redraws = [seed_for(*key, it).multinomial(np.rint(totals).astype(int),
-                                                              table / totals[:, None])
+                    resampling = seed_for(seed, SeedDomain.TABLE_RESAMPLING, *cell)
+                    redraws = [resampling.multinomial(np.rint(totals).astype(int),
+                                                      table / totals[:, None])
                                for it in range(100)]
                     point, *resampled = [
                         inverted_row(invert_counts(dict(zip(settings(len(code.qubits)), t))),
@@ -499,21 +505,18 @@ class TestTableReport:
             keys.append(key)
             return seed_for(*key)
 
-        def recording_seed_streams(*prefix, count):
-            keys.extend(prefix + (i,) for i in range(count))
-            return seed_streams(*prefix, count=count)
-
         monkeypatch.setattr(tomography, "seed_for", recording_seed_for)
-        monkeypatch.setattr(tomography, "seed_streams", recording_seed_streams)
         phis = (0.2 * math.pi, 0.5 * math.pi)
         table_report(alphas=(0.0, math.pi), phis=phis, sampled=True,
                      shots_per_setting=dict.fromkeys(phis, 5), seed=3)
-        # each cell's counts key and its 100 resampling keys
-        cells = sum(len(k) == 4 for k in keys)
-        assert cells and sum(len(k) == 5 for k in keys) == 100 * cells
-        assert keys and len(set(keys)) == len(keys)
+        # each cell's counts key and its resampling key, one generator each
+        cells = [k for k in keys if k[1] == SeedDomain.TABLE_CELLS]
+        resampling = [k for k in keys if k[1] == SeedDomain.TABLE_RESAMPLING]
+        assert cells and len(resampling) == len(cells) == len(keys) / 2
+        assert all(len(k) == 5 for k in keys) and len(set(keys)) == len(keys)
         # distinct keys must also seed distinct streams
-        states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
+        states = {tuple(np.random.SeedSequence(k[0], spawn_key=k[1:]).generate_state(4))
+                  for k in keys}
         assert len(states) == len(keys)
 
 
