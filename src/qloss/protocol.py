@@ -14,12 +14,11 @@ density mode is the oracle for the trajectories.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -532,18 +531,28 @@ def _outcome_thresholds(state: PureState, code: CodeDefinition
 #: noise hit, its qubit and its letter, then one per output of the branch's code
 #: (at most the four-qubit code's six Paulis and P_CS)
 _DETECT, _SHRUNK, _HIT, _HIT_QUBIT, _HIT_LETTER, _OUTPUTS = range(6)
-_SHOT_WIDTH = _OUTPUTS + 7
+_MAX_OUTPUTS = 7
+_SHOT_WIDTH = _OUTPUTS + _MAX_OUTPUTS
+#: noise hit codes: 0 for none, then one per (surviving qubit, letter of IXYZ)
+_HIT_CODES = 1 + 4 * len(SURVIVING_QUBITS)
 
 
-def _noise_hit(p_mix: float, row: Sequence[float]) -> tuple[int, str] | None:
-    """Trajectory unraveling of the depolarizing mixture: the (qubit, Pauli) hit
-    of one shot's row, if any; the qubit and letter columns map [0, 1) onto
-    the surviving qubits and IXYZ in equal parts."""
-    if not row[_HIT] < p_mix:
+def _noise_hits(p_mix: float, rows: np.ndarray) -> np.ndarray:
+    """Trajectory unraveling of the depolarizing mixture: the hit code of each
+    shot's row, 0 for none, else ``1 + 4 * qubit index + letter`` with the
+    letter's index in IXYZ (never I, which is no hit).  The qubit and letter
+    columns map [0, 1) onto the surviving qubits and IXYZ in equal parts."""
+    letter = (rows[:, _HIT_LETTER] * 4).astype(np.int64)
+    qubit = (rows[:, _HIT_QUBIT] * len(SURVIVING_QUBITS)).astype(np.int64)
+    return np.where((rows[:, _HIT] < p_mix) & (letter > 0), 1 + 4 * qubit + letter, 0)
+
+
+def _hit(code: int) -> tuple[int, str] | None:
+    """The (qubit, Pauli) of a hit code from `_noise_hits`."""
+    if code == 0:
         return None
-    letter = "IXYZ"[int(row[_HIT_LETTER] * 4)]
-    qubit = SURVIVING_QUBITS[int(row[_HIT_QUBIT] * len(SURVIVING_QUBITS))]
-    return None if letter == "I" else (qubit, letter)
+    qubit, letter = divmod(code - 1, 4)
+    return SURVIVING_QUBITS[qubit], "IXYZ"[letter]
 
 
 def _apply_noise(state: PureState, hit: tuple[int, str] | None) -> PureState:
@@ -573,53 +582,61 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
     if shots <= 0:
         return result
 
-    code4, code3 = four_qubit_code(), three_qubit_code()
     detected, det_sets, det_probs = _detection_unit(apply_loss(encode(alpha), phi))
-    det_cdf = _outcome_cdf(det_probs)
-    p_mix = mixing_probability(phi, noise.p_qnd) if noise.enabled else 0.0
-    # The states along an outcome path (detection branch, shrunk outcome, noise
-    # hit) are the same for every shot that takes it: each node is computed on
-    # its first shot, and every shot compares its own columns with the cached
-    # probabilities.
-    memo: dict[tuple, Any] = {}
-
-    def once(key: tuple, make: Callable[[], Any]) -> Any:
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
-
-    rows = seed_for(seed, SeedDomain.PROTOCOL_SHOTS).random((shots, _SHOT_WIDTH))
-    for shot, row in enumerate(rows.tolist()):
-        outcome = bisect.bisect_right(det_cdf, row[_DETECT])
-        branch = "loss" if outcome == 1 else "no_loss"
-        detect_post = lambda: collapse(detected, ANCILLA, det_sets[outcome])
-        frame = PauliFrame()
-        shrunk: int | None = None
-        if branch == "loss":
-            pre, probs = once((branch,), lambda: _shrunk_split(detect_post(), shrunk_mode))
-            cdf = once(("cdf",), lambda: _outcome_cdf(probs))
-            pick = bisect.bisect_right(cdf, row[_SHRUNK])
-            shrunk = +1 if pick == 0 else -1
-            frame = frame_update(frame, shrunk)
-            path = (branch, shrunk)
-            make_state = lambda: apply_frame_correction(
-                _shrunk_post(pre, shrunk_mode, pick), frame)
-            code = code3
+    block = seed_for(seed, SeedDomain.PROTOCOL_SHOTS).random((shots, _SHOT_WIDTH))
+    outcome = np.searchsorted(_outcome_cdf(det_probs), block[:, _DETECT], side="right")
+    # every shot ends on a leaf (detection outcome, shrunk pick, noise hit)
+    pick = np.zeros(shots, dtype=np.int64)
+    hit = np.zeros(shots, dtype=np.int64)
+    lost = outcome == 1
+    if lost.any():
+        pre, probs = _shrunk_split(collapse(detected, ANCILLA, det_sets[1]), shrunk_mode)
+        pick[lost] = np.searchsorted(_outcome_cdf(probs), block[lost, _SHRUNK], side="right")
+        if noise.enabled:
             # the imperfection model mixes noise into the loss branch only
-            hit = _noise_hit(p_mix, row) if noise.enabled else None
+            p_mix = mixing_probability(phi, noise.p_qnd)
+            hit[lost] = _noise_hits(p_mix, block[lost])
+    leaves, leaf_of = np.unique((outcome * 2 + pick) * _HIT_CODES + hit,
+                                return_inverse=True)
+
+    # The states along an outcome path are the same for every shot that takes
+    # it, so each leaf's sampling rule is computed once: per output, the
+    # threshold below which it reads 1, and what it reads otherwise.
+    posts: dict[int, PureState] = {}
+    meta, thresholds = [], np.full((len(leaves), _MAX_OUTPUTS), np.nan)
+    for i, leaf in enumerate(leaves.tolist()):
+        path, leaf_hit = divmod(leaf, _HIT_CODES)
+        out, p = divmod(path, 2)
+        if out == 0:
+            state, code, shrunk, frame = (collapse(detected, ANCILLA, det_sets[0]),
+                                          four_qubit_code(), None, PauliFrame())
         else:
-            path = (branch,)
-            make_state = detect_post
-            code, hit = code4, None
-        leaf = once(path + (hit,), lambda: _outcome_thresholds(
-            _apply_noise(once(path, make_state), hit), code))
-        obs = {name: 1.0 if u < p else other
-               for (name, p, other), u in zip(leaf, row[_OUTPUTS:])}
+            shrunk = +1 if p == 0 else -1
+            frame = frame_update(PauliFrame(), shrunk)
+            if p not in posts:
+                posts[p] = apply_frame_correction(_shrunk_post(pre, shrunk_mode, p), frame)
+            state, code = _apply_noise(posts[p], _hit(leaf_hit)), three_qubit_code()
+        rule = _outcome_thresholds(state, code)
+        thresholds[i, :len(rule)] = [prob for _, prob, _ in rule]
+        meta.append(("loss" if out else "no_loss", out, shrunk, frame.sx_sign,
+                     [(name, other) for name, _, other in rule]))
+
+    # a shot's outputs are one bit mask, and each (leaf, mask) builds its dict once
+    below = block[:, _OUTPUTS:] < thresholds[leaf_of]
+    kinds, kind_of = np.unique(leaf_of * 2**_MAX_OUTPUTS + below @ (1 << np.arange(_MAX_OUTPUTS)),
+                               return_inverse=True)
+    observables = []
+    for kind in kinds.tolist():
+        leaf, mask = divmod(kind, 2**_MAX_OUTPUTS)
+        observables.append({name: 1.0 if mask >> j & 1 else other
+                            for j, (name, other) in enumerate(meta[leaf][-1])})
+    domain = int(SeedDomain.PROTOCOL_SHOTS)
+    for shot, (leaf, kind) in enumerate(zip(leaf_of.tolist(), kind_of.tolist())):
+        branch, out, shrunk, frame_sx, _ = meta[leaf]
         result.records.append(RunRecord(
-            shot=shot, alpha=alpha, phi=phi, branch=branch,
-            ancilla_outcome=outcome, shrunk_outcome=shrunk,
-            frame_sx=frame.sx_sign, observables=obs,
-            seed_key=f"({seed},{int(SeedDomain.PROTOCOL_SHOTS)})[{shot}]"))
+            shot=shot, alpha=alpha, phi=phi, branch=branch, ancilla_outcome=out,
+            shrunk_outcome=shrunk, frame_sx=frame_sx, observables=dict(observables[kind]),
+            seed_key=f"({seed},{domain})[{shot}]"))
     return result
 
 
@@ -739,37 +756,42 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
             p_leak = math.sin(phi / 2) ** 2
             rows.append(SweepRow(phi, p_leak, p_leak, 0.0, 0.0, 0))
             continue
-        # shots whose pulse patterns look alike to the readout share its probabilities
-        readouts: dict[tuple, tuple[list[float], dict[int, list[float]]]] = {}
-        n_direct = n_detect = n_fp = n_fn = n_true = 0
         block = seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx).random((shots, _SWEEP_WIDTH))
-        for u_anc, u_lvl, *u_pulses in block.tolist():
-            fired = tuple(u >= addressing_error for u in u_pulses[:4 * len(spectators)])
+        fired = block[:, 2:2 + 4 * len(spectators)] >= addressing_error
+        # shots whose pulse patterns look alike to the readout share its
+        # probabilities: one cdf row per readout-visible pattern
+        raws, raw_of = np.unique(fired, axis=0, return_inverse=True)
+        patterns: dict[tuple, int] = {}
+        pattern_of = []
+        for raw in raws.tolist():
             if explicit:
-                pattern = _explicit_key(fired)
+                pattern = _explicit_key(tuple(raw))
             else:
-                pattern = tuple(i for i, p0, p1 in zip(spectators, fired[0::2], fired[1::2])
+                pattern = tuple(i for i, p0, p1 in zip(spectators, raw[0::2], raw[1::2])
                                 if not (p0 and p1))
-            if pattern not in readouts:
-                state = (_explicit_state(phi, n, pattern) if explicit
-                         else _detect(apply_loss(make_state(n, 3, [0] * n), phi),
-                                      (0,) + pattern + (ancilla,)))
-                probs, levels = _sweep_readout(state, ancilla, partition)
-                readouts[pattern] = (_outcome_cdf(probs),
-                                     {k: _outcome_cdf(v) for k, v in levels.items()})
-            ancilla_cdf, level_cdfs = readouts[pattern]
-            out_a = bisect.bisect_right(ancilla_cdf, u_anc)
-            lvl = bisect.bisect_right(level_cdfs[out_a], u_lvl)
-            detected = out_a == 1
-            direct_dark = Level(lvl) in partition[1]
-            true_leak = lvl == Level.L2
-            n_detect += detected
-            n_direct += direct_dark
-            n_true += true_leak
-            n_fp += detected and not true_leak
-            n_fn += (not detected) and true_leak
-            agree += detected == true_leak
-            total += 1
+            pattern_of.append(patterns.setdefault(pattern, len(patterns)))
+        ancilla_cdfs = np.empty((len(patterns), 2))
+        level_cdfs = np.full((len(patterns), 2, dims), np.nan)
+        for pattern, i in patterns.items():
+            state = (_explicit_state(phi, n, pattern) if explicit
+                     else _detect(apply_loss(make_state(n, 3, [0] * n), phi),
+                                  (0,) + pattern + (ancilla,)))
+            probs, levels = _sweep_readout(state, ancilla, partition)
+            ancilla_cdfs[i] = _outcome_cdf(probs)
+            for k, lv in levels.items():
+                level_cdfs[i, k] = _outcome_cdf(lv)
+        # an outcome is the count of cdf entries at or below its uniform
+        # (bisect_right); a NaN row, of an outcome that never occurs, counts none
+        which = np.asarray(pattern_of)[raw_of]
+        out_a = np.sum(ancilla_cdfs[which] <= block[:, :1], axis=1)
+        lvl = np.sum(level_cdfs[which, out_a] <= block[:, 1:2], axis=1)
+        detected, true_leak = out_a == 1, lvl == Level.L2
+        n_detect, n_true = int(detected.sum()), int(true_leak.sum())
+        n_direct = int(np.isin(lvl, list(partition[1])).sum())
+        n_fp = int((detected & ~true_leak).sum())
+        n_fn = int((~detected & true_leak).sum())
+        agree += shots - n_fp - n_fn
+        total += shots
         fp_rate = n_fp / max(shots - n_true, 1)
         fn_rate = n_fn / max(n_true, 1)
         rows.append(SweepRow(phi, n_direct / shots, n_detect / shots,

@@ -26,9 +26,8 @@ MODULES = sorted(SRC.glob("*.py"))
 LOCAL_IMPORTS_ALLOWED: set[tuple[str, str]] = set()
 
 #: (module, name) pairs imported only to stay importable from the module;
-#: the projector cache moved from tomography to protocol next to CodeDefinition,
-#: and seed_for from protocol to qudit (the benchmark traces protocol.seed_for)
-RE_EXPORTS = {("tomography", "_PROJECTOR_CACHE"), ("protocol", "seed_for")}
+#: the projector cache moved from tomography to protocol next to CodeDefinition
+RE_EXPORTS = {("tomography", "_PROJECTOR_CACHE")}
 
 
 def _tree(path: Path) -> ast.Module:

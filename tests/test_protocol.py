@@ -13,6 +13,7 @@ from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotati
                          compile_gate, loss_rotation)
 from qloss.protocol import (SURVIVING_QUBITS, PauliFrame,
                             ProtocolError, _code, _detect, _explicit_key, _explicit_state,
+                            _hit, _noise_hits,
                             _shrunk_correct,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
                             code_space_projector, detection_ops, detection_sweep, encode,
@@ -406,6 +407,15 @@ class TestTrajectories:
         run = lambda shots: run_protocol(math.pi / 2, 0.9, shots=shots, seed=5,
                                          noise=noise, shrunk_mode=mode).records
         assert run(80)[:30] == run(30)
+
+    def test_noise_hit_of_the_largest_uniform_stays_in_range(self):
+        top = 1 - 2**-53  # the largest double that random() returns
+        assert np.nextafter(1.0, 0.0) == top
+        rows = np.full((3, PROTOCOL_ROW), top)
+        rows[:2, 2] = 0.0   # rows 0 and 1 are hit, row 2 is not
+        rows[1, 3:5] = 0.0  # the first qubit and the letter I: no hit after all
+        codes = _noise_hits(0.5, rows).tolist()
+        assert [_hit(c) for c in codes] == [(SURVIVING_QUBITS[-1], "Z"), None, None]
 
     def test_records_are_json_lines(self):
         res = run_protocol(0.3, 0.9, shots=20, seed=2)
