@@ -406,7 +406,8 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         a, b = root[a], root[b]
         apart = a != b
         a, b = a[apart], b[apart]
-    return (np.cumsum(root == np.arange(n)) - 1)[root]
+    # numpy's cumsum casts a bool mask in small buffered chunks; one cast is cheaper
+    return (np.cumsum((root == np.arange(n)).astype(np.int64)) - 1)[root]
 
 
 def _both_sides(lattice: LossLattice) -> tuple[np.ndarray, np.ndarray]:
