@@ -25,7 +25,6 @@ from .serialize import (fmt, header_lines, matrix_to_json_dict, write_csv,
                         write_json)
 from .tomography import (EmptyBranchError, ideal_branch_choi, process_fidelity,
                          process_tomography, TABLE_COLUMNS)
-from .tolerances import ATOL_TRACE
 
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
@@ -308,23 +307,18 @@ def cmd_choi(ctx, phi_grid, shots, post_select, out):
         entries = []
         for phi_v in parse_grid(phi_grid):
             try:
-                choi, details = process_tomography(phi_v, branch, shots=shots_n, seed=seed)
+                choi, _ = process_tomography(phi_v, branch, shots=shots_n, seed=seed)
             except EmptyBranchError as exc:
                 entries.append({"phi": phi_v, "flag": str(exc)})
                 continue
             ideal = ideal_branch_choi(phi_v, branch)
-            empty = [lbl for lbl, d in details["inputs"].items()
-                     if d["branch_probability"] <= ATOL_TRACE]
-            entry = {
+            entries.append({
                 "phi": phi_v,
                 "choi": matrix_to_json_dict(choi.matrix, "choi", CHOI_BASIS_ORDER),
                 "ideal": matrix_to_json_dict(ideal.matrix, "choi", CHOI_BASIS_ORDER),
                 "process_fidelity_vs_ideal": process_fidelity(choi, ideal),
                 "trace": choi.trace(),
-            }
-            if empty:
-                entry["flag"] = f"empty post-selected branch for inputs {empty}"
-            entries.append(entry)
+            })
         write_json(out, header_lines(ctx.params, seed),
                    {"post_select": branch, "results": entries})
         click.echo(f"wrote {out}")

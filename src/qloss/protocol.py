@@ -813,7 +813,8 @@ PROCESS_INPUTS: dict[str, np.ndarray] = {
 
 def detection_process(phi: float, input_label: str, ancilla_outcome: int
                       ) -> tuple[float, DensityOperator]:
-    """Exact branch probability and output state of the probed qubit.
+    """Exact branch probability and unnormalised output state of the probed
+    qubit, whose trace is that probability however small.
 
     Prepares the given input on the probed qubit (ancilla in |0>), runs loss
     + detection, post-selects the ancilla outcome and traces down to the
@@ -827,7 +828,4 @@ def detection_process(phi: float, input_label: str, ancilla_outcome: int
     amps[0], amps[3] = PROCESS_INPUTS[input_label]
     state = _detect(apply_loss(PureState(2, 3, amps), phi), (0, 1))
     branch = state.to_density().project_levels(1, readout_partition(3)[ancilla_outcome])
-    prob = branch.trace()
-    if prob <= ATOL_TRACE:
-        return 0.0, DensityOperator(1, 3, np.zeros((3, 3), dtype=complex))
-    return prob, partial_trace(DensityOperator(2, 3, branch.mat), (0,))
+    return branch.trace(), partial_trace(branch, (0,))

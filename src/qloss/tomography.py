@@ -242,12 +242,16 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     Inputs {|0>, |1>, |+>, |+i>} are prepared, the detection unit runs, the
     ancilla outcome is post-selected, and the surviving fraction is tracked
     so the reconstruction is trace-non-increasing.  ``shots`` = 0 selects
-    exact-probability mode, which reproduces the ideal branch Choi matrices.
-    It runs on the probed qubit and the ancilla, as ``detection_process``
-    explains.  Sampled inputs draw in ``PROCESS_INPUTS`` order from one
-    generator, ``seed_for(seed, SeedDomain.PROCESS_TOMOGRAPHY)``: each its
-    retained shots per setting, then their counts.  A branch empty for every
-    input, or that retains no shot of any input, raises ``EmptyBranchError``.
+    exact-probability mode, which reproduces the ideal branch Choi matrices:
+    the Choi matrix is linear in the four unnormalised branch outputs, so
+    every input keeps its own, however small, and the branch is empty only
+    when the whole Choi trace is at most ATOL_TRACE.  It runs on the probed
+    qubit and the ancilla, as ``detection_process`` explains.  Sampled inputs
+    draw in ``PROCESS_INPUTS`` order from one generator, ``seed_for(seed,
+    SeedDomain.PROCESS_TOMOGRAPHY)``: each its retained shots per setting,
+    then their counts; an input of branch probability at most ATOL_TRACE
+    draws nothing.  An empty branch, or a sampled one empty for every input
+    or that retains no shot of any input, raises ``EmptyBranchError``.
     """
     _check_shots(shots, "shots")
     est: dict[str, np.ndarray] = {}
@@ -257,14 +261,14 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     rng = seed_for(seed, SeedDomain.PROCESS_TOMOGRAPHY)
     for label in PROCESS_INPUTS:
         prob, rho_q = detection_process(phi, label, post_select)
-        total_weight += prob
         details["inputs"][label] = {"branch_probability": prob}
-        if prob <= ATOL_TRACE:
-            est[label] = np.zeros((2, 2), dtype=complex)
-            continue
         rec = record_density(rho_q, (0,))  # 2x2, trace = branch probability
         if shots == 0:
             est[label] = rec
+            continue
+        total_weight += prob
+        if prob <= ATOL_TRACE:
+            est[label] = np.zeros((2, 2), dtype=complex)
             continue
         # each input in turn: the retained shots of the three settings, then
         # their counts
@@ -275,7 +279,7 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
         est[label] = invert_counts(counts, dict.fromkeys(counts, float(shots)))
         details["inputs"][label]["counts"] = {"".join(k): v.tolist()
                                               for k, v in counts.items()}
-    if total_weight <= ATOL_TRACE:
+    if shots and total_weight <= ATOL_TRACE:
         raise EmptyBranchError(
             f"post-selected branch {post_select} is empty for every input")
     if shots and not retained:
@@ -287,7 +291,10 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     e01 = 0.5 * ((2 * est["+"] - s) + 1j * (2 * est["+i"] - s))
     # Choi entry (2r + i, 2c + j) is half of block (i, j)'s entry (r, c)
     blocks = np.array([[e00, e01], [e01.conj().T, e11]])
-    return ChoiMatrix(0.5 * blocks.transpose(2, 0, 3, 1).reshape(4, 4)), details
+    choi = ChoiMatrix(0.5 * blocks.transpose(2, 0, 3, 1).reshape(4, 4))
+    if shots == 0 and choi.trace() <= ATOL_TRACE:
+        raise EmptyBranchError(f"post-selected branch {post_select} is empty")
+    return choi, details
 
 
 def ideal_branch_choi(phi: float, branch: int) -> ChoiMatrix:

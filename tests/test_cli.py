@@ -232,14 +232,17 @@ class TestChoiCommand:
             assert entry["process_fidelity_vs_ideal"] == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_branch_is_flagged_not_crashed(self, runner, tmp_path):
+        # at phi = 0 the loss branch is empty, so the angle is flagged; at
+        # phi = pi input |1> never enters it, and the branch is written unflagged
         out = tmp_path / "choi0.json"
-        res = runner.invoke(main, ["choi", "--phi-grid", "pi", "--post-select",
-                                   "0", "--out", str(out)])
+        res = runner.invoke(main, ["choi", "--phi-grid", "0,pi", "--post-select",
+                                   "1", "--out", str(out)])
         assert res.exit_code == 0, res.output
         payload = json.loads("\n".join(l for l in read_lines(out)
                                        if not l.startswith("#")))
-        entry = payload["results"][0]
-        assert "flag" in entry and "0" in entry["flag"]
+        empty, full = payload["results"]
+        assert "empty" in empty["flag"] and "choi" not in empty
+        assert "flag" not in full and full["process_fidelity_vs_ideal"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("grid,flagged", [("0.025pi", 1), ("0:pi:41", 2)])
     def test_sampled_branch_without_a_retained_shot_is_flagged(self, runner, tmp_path,

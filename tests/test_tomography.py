@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qloss import tomography
+from qloss.tolerances import ATOL_TRACE
 from qloss.channels import NoiseModel
 from qloss.protocol import (analytic_run, code_space_population, code_space_projector,
                             encode, four_qubit_code, three_qubit_code)
@@ -239,6 +240,22 @@ class TestProcessTomography:
         expected = np.zeros((4, 4))
         expected[2, 2] = 0.5 * math.sin(phi / 2) ** 2
         assert np.max(np.abs(choi.matrix - expected)) < 1e-12
+
+    @pytest.mark.parametrize("post", [0, 1])
+    def test_exact_choi_stays_linear_through_tiny_branches(self, post):
+        # each input keeps its own branch output, however small: zeroing the
+        # inputs below ATOL_TRACE one by one made the loss-branch Choi near
+        # phi = 7.8e-7 pi non-PSD and wrong by most of its size
+        for phi in np.geomspace(1e-9, 0.1, 81) * math.pi:
+            ideal = ideal_branch_choi(phi, post)
+            try:
+                choi, _ = process_tomography(phi, post)
+            except EmptyBranchError:
+                assert ideal.trace() <= ATOL_TRACE, phi
+                continue
+            trace = choi.trace()
+            assert np.linalg.eigvalsh(choi.matrix).min() >= -1e-12 * trace, phi
+            assert np.max(np.abs(choi.matrix - ideal.matrix)) <= 1e-9 * trace, phi
 
     def test_empty_branch_raises(self):
         with pytest.raises(EmptyBranchError):
