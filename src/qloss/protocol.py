@@ -603,7 +603,8 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
     # it, so each leaf's sampling rule is computed once: per output, the
     # threshold below which it reads 1, and what it reads otherwise.
     posts: dict[int, PureState] = {}
-    meta, thresholds = [], np.full((len(leaves), _MAX_OUTPUTS), np.nan)
+    meta, outputs = [], []
+    thresholds = np.full((len(leaves), _MAX_OUTPUTS), np.nan)
     for i, leaf in enumerate(leaves.tolist()):
         path, leaf_hit = divmod(leaf, _HIT_CODES)
         out, p = divmod(path, 2)
@@ -618,8 +619,8 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
             state, code = _apply_noise(posts[p], _hit(leaf_hit)), three_qubit_code()
         rule = _outcome_thresholds(state, code)
         thresholds[i, :len(rule)] = [prob for _, prob, _ in rule]
-        meta.append(("loss" if out else "no_loss", out, shrunk, frame.sx_sign,
-                     [(name, other) for name, _, other in rule]))
+        meta.append(("loss" if out else "no_loss", out, shrunk, frame.sx_sign))
+        outputs.append([(name, other) for name, _, other in rule])
 
     # a shot's outputs are one bit mask, and each (leaf, mask) builds its dict once
     below = block[:, _OUTPUTS:] < thresholds[leaf_of]
@@ -629,10 +630,10 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
     for kind in kinds.tolist():
         leaf, mask = divmod(kind, 2**_MAX_OUTPUTS)
         observables.append({name: 1.0 if mask >> j & 1 else other
-                            for j, (name, other) in enumerate(meta[leaf][-1])})
+                            for j, (name, other) in enumerate(outputs[leaf])})
     domain = int(SeedDomain.PROTOCOL_SHOTS)
     for shot, (leaf, kind) in enumerate(zip(leaf_of.tolist(), kind_of.tolist())):
-        branch, out, shrunk, frame_sx, _ = meta[leaf]
+        branch, out, shrunk, frame_sx = meta[leaf]
         result.records.append(RunRecord(
             shot=shot, alpha=alpha, phi=phi, branch=branch, ancilla_outcome=out,
             shrunk_outcome=shrunk, frame_sx=frame_sx, observables=dict(observables[kind]),
@@ -767,7 +768,8 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
             if explicit:
                 pattern = _explicit_key(tuple(raw))
             else:
-                pattern = tuple(i for i, p0, p1 in zip(spectators, raw[0::2], raw[1::2])
+                hide = raw[:2 * len(spectators)]
+                pattern = tuple(i for i, p0, p1 in zip(spectators, hide[0::2], hide[1::2])
                                 if not (p0 and p1))
             pattern_of.append(patterns.setdefault(pattern, len(patterns)))
         ancilla_cdfs = np.empty((len(patterns), 2))
