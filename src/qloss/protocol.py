@@ -624,8 +624,8 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
 
     # a shot's outputs are one bit mask, and each (leaf, mask) builds its dict once
     below = block[:, _OUTPUTS:] < thresholds[leaf_of]
-    kinds, kind_of = np.unique(leaf_of * 2**_MAX_OUTPUTS + below @ (1 << np.arange(_MAX_OUTPUTS)),
-                               return_inverse=True)
+    masks = below @ (1 << np.arange(_MAX_OUTPUTS))
+    kinds, kind_of = np.unique(leaf_of * 2**_MAX_OUTPUTS + masks, return_inverse=True)
     observables = []
     for kind in kinds.tolist():
         leaf, mask = divmod(kind, 2**_MAX_OUTPUTS)

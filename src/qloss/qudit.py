@@ -534,8 +534,9 @@ def seed_for(master_seed: int, domain: SeedDomain, *key: int) -> np.random.Gener
     """The one generator of a sampled loop: ``SeedSequence(master_seed,
     spawn_key=(domain, *key))`` drives PCG64.
 
-    Each call site has its own ``domain`` and a key of fixed length; shot i
-    of the loop reads row i of one ``random((count, width))`` block, or the
+    Each call site names its loop by ``domain`` and a key of fixed length
+    (``state_tomography`` and ``resample_errors`` by the empty key); shot i of
+    the loop reads row i of one ``random((count, width))`` block, or the
     loop's i-th draw.  With a spawn key, SeedSequence pads the master seed to
     its full pool before it appends the key words, so keys that differ only
     by trailing zeros, or only by domain, draw different streams.  Every key

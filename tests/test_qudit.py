@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from qloss import qudit
 from qloss.gates import (addressed_z, collective_rotation, compile_gate, loss_rotation,
                          ms_gate)
-from qloss.qudit import (BRIGHT_LEVELS, SeedDomain, ContractViolation, DARK_LEVELS, DensityOperator,
-                         DimensionError, Level, PauliString, PureState,
+from qloss.qudit import (BRIGHT_LEVELS, ContractViolation, DARK_LEVELS, DensityOperator,
+                         DimensionError, Level, PauliString, PureState, SeedDomain,
                          UndefinedExpectationError, apply_unitary, draw_outcome,
                          expectation, check_unitary, make_state, measure_projective,
                          outcome_probabilities, partial_trace, pure_expectation,

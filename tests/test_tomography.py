@@ -209,7 +209,8 @@ class TestStateTomography:
 
     @pytest.mark.parametrize("shots", [1, 37, np.arange(1, 28)])
     def test_sampled_rows_sum_to_shots(self, shots):
-        table = sample_counts(random_qubit_density(3, 11), shots, seed_for(0, SeedDomain.TABLE_CELLS))
+        rng = seed_for(0, SeedDomain.TABLE_CELLS)
+        table = sample_counts(random_qubit_density(3, 11), shots, rng)
         assert table.shape == (27, 8)
         assert np.array_equal(table.sum(axis=1), np.broadcast_to(shots, 27))
 
