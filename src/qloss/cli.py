@@ -35,8 +35,10 @@ MAX_GRID_POINTS = 10_000
 #: L=256, 130,561 edges, takes about 1 s and peaks at about 150 MB RSS, 120 MB of
 #: it above the bare interpreter; the built lattice holds about 40 MB)
 MAX_LATTICE_SIZE = 256
-#: most shots or samples a run may ask for, checked before any work (a protocol
-#: shot costs about 0.13 ms and 0.9 KB of records)
+#: most shots or samples a run may ask for, checked before any work
+#: (`protocol --phi 0.5pi --shots 100000` takes 5.7-5.9 s and peaks at 176 MB
+#: RSS, against 0.35-0.49 s and 65 MB at 0 shots on a 2-vCPU host: about 54 us
+#: and 1.1 KB per shot, 278 B of it written as JSONL)
 MAX_SHOTS = 100_000
 
 #: lowercase, because parse_angle matches them case-insensitively

@@ -25,17 +25,21 @@ drops its lost edges.  A deformed logical Z exists iff the surviving
 primal graph connects its two terminals; a deformed logical X exists iff
 the surviving dual graph connects its two terminals.
 
-The survival kernel labels both graphs at once: in the combined graph the
-primal nodes come first and the dual cells follow, offset by
-``n_vertices + 2``, and every kept edge joins its two primal nodes and its
-two dual cells.  A mask survives when both terminal pairs share a label.
-The labels come from `_components`, a numpy hook-and-jump kernel in the
-style of Shiloach and Vishkin: each round hooks every root under the
-smallest root it shares an edge with, then pointer-jumps until each node
-points at its root.  Parents are always smaller ids, so no cycle forms,
-and each round removes a root, so the rounds end.  Each component's root is
-its smallest node, and components are numbered in that order, as scipy's
-``connected_components`` numbers them; scipy is only the tests' reference.
+Reform and survival label both graphs at once, in one combined graph
+(`_both_sides`): the primal nodes come first and the dual cells follow,
+offset by ``n_vertices + 2``; edge e is one edge on each side.  Survival
+puts every kept edge on both sides, and a mask survives when both terminal
+pairs share a label.  Reform puts kept edges on the primal side and lost
+edges on the dual side: the dual labels are the merged classes, listed as
+plaquettes in the order of their smallest cell, and the primal labels find
+the islands.  The labels come from `_components`, a numpy hook-and-jump
+kernel in the style of Shiloach and Vishkin: each round hooks every root
+under the smallest root it shares an edge with, then pointer-jumps until
+each node points at its root.  Parents are always smaller ids, so no cycle
+forms, and each round removes a root, so the rounds end.  Each component's
+root is its smallest node, and components are numbered in that order, as
+scipy's ``connected_components`` numbers them; scipy is only the tests'
+reference.
 
 Survival curves (`percolation_threshold`) draw one uniform vector per
 (L, sample) that serves every loss rate, so each curve is monotone and its
@@ -232,69 +236,52 @@ def apply_losses(lattice: LossLattice,
     return replace(lattice, lost=frozenset(lattice.lost | lost))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     """Merge plaquettes across lost edges and shrink stars.
 
-    Union-find runs over dual cells; classes that absorbed a terminal cell
-    (one of the last two) merge into the boundary and are discarded.  A
-    merged plaquette is the mod-2 product of its member cells: the kept
-    edges whose two cells lie in different classes, since an edge inside
-    one class cancels and a lost edge joins two cells of one class.
-    Commutation of the result is re-verified exhaustively.
+    One `_components` call labels the combined graph (`_both_sides`) with
+    kept edges on the primal side and lost edges on the dual side.  A dual
+    class holding a terminal cell (one of the last two) merges into the
+    boundary and is discarded; every other class is a plaquette, the mod-2
+    product of its cells: the kept edges whose two cells carry different
+    labels, since a lost edge joins two cells of one class.  Plaquettes come
+    in the order of their smallest cell.  Commutation of the result is
+    re-verified exhaustively.
     """
     lost = lattice.lost
-    # one flat list per column: an (n_edges, 2) .tolist() would allocate a
-    # list per edge on every call
-    cell_a, cell_b = lattice.dual.T.tolist()
-    end_a, end_b = lattice.primal.T.tolist()
-    uf = _UnionFind(lattice.n_cells)
-    for e in lost:
-        uf.union(cell_a[e], cell_b[e])
+    lost_mask = np.zeros(lattice.n_edges, dtype=bool)
+    lost_mask[list(lost)] = True
+    ends, terminals = _both_sides(lattice)
+    # edge e is row e (primal side) if kept, row n_edges + e (dual side) if lost
+    a, b = ends[np.arange(lattice.n_edges) + lattice.n_edges * lost_mask].T
+    labels = _components(a, b, terminals[-1] + 1)
 
-    cell_root = [uf.find(cl) for cl in range(lattice.n_cells)]
-    boundary = set(cell_root[-2:])
+    # the labels of every edge's two cells; they differ on kept edges only
+    cell_a, cell_b = labels[lattice.dual + lattice.n_vertices + 2].T
+    between = np.flatnonzero(cell_a != cell_b)
+    boundary = set(labels[terminals[2:]].tolist())
     merged: dict[int, set[int]] = {}
-    for e, (a, b) in enumerate(zip(cell_a, cell_b)):
-        if (ra := cell_root[a]) != (rb := cell_root[b]):
-            for r in (ra, rb):
-                if r not in boundary:
-                    merged.setdefault(r, set()).add(e)
+    for e, ca, cb in zip(between.tolist(), cell_a[between].tolist(),
+                         cell_b[between].tolist()):
+        for c in (ca, cb):
+            if c not in boundary:
+                merged.setdefault(c, set()).add(e)
     z_gens = [frozenset(s) for _, s in sorted(merged.items())]
 
     # losses can enclose an island: a surviving-graph component with no
     # terminal, whose shrunk stars multiply to the identity.  Drop the first
     # star of each island to keep the generator list independent.
-    uf_p = _UnionFind(lattice.n_vertices + 2)
-    for e, (a, b) in enumerate(zip(end_a, end_b)):
-        if e not in lost:
-            uf_p.union(a, b)
-    seen = {uf_p.find(lattice.n_vertices), uf_p.find(lattice.n_vertices + 1)}
+    node_label = labels.tolist()
+    end_a = lattice.primal[:, 0].tolist()
+    seen = {node_label[t] for t in terminals[:2].tolist()}
     x_gens = []
     for g in lattice.x_generators:
         if not (shrunk := g - lost):
             continue
-        root = uf_p.find(end_a[next(iter(shrunk))])
-        if root in seen:
+        label = node_label[end_a[next(iter(shrunk))]]
+        if label in seen:
             x_gens.append(shrunk)
-        seen.add(root)
+        seen.add(label)
 
     out = replace(lattice, z_generators=z_gens, x_generators=x_gens)
     out.validate_support()

@@ -45,7 +45,7 @@ from .channels import ChoiMatrix, branch_maps, channel_to_choi, readout_superope
 from .protocol import (PROCESS_INPUTS, SHOT_PRESETS, CodeDefinition, analytic_run,
                        code_space_projector, detection_process, four_qubit_code,
                        preset_shots, three_qubit_code)
-# moved to protocol next to CodeDefinition; still importable from here
+# perfbench's cache-size probe reads the projector cache from this module
 from .protocol import _PROJECTOR_CACHE  # noqa: F401
 from .qudit import DensityOperator, SeedDomain, partial_trace, seed_for
 from .tolerances import ATOL_TRACE

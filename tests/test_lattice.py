@@ -206,6 +206,39 @@ class TestReform:
             assert not res.t_z.commutes(res.t_x)
         assert trials > 50
 
+    def test_plaquettes_equal_scipy_classes_in_cell_order(self):
+        # oracle: scipy's classes of cells joined by lost edges; every class
+        # without a terminal cell is one plaquette, its kept edges with
+        # exactly one cell in the class, listed by the class's smallest cell
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            L, rate = int(rng.integers(2, 11)), float(rng.uniform(0.1, 0.5))
+            lat = apply_losses(build_lattice(L), rate, rng)
+            lost = sorted(lat.lost)
+            a, b = lat.dual[lost].T
+            labels = scipy_labels(a, b, lat.n_cells)
+            inside = labels[lat.dual]
+            kept = np.setdiff1d(np.arange(lat.n_edges), lost)
+            classes = sorted(set(labels.tolist()) - set(labels[-2:].tolist()),
+                             key=lambda c: np.flatnonzero(labels == c)[0])
+            expected = [frozenset(kept[(inside[kept] == c).sum(axis=1) == 1].tolist())
+                        for c in classes]
+            assert reform_stabilizers(lat).z_generators == expected, (L, rate)
+
+    def test_island_of_two_vertices_keeps_their_edge_once(self):
+        # two adjacent vertices cut off from everything but their shared
+        # edge: both stars shrink to that edge, which must stay exactly once
+        lat = build_lattice(5)
+        a, b = lat.primal.T
+        pair = {6, 7}                 # vertices (1, 1) and (1, 2), both interior
+        shared = int(np.flatnonzero((a == 6) & (b == 7))[0])
+        touching = np.flatnonzero(np.isin(a, list(pair)) | np.isin(b, list(pair)))
+        ref = reform_stabilizers(apply_losses(lat, [int(e) for e in touching
+                                                    if e != shared]))
+        assert ref.x_generators.count(frozenset({shared})) == 1
+        assert len(ref.x_generators) == lat.n_vertices - 1
+        assert gf2_rank(ref.x_generators, ref.n_edges) == len(ref.x_generators)
+
 
 def vertical_edges(lat) -> np.ndarray:
     """Mask of a planar lattice's vertical edges: they join vertices L apart
