@@ -273,7 +273,7 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     # star of each island to keep the generator list independent.
     node_label = labels.tolist()
     end_a = lattice.primal[:, 0].tolist()
-    seen = {node_label[t] for t in terminals[:2].tolist()}
+    seen = set(labels[terminals[:2]].tolist())
     x_gens = []
     for g in lattice.x_generators:
         if not (shrunk := g - lost):

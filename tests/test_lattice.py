@@ -230,11 +230,10 @@ class TestReform:
         # edge: both stars shrink to that edge, which must stay exactly once
         lat = build_lattice(5)
         a, b = lat.primal.T
-        pair = {6, 7}                 # vertices (1, 1) and (1, 2), both interior
-        shared = int(np.flatnonzero((a == 6) & (b == 7))[0])
-        touching = np.flatnonzero(np.isin(a, list(pair)) | np.isin(b, list(pair)))
-        ref = reform_stabilizers(apply_losses(lat, [int(e) for e in touching
-                                                    if e != shared]))
+        v, w = 6, 7                   # vertices (1, 1) and (1, 2), both interior
+        shared = int(np.flatnonzero((a == v) & (b == w))[0])
+        touching = np.flatnonzero(np.isin(a, (v, w)) | np.isin(b, (v, w)))
+        ref = reform_stabilizers(apply_losses(lat, touching[touching != shared].tolist()))
         assert ref.x_generators.count(frozenset({shared})) == 1
         assert len(ref.x_generators) == lat.n_vertices - 1
         assert gf2_rank(ref.x_generators, ref.n_edges) == len(ref.x_generators)
