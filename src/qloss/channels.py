@@ -30,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .qudit import (DensityOperator, Level, _block_perm, _conjugate, _occupied_block,
-                    _on_block, check_unitary, readout_partition, truncated_pauli)
+                    _on_block, _signed_permutation, check_unitary, readout_partition,
+                    truncated_pauli)
 from .tolerances import ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
@@ -151,6 +152,8 @@ class NoiseModel:
             raise ValueError(f"p_qnd must be in [0, 1], got {self.p_qnd}")
         if self.mode not in ("off", "depolarizing_per_qubit"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
+        if self.mode == "off" and self.p_qnd > 0.0:
+            raise ValueError(f"p_qnd={self.p_qnd} with mode 'off' would run noiseless")
 
     @property
     def enabled(self) -> bool:
@@ -180,18 +183,11 @@ def _extended_pauli(letter: str, dims: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _extended_gather(letter: str, qubit: int, n_ions: int, dims: int
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """``(sigma, phase)`` of :func:`_extended_pauli` on ``qubit`` of the register, as
-    ``qudit._gather_cached`` gives a word's, indexed by the level of ``qubit``
-    (no dense register matrix)."""
-    m = _extended_pauli(letter, dims)
-    row = np.argmax(m != 0, axis=0)  # one entry per column of a signed permutation
-    flat = np.arange(dims**n_ions)
-    stride = dims ** (n_ions - 1 - qubit)
-    level = flat // stride % dims
-    sigma, phase = flat + (row[level] - level) * stride, m[row[level], level]
-    sigma.setflags(write=False)
-    phase.setflags(write=False)
-    return sigma, phase
+    """``(sigma, phase)`` of :func:`_extended_pauli` on ``qubit`` of the register:
+    ``qudit._signed_permutation`` of the identity on every other ion."""
+    factors = [_extended_pauli("I", dims)] * n_ions
+    factors[qubit] = _extended_pauli(letter, dims)
+    return _signed_permutation(factors)
 
 
 def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:

@@ -196,12 +196,10 @@ def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, hiding,
     """Detected vs directly measured loss over a loss-rotation grid."""
 
     def go():
-        shots_n = _run_size(shots, "shots")
-        if shots_n <= 0 and not analytic:
-            raise ValueError("shots must be positive (or pass --analytic)")
-        res = detection_sweep(parse_grid(phi_grid), shots_n, seed=ctx.obj["seed"],
-                              register=int(register), addressing_error=addressing_error,
-                              analytic=analytic, hiding=hiding)
+        res = detection_sweep(parse_grid(phi_grid), _run_size(shots, "shots"),
+                              seed=ctx.obj["seed"], register=int(register),
+                              addressing_error=addressing_error, analytic=analytic,
+                              hiding=hiding)
         # the default hiding is not echoed, so default runs keep their header
         shown = {k: v for k, v in ctx.params.items() if (k, v) != ("hiding", "mask")}
         header = header_lines(shown, ctx.obj["seed"])

@@ -75,7 +75,9 @@ _PROJECTOR_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def code_space_projector(gens: Iterable[PauliString], dims: int) -> np.ndarray:
-    """Product of (1+S)/2 over the generators ``gens`` (validated to commute)."""
+    """Product of (1+S)/2 over the generators ``gens`` (validated to commute): from
+    the identity, P <- (P + S P)/2 with S as its signed permutation.  Every entry
+    is a dyadic rational, so the sums are exact."""
     gens = tuple(gens)
     key = (gens, dims)
     cached = _PROJECTOR_CACHE.get(key)
@@ -85,10 +87,9 @@ def code_space_projector(gens: Iterable[PauliString], dims: int) -> np.ndarray:
         for h in gens[i + 1:]:
             if not g.commutes(h):
                 raise ValueError("code generators do not commute")
-    d = dims ** gens[0].n_ions
-    proj = np.eye(d, dtype=complex)
+    proj = np.eye(dims ** gens[0].n_ions, dtype=complex)
     for g in gens:
-        proj = proj @ (0.5 * (np.eye(d) + g.embedded(dims)))
+        proj = 0.5 * (proj + _permute_rows(_gather_cached(g, dims), proj))
     proj.setflags(write=False)
     _PROJECTOR_CACHE[key] = proj
     return proj

@@ -21,6 +21,12 @@ matrix, so every entry in the block takes the same operations as on the
 whole register and every entry outside it is +0.0.  A block that is the
 whole register is the input matrix itself.  Matrix products stay on the
 whole register: a BLAS product's bits can depend on the matrix width.
+
+Signed permutations: every Pauli on the register, truncated (zero above |1>,
+as a :class:`PauliString` embeds it) or extended as the identity there (the
+noise model's), is carried as ``(sigma, phase)`` from the one builder
+:func:`_signed_permutation` and applied by reindexing (:func:`_permute_rows`,
+:func:`_conjugate`); no register-wide Pauli matrix is formed.
 """
 
 from __future__ import annotations
@@ -454,22 +460,28 @@ def _embedded_cached(pauli: PauliString, dims: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=4096)
-def _gather_cached(pauli: PauliString, dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(sigma, phase)``: column i of the embedded word is ``phase[i]`` at row ``sigma[i]``.
-
-    A truncated Pauli word has at most one nonzero entry (+-1, +-i) per
-    column, and its empty columns are its empty rows, so ``sigma`` (the
-    identity on them, with phase 0) is a permutation.
-    """
-    mat = pauli.embedded(dims)
-    nonzero = mat != 0
-    cols = np.arange(len(mat))
-    sigma = np.where(nonzero.any(axis=0), np.argmax(nonzero, axis=0), cols)
-    phase = mat[sigma, cols]
+def _signed_permutation(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, phase)`` of the product of single-ion ``factors`` (ion 0 first), each
+    with at most one nonzero per column: column i is ``phase[i]`` at row ``sigma[i]``.
+    ``sigma`` is the identity on the product's empty columns (its empty rows).  Each
+    phase multiplies the factors' entries in ion order, as ``np.kron`` does, so its
+    bits, signed zeros too, are the dense product's; no register matrix is formed."""
+    dims, n = len(factors[0]), len(factors)
+    levels = (np.arange(dims**n)[:, None] // dims ** np.arange(n - 1, -1, -1) % dims).T
+    empty = np.any([~(f != 0).any(axis=0)[lv] for f, lv in zip(factors, levels)], axis=0)
+    sigma, phase = np.zeros(dims**n, dtype=np.intp), np.ones(dims**n, dtype=complex)
+    for f, lv in zip(factors, levels):
+        row = np.where(empty, lv, np.argmax(f != 0, axis=0)[lv])
+        sigma, phase = sigma * dims + row, phase * f[row, lv]
     sigma.setflags(write=False)
     phase.setflags(write=False)
     return sigma, phase
+
+
+@lru_cache(maxsize=4096)
+def _gather_cached(pauli: PauliString, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """The embedded word's :func:`_signed_permutation`, from its truncated letters."""
+    return _signed_permutation([truncated_pauli(l, dims) for l in pauli.letters])
 
 
 def expectation(rho: DensityOperator, obs: PauliString) -> float:
@@ -502,7 +514,7 @@ def pure_expectation(state: PureState, obs: PauliString) -> float:
 
 def _permute_rows(perm: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.ndarray:
     """``P @ arr`` for a signed permutation ``perm`` = (sigma, phase) of P, as
-    :func:`_gather_cached` gives it."""
+    :func:`_signed_permutation` gives it."""
     sigma, phase = perm
     out = np.empty(arr.shape, dtype=complex)
     out[sigma] = phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr
@@ -511,7 +523,7 @@ def _permute_rows(perm: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.nd
 
 def _conjugate(perm: tuple[np.ndarray, np.ndarray], mat: np.ndarray) -> np.ndarray:
     """``P @ mat @ P^dagger`` for a signed permutation ``perm`` = (sigma, phase) of P,
-    as :func:`_gather_cached` gives it."""
+    as :func:`_signed_permutation` gives it."""
     sigma, phase = perm
     out = np.empty(mat.shape, dtype=complex)
     out[np.ix_(sigma, sigma)] = phase[:, None] * mat * phase.conj()

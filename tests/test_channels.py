@@ -184,6 +184,12 @@ class TestNoiseMixture:
         out = qnd_noise_mixture(rho, 0.3, NoiseModel(), (0, 1))
         assert np.allclose(out.mat, rho.mat)
 
+    def test_rate_without_a_mode_is_rejected(self):
+        # the default mode "off" would silently run a nonzero rate noiseless
+        with pytest.raises(ValueError, match="mode 'off'"):
+            NoiseModel(p_qnd=0.033)
+        assert not NoiseModel(p_qnd=0.0).enabled
+
     def test_p_qnd_zero_leaves_state(self):
         rho = make_state(2, 3, [0, 1]).to_density()
         model = NoiseModel(p_qnd=0.0, mode="depolarizing_per_qubit")
