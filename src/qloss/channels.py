@@ -49,6 +49,8 @@ def branch_maps(phi: float) -> tuple[np.ndarray, np.ndarray]:
     applies sin(phi/2)|2><0|.  Together they are trace-preserving on the
     computational subspace.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     c, s = math.cos(phi / 2), math.sin(phi / 2)
     e0 = np.zeros((3, 3), dtype=complex)
     e0[0, 0] = c
@@ -164,6 +166,8 @@ def mixing_probability(phi: float, p_qnd: float) -> float:
     """False-positive weight p = p_qnd / (p_qnd + 0.5 sin^2(phi/2))."""
     loss = 0.5 * math.sin(phi / 2) ** 2
     denom = p_qnd + loss
+    if not math.isfinite(denom):
+        raise ValueError(f"p undefined for phi={phi}, p_qnd={p_qnd}")
     if denom <= 0.0:
         raise DegenerateRateError("p undefined: p_qnd = 0 and phi = 0")
     return p_qnd / denom

@@ -22,14 +22,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import NoiseModel, _extended_pauli, mixing_probability, qnd_noise_mixture
+from .channels import NoiseModel, _extended_gather, mixing_probability, qnd_noise_mixture
 from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
                     compile_gate, loss_rotation, ms_gate)
 from .qudit import (DensityOperator, Level, PauliString, PureState, SeedDomain,
                     UndefinedExpectationError, _apply_checked, _block_perm, _conjugate,
-                    _gather_cached, _occupied_block, _on_block, _outcome_cdf, _permute_rows,
-                    collapse, draw_outcome, expectation, make_state, outcome_probabilities,
-                    partial_trace, pure_expectation, readout_partition, seed_for)
+                    _gather_cached, _half_projection, _occupied_block, _on_block,
+                    _outcome_cdf, _permute_rows, collapse, draw_outcome, expectation,
+                    make_state, outcome_probabilities, partial_trace, pure_expectation,
+                    readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -76,7 +77,7 @@ _PROJECTOR_CACHE: dict[tuple, np.ndarray] = {}
 
 def code_space_projector(gens: Iterable[PauliString], dims: int) -> np.ndarray:
     """Product of (1+S)/2 over the generators ``gens`` (validated to commute): from
-    the identity, P <- (P + S P)/2 with S as its signed permutation.  Every entry
+    the identity, P <- (1+S)/2 P through ``qudit._half_projection``.  Every entry
     is a dyadic rational, so the sums are exact."""
     gens = tuple(gens)
     key = (gens, dims)
@@ -89,7 +90,7 @@ def code_space_projector(gens: Iterable[PauliString], dims: int) -> np.ndarray:
                 raise ValueError("code generators do not commute")
     proj = np.eye(dims ** gens[0].n_ions, dtype=complex)
     for g in gens:
-        proj = 0.5 * (proj + _permute_rows(_gather_cached(g, dims), proj))
+        proj = _half_projection(_gather_cached(g, dims), proj, 0)
     proj.setflags(write=False)
     _PROJECTOR_CACHE[key] = proj
     return proj
@@ -288,15 +289,6 @@ def shrunk_stabilizer() -> PauliString:
     return PauliString.from_map(N_IONS, {q: "X" for q in SURVIVING_QUBITS})
 
 
-def _shrunk_project(arr: np.ndarray, pick: int,
-                    stab: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(1 + S)/2 @ arr for ``pick`` 0, (1 - S)/2 @ arr for ``pick`` 1, with the
-    shrunk stabilizer S = X2X3X4 applied as its signed permutation ``stab``."""
-    half = 0.5 * arr
-    s_half = 0.5 * _permute_rows(stab, arr)
-    return half + s_half if pick == 0 else half - s_half
-
-
 _ANCILLA_FLIP = collective_rotation("X", math.pi, (ANCILLA,))
 
 
@@ -311,7 +303,7 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
         raise ProtocolError("shrunk-stabilizer measurement requires the loss branch "
                             "(ancilla must be |1> after detection)")
     if mode == "exact":
-        plus = _shrunk_project(state.amps, 0, _gather_cached(shrunk_stabilizer(), state.dims))
+        plus = _half_projection(_gather_cached(shrunk_stabilizer(), state.dims), state.amps, 0)
         p_plus = float(np.vdot(plus, plus).real / np.vdot(state.amps, state.amps).real)
         return state, np.array([p_plus, 1 - p_plus])
     if mode == "toolbox":
@@ -325,7 +317,7 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
 def _shrunk_post(pre: PureState, mode: str, pick: int) -> PureState:
     """Post state of shrunk outcome ``pick``, with the ancilla reset to |0>."""
     if mode == "exact":
-        amps = _shrunk_project(pre.amps, pick, _gather_cached(shrunk_stabilizer(), pre.dims))
+        amps = _half_projection(_gather_cached(shrunk_stabilizer(), pre.dims), pre.amps, pick)
         post = PureState(pre.n_ions, pre.dims, amps / np.linalg.norm(amps))
         return _apply_op(post, _ANCILLA_FLIP)  # ancilla |1> -> |0> reset (feed-forward)
     post = collapse(pre, ANCILLA, readout_partition(pre.dims)[pick])
@@ -374,11 +366,13 @@ def frame_update(frame: PauliFrame, outcome: int) -> PauliFrame:
 
 
 def apply_frame_correction(state: PureState, frame: PauliFrame) -> PureState:
+    """``state`` with the frame's correction word applied as its signed
+    permutation, the one ``_shrunk_correct`` applies to the density oracle."""
     corr = frame.correction()
     if corr is None:
         return state
-    # addressed_z(pi) = diag(e^{-i pi/2}, e^{+i pi/2}) = -i Z on the qubit block
-    return _apply_op(state, addressed_z(math.pi, corr.support[0]))
+    perm = _gather_cached(corr, state.dims)
+    return PureState(state.n_ions, state.dims, _permute_rows(perm, state.amps))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +457,7 @@ def _shrunk_correct(rho: np.ndarray, dims: int) -> np.ndarray:
     def correct(mat: np.ndarray) -> np.ndarray:
         # the projectors are real and symmetric, so the right factor acts on the
         # rows of the transpose
-        plus, minus = (_shrunk_project(_shrunk_project(mat, pick, stab).T, pick, stab).T
+        plus, minus = (_half_projection(stab, _half_projection(stab, mat, pick).T, pick).T
                        for pick in (0, 1))
         return plus + _conjugate(fix, minus)
 
@@ -560,7 +554,8 @@ def _apply_noise(state: PureState, hit: tuple[int, str] | None) -> PureState:
     if hit is None:
         return state
     qubit, letter = hit
-    return _apply_checked(state, _extended_pauli(letter, state.dims), (qubit,))
+    perm = _extended_gather(letter, qubit, state.n_ions, state.dims)
+    return PureState(state.n_ions, state.dims, _permute_rows(perm, state.amps))
 
 
 def run_protocol(alpha: float, phi: float, shots: int = 0,
@@ -577,6 +572,8 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    if shrunk_mode not in ("exact", "toolbox"):
+        raise ValueError(f"unknown mode {shrunk_mode!r}")
     alpha = float(alpha)
     noise = noise or NoiseModel()
     result = analytic_run(alpha, phi, noise)

@@ -27,6 +27,12 @@ as a :class:`PauliString` embeds it) or extended as the identity there (the
 noise model's), is carried as ``(sigma, phase)`` from the one builder
 :func:`_signed_permutation` and applied by reindexing (:func:`_permute_rows`,
 :func:`_conjugate`); no register-wide Pauli matrix is formed.
+
+Doubled register: a density matrix over n ions is a tensor over 2n ions, row
+ions then column ions, so pure states and density matrices share one kernel per
+operation: a gate is :func:`_embed_apply_vec` (M on the row ions, M* on the
+column ions), a level projection :func:`_level_mask`, and (1 +- S)/2 for a
+Pauli S :func:`_half_projection`.
 """
 
 from __future__ import annotations
@@ -99,16 +105,12 @@ def check_unitary(matrix: np.ndarray, side: int) -> np.ndarray:
 
 def _embed_apply_vec(amps: np.ndarray, matrix: np.ndarray, support: tuple[int, ...],
                      n_ions: int, dims: int) -> np.ndarray:
-    """Apply ``matrix`` (acting on the ions in ``support``) to a flat amplitude vector."""
-    k = len(support)
-    tens = amps.reshape([dims] * n_ions)
-    rest = [i for i in range(n_ions) if i not in support]
-    perm = list(support) + rest
-    tens = np.transpose(tens, perm).reshape(dims**k, -1)
-    tens = matrix @ tens
-    tens = tens.reshape([dims] * n_ions)
-    inv = np.argsort(perm)
-    return np.transpose(tens, inv).reshape(-1)
+    """Apply ``matrix`` (acting on the ions in ``support``) to a flat vector over
+    ``n_ions`` ions: a pure state's amplitudes, or a doubled-register density matrix."""
+    perm = list(support) + [i for i in range(n_ions) if i not in support]
+    tens = np.transpose(amps.reshape([dims] * n_ions), perm).reshape(dims ** len(support), -1)
+    tens = (matrix @ tens).reshape([dims] * n_ions)
+    return np.transpose(tens, np.argsort(perm)).reshape(-1)
 
 
 @dataclass
@@ -229,18 +231,20 @@ def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
     return bisect.bisect_right(cdf, rng.random())
 
 
+def _level_mask(tens: np.ndarray, axes: Sequence[int], levels: Iterable[Level | int]
+                ) -> np.ndarray:
+    """``tens``, one axis per ion, with the ions on ``axes`` projected onto ``levels``."""
+    keep = np.zeros(tens.shape[0])
+    keep[[int(Level(l)) for l in levels]] = 1.0
+    for axis in axes:
+        tens = tens * keep.reshape([-1 if i == axis else 1 for i in range(tens.ndim)])
+    return tens
+
+
 def collapse(state: PureState, ion: int, levels: Iterable[Level | int]) -> PureState:
     """Normalized post-measurement state: ``ion`` projected onto ``levels``."""
-    keep = np.zeros(state.dims)
-    for l in levels:
-        keep[int(l)] = 1.0
-    tens = state.amps.reshape([state.dims] * state.n_ions)
-    shape = [1] * state.n_ions
-    shape[ion] = state.dims
-    tens = tens * keep.reshape(shape)
-    amps = tens.reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return PureState(state.n_ions, state.dims, amps)
+    amps = _level_mask(state.amps.reshape([state.dims] * state.n_ions), (ion,), levels)
+    return PureState(state.n_ions, state.dims, amps / np.linalg.norm(amps))
 
 
 def measure_projective(state: PureState, ion: int, partition: Sequence[Iterable[Level | int]],
@@ -289,35 +293,21 @@ class DensityOperator:
         return DensityOperator(self.n_ions, self.dims, self.mat / tr)
 
     def apply_operator(self, matrix: np.ndarray, support: Sequence[int]) -> "DensityOperator":
-        """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check)."""
+        """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check), on
+        the doubled register: M on the row ions ``support``, M* on the column ions."""
         sup = _check_support(support, self.n_ions)
         n, d = self.n_ions, self.dims
-        k = len(sup)
-        mk = np.asarray(matrix, dtype=complex).reshape([d] * (2 * k))
-        in_axes = list(range(k, 2 * k))
-        tens = self.mat.reshape([d] * (2 * n))
-        # rows (ket side), then columns (bra side, conjugated)
-        tens = np.moveaxis(np.tensordot(mk, tens, axes=(in_axes, list(sup))),
-                           range(k), sup)
-        col_axes = [n + i for i in sup]
-        tens = np.moveaxis(np.tensordot(mk.conj(), tens, axes=(in_axes, col_axes)),
-                           range(k), col_axes)
-        side = d**n
-        return DensityOperator(n, d, tens.reshape(side, side))
+        m = np.asarray(matrix, dtype=complex)
+        tens = _embed_apply_vec(self.mat.reshape(-1), m, sup, 2 * n, d)
+        tens = _embed_apply_vec(tens, m.conj(), tuple(n + i for i in sup), 2 * n, d)
+        return DensityOperator(n, d, tens.reshape(d**n, d**n))
 
     def project_levels(self, ion: int, levels: Iterable[Level | int]) -> "DensityOperator":
-        """Subnormalized branch after projecting ``ion`` onto a level set."""
-        keep = np.zeros(self.dims)
-        for l in levels:
-            keep[int(Level(l))] = 1.0
-        d = self.dims**self.n_ions
-        tens = self.mat.reshape([self.dims] * (2 * self.n_ions))
-        shape_row = [1] * (2 * self.n_ions)
-        shape_row[ion] = self.dims
-        shape_col = [1] * (2 * self.n_ions)
-        shape_col[self.n_ions + ion] = self.dims
-        tens = tens * keep.reshape(shape_row) * keep.reshape(shape_col)
-        return DensityOperator(self.n_ions, self.dims, tens.reshape(d, d))
+        """Subnormalized branch after projecting ``ion`` onto a level set: the
+        :func:`collapse` mask on the row ion and the column ion ``n + ion``."""
+        n, d = self.n_ions, self.dims
+        tens = _level_mask(self.mat.reshape([d] * (2 * n)), (ion, n + ion), levels)
+        return DensityOperator(n, d, tens.reshape(d**n, d**n))
 
 
 def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int]
@@ -519,6 +509,15 @@ def _permute_rows(perm: tuple[np.ndarray, np.ndarray], arr: np.ndarray) -> np.nd
     out = np.empty(arr.shape, dtype=complex)
     out[sigma] = phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr
     return out
+
+
+def _half_projection(perm: tuple[np.ndarray, np.ndarray], arr: np.ndarray, pick: int
+                     ) -> np.ndarray:
+    """(1 + S)/2 @ arr for ``pick`` 0, (1 - S)/2 @ arr for ``pick`` 1, with the
+    Pauli S applied as its signed permutation ``perm``."""
+    half = 0.5 * arr
+    s_half = 0.5 * _permute_rows(perm, arr)
+    return half + s_half if pick == 0 else half - s_half
 
 
 def _conjugate(perm: tuple[np.ndarray, np.ndarray], mat: np.ndarray) -> np.ndarray:

@@ -224,11 +224,10 @@ def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
     """Overlap Tr(AB)/(Tr A Tr B); exact fidelity for rank-1 ideal targets."""
     a = choi_a.matrix if isinstance(choi_a, ChoiMatrix) else np.asarray(choi_a)
     b = choi_b.matrix if isinstance(choi_b, ChoiMatrix) else np.asarray(choi_b)
-    num = float(np.real(np.trace(a @ b)))
     den = float(np.real(np.trace(a)) * np.real(np.trace(b)))
-    if den <= 0:
-        raise ValueError("process fidelity undefined for zero-trace input")
-    return num / den
+    if not (den > 0 and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("process fidelity undefined for zero-trace or non-finite input")
+    return float(np.real(np.trace(a @ b))) / den
 
 
 # ---------------------------------------------------------------------------

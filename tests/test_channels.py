@@ -30,6 +30,11 @@ class TestBranchMaps:
         assert np.allclose(e0, k0, atol=1e-12)
         assert np.allclose(e1, k1, atol=1e-12)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, phi):
+        with pytest.raises(ValueError):
+            branch_maps(phi)
+
     def test_completeness_on_computational_subspace(self):
         e0, e1 = branch_maps(0.3 * math.pi)
         total = e0.conj().T @ e0 + e1.conj().T @ e1
@@ -174,6 +179,12 @@ class TestNoiseMixture:
         assert mixing_probability(0.5 * math.pi, 0.033) == pytest.approx(
             0.033 / (0.033 + 0.25))
         assert mixing_probability(0.4, 0.0) == 0.0
+
+    @pytest.mark.parametrize("phi,p_qnd", [(math.nan, 0.033), (0.3, math.nan),
+                                           (0.3, math.inf), (math.inf, 0.033)])
+    def test_non_finite_input_raises(self, phi, p_qnd):
+        with pytest.raises(ValueError):
+            mixing_probability(phi, p_qnd)
 
     def test_degenerate_rate(self):
         with pytest.raises(DegenerateRateError):

@@ -112,6 +112,34 @@ def test_private_top_level_names_are_read():
     assert {name: where for name, where in defined.items() if name not in read} == {}
 
 
+#: (module, function) pairs that may call ``np.tensordot`` or ``np.moveaxis``: the
+#: per-ion readout map changes the ion dimension, so no pure-state kernel serves it
+TENSOR_SHUFFLES_ALLOWED = {("tomography", "_per_ion_map")}
+
+
+def _tensor_shuffles(path: Path) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function, or ``<module>``) of each call of
+    ``tensordot`` or ``moveaxis`` in one module, qualified or bare."""
+    tree = _tree(path)
+    owner = {}
+    # ast.walk is breadth first, so a nested function claims its nodes last
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    return [(path.stem, owner.get(node, "<module>")) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in ("tensordot", "moveaxis")]
+
+
+def test_tensor_shuffles_only_where_no_pure_kernel_serves():
+    """Gates and level masks run through the pure-state kernels on the doubled
+    register (see ``qudit``); a density-only tensor shuffle would be a second
+    kernel for one operation."""
+    calls = [call for path in MODULES for call in _tensor_shuffles(path)]
+    assert calls and [call for call in calls if call not in TENSOR_SHUFFLES_ALLOWED] == []
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 #: public names with no caller in the package or the benchmark, and why they stay

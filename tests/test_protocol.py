@@ -356,6 +356,12 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="shots"):
             run_protocol(0.3, 0.4, shots=shots)
 
+    @pytest.mark.parametrize("phi,shots", [(0.5 * math.pi, 0), (0.0, 50)])
+    def test_unknown_shrunk_mode_raises_without_a_loss_shot(self, phi, shots):
+        # no shot reaches the shrunk measurement here, so only an up-front check sees it
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            run_protocol(math.pi / 2, phi, shots=shots, shrunk_mode="bogus")
+
     def test_seed_determinism(self):
         a = run_protocol(0.3, 0.4, shots=50, seed=9)
         b = run_protocol(0.3, 0.4, shots=50, seed=9)

@@ -422,6 +422,21 @@ class TestFidelities:
         assert process_fidelity(ideal_branch_choi(phi, 0), choi) == \
             pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 3)])
+    def test_non_finite_choi_raises(self, bad, entry):
+        good = ideal_branch_choi(0.3, 0).matrix
+        broken = good.copy()
+        broken[entry] = bad
+        for a, b in ((broken, good), (good, broken)):
+            with pytest.raises(ValueError, match="non-finite"):
+                process_fidelity(a, b)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_angle_has_no_ideal_choi(self, phi):
+        with pytest.raises(ValueError):
+            ideal_branch_choi(phi, 0)
+
     def test_rank_one_normalization(self):
         # both branch Choi matrices are rank-1: overlap formula gives 1
         for phi in (0.2, 1.1, 2.0):
