@@ -19,7 +19,8 @@ import numpy as np
 
 from .channels import CHOI_BASIS_ORDER, NoiseModel
 from .lattice import ConsistencyError, percolation_threshold
-from .protocol import detection_sweep, preset_shots, run_protocol, records_to_jsonl
+from .protocol import (ProtocolError, detection_sweep, preset_shots, records_to_jsonl,
+                       run_protocol)
 from .qudit import ContractViolation
 from .serialize import (fmt, header_lines, matrix_to_json_dict, write_csv,
                         write_json)
@@ -36,8 +37,8 @@ MAX_GRID_POINTS = 10_000
 #: it above the bare interpreter; the built lattice holds about 40 MB)
 MAX_LATTICE_SIZE = 256
 #: most shots or samples a run may ask for, checked before any work
-#: (`protocol --phi 0.5pi --shots 100000` takes 5.7-5.9 s and peaks at 176 MB
-#: RSS, against 0.35-0.49 s and 65 MB at 0 shots on a 2-vCPU host: about 54 us
+#: (`protocol --phi 0.5pi --shots 100000` takes 1.9-2.4 s and peaks at 165 MB
+#: RSS, against 0.29-0.40 s and 54 MB at 0 shots on a 2-vCPU host: about 18 us
 #: and 1.1 KB per shot, 278 B of it written as JSONL)
 MAX_SHOTS = 100_000
 
@@ -147,11 +148,6 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> None:
     ctx.default_map = {**(ctx.default_map or {}), **defaults}
 
 
-config_option = click.option("--config", type=click.Path(exists=True), default=None,
-                             is_eager=True, expose_value=False, callback=_load_config,
-                             help="key=value file of option defaults")
-
-
 def _run_size(n: int, key: str) -> int:
     """The shot or sample count ``n`` of option ``key``, rejected above `MAX_SHOTS`."""
     if n > MAX_SHOTS:
@@ -159,17 +155,33 @@ def _run_size(n: int, key: str) -> int:
     return n
 
 
-def _run(fn):
-    try:
-        fn()
-    except (ValueError, OSError, OverflowError, EmptyBranchError, ZeroDivisionError) as exc:
-        raise _Fail(str(exc))
-    except (ConsistencyError, ContractViolation, AssertionError) as exc:
-        click.echo(f"internal invariant violation: {exc}", err=True)
-        sys.exit(EXIT_INVARIANT)
+class _Command(click.Command):
+    """A subcommand: it takes ``--config`` and maps its errors to exit 2 or 3."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(
+            ["--config"], type=click.Path(exists=True), default=None, is_eager=True,
+            expose_value=False, callback=_load_config,
+            help="key=value file of option defaults"))
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ConsistencyError, ContractViolation, ProtocolError, AssertionError) as exc:
+            # caught before the config errors, because ContractViolation is a ValueError
+            click.echo(f"internal invariant violation: {exc}", err=True)
+            sys.exit(EXIT_INVARIANT)
+        except (ValueError, OSError, OverflowError, EmptyBranchError,
+                ZeroDivisionError) as exc:
+            raise _Fail(str(exc))
 
 
-@click.group()
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--seed", type=int, envvar="QLOSS_SEED", default=0, show_default=True,
               help="master seed (env: QLOSS_SEED)")
 @click.pass_context
@@ -188,30 +200,25 @@ def main(ctx: click.Context, seed: int) -> None:
               show_default=True,
               help="ideal support mask or explicit five-level hiding pulses")
 @click.option("--analytic", is_flag=True, help="exact probabilities, no sampling")
-@config_option
 @click.option("--out", default="detect_sweep.csv", show_default=True)
 @click.pass_context
 def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, hiding,
                      analytic, out):
     """Detected vs directly measured loss over a loss-rotation grid."""
-
-    def go():
-        res = detection_sweep(parse_grid(phi_grid), _run_size(shots, "shots"),
-                              seed=ctx.obj["seed"], register=int(register),
-                              addressing_error=addressing_error, analytic=analytic,
-                              hiding=hiding)
-        # the default hiding is not echoed, so default runs keep their header
-        shown = {k: v for k, v in ctx.params.items() if (k, v) != ("hiding", "mask")}
-        header = header_lines(shown, ctx.obj["seed"])
-        header.append(f"# detection-efficiency: {fmt(res.efficiency)}")
-        write_csv(out, header,
-                  ["phi", "direct_loss", "detected_loss", "false_positive_rate",
-                   "false_negative_rate", "shots"],
-                  [(r.phi, r.direct_loss, r.detected_loss, r.false_positive_rate,
-                    r.false_negative_rate, r.shots) for r in res.rows])
-        click.echo(f"wrote {out} (efficiency {fmt(res.efficiency)})")
-
-    _run(go)
+    res = detection_sweep(parse_grid(phi_grid), _run_size(shots, "shots"),
+                          seed=ctx.obj["seed"], register=int(register),
+                          addressing_error=addressing_error, analytic=analytic,
+                          hiding=hiding)
+    # the default hiding is not echoed, so default runs keep their header
+    shown = {k: v for k, v in ctx.params.items() if (k, v) != ("hiding", "mask")}
+    header = header_lines(shown, ctx.obj["seed"])
+    header.append(f"# detection-efficiency: {fmt(res.efficiency)}")
+    write_csv(out, header,
+              ["phi", "direct_loss", "detected_loss", "false_positive_rate",
+               "false_negative_rate", "shots"],
+              [(r.phi, r.direct_loss, r.detected_loss, r.false_positive_rate,
+                r.false_negative_rate, r.shots) for r in res.rows])
+    click.echo(f"wrote {out} (efficiency {fmt(res.efficiency)})")
 
 
 @main.command("protocol")
@@ -226,62 +233,57 @@ def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, hiding,
 @click.option("--ideal", is_flag=True, help="force the noise model off")
 @click.option("--shrunk-mode", type=click.Choice(["exact", "toolbox"]),
               default="exact", show_default=True)
-@config_option
 @click.option("--out", default="protocol", show_default=True, help="output prefix")
 @click.pass_context
 def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
                  shrunk_mode, out):
     """Full encode/detect/correct run: branch records and observable tables."""
+    shots_n = _run_size(shots, "shots")
+    alpha_v = parse_angle(alpha)
+    if phi_grid:
+        phis = parse_grid(phi_grid)
+    elif phi:
+        phis = [parse_angle(phi)]
+    else:
+        raise ValueError("pass --phi or --phi-grid")
+    # the density files of a grid run are named by each loss angle
+    tags = [""] if len(phis) == 1 else [f"_phi{fmt(p / math.pi)}pi" for p in phis]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"phi grid {phi_grid!r} repeats a value at 12 significant "
+                         "digits, so two runs would write the same density files")
+    model = NoiseModel() if ideal else parse_noise(noise)
+    seed = ctx.obj["seed"]
+    header = header_lines(ctx.params, seed)
 
-    def go():
-        shots_n = _run_size(shots, "shots")
-        alpha_v = parse_angle(alpha)
-        if phi_grid:
-            phis = parse_grid(phi_grid)
-        elif phi:
-            phis = [parse_angle(phi)]
-        else:
-            raise ValueError("pass --phi or --phi-grid")
-        # the density files of a grid run are named by each loss angle
-        tags = [""] if len(phis) == 1 else [f"_phi{fmt(p / math.pi)}pi" for p in phis]
-        if len(set(tags)) < len(tags):
-            raise ValueError(f"phi grid {phi_grid!r} repeats a value at 12 significant "
-                             "digits, so two runs would write the same density files")
-        model = NoiseModel() if ideal else parse_noise(noise)
-        seed = ctx.obj["seed"]
-        header = header_lines(ctx.params, seed)
-
-        records = []
-        rows = []
-        outputs = []
-        for phi_v, tag in zip(phis, tags):
-            n_shots = preset_shots(phi_v) if paper_shots else shots_n
-            res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
-                               seed=seed, shrunk_mode=shrunk_mode)
-            records.extend(res.records)
-            for section, summary in (("no_loss", res.no_loss), ("loss", res.loss)):
-                if not summary.observables:
-                    continue
-                vals = summary.observables
-                rows.append([section, phi_v, summary.probability,
-                             summary.fidelity] +
-                            [vals.get(c) for c in TABLE_COLUMNS])
-            for label, rho in (("no_loss", res.rho_no_loss), ("loss", res.rho_loss)):
-                if rho is not None:
-                    outputs.append(f"{out}_rho_{label}{tag}.json")
-                    write_json(outputs[-1], header,
-                               matrix_to_json_dict(rho.mat, "density",
-                                                   "ions msb-first; levels 0,1,2"))
-        write_csv(f"{out}_tables.csv", header,
-                  ["branch", "phi", "probability", "fidelity", *TABLE_COLUMNS], rows)
-        outputs.append(f"{out}_tables.csv")
-        if records:
-            with open(f"{out}_records.jsonl", "w") as fh:
-                fh.write(records_to_jsonl(records))
-            outputs.append(f"{out}_records.jsonl")
-        click.echo("wrote " + ", ".join(outputs))
-
-    _run(go)
+    records = []
+    rows = []
+    outputs = []
+    for phi_v, tag in zip(phis, tags):
+        n_shots = preset_shots(phi_v) if paper_shots else shots_n
+        res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
+                           seed=seed, shrunk_mode=shrunk_mode)
+        records.extend(res.records)
+        for section, summary in (("no_loss", res.no_loss), ("loss", res.loss)):
+            if not summary.observables:
+                continue
+            vals = summary.observables
+            rows.append([section, phi_v, summary.probability,
+                         summary.fidelity] +
+                        [vals.get(c) for c in TABLE_COLUMNS])
+        for label, rho in (("no_loss", res.rho_no_loss), ("loss", res.rho_loss)):
+            if rho is not None:
+                outputs.append(f"{out}_rho_{label}{tag}.json")
+                write_json(outputs[-1], header,
+                           matrix_to_json_dict(rho.mat, "density",
+                                               "ions msb-first; levels 0,1,2"))
+    write_csv(f"{out}_tables.csv", header,
+              ["branch", "phi", "probability", "fidelity", *TABLE_COLUMNS], rows)
+    outputs.append(f"{out}_tables.csv")
+    if records:
+        with open(f"{out}_records.jsonl", "w") as fh:
+            fh.write(records_to_jsonl(records))
+        outputs.append(f"{out}_records.jsonl")
+    click.echo("wrote " + ", ".join(outputs))
 
 
 @main.command("choi")
@@ -290,7 +292,6 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
               help="cycles per input and setting (0: exact)")
 @click.option("--post-select", type=click.Choice(["0", "1"]), default="0",
               show_default=True)
-@config_option
 @click.option("--out", default="choi.json", show_default=True)
 @click.pass_context
 def cmd_choi(ctx, phi_grid, shots, post_select, out):
@@ -299,92 +300,78 @@ def cmd_choi(ctx, phi_grid, shots, post_select, out):
     It runs on the probed ion and the ancilla: the hidden spectators never
     enter the detection circuit, so a five-ion register gives the same result.
     """
-
-    def go():
-        shots_n = _run_size(shots, "shots")
-        seed = ctx.obj["seed"]
-        branch = int(post_select)
-        entries = []
-        for phi_v in parse_grid(phi_grid):
-            try:
-                choi, _ = process_tomography(phi_v, branch, shots=shots_n, seed=seed)
-            except EmptyBranchError as exc:
-                entries.append({"phi": phi_v, "flag": str(exc)})
-                continue
-            ideal = ideal_branch_choi(phi_v, branch)
-            entries.append({
-                "phi": phi_v,
-                "choi": matrix_to_json_dict(choi.matrix, "choi", CHOI_BASIS_ORDER),
-                "ideal": matrix_to_json_dict(ideal.matrix, "choi", CHOI_BASIS_ORDER),
-                "process_fidelity_vs_ideal": process_fidelity(choi, ideal),
-                "trace": choi.trace(),
-            })
-        write_json(out, header_lines(ctx.params, seed),
-                   {"post_select": branch, "results": entries})
-        click.echo(f"wrote {out}")
-
-    _run(go)
+    shots_n = _run_size(shots, "shots")
+    seed = ctx.obj["seed"]
+    branch = int(post_select)
+    entries = []
+    for phi_v in parse_grid(phi_grid):
+        try:
+            choi, _ = process_tomography(phi_v, branch, shots=shots_n, seed=seed)
+        except EmptyBranchError as exc:
+            entries.append({"phi": phi_v, "flag": str(exc)})
+            continue
+        ideal = ideal_branch_choi(phi_v, branch)
+        entries.append({
+            "phi": phi_v,
+            "choi": matrix_to_json_dict(choi.matrix, "choi", CHOI_BASIS_ORDER),
+            "ideal": matrix_to_json_dict(ideal.matrix, "choi", CHOI_BASIS_ORDER),
+            "process_fidelity_vs_ideal": process_fidelity(choi, ideal),
+            "trace": choi.trace(),
+        })
+    write_json(out, header_lines(ctx.params, seed),
+               {"post_select": branch, "results": entries})
+    click.echo(f"wrote {out}")
 
 
 @main.command("percolation")
 @click.option("--l", "--L", "l", default="16,32", show_default=True)
 @click.option("--p", "p", default="0.40:0.60:21", show_default=True)
 @click.option("--samples", type=int, default=2000, show_default=True)
-@config_option
 @click.option("--out", default="percolation.csv", show_default=True)
 @click.pass_context
 def cmd_percolation(ctx, l, p, samples, out):  # noqa: E741 (the --l option)
     """Monte Carlo loss-survival curves and the two-size threshold crossing."""
-
-    def go():
-        samples_n = _run_size(samples, "samples")
-        seed = ctx.obj["seed"]
-        sizes = [int(x) for x in l.split(",")]
-        if not all(2 <= s <= MAX_LATTICE_SIZE for s in sizes):
-            raise ValueError(f"lattice sizes must lie in [2, {MAX_LATTICE_SIZE}]")
-        res = percolation_threshold(sizes, samples_n, parse_float_grid(p), seed=seed)
-        header = header_lines(ctx.params, seed)
-        thr = "none" if res.threshold is None else fmt(res.threshold)
-        header.append(f"# threshold-estimate: {thr}")
-        write_csv(out, header,
-                  ["L", "p", "samples", "survivors", "fraction", "binom_std"],
-                  [(pt.L, pt.p, pt.samples, pt.survivors, pt.fraction, pt.binom_std)
-                   for pt in res.points])
-        click.echo(f"wrote {out} (threshold estimate {thr})")
-
-    _run(go)
+    samples_n = _run_size(samples, "samples")
+    seed = ctx.obj["seed"]
+    sizes = [int(x) for x in l.split(",")]
+    if not all(2 <= s <= MAX_LATTICE_SIZE for s in sizes):
+        raise ValueError(f"lattice sizes must lie in [2, {MAX_LATTICE_SIZE}]")
+    res = percolation_threshold(sizes, samples_n, parse_float_grid(p), seed=seed)
+    header = header_lines(ctx.params, seed)
+    thr = "none" if res.threshold is None else fmt(res.threshold)
+    header.append(f"# threshold-estimate: {thr}")
+    write_csv(out, header,
+              ["L", "p", "samples", "survivors", "fraction", "binom_std"],
+              [(pt.L, pt.p, pt.samples, pt.survivors, pt.fraction, pt.binom_std)
+               for pt in res.points])
+    click.echo(f"wrote {out} (threshold estimate {thr})")
 
 
 @main.command("stabilizer-sweep")
 @click.option("--alpha", default="pi/2", show_default=True)
 @click.option("--phi-grid", default="0.1pi:pi:10", show_default=True)
 @click.option("--shots", type=int, default=200, show_default=True)
-@config_option
 @click.option("--out", default="stabilizer_sweep.csv", show_default=True)
 @click.pass_context
 def cmd_stabilizer_sweep(ctx, alpha, phi_grid, shots, out):
     """No-loss-branch stabilizer expectations vs loss rate (analytic + sampled)."""
-
-    def go():
-        shots_n = _run_size(shots, "shots")
-        seed = ctx.obj["seed"]
-        alpha_v = parse_angle(alpha)
-        rows = []
-        for phi_v in parse_grid(phi_grid):
-            s1x_law = 4 * math.cos(phi_v / 2) / (3 + math.cos(phi_v))
-            res = run_protocol(alpha_v, phi_v, shots=shots_n, seed=seed)
-            sampled = res.sampled_means("no_loss")
-            rows.append((phi_v, s1x_law,
-                         res.no_loss.observables["S1X"], sampled.get("S1X"),
-                         res.no_loss.observables["S1Z"], sampled.get("S1Z"),
-                         res.no_loss.observables["S2Z"], sampled.get("S2Z")))
-        write_csv(out, header_lines(ctx.params, seed),
-                  ["phi", "S1X_law", "S1X_analytic", "S1X_sampled",
-                   "S1Z_analytic", "S1Z_sampled", "S2Z_analytic", "S2Z_sampled"],
-                  rows)
-        click.echo(f"wrote {out}")
-
-    _run(go)
+    shots_n = _run_size(shots, "shots")
+    seed = ctx.obj["seed"]
+    alpha_v = parse_angle(alpha)
+    rows = []
+    for phi_v in parse_grid(phi_grid):
+        s1x_law = 4 * math.cos(phi_v / 2) / (3 + math.cos(phi_v))
+        res = run_protocol(alpha_v, phi_v, shots=shots_n, seed=seed)
+        sampled = res.sampled_means("no_loss")
+        rows.append((phi_v, s1x_law,
+                     res.no_loss.observables["S1X"], sampled.get("S1X"),
+                     res.no_loss.observables["S1Z"], sampled.get("S1Z"),
+                     res.no_loss.observables["S2Z"], sampled.get("S2Z")))
+    write_csv(out, header_lines(ctx.params, seed),
+              ["phi", "S1X_law", "S1X_analytic", "S1X_sampled",
+               "S1Z_analytic", "S1Z_sampled", "S2Z_analytic", "S2Z_sampled"],
+              rows)
+    click.echo(f"wrote {out}")
 
 
 if __name__ == "__main__":

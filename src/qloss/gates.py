@@ -171,6 +171,7 @@ class Register:
             return
         self.state = _apply_checked(self.state, compile_gate(op, self.dims), op.support)
 
-    def run(self, ops: Iterable[GateOp]) -> None:
+    def run(self, ops: Iterable[GateOp]) -> PureState:
         for op in ops:
             self.apply(op)
+        return self.state

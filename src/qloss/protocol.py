@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -168,9 +168,7 @@ def encode_ops(alpha: float) -> list[GateOp]:
 
 def encode(alpha: float) -> PureState:
     """Encode cos(a/2)|0_L> + i sin(a/2)|1_L> on ions 0-3; ancilla stays |0>."""
-    reg = Register(make_state(N_IONS, 3, [0] * N_IONS))
-    reg.run(encode_ops(alpha))
-    return reg.state
+    return Register(make_state(N_IONS, 3, [0] * N_IONS)).run(encode_ops(alpha))
 
 
 def apply_loss(state: PureState, phi: float) -> PureState:
@@ -199,13 +197,12 @@ def _detect(state: PureState, support: Sequence[int]) -> PureState:
     """Pre-readout state of the detection circuit on ``support``, whose last ion
     is the ancilla; an ancilla with population outside the computational
     subspace raises ``ProtocolError``."""
-    reg = Register(state)
-    reg.run(detection_ops(support))
-    stray = reg.state.level_populations(support[-1])[2:].sum()
+    out = Register(state).run(detection_ops(support))
+    stray = out.level_populations(support[-1])[2:].sum()
     if not stray <= ATOL_LEAK_GUARD:
         raise ProtocolError(
             f"ancilla has population {stray:.2e} outside the computational subspace")
-    return reg.state
+    return out
 
 
 @dataclass
@@ -307,10 +304,10 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
         p_plus = float(np.vdot(plus, plus).real / np.vdot(state.amps, state.amps).real)
         return state, np.array([p_plus, 1 - p_plus])
     if mode == "toolbox":
-        reg = Register(_apply_op(state, _ANCILLA_FLIP))  # reset ancilla |1> -> |0>
-        reg.run(shrunk_measurement_ops())
-        _, probs = outcome_probabilities(reg.state, ANCILLA, readout_partition(state.dims))
-        return reg.state, probs
+        # reset ancilla |1> -> |0>
+        out = Register(_apply_op(state, _ANCILLA_FLIP)).run(shrunk_measurement_ops())
+        _, probs = outcome_probabilities(out, ANCILLA, readout_partition(state.dims))
+        return out, probs
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -398,7 +395,10 @@ class RunRecord:
     seed_key: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # not `asdict`, which deep-copies every value, nor `vars`, which makes
+        # Python 3.11 build and keep each record's __dict__
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          sort_keys=True)
 
 
 @dataclass

@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from qloss import cli, tomography
 from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, MAX_SHOTS, main,
                        parse_angle, parse_float_grid, parse_grid, parse_noise)
-from qloss.lattice import PercolationResult
+from qloss.lattice import ConsistencyError, PercolationResult
+from qloss.protocol import ProtocolError
+from qloss.qudit import ContractViolation
 from qloss.serialize import write_json
 
 
@@ -504,7 +506,40 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
 
-#: the errors a parser can raise that ``_run`` turns into exit 2
+#: the package call each subcommand makes its work through
+ENTRY_CALLS = {"choi": "process_tomography", "detect-sweep": "detection_sweep",
+               "percolation": "percolation_threshold", "protocol": "run_protocol",
+               "stabilizer-sweep": "run_protocol"}
+
+
+class TestExitCodes:
+    """Every subcommand takes --config and ends an error in exit 2 or 3."""
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    @pytest.mark.parametrize("error,code", [(ConsistencyError, 3), (ContractViolation, 3),
+                                            (ProtocolError, 3), (AssertionError, 3),
+                                            (ValueError, 2)])
+    def test_entry_error_exit_code(self, runner, tmp_path, monkeypatch, command, error,
+                                   code):
+        def broken(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, ENTRY_CALLS[command], broken)
+        phi = ["--phi", "0.5pi"] if command == "protocol" else []
+        res = runner.invoke(main, [command, *phi, "--out", str(tmp_path / "run")])
+        assert res.exit_code == code, res.output
+        assert ("internal invariant violation: boom" if code == 3 else "Error: boom") \
+            in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_help_lists_config(self, runner, command):
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0, res.output
+        assert "--config" in res.output
+
+
+#: the errors a parser can raise that the subcommands' class turns into exit 2
 CONFIG_ERRORS = (ValueError, OSError, ZeroDivisionError)
 
 _TOKEN = st.one_of(st.text(alphabet="0123456789.+-eE_ pPiI/nNaAfFtTyY", max_size=12),
