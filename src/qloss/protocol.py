@@ -477,13 +477,11 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
     lost = apply_loss(psi, phi).to_density()
     p_l, rho_l, p_nl, rho_nl = qnd_detect_density(lost)
 
-    # no-loss branch
-    if p_nl > ATOL_TRACE:
-        nl_obs = _code_observables(rho_nl, code4)
-        nl_fid = _fidelity_with_pure(rho_nl, logical_target(alpha))
-    else:
-        nl_obs, nl_fid = {}, float("nan")
-    no_loss = BranchSummary(p_nl, nl_obs, nl_fid)
+    # no-loss branch, never empty: ion 0 of every encoded state is |0> with
+    # probability 1/2, and the loss moves sin^2(phi/2) of that to |2>, so
+    # p_nl = 1 - sin^2(phi/2)/2 >= 1/2
+    no_loss = BranchSummary(p_nl, _code_observables(rho_nl, code4),
+                            _fidelity_with_pure(rho_nl, logical_target(alpha)))
 
     # loss branch: shrunk-stabilizer measurement + frame correction, combined
     if p_l > ATOL_TRACE:
@@ -500,7 +498,7 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
     loss = BranchSummary(p_l, l_obs, l_fid)
 
     return ProtocolResult(alpha, phi, encoding_obs, no_loss, loss,
-                          rho_no_loss=rho_nl if p_nl > ATOL_TRACE else None,
+                          rho_no_loss=rho_nl,
                           rho_loss=rho_rec if p_l > ATOL_TRACE else None)
 
 
@@ -542,20 +540,27 @@ def _noise_hits(p_mix: float, rows: np.ndarray) -> np.ndarray:
     return np.where((rows[:, _HIT] < p_mix) & (letter > 0), 1 + 4 * qubit + letter, 0)
 
 
-def _hit(code: int) -> tuple[int, str] | None:
-    """The (qubit, Pauli) of a hit code from `_noise_hits`."""
-    if code == 0:
-        return None
-    qubit, letter = divmod(code - 1, 4)
-    return SURVIVING_QUBITS[qubit], "IXYZ"[letter]
+def _leaf(branches: tuple[PureState, PureState | None], shrunk_mode: str, leaf: int
+          ) -> tuple[PureState, CodeDefinition, tuple[str, int, int | None, int]]:
+    """State, code and record fields (branch, ancilla outcome, shrunk outcome,
+    frame sign) of the leaf ``(outcome * 2 + pick) * _HIT_CODES + hit``.
 
-
-def _apply_noise(state: PureState, hit: tuple[int, str] | None) -> PureState:
-    if hit is None:
-        return state
-    qubit, letter = hit
-    perm = _extended_gather(letter, qubit, state.n_ions, state.dims)
-    return PureState(state.n_ions, state.dims, _permute_rows(perm, state.amps))
+    ``branches`` holds the collapsed no-loss state and the shrunk pre-readout
+    state of the loss branch.  A loss leaf takes shrunk outcome ``pick``, its
+    frame fix, then the hit's extended Pauli as a signed permutation.
+    """
+    path, hit = divmod(leaf, _HIT_CODES)
+    outcome, pick = divmod(path, 2)
+    if outcome == 0:
+        return branches[0], four_qubit_code(), ("no_loss", 0, None, 1)
+    shrunk = 1 - 2 * pick
+    frame = frame_update(PauliFrame(), shrunk)
+    state = apply_frame_correction(_shrunk_post(branches[1], shrunk_mode, pick), frame)
+    if hit:
+        qubit, letter = divmod(hit - 1, 4)
+        perm = _extended_gather("IXYZ"[letter], SURVIVING_QUBITS[qubit], N_IONS, state.dims)
+        state = PureState(state.n_ions, state.dims, _permute_rows(perm, state.amps))
+    return state, three_qubit_code(), ("loss", 1, shrunk, frame.sx_sign)
 
 
 def run_protocol(alpha: float, phi: float, shots: int = 0,
@@ -597,27 +602,17 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
     leaves, leaf_of = np.unique((outcome * 2 + pick) * _HIT_CODES + hit,
                                 return_inverse=True)
 
-    # The states along an outcome path are the same for every shot that takes
-    # it, so each leaf's sampling rule is computed once: per output, the
-    # threshold below which it reads 1, and what it reads otherwise.
-    posts: dict[int, PureState] = {}
+    # Every shot of a leaf reads the same state, so each leaf's sampling rule is
+    # computed once: per output, the threshold below which it reads 1, and what
+    # it reads otherwise.
+    branches = (collapse(detected, ANCILLA, det_sets[0]), pre if lost.any() else None)
     meta, outputs = [], []
     thresholds = np.full((len(leaves), _MAX_OUTPUTS), np.nan)
     for i, leaf in enumerate(leaves.tolist()):
-        path, leaf_hit = divmod(leaf, _HIT_CODES)
-        out, p = divmod(path, 2)
-        if out == 0:
-            state, code, shrunk, frame = (collapse(detected, ANCILLA, det_sets[0]),
-                                          four_qubit_code(), None, PauliFrame())
-        else:
-            shrunk = +1 if p == 0 else -1
-            frame = frame_update(PauliFrame(), shrunk)
-            if p not in posts:
-                posts[p] = apply_frame_correction(_shrunk_post(pre, shrunk_mode, p), frame)
-            state, code = _apply_noise(posts[p], _hit(leaf_hit)), three_qubit_code()
+        state, code, record = _leaf(branches, shrunk_mode, leaf)
         rule = _outcome_thresholds(state, code)
         thresholds[i, :len(rule)] = [prob for _, prob, _ in rule]
-        meta.append(("loss" if out else "no_loss", out, shrunk, frame.sx_sign))
+        meta.append(record)
         outputs.append([(name, other) for name, _, other in rule])
 
     # a shot's outputs are one bit mask, and each (leaf, mask) builds its dict once
@@ -741,6 +736,9 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
         raise ValueError(f"unknown hiding mode {hiding!r}")
     if not 0.0 <= addressing_error <= 1.0:
         raise ValueError(f"addressing_error must lie in [0, 1], got {addressing_error}")
+    if analytic and addressing_error > 0.0:
+        raise ValueError("the analytic sweep has no addressing errors; "
+                         "run it sampled or with addressing_error=0")
     n, ancilla = register, register - 1
     spectators = tuple(range(1, n - 1))
     explicit = hiding == "explicit" and n > 2

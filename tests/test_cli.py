@@ -111,6 +111,15 @@ class TestDetectSweep:
         assert res.exit_code == 0, res.output
         assert "hiding=explicit" in read_lines(out)[1]
 
+    def test_analytic_with_addressing_error_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        res = runner.invoke(main, ["detect-sweep", "--analytic", "--shots", "0",
+                                   "--register", "5", "--addressing-error", "0.05",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "addressing errors" in res.output
+        assert not out.exists()
+
     def test_empty_grid_is_config_error(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         res = runner.invoke(main, ["detect-sweep", "--phi-grid", ",", "--out", str(out)])
@@ -172,6 +181,12 @@ class TestProtocolCommand:
         assert len(lines) == 1 and lines[0].startswith("no_loss")
         cells = lines[0].split(",")
         assert float(cells[2]) == pytest.approx(1.0)  # branch probability
+
+    def test_no_loss_angle_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["protocol", "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert "pass --phi or --phi-grid" in res.output
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_alpha_alias_is_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["protocol", "--alpha", "half", "--phi", "0",
@@ -407,6 +422,17 @@ class TestHeadersAndDeterminism:
         assert res.exit_code == 0
         data = [l for l in read_lines(out) if not l.startswith(("#", "L"))]
         assert data[0].split(",")[2] == "120"
+
+    def test_config_file_skips_comments_and_blank_lines(self, runner, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "perc.csv"
+        written = []
+        for text in ("samples=100\n", "# samples=50\n\n   \nsamples=100\n"):
+            cfg.write_text(text)
+            res = runner.invoke(main, ["percolation", "--L", "4", "--p", "0.5",
+                                       "--config", str(cfg), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            written.append(read_lines(out))
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("on", [True, False])
     @pytest.mark.parametrize("flag,args", [

@@ -17,7 +17,7 @@ import pytest
 
 from qloss.channels import _extended_pauli
 from qloss.gates import addressed_z, compile_gate
-from qloss.protocol import (SURVIVING_QUBITS, PauliFrame, _apply_noise, _shrunk_post,
+from qloss.protocol import (_HIT_CODES, SURVIVING_QUBITS, PauliFrame, _leaf, _shrunk_post,
                             _shrunk_split, apply_frame_correction, apply_loss, encode,
                             qnd_detect)
 from qloss.qudit import DensityOperator, PureState, _apply_checked, collapse
@@ -127,13 +127,18 @@ def test_collapse_is_the_one_axis_mask_bit_for_bit(d, widest):
             assert got.tobytes() == pure_mask(amps, ion, levels, n, d).tobytes()
 
 
+def loss_branch_split(alpha, phi, mode):
+    """Pre-readout state and outcome probabilities of the shrunk measurement."""
+    return _shrunk_split(qnd_detect(apply_loss(encode(alpha), phi), force_branch="loss").state,
+                         mode)
+
+
 def loss_branch_posts():
     """Both shrunk outcomes' post states of the loss branch, in both modes, at a
     few (alpha, phi)."""
     for alpha, phi, mode in itertools.product((0.0, 0.7, math.pi / 2), (0.5 * math.pi, 1.9),
                                               ("exact", "toolbox")):
-        detected = qnd_detect(apply_loss(encode(alpha), phi), force_branch="loss").state
-        pre, probs = _shrunk_split(detected, mode)
+        pre, probs = loss_branch_split(alpha, phi, mode)
         for pick in (0, 1):
             assert probs[pick] > 1e-3
             yield (alpha, phi, mode, pick), _shrunk_post(pre, mode, pick)
@@ -156,7 +161,13 @@ def test_frame_fix_is_the_z_permutation(case, post):
 
 @pytest.mark.parametrize("case,post", list(loss_branch_posts()), ids=str)
 def test_noise_hits_are_the_dense_extended_paulis(case, post):
-    for qubit, letter in itertools.product(SURVIVING_QUBITS, "XYZ"):
-        dense = _apply_checked(post, _extended_pauli(letter, 3), (qubit,)).amps
-        assert np.array_equal(_apply_noise(post, (qubit, letter)).amps, dense)
-    assert _apply_noise(post, None) is post
+    alpha, phi, mode, pick = case
+    branches = (None, loss_branch_split(alpha, phi, mode)[0])
+    leaf = lambda hit: _leaf(branches, mode, (2 + pick) * _HIT_CODES + hit)[0].amps
+    fixed = apply_frame_correction(post, PauliFrame(1 - 2 * pick))
+    assert np.array_equal(leaf(0), fixed.amps)
+    # hit code 1 + 4 * qubit index + letter index in IXYZ
+    for hit, (qubit, letter) in enumerate(itertools.product(SURVIVING_QUBITS, "IXYZ"), 1):
+        if letter != "I":
+            dense = _apply_checked(fixed, _extended_pauli(letter, 3), (qubit,)).amps
+            assert np.array_equal(leaf(hit), dense)

@@ -1,5 +1,7 @@
 """Full loss detection/correction program: encoding, branching, reconstruction."""
 
+import functools
+import itertools
 import json
 import math
 
@@ -11,10 +13,12 @@ from scipy import sparse
 from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
 from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotation,
                          compile_gate, loss_rotation)
-from qloss.protocol import (SURVIVING_QUBITS, PauliFrame,
-                            ProtocolError, _code, _detect, _explicit_key, _explicit_state,
-                            _hit, _noise_hits,
-                            _shrunk_correct,
+import qloss.protocol as protocol
+from qloss.protocol import (ANCILLA, SURVIVING_QUBITS, PauliFrame,
+                            ProtocolError, _code, _detect, _detection_unit, _explicit_key,
+                            _explicit_state, _HIT_CODES, _leaf, _noise_hits,
+                            _outcome_thresholds,
+                            _shrunk_correct, _shrunk_split,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
                             code_space_projector, detection_ops, detection_sweep, encode,
                             encode_ops, four_qubit_code, frame_update, logical_target,
@@ -22,7 +26,8 @@ from qloss.protocol import (SURVIVING_QUBITS, PauliFrame,
                             records_to_jsonl, run_protocol, seed_for,
                             shrunk_stabilizer, three_qubit_code)
 from qloss.qudit import (ContractViolation, DensityOperator, Level, PauliString, PureState,
-                         SeedDomain, apply_unitary, draw_outcome, make_state, partial_trace,
+                         SeedDomain, apply_unitary, collapse, draw_outcome, make_state,
+                         partial_trace,
                          pure_expectation, readout_partition, truncated_pauli)
 
 
@@ -421,7 +426,20 @@ class TestTrajectories:
         rows[:2, 2] = 0.0   # rows 0 and 1 are hit, row 2 is not
         rows[1, 3:5] = 0.0  # the first qubit and the letter I: no hit after all
         codes = _noise_hits(0.5, rows).tolist()
-        assert [_hit(c) for c in codes] == [(SURVIVING_QUBITS[-1], "Z"), None, None]
+        assert codes == [_HIT_CODES - 1, 0, 0]
+        # the last code is a Z on the last surviving qubit
+        lost = qnd_detect(apply_loss(encode(0.7), 1.3), force_branch="loss").state
+        branches = (None, _shrunk_split(lost, "exact")[0])
+        plain, hit = (_leaf(branches, "exact", 2 * _HIT_CODES + code)[0]
+                      for code in (0, codes[0]))
+        z = apply_unitary(plain, _extended_pauli("Z", 3), (SURVIVING_QUBITS[-1],))
+        assert np.array_equal(hit.amps, z.amps)
+
+    def test_branch_without_a_shot_has_no_sampled_means(self):
+        res = run_protocol(0.3, 0.0, shots=20, seed=2)
+        assert res.branch_counts() == {"loss": 0, "no_loss": 20}
+        assert res.sampled_means("loss") == {}
+        assert res.sampled_means("no_loss").keys() == res.no_loss.observables.keys()
 
     def test_records_are_json_lines(self):
         res = run_protocol(0.3, 0.9, shots=20, seed=2)
@@ -461,6 +479,122 @@ class TestTrajectories:
         n = res.branch_counts()["loss"]
         sigma = math.sqrt(target * (1 - target) / n)
         assert abs(means["P_CS"] - target) <= 4 * sigma
+
+
+def hit_weights(p_mix: float) -> dict[int, float]:
+    """Weight of each hit code that ``_noise_hits`` can emit: none, then one per
+    (surviving qubit, X/Y/Z).  Codes 1, 5 and 9 (the letter I) are no hit."""
+    weights = {0: (1 - p_mix) + p_mix / 4}
+    for q in range(len(SURVIVING_QUBITS)):
+        weights.update({1 + 4 * q + letter: p_mix / 12 for letter in (1, 2, 3)})
+    return weights
+
+
+def leaf_tree(alpha, phi, noise, mode):
+    """The branches ``_leaf`` reads and every leaf code with its exact weight:
+    detection probability x shrunk probability x hit weight."""
+    detected, sets, det_probs = _detection_unit(apply_loss(encode(alpha), phi))
+    pre, shrunk_probs = _shrunk_split(collapse(detected, ANCILLA, sets[1]), mode)
+    p_mix = mixing_probability(phi, noise.p_qnd) if noise.enabled else 0.0
+    weights = {0: det_probs[0]}
+    for pick, (hit, w) in itertools.product((0, 1), hit_weights(p_mix).items()):
+        weights[(2 + pick) * _HIT_CODES + hit] = det_probs[1] * shrunk_probs[pick] * w
+    return (collapse(detected, ANCILLA, sets[0]), pre), weights
+
+
+@functools.lru_cache(maxsize=None)
+def cached_analytic_run(alpha, phi, noise):
+    return analytic_run(alpha, phi, noise)
+
+
+LEAF_NOISES = {"off": NoiseModel(),
+               "pqnd=0.033": NoiseModel(p_qnd=0.033, mode="depolarizing_per_qubit"),
+               "pqnd=0.3": NoiseModel(p_qnd=0.3, mode="depolarizing_per_qubit")}
+
+
+class TestLeafTree:
+    """Every shot of ``run_protocol`` ends on a leaf that ``_leaf`` defines; the
+    leaves, weighted exactly, are the density oracle."""
+
+    @pytest.mark.parametrize("alpha", [0.0, math.pi, math.pi / 2, 0.7, 1.3])
+    @pytest.mark.parametrize("mode", ["exact", "toolbox"])
+    @pytest.mark.parametrize("noise", list(LEAF_NOISES))
+    def test_leaf_average_is_the_analytic_run(self, noise, mode, alpha):
+        model = LEAF_NOISES[noise]
+        for phi in np.linspace(0.05 * math.pi, 1.95 * math.pi, 9):
+            branches, weights = leaf_tree(alpha, phi, model, mode)
+            sums = {"no_loss": {}, "loss": {}}
+            probs = {"no_loss": 0.0, "loss": 0.0}
+            for leaf, weight in weights.items():
+                if weight == 0:
+                    continue
+                state, code, record = _leaf(branches, mode, leaf)
+                branch, pick = record[0], leaf // _HIT_CODES % 2
+                assert record == (("no_loss", 0, None, 1) if leaf == 0
+                                  else ("loss", 1, 1 - 2 * pick, 1 - 2 * pick))
+                probs[branch] += weight
+                # an output reads 1 below its threshold, else its other value
+                for name, p_one, other in _outcome_thresholds(state, code):
+                    mean = p_one + (1 - p_one) * other
+                    sums[branch][name] = sums[branch].get(name, 0.0) + weight * mean
+            res = cached_analytic_run(alpha, float(phi), model)
+            for branch, summary in (("no_loss", res.no_loss), ("loss", res.loss)):
+                assert abs(probs[branch] - summary.probability) <= 1e-12
+                assert sums[branch].keys() == summary.observables.keys()
+                for name, total in sums[branch].items():
+                    assert abs(total / probs[branch] - summary.observables[name]) <= 1e-12, \
+                        (noise, mode, alpha, phi, branch, name)
+
+    #: uniforms per column of the stratified grids, (k + 1/2)/N
+    N_HIT, N_PATH = 48, 64
+
+    @staticmethod
+    def grid(n: int, columns: int) -> np.ndarray:
+        """The product grid of (k + 1/2)/n over ``columns`` columns, one row per point."""
+        axis = (np.arange(n) + 0.5) / n
+        return np.stack(np.meshgrid(*[axis] * columns, indexing="ij"), -1).reshape(-1, columns)
+
+    @pytest.mark.parametrize("p_mix", [1.0, 0.3, mixing_probability(0.1 * math.pi, 0.033)])
+    def test_noise_hits_draw_the_hit_weights(self, p_mix):
+        n = self.N_HIT
+        rows = np.zeros((n**3, protocol._SHOT_WIDTH))
+        rows[:, [protocol._HIT, protocol._HIT_QUBIT, protocol._HIT_LETTER]] = self.grid(n, 3)
+        codes, counts = np.unique(_noise_hits(p_mix, rows), return_counts=True)
+        weights = hit_weights(p_mix)
+        assert set(codes.tolist()) <= weights.keys()
+        fractions = dict(zip(codes.tolist(), (counts / len(rows)).tolist()))
+        for code, weight in weights.items():
+            assert abs(fractions.get(code, 0.0) - weight) <= 1 / n, (code, weight)
+
+    @pytest.mark.parametrize("mode", ["exact", "toolbox"])
+    @pytest.mark.parametrize("alpha,phi", [(math.pi / 2, 0.5 * math.pi), (0.7, 1.3)])
+    def test_detection_and_shrunk_columns_draw_the_path_weights(self, monkeypatch, mode,
+                                                                 alpha, phi):
+        n = self.N_PATH
+        block = np.full((n**2, protocol._SHOT_WIDTH), 0.5)
+        block[:, [protocol._DETECT, protocol._SHRUNK]] = self.grid(n, 2)
+
+        class GridRows:
+            def random(self, shape):
+                assert shape == block.shape
+                return block
+
+        monkeypatch.setattr(protocol, "seed_for", lambda *key: GridRows())
+        model = LEAF_NOISES["pqnd=0.3"]
+        records = run_protocol(alpha, phi, shots=len(block), noise=model,
+                               shrunk_mode=mode).records
+        _, weights = leaf_tree(alpha, phi, model, mode)
+        paths = {}
+        for leaf, weight in weights.items():
+            path = leaf // _HIT_CODES
+            paths[path] = paths.get(path, 0.0) + weight
+        counts = {}
+        for rec in records:
+            path = 0 if rec.branch == "no_loss" else 2 + (rec.shrunk_outcome == -1)
+            counts[path] = counts.get(path, 0) + 1
+        assert counts.keys() <= paths.keys()
+        for path, weight in paths.items():
+            assert abs(counts.get(path, 0) / len(block) - weight) <= 1 / n, (path, weight)
 
 
 class TestDetectionSweep:
@@ -622,6 +756,12 @@ class TestDetectionSweep:
             detection_sweep([0.1], shots=10, register=3)
         with pytest.raises(ValueError):
             detection_sweep([0.1], shots=10, register=5, hiding="telepathy")
+
+    def test_analytic_mode_rejects_addressing_errors(self):
+        # the analytic rows are the error-free sin^2(phi/2)
+        with pytest.raises(ValueError, match="no addressing errors"):
+            detection_sweep(self.GRID, shots=0, analytic=True, register=5,
+                            addressing_error=0.05)
 
     @pytest.mark.parametrize("analytic", [False, True])
     def test_empty_grid_raises(self, analytic):

@@ -477,6 +477,12 @@ class TestTableReport:
         assert math.isnan(loss.values["S2Z"])
         assert list(loss.values.keys()) == list(TABLE_COLUMNS)
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_no_loss_row_at_zero_loss(self, sampled):
+        rows = table_report(alphas=(0.0, math.pi / 2), phis=(0.0,), sampled=sampled,
+                            shots_per_setting={0.0: 20})
+        assert [r.section for r in rows] == ["encoding", "no_loss"] * 2
+
     def test_sampled_mode_reports_errors(self):
         rows = table_report(alphas=(0.0,), phis=(0.5 * math.pi,), sampled=True,
                             shots_per_setting={0.5 * math.pi: 50}, seed=4)
