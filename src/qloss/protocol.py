@@ -27,10 +27,10 @@ from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_
                     compile_gate, loss_rotation, ms_gate)
 from .qudit import (DensityOperator, Level, PauliString, PureState, SeedDomain,
                     UndefinedExpectationError, _apply_checked, _block_perm, _conjugate,
-                    _gather_cached, _half_projection, _occupied_block, _on_block,
-                    _outcome_cdf, _permute_rows, collapse, draw_outcome, expectation,
-                    make_state, outcome_probabilities, partial_trace, pure_expectation,
-                    readout_partition, seed_for)
+                    _gather_cached, _half_projection, _level_mask, _occupied_block,
+                    _on_block, _outcome_cdf, _permute_rows, collapse, draw_outcome,
+                    expectation, make_state, outcome_probabilities, partial_trace,
+                    pure_expectation, readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -673,29 +673,42 @@ class SweepResult:
 _SWEEP_WIDTH = 2 + 4 * 3
 
 
-def _explicit_key(fired: tuple[bool, ...]) -> tuple[tuple[bool, bool], ...]:
-    """What the readout can see of a pulse pattern: the sorted per-spectator
-    (p0, p1) hide pairs.  ``fired`` says which transfer pulses fire, in
-    application order: hide, then unhide; per spectator pulse p0, then p1.
+@lru_cache(maxsize=None)
+def _sector_inputs(n: int) -> PureState:
+    """The sum over k = 0 .. n - 2 of the all-|0> register with spectators
+    k+1 .. n-2 hidden by their p0 pulse, at |H0> (read-only, one per width)."""
+    p0 = _transfer_pulses()[0]
+    amps = np.zeros(5**n, dtype=complex)
+    for k in range(n - 1):
+        state = make_state(n, 5, [0] * n)
+        for ion in range(k + 1, n - 1):
+            state = _apply_checked(state, p0, (ion,))
+        amps += state.amps
+    amps.setflags(write=False)
+    return PureState(n, 5, amps)
 
-    The readout looks at ion 0 and the ancilla only.  The unhide pulses act on
-    spectators after the last gate on either of them, and the all-|0> start
-    and the collective detection gates treat the spectators alike.
+
+def _exposure_sectors(phi: float, n: int) -> PureState:
+    """Pre-readout state of five-level hiding for every exposed count at once.
+
+    Sector k (k = 0 .. n - 2) starts with spectators 1..k exposed and the rest
+    hidden (:func:`_sector_inputs`), so the state has norm n - 1.  The
+    detection gates act as the identity on |H0>, so the sectors stay
+    disjoint, and every product stays whole-register at the same width: each
+    sector's amplitudes take exactly the operations they take alone, and the
+    other sectors add exact zeros.
     """
-    hide = fired[:len(fired) // 2]
-    return tuple(sorted(zip(hide[0::2], hide[1::2])))
+    return _detect(apply_loss(_sector_inputs(n), phi), tuple(range(n)))
 
 
-def _explicit_state(phi: float, n: int, hides: tuple[tuple[bool, bool], ...]
-                    ) -> PureState:
-    """Pre-readout state of five-level hiding, with the hide pulses ``hides``
-    (per spectator 1, 2, ...: whether p0 and p1 fired) and no unhide pulses."""
-    state = apply_loss(make_state(n, 5, [0] * n), phi)
-    for ion, fires in enumerate(hides, 1):
-        for fire, pulse in zip(fires, _transfer_pulses()):
-            if fire:
-                state = _apply_checked(state, pulse, (ion,))
-    return _detect(state, tuple(range(n)))
+def _exposure_sector(state: PureState, k: int) -> PureState:
+    """Sector ``k`` of :func:`_exposure_sectors`: spectators 1..k off |H0>, the
+    others on it; the other sectors' amplitudes masked to zero."""
+    spectators = range(1, state.n_ions - 1)
+    tens = state.amps.reshape([state.dims] * state.n_ions)
+    tens = _level_mask(tens, spectators[:k], set(Level) - {Level.H0})
+    tens = _level_mask(tens, spectators[k:], [Level.H0])
+    return PureState(state.n_ions, state.dims, tens)
 
 
 def _sweep_readout(state: PureState, ancilla: int, partition: Sequence[frozenset[Level]]
@@ -725,6 +738,15 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
     addressing-error probability.  The ideal hiding exposes a spectator when
     either of its two hide pulses is skipped.  Both registers read the same
     readout columns, so without addressing errors they count alike.
+
+    The explicit pulses expose a spectator exactly when its p0 hide pulse
+    (|0> <-> |H0>) is skipped: p1 (|1> <-> |H1>) is an exact no-op on a
+    ground-state spectator, and the unhide pulses act after the last gate on
+    ion 0 and the ancilla.  The all-|0> start and the collective gates treat
+    the spectators alike, so a shot with k exposed spectators reads as
+    spectators 1..k exposed.  One detection run per angle carries the sectors
+    k = 0 .. n - 2 side by side (:func:`_exposure_sectors`), and each shot reads
+    the sector of its k.
     """
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must not be empty")
@@ -754,33 +776,28 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
             rows.append(SweepRow(phi, p_leak, p_leak, 0.0, 0.0, 0))
             continue
         block = seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx).random((shots, _SWEEP_WIDTH))
-        fired = block[:, 2:2 + 4 * len(spectators)] >= addressing_error
-        # shots whose pulse patterns look alike to the readout share its
-        # probabilities: one cdf row per readout-visible pattern
-        raws, raw_of = np.unique(fired, axis=0, return_inverse=True)
-        patterns: dict[tuple, int] = {}
-        pattern_of = []
-        for raw in raws.tolist():
-            if explicit:
-                pattern = _explicit_key(tuple(raw))
-            else:
-                hide = raw[:2 * len(spectators)]
-                pattern = tuple(i for i, p0, p1 in zip(spectators, hide[0::2], hide[1::2])
-                                if not (p0 and p1))
-            pattern_of.append(patterns.setdefault(pattern, len(patterns)))
-        ancilla_cdfs = np.empty((len(patterns), 2))
-        level_cdfs = np.full((len(patterns), 2, dims), np.nan)
-        for pattern, i in patterns.items():
-            state = (_explicit_state(phi, n, pattern) if explicit
-                     else _detect(apply_loss(make_state(n, 3, [0] * n), phi),
-                                  (0,) + pattern + (ancilla,)))
+        hide = block[:, 2:2 + 2 * len(spectators)] >= addressing_error
+        p0, p1 = hide[:, 0::2], hide[:, 1::2]
+        # shots that look alike to the readout share its probabilities: one
+        # cdf row per exposed count (explicit) or exposed set (mask)
+        if explicit:
+            keys, which = np.unique((~p0).sum(axis=1), return_inverse=True)
+            sectors = _exposure_sectors(phi, n)
+            states = (_exposure_sector(sectors, k) for k in keys.tolist())
+        else:
+            keys, which = np.unique(~(p0 & p1), axis=0, return_inverse=True)
+            lost = apply_loss(make_state(n, 3, [0] * n), phi)
+            states = (_detect(lost, (0,) + tuple(s for s, e in zip(spectators, key) if e)
+                              + (ancilla,)) for key in keys.tolist())
+        ancilla_cdfs = np.empty((len(keys), 2))
+        level_cdfs = np.full((len(keys), 2, dims), np.nan)
+        for i, state in enumerate(states):
             probs, levels = _sweep_readout(state, ancilla, partition)
             ancilla_cdfs[i] = _outcome_cdf(probs)
             for k, lv in levels.items():
                 level_cdfs[i, k] = _outcome_cdf(lv)
         # an outcome is the count of cdf entries at or below its uniform
         # (bisect_right); a NaN row, of an outcome that never occurs, counts none
-        which = np.asarray(pattern_of)[raw_of]
         out_a = np.sum(ancilla_cdfs[which] <= block[:, :1], axis=1)
         lvl = np.sum(level_cdfs[which, out_a] <= block[:, 1:2], axis=1)
         detected, true_leak = out_a == 1, lvl == Level.L2

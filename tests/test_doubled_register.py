@@ -144,7 +144,13 @@ def loss_branch_posts():
             yield (alpha, phi, mode, pick), _shrunk_post(pre, mode, pick)
 
 
-@pytest.mark.parametrize("case,post", list(loss_branch_posts()), ids=str)
+#: the loss-branch posts as parameters, each named by its case, not its amplitudes
+LOSS_BRANCH_POSTS = [
+    pytest.param(case, post, id="alpha{:.4g}-phi{:.4g}-{}-pick{}".format(*case))
+    for case, post in loss_branch_posts()]
+
+
+@pytest.mark.parametrize("case,post", LOSS_BRANCH_POSTS)
 def test_frame_fix_is_the_z_permutation(case, post):
     fixed = apply_frame_correction(post, PauliFrame(-1)).amps
     # bitwise: the dense Z on the first surviving qubit
@@ -159,7 +165,7 @@ def test_frame_fix_is_the_z_permutation(case, post):
     assert apply_frame_correction(post, PauliFrame()) is post
 
 
-@pytest.mark.parametrize("case,post", list(loss_branch_posts()), ids=str)
+@pytest.mark.parametrize("case,post", LOSS_BRANCH_POSTS)
 def test_noise_hits_are_the_dense_extended_paulis(case, post):
     alpha, phi, mode, pick = case
     branches = (None, loss_branch_split(alpha, phi, mode)[0])

@@ -15,9 +15,9 @@ from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotati
                          compile_gate, loss_rotation)
 import qloss.protocol as protocol
 from qloss.protocol import (ANCILLA, SURVIVING_QUBITS, PauliFrame,
-                            ProtocolError, _code, _detect, _detection_unit, _explicit_key,
-                            _explicit_state, _HIT_CODES, _leaf, _noise_hits,
-                            _outcome_thresholds,
+                            ProtocolError, _code, _detect, _detection_unit,
+                            _exposure_sector, _exposure_sectors, _HIT_CODES, _leaf,
+                            _noise_hits, _outcome_thresholds,
                             _shrunk_correct, _shrunk_split,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
                             code_space_projector, detection_ops, detection_sweep, encode,
@@ -670,6 +670,7 @@ class TestDetectionSweep:
         true leak) counts of every prefix of its shots."""
         explicit = hiding == "explicit"
         partition = readout_partition(5 if explicit else 3)
+        full_pattern_state = functools.lru_cache(TestDetectionSweep.full_pattern_state)
         out = []
         for pi_idx, phi in enumerate(phi_grid):
             block = seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx).random((shots, 14))
@@ -677,7 +678,7 @@ class TestDetectionSweep:
             for row in block.tolist():
                 fired = tuple(u >= addressing_error for u in row[2:])
                 if explicit:
-                    state = _explicit_state(phi, 5, _explicit_key(fired))
+                    state = full_pattern_state(phi, fired)
                 else:
                     exposed = tuple(ion for ion in (1, 2, 3)
                                     if not (fired[2 * ion - 2] and fired[2 * ion - 1]))
@@ -732,22 +733,48 @@ class TestDetectionSweep:
         reg.run(detection_ops(tuple(range(5))))
         return pulse_pair(reg.state, fired[6:])
 
-    @pytest.mark.parametrize("phi", [0.3 * math.pi, math.pi / 2, 0.9 * math.pi])
-    def test_memo_key_keeps_the_readout_bit_identical(self, phi):
+    @pytest.mark.parametrize("phi", [0.0, 0.3 * math.pi, math.pi / 2, 0.9 * math.pi,
+                                     math.pi])
+    def test_sector_readout_is_the_full_pulse_readout(self, phi):
+        """Every hide pattern, with random unhide pulses, reads bit for bit as the
+        sector of its count of skipped p0 pulses."""
         rng = np.random.default_rng(round(phi * 1000))
-        patterns = {(True,) * 12}
-        while len(patterns) < 41:
-            patterns.add(tuple(bool(b) for b in rng.integers(0, 2, 12)))
         partition = readout_partition(5)
-        for fired in patterns:
+        sectors = _exposure_sectors(phi, 5)
+        seen = set()
+        for hide in itertools.product((False, True), repeat=6):
+            fired = hide + tuple(bool(b) for b in rng.integers(0, 2, 6))
+            k = hide[0::2].count(False)
+            seen.add(k)
             full = _sweep_readout(self.full_pattern_state(phi, fired), 4, partition)
-            keyed = _sweep_readout(_explicit_state(phi, 5, _explicit_key(fired)), 4,
-                                   partition)
-            assert np.array_equal(full[0], keyed[0])
-            assert full[1].keys() == keyed[1].keys()
+            sector = _sweep_readout(_exposure_sector(sectors, k), 4, partition)
+            assert np.array_equal(full[0], sector[0])
+            assert full[1].keys() == sector[1].keys()
             for outcome, levels in full[1].items():
-                assert np.array_equal(levels, keyed[1][outcome])
-        assert len({_explicit_key(fired) for fired in patterns}) < len(patterns)
+                assert np.array_equal(levels, sector[1][outcome])
+        assert seen == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_sector_readout_is_the_mask_readout(self, k):
+        """Sector k reads as the three-level mask model with spectators 1..k in
+        the detection support; the hiding levels stay empty."""
+        for phi in np.linspace(0.0, 2 * math.pi, 23):
+            sector = _sweep_readout(_exposure_sector(_exposure_sectors(phi, 5), k), 4,
+                                    readout_partition(5))
+            mask = _sweep_readout(_detect(apply_loss(make_state(5, 3, [0] * 5), phi),
+                                          (0, *range(1, k + 1), 4)), 4, readout_partition(3))
+            assert np.max(np.abs(sector[0] - mask[0])) <= 1e-12
+            assert sector[1].keys() == mask[1].keys()
+            for outcome, levels in mask[1].items():
+                assert np.max(np.abs(sector[1][outcome] - np.pad(levels, (0, 2)))) <= 1e-12
+
+    def test_all_hidden_sector_is_the_analytic_rate(self):
+        grid = list(np.linspace(0.0, 2 * math.pi, 23))
+        analytic = detection_sweep(grid, shots=0, register=5, analytic=True)
+        for phi, row in zip(grid, analytic.rows):
+            probs, _ = _sweep_readout(_exposure_sector(_exposure_sectors(phi, 5), 0), 4,
+                                      readout_partition(5))
+            assert abs(probs[1] - row.detected_loss) <= 1e-12
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
