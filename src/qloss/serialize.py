@@ -3,13 +3,18 @@
 Every emitted file starts with a comment block echoing the tool version,
 the configuration, a content hash of that configuration, and the master
 seed, so identical (config, seed) pairs produce byte-identical files.
+
+A matrix is written as its nonzero support: ``shape``, the ascending
+``rows`` and ``cols`` that hold a nonzero entry, and ``data``, the
+row-major [re, im] pairs of that block.  Every entry outside the block is
++0.0, so a 243x243 density matrix on a 24-row block takes 576 pairs, not
+59,049.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,20 +28,23 @@ def fmt(x: float) -> str:
 
 
 def matrix_to_json_dict(mat: np.ndarray, kind: str, basis_order: str) -> dict:
-    """Row-major [re, im] pair encoding with an explicit basis-order field.
-
-    ``data`` is an (n, 2) float array, which :func:`write_json` writes as the
-    list of [re, im] pairs.
-    """
+    """The matrix as its nonzero support, with an explicit basis-order field."""
     mat = np.asarray(mat, dtype=complex)
-    data = np.stack([mat.real.reshape(-1), mat.imag.reshape(-1)], axis=1)
-    return {"kind": kind, "basis_order": basis_order,
-            "shape": list(mat.shape), "data": data}
+    nonzero = mat != 0
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    block = mat[np.ix_(rows, cols)]  # a fresh C-ordered copy
+    return {"kind": kind, "basis_order": basis_order, "shape": list(mat.shape),
+            "rows": rows.tolist(), "cols": cols.tolist(),
+            "data": block.view(float).reshape(-1, 2).tolist()}
 
 
 def matrix_from_json_dict(d: Mapping) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in d["data"]])
-    return flat.reshape(tuple(d["shape"]))
+    """The matrix of :func:`matrix_to_json_dict`, +0.0 outside its support."""
+    rows, cols = d["rows"], d["cols"]
+    pairs = np.array(d["data"], dtype=float).reshape(len(rows) * len(cols), 2)
+    mat = np.zeros(tuple(d["shape"]), dtype=complex)
+    mat[np.ix_(rows, cols)] = pairs.view(complex).reshape(len(rows), len(cols))
+    return mat
 
 
 def config_hash(config: Mapping[str, object]) -> str:
@@ -76,37 +84,9 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[str],
         fh.write("\n".join(lines) + "\n")
 
 
-#: a line of ``json.dumps`` output whose value is the placeholder of array ``\3``
-_DEFERRED = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
-
-
-def _pairs_text(pairs: np.ndarray, indent: str) -> str:
-    """``json.dumps(pairs.tolist(), indent=2, allow_nan=False)`` for an (n, 2) float
-    array whose key sits at ``indent``; ``json`` writes a float with
-    ``float.__repr__``, as ``%r`` does."""
-    if not np.isfinite(pairs).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    if len(pairs) == 0:
-        return "[]"
-    pair = f"{indent}  [\n{indent}    %r,\n{indent}    %r\n{indent}  ]"
-    return ("[\n" + ",\n".join([pair] * len(pairs)) % tuple(pairs.reshape(-1).tolist())
-            + f"\n{indent}]")
-
-
 def write_json(path: str, header: Sequence[str], payload: object) -> None:
     """``payload`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
-    below the header; the (n, 2) ``data`` arrays of :func:`matrix_to_json_dict`
-    are written as their lists of pairs, without the generic encoder."""
-    arrays: list[np.ndarray] = []
-
-    def defer(obj: object) -> str:
-        if not isinstance(obj, np.ndarray):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        arrays.append(obj)
-        return f"\0{len(arrays) - 1}"
-
-    body = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=defer)
-    body = _DEFERRED.sub(lambda m: m[1] + m[2] + _pairs_text(arrays[int(m[3])], m[1]), body)
-    text = "\n".join(header) + "\n" + body + "\n"
+    below the header."""
+    body = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write("\n".join(header) + "\n" + body + "\n")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +15,7 @@ from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, MAX_SHOTS, main,
 from qloss.lattice import ConsistencyError, PercolationResult
 from qloss.protocol import ProtocolError
 from qloss.qudit import ContractViolation
-from qloss.serialize import write_json
+from qloss.serialize import matrix_from_json_dict, write_json
 
 
 @pytest.fixture
@@ -283,6 +284,53 @@ class TestChoiCommand:
         payload = json.loads("\n".join(l for l in read_lines(out)
                                        if not l.startswith("#")))
         assert payload["results"][0]["process_fidelity_vs_ideal"] > 0.8
+
+
+def json_body(path):
+    return json.loads("\n".join(l for l in read_lines(path) if not l.startswith("#")))
+
+
+class TestMatrixFiles:
+    """Every matrix a command writes reads back exactly from its support."""
+
+    @pytest.mark.parametrize("args", [
+        ["protocol", "--phi-grid", "0.1pi,0.2pi,0.5pi", "--shots", "3"],
+        ["protocol", "--alpha", "pi", "--phi", "0.5pi", "--shrunk-mode", "toolbox",
+         "--noise", "pqnd=0.033", "--shots", "3"],
+        ["choi", "--post-select", "0"],
+        ["choi", "--post-select", "1"],
+        ["choi", "--post-select", "0", "--shots", "1000"],
+        ["choi", "--post-select", "1", "--shots", "1000"],
+    ])
+    def test_written_matrices_read_back(self, runner, tmp_path, monkeypatch, args):
+        written = []
+
+        def recording(mat, *rest):
+            written.append(np.array(mat, dtype=complex))
+            return to_json(mat, *rest)
+
+        to_json = cli.matrix_to_json_dict
+        monkeypatch.setattr(cli, "matrix_to_json_dict", recording)
+        out = str(tmp_path / "run")
+        res = runner.invoke(main, args + ["--out", out])
+        assert res.exit_code == 0, res.output
+        if args[0] == "protocol":  # one file per matrix, echoed in write order
+            names = res.output.strip().removeprefix("wrote ").split(", ")
+            encoded = [json_body(n) for n in names if n.endswith(".json")]
+        else:
+            encoded = [e[key] for e in json_body(out)["results"] for key in ("choi", "ideal")]
+        assert len(encoded) == len(written) > 0
+        for enc, mat in zip(encoded, written):
+            got = matrix_from_json_dict(enc)
+            assert got.shape == mat.shape and np.array_equal(got, mat)
+            block = np.ix_(enc["rows"], enc["cols"])
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part))[block],
+                                      np.signbit(getattr(mat, part))[block])
+            # every listed row and column holds a nonzero entry, and no other does
+            nonzero = mat != 0
+            assert enc["rows"] == np.flatnonzero(nonzero.any(axis=1)).tolist()
+            assert enc["cols"] == np.flatnonzero(nonzero.any(axis=0)).tolist()
 
 
 class TestPercolationCommand:

@@ -5,7 +5,9 @@ Regenerate them with ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``
 only for a change that is meant to move them, and say so in CHANGES.md.  A
 NAME is a golden file (``sampled_tomography``), one seeded digest
 (``process_tomography.sampled``) or one CLI run (``protocol``); with none
-given, every file is rewritten.
+given, every file is rewritten.  It prints ``key: old → new`` for every digest
+it rewrites (for a value file, the sha1 of the file), so CHANGES.md can cite
+each move.
 """
 
 import hashlib
@@ -272,12 +274,29 @@ def _dump(name: str, payload) -> None:
         fh.write("\n")
 
 
+def _regenerate(name: str) -> None:
+    """Rewrite golden pin ``name`` and print ``key: old → new`` for every digest it
+    rewrites; a value file reports the sha1 of its bytes."""
+    if name in SEEDED:
+        file, new = "seeded_sha1", {name: _sha1(SEEDED[name]())}
+    elif name in CLI_RUNS:
+        file, new = "cli_sha1", {name: _cli_files(CLI_RUNS[name])}
+    else:
+        file, new = name, GENERATORS[name]()
+    path = GOLDEN / f"{file}.json"
+    old = _load(file) if path.exists() else {}
+    if file in ("seeded_sha1", "cli_sha1"):
+        before, after = _flatten({k: old.get(k) for k in new}), _flatten(new)
+        _dump(file, new if file == name else {**old, **new})
+    else:
+        before = {"": _sha1(path.read_bytes()) if path.exists() else None}
+        _dump(file, new)
+        after = {"": _sha1(path.read_bytes())}
+    for key, digest in after.items():
+        print(f"{file}{key}: {before.get(key)} → {digest}")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:] or list(GENERATORS):
-        if name in SEEDED:
-            _dump("seeded_sha1", {**_load("seeded_sha1"), name: _sha1(SEEDED[name]())})
-        elif name in CLI_RUNS:
-            _dump("cli_sha1", {**_load("cli_sha1"), name: _cli_files(CLI_RUNS[name])})
-        else:
-            _dump(name, GENERATORS[name]())
+        _regenerate(name)
