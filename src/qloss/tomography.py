@@ -247,17 +247,24 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     when the whole Choi trace is at most ATOL_TRACE.  It runs on the probed
     qubit and the ancilla, as ``detection_process`` explains.  Sampled inputs
     draw in ``PROCESS_INPUTS`` order from one generator, ``seed_for(seed,
-    SeedDomain.PROCESS_TOMOGRAPHY)``: each its retained shots per setting,
-    then their counts; an input of branch probability at most ATOL_TRACE
-    draws nothing.  An empty branch, or a sampled one empty for every input
-    or that retains no shot of any input, raises ``EmptyBranchError``.
+    SeedDomain.PROCESS_TOMOGRAPHY, post_select, lo, hi)`` with ``lo`` and
+    ``hi`` the low and high 32-bit words of φ's float64 bits: each input its
+    retained shots per setting, then their counts; an input of branch
+    probability at most ATOL_TRACE draws nothing.  An empty branch, or a
+    sampled one empty for every input or that retains no shot of any input,
+    raises ``EmptyBranchError``.
     """
+    if post_select not in (0, 1):
+        raise ValueError(f"post_select is the ancilla outcome to keep, 0 or 1, "
+                         f"got {post_select}")
     _check_shots(shots, "shots")
     est: dict[str, np.ndarray] = {}
     details: dict = {"phi": phi, "post_select": post_select, "inputs": {}}
     total_weight = 0.0
     retained = 0
-    rng = seed_for(seed, SeedDomain.PROCESS_TOMOGRAPHY)
+    bits = int(np.float64(phi).view(np.uint64))
+    rng = seed_for(seed, SeedDomain.PROCESS_TOMOGRAPHY, post_select,
+                   bits & 0xFFFFFFFF, bits >> 32)
     for label in PROCESS_INPUTS:
         prob, rho_q = detection_process(phi, label, post_select)
         details["inputs"][label] = {"branch_probability": prob}

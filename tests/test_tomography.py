@@ -288,6 +288,28 @@ class TestProcessTomography:
         with pytest.raises(ValueError):
             ideal_branch_choi(0.3, branch)
 
+    def test_neighbouring_angles_draw_different_counts(self):
+        # the generator is keyed by phi's bits, so the next float draws anew
+        phi = 0.3 * math.pi
+        _, near = process_tomography(phi, 0, shots=1000, seed=0)
+        _, next_up = process_tomography(np.nextafter(phi, 1), 0, shots=1000, seed=0)
+        assert ([v["counts"] for v in near["inputs"].values()]
+                != [v["counts"] for v in next_up["inputs"].values()])
+
+    def test_post_selections_draw_different_uniforms(self, monkeypatch):
+        keys = []
+
+        def recording(*args):
+            keys.append(args)
+            return seed_for(*args)
+
+        seed_for = tomography.seed_for
+        monkeypatch.setattr(tomography, "seed_for", recording)
+        for post in (0, 1):
+            process_tomography(0.5 * math.pi, post, shots=100, seed=0)
+        first, second = (seed_for(*key).random(8) for key in keys)
+        assert not np.any(first == second)
+
     def test_sampled_mode_statistics(self):
         phi = 0.3 * math.pi
         choi, _ = process_tomography(phi, 0, shots=4000, seed=5)
