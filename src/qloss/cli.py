@@ -36,7 +36,8 @@ MAX_GRID_POINTS = 10_000
 #: L=256, 130,561 edges, takes about 1 s and peaks at about 150 MB RSS, 120 MB of
 #: it above the bare interpreter; the built lattice holds about 40 MB)
 MAX_LATTICE_SIZE = 256
-#: most shots or samples a run may ask for, checked before any work
+#: most shots or samples a run may ask for (over a protocol grid, in total), checked
+#: before any work
 #: (`protocol --phi 0.5pi --shots 100000` takes 1.9-2.4 s and peaks at 165 MB
 #: RSS, against 0.29-0.40 s and 54 MB at 0 shots on a 2-vCPU host: about 18 us
 #: and 1.1 KB per shot, 278 B of it written as JSONL)
@@ -251,6 +252,9 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
     if len(set(tags)) < len(tags):
         raise ValueError(f"phi grid {phi_grid!r} repeats a value at 12 significant "
                          "digits, so two runs would write the same density files")
+    # every run's records are kept until the end, so the cap is on their total
+    counts = [preset_shots(p) if paper_shots else shots_n for p in phis]
+    _run_size(sum(counts), "total shots")
     model = NoiseModel() if ideal else parse_noise(noise)
     seed = ctx.obj["seed"]
     header = header_lines(ctx.params, seed)
@@ -258,8 +262,7 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
     records = []
     rows = []
     outputs = []
-    for phi_v, tag in zip(phis, tags):
-        n_shots = preset_shots(phi_v) if paper_shots else shots_n
+    for phi_v, tag, n_shots in zip(phis, tags, counts):
         res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
                            seed=seed, shrunk_mode=shrunk_mode)
         records.extend(res.records)

@@ -573,6 +573,14 @@ class TestNonFiniteInputs:
         assert "exceeds" in res.output
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_protocol_grid_caps_its_total_shots(self, runner, tmp_path):
+        # a grid keeps every run's records until the end, so the cap is on their sum
+        res = runner.invoke(main, ["protocol", "--phi-grid", "0:pi:2", "--shots",
+                                   str(MAX_SHOTS // 2 + 1), "--out", str(tmp_path / "run")])
+        assert res.exit_code == 2, res.output
+        assert "exceeds" in res.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_writer_refuses_nan(self, tmp_path):
         out = tmp_path / "x.json"
         with pytest.raises(ValueError):
