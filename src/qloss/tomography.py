@@ -248,11 +248,12 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     qubit and the ancilla, as ``detection_process`` explains.  Sampled inputs
     draw in ``PROCESS_INPUTS`` order from one generator, ``seed_for(seed,
     SeedDomain.PROCESS_TOMOGRAPHY, post_select, lo, hi)`` with ``lo`` and
-    ``hi`` the low and high 32-bit words of φ's float64 bits: each input its
-    retained shots per setting, then their counts; an input of branch
-    probability at most ATOL_TRACE draws nothing.  An empty branch, or a
-    sampled one empty for every input or that retains no shot of any input,
-    raises ``EmptyBranchError``.
+    ``hi`` the low and high 32-bit words of φ's float64 bits (-0.0 reads as
+    0.0, so equal angles share a stream): each input its retained shots per
+    setting, then their counts; an input of branch probability at most
+    ATOL_TRACE draws nothing.  An empty branch, or a sampled one empty for
+    every input or that retains no shot of any input, raises
+    ``EmptyBranchError``.
     """
     if post_select not in (0, 1):
         raise ValueError(f"post_select is the ancilla outcome to keep, 0 or 1, "
@@ -262,7 +263,7 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     details: dict = {"phi": phi, "post_select": post_select, "inputs": {}}
     total_weight = 0.0
     retained = 0
-    bits = int(np.float64(phi).view(np.uint64))
+    bits = int(np.float64(phi + 0.0).view(np.uint64))
     rng = seed_for(seed, SeedDomain.PROCESS_TOMOGRAPHY, post_select,
                    bits & 0xFFFFFFFF, bits >> 32)
     for label in PROCESS_INPUTS:

@@ -296,6 +296,11 @@ class TestProcessTomography:
         assert ([v["counts"] for v in near["inputs"].values()]
                 != [v["counts"] for v in next_up["inputs"].values()])
 
+    def test_signed_zero_angles_draw_the_same_counts(self):
+        _, plus = process_tomography(0.0, 0, shots=100, seed=0)
+        _, minus = process_tomography(-0.0, 0, shots=100, seed=0)
+        assert plus["inputs"] == minus["inputs"]
+
     def test_post_selections_draw_different_uniforms(self, monkeypatch):
         keys = []
 
