@@ -36,8 +36,8 @@ MAX_GRID_POINTS = 10_000
 #: L=256, 130,561 edges, takes about 1 s and peaks at about 150 MB RSS, 120 MB of
 #: it above the bare interpreter; the built lattice holds about 40 MB)
 MAX_LATTICE_SIZE = 256
-#: most shots or samples a run may ask for (over a protocol grid, in total), checked
-#: before any work
+#: most shots or samples a run may ask for (a protocol grid: in total), checked before
+#: any work
 #: (`protocol --phi 0.5pi --shots 100000` takes 1.9-2.4 s and peaks at 165 MB
 #: RSS, against 0.29-0.40 s and 54 MB at 0 shots on a 2-vCPU host: about 18 us
 #: and 1.1 KB per shot, 278 B of it written as JSONL)

@@ -256,7 +256,7 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     ``EmptyBranchError``.
     """
     if post_select not in (0, 1):
-        raise ValueError(f"post_select is the ancilla outcome to keep, 0 or 1, "
+        raise ValueError("post_select is the ancilla outcome to keep, 0 or 1, "
                          f"got {post_select}")
     _check_shots(shots, "shots")
     est: dict[str, np.ndarray] = {}

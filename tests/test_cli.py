@@ -303,13 +303,12 @@ class TestMatrixFiles:
         ["choi", "--post-select", "1", "--shots", "1000"],
     ])
     def test_written_matrices_read_back(self, runner, tmp_path, monkeypatch, args):
-        written = []
+        written, to_json = [], cli.matrix_to_json_dict
 
         def recording(mat, *rest):
             written.append(np.array(mat, dtype=complex))
             return to_json(mat, *rest)
 
-        to_json = cli.matrix_to_json_dict
         monkeypatch.setattr(cli, "matrix_to_json_dict", recording)
         out = str(tmp_path / "run")
         res = runner.invoke(main, args + ["--out", out])

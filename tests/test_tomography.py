@@ -302,13 +302,12 @@ class TestProcessTomography:
         assert plus["inputs"] == minus["inputs"]
 
     def test_post_selections_draw_different_uniforms(self, monkeypatch):
-        keys = []
+        keys, seed_for = [], tomography.seed_for
 
         def recording(*args):
             keys.append(args)
             return seed_for(*args)
 
-        seed_for = tomography.seed_for
         monkeypatch.setattr(tomography, "seed_for", recording)
         for post in (0, 1):
             process_tomography(0.5 * math.pi, post, shots=100, seed=0)
