@@ -33,8 +33,9 @@ EXIT_INVARIANT = 3
 #: most points a start:stop:count grid may have, checked before the grid is built
 MAX_GRID_POINTS = 10_000
 #: largest percolation lattice size, checked before any lattice is built (building
-#: L=256, 130,561 edges, takes about 1 s and peaks at about 150 MB RSS, 120 MB of
-#: it above the bare interpreter; the built lattice holds about 40 MB)
+#: L=256, 130,561 edges, takes about 0.6 s and peaks at about 220 MB RSS, 190 MB of
+#: it above the bare interpreter; the built lattice holds about 130 MB, 87 MB of it
+#: the adjacency, and stays in `build_lattice`'s cache until exit)
 MAX_LATTICE_SIZE = 256
 #: most shots or samples a run may ask for (a protocol grid: in total), checked before
 #: any work

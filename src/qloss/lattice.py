@@ -18,6 +18,13 @@ two nodes.  In the primal graph, every dangling top edge ends on node
 ``n_vertices`` and every dangling bottom edge on node ``n_vertices + 1``;
 in the dual graph, the two exterior regions are the last two cells.
 
+The loss-free geometry of each L is built and validated once per process
+(`build_lattice` keeps the last few sizes); every call gets its own
+generator lists over the shared frozensets, arrays and adjacency.  The
+adjacency lists each graph's node's (neighbour, edge) pairs in ascending
+edge order; it is built with the geometry, and `find_logical` walks it,
+skipping the lost edges, instead of rebuilding it for each loss pattern.
+
 Losing an edge merges its two dual cells: merged cells away from the
 terminal regions become superplaquettes (mod-2 product of their members),
 merged cells absorbed by a terminal are discarded, and every star simply
@@ -54,13 +61,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .qudit import PauliString, SeedDomain, seed_for
+
+#: per graph node, its (neighbour, edge) pairs in ascending edge order
+Adjacency = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class ConsistencyError(RuntimeError):
@@ -76,6 +87,8 @@ class LossLattice:
     is row e of both, and qubit e of every generator.  The primal graph has
     ``n_vertices + 2`` nodes and the dual graph ``n_cells``; in both, the
     last two nodes are the terminals a logical string runs between.
+    ``adjacency`` holds the same edges per node, primal graph first: it
+    ignores ``lost``, so every lattice derived from one geometry shares it.
     """
 
     L: int
@@ -87,47 +100,66 @@ class LossLattice:
     n_cells: int
     primal: np.ndarray = field(compare=False, repr=False)
     dual: np.ndarray = field(compare=False, repr=False)
+    adjacency: tuple[Adjacency, Adjacency] = field(compare=False, repr=False)
 
     def validate_commutation(self) -> None:
         """Every (Z, X) generator pair must share an even number of edges.
 
-        Edge e holds a Python int bitset of the Z generators on it: bit
-        ``zi - base[e]`` for generator zi, where ``base[e]`` is the lowest
-        generator on the edge.  Aligned at the lowest base among an X
-        generator's edges, their XOR leaves set exactly the Z generators that
-        X generator overlaps oddly, and the lowest of them is named.  The
-        offset keeps a bitset as wide as the spread of generators on one
-        edge: bit zi itself would make the check quadratic in the lattice.
+        Each (X generator, edge) incidence is joined with the Z generators on
+        that edge.  Sorted by (X, Z), the joined pairs form one run per pair
+        of generators that meet, as long as the number of edges they share.
+        The first odd run names the first X generator in list order that
+        anticommutes with any Z generator, with its lowest-indexed such
+        partner.
         """
         n_z = len(self.z_generators)
-        base, bits = [n_z] * self.n_edges, [0] * self.n_edges
-        for zi, zg in enumerate(self.z_generators):
-            for e in zg:
-                if bits[e]:
-                    bits[e] |= 1 << (zi - base[e])
-                else:
-                    base[e], bits[e] = zi, 1
-        base_of = base.__getitem__
-        for xg in filter(None, self.x_generators):   # an empty one overlaps nothing
-            low = min(map(base_of, xg))
-            odd = 0
-            for e in xg:
-                odd ^= bits[e] << (base[e] - low)
-            if odd:
-                zg = self.z_generators[low + (odd & -odd).bit_length() - 1]
-                raise ConsistencyError(
-                    f"generators {sorted(zg)} and {sorted(xg)} anticommute")
+        gens = self.z_generators + self.x_generators
+        sizes = np.fromiter(map(len, gens), dtype=np.int64, count=len(gens))
+        # every (generator, edge) incidence, generator-major: the Z ones first
+        edge = np.fromiter(chain.from_iterable(gens), dtype=np.int64)
+        owner = np.repeat(np.arange(len(gens)), sizes)
+        split = int(sizes[:n_z].sum())
+        z_edge, x_edge = edge[:split], edge[split:]
+        # the Z generators on edge e are on_edge[start[e]:start[e] + count[e]]
+        on_edge = owner[:split][np.argsort(z_edge, kind="stable")]
+        count = np.bincount(z_edge, minlength=self.n_edges)
+        start = np.cumsum(count) - count
+        k = count[x_edge]                     # Z generators met by each X incidence
+        first = np.cumsum(k) - k
+        at = np.arange(k.sum()) - np.repeat(first - start[x_edge], k)
+        pair = np.sort((np.repeat(owner[split:], k) - n_z) * n_z + on_edge[at])
+        # every run is even exactly when the sorted pairs repeat two by two
+        if not pair.size % 2 and (pair[::2] == pair[1::2]).all():
+            return
+        runs = np.flatnonzero(np.diff(pair, prepend=-1, append=-1))
+        odd = runs[np.flatnonzero(np.diff(runs) % 2)[0]]
+        xi, zi = divmod(int(pair[odd]), n_z)
+        raise ConsistencyError(f"generators {sorted(self.z_generators[zi])} and "
+                               f"{sorted(self.x_generators[xi])} anticommute")
 
     def validate_support(self) -> None:
-        for g in self.z_generators + self.x_generators:
-            if g & self.lost:
-                raise ConsistencyError("generator touches a lost edge")
+        if not all(map(self.lost.isdisjoint, chain(self.z_generators, self.x_generators))):
+            raise ConsistencyError("generator touches a lost edge")
 
 
 def build_lattice(L: int) -> LossLattice:
-    """Construct the loss-free lattice with its stabilizer generators."""
+    """The loss-free lattice with its stabilizer generators.
+
+    The geometry of each L is built and validated once (`_loss_free`); every
+    call returns it with generator lists of its own, so a caller may append
+    to them, over the shared frozensets, read-only arrays and adjacency.
+    """
     if L < 2:
         raise ValueError(f"linear size must be >= 2, got {L}")
+    lat = _loss_free(L)
+    return replace(lat, z_generators=list(lat.z_generators),
+                   x_generators=list(lat.x_generators))
+
+
+@lru_cache(maxsize=4)
+def _loss_free(L: int) -> LossLattice:
+    """The one validated loss-free lattice of size L (a survival sweep over
+    two sizes and a correction run at a third all stay cached)."""
     return _build_minimal() if L == 2 else _build_planar(L)
 
 
@@ -205,35 +237,49 @@ def _patch(L: int, primal: list[tuple[int, int]], dual: list[tuple[int, int]], *
         z_generators=[frozenset(s) for s in plaq],
         x_generators=[frozenset(s) for s in star],
         n_vertices=n_vertices, n_cells=n_cells,
-        primal=np.array(primal), dual=np.array(dual))
+        primal=np.array(primal), dual=np.array(dual),
+        adjacency=(_adjacency(primal, n_vertices + 2), _adjacency(dual, n_cells)))
     lat.primal.setflags(write=False)
     lat.dual.setflags(write=False)
     lat.validate_commutation()
     return lat
 
 
+def _adjacency(pairs: list[tuple[int, int]], n_nodes: int) -> Adjacency:
+    """Each node's (neighbour, edge) pairs, in ascending edge order."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for e, (a, b) in enumerate(pairs):
+        adjacency[a].append((b, e))
+        adjacency[b].append((a, e))
+    return tuple(map(tuple, adjacency))
+
+
 def apply_losses(lattice: LossLattice,
                  spec: Iterable[int] | float,
                  rng: np.random.Generator | None = None) -> LossLattice:
     """Mark edges lost, either an explicit list or an iid rate in [0, 1] with a
-    generator.  Any real scalar but a bool (an int or a numpy number too) is a rate."""
+    generator.  Any real scalar but a bool (an int or a numpy number too) is a rate;
+    a listed edge must be an integer (a Python or numpy int, not a bool)."""
     if isinstance(spec, numbers.Real) and not isinstance(spec, bool):
         rate = float(spec)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must lie in [0, 1], got {spec}")
         if rng is None:
             raise ValueError("iid loss rate requires a seeded generator")
-        mask = rng.random(lattice.n_edges) < rate
-        lost = frozenset(int(i) for i in np.nonzero(mask)[0])
+        lost = frozenset(np.flatnonzero(rng.random(lattice.n_edges) < rate).tolist())
     else:
-        listed = [int(e) for e in spec]
+        listed = list(spec)
+        for e in listed:
+            if isinstance(e, bool) or not isinstance(e, numbers.Integral):
+                raise ValueError(f"edge {e!r} is not an integer")
+        listed = [int(e) for e in listed]
         if len(set(listed)) != len(listed):
             raise ValueError("duplicate edge in explicit loss list")
         for e in listed:
             if not 0 <= e < lattice.n_edges:
                 raise IndexError(f"edge {e} out of range")
         lost = frozenset(listed)
-    return replace(lattice, lost=frozenset(lattice.lost | lost))
+    return replace(lattice, lost=lattice.lost | lost)
 
 
 def reform_stabilizers(lattice: LossLattice) -> LossLattice:
@@ -244,9 +290,11 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     class holding a terminal cell (one of the last two) merges into the
     boundary and is discarded; every other class is a plaquette, the mod-2
     product of its cells: the kept edges whose two cells carry different
-    labels, since a lost edge joins two cells of one class.  Plaquettes come
-    in the order of their smallest cell.  Commutation of the result is
-    re-verified exhaustively.
+    labels, since a lost edge joins two cells of one class.  Those edges'
+    (label, edge) pairs, stable-sorted by label, fall into one run per
+    plaquette, in the order of its smallest cell and each in ascending edge
+    order.  Support and commutation of the result are re-verified
+    exhaustively.
     """
     lost = lattice.lost
     lost_mask = np.zeros(lattice.n_edges, dtype=bool)
@@ -257,28 +305,29 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     labels = _components(a, b, terminals[-1] + 1)
 
     # the labels of every edge's two cells; they differ on kept edges only
-    cell_a, cell_b = labels[lattice.dual + lattice.n_vertices + 2].T
-    between = np.flatnonzero(cell_a != cell_b)
-    boundary = set(labels[terminals[2:]].tolist())
-    merged: dict[int, set[int]] = {}
-    for e, ca, cb in zip(between.tolist(), cell_a[between].tolist(),
-                         cell_b[between].tolist()):
-        for c in (ca, cb):
-            if c not in boundary:
-                merged.setdefault(c, set()).add(e)
-    z_gens = [frozenset(s) for _, s in sorted(merged.items())]
+    cells = labels[lattice.dual + lattice.n_vertices + 2]
+    between = np.flatnonzero(cells[:, 0] != cells[:, 1])
+    # (class, edge) pairs, edge-major; the boundary classes drop out
+    cls, edge = cells[between].ravel(), np.repeat(between, 2)
+    left, right = labels[terminals[2:]]
+    inner = (cls != left) & (cls != right)
+    cls, edge = cls[inner], edge[inner]
+    order = np.argsort(cls, kind="stable")
+    cls, edge = cls[order], edge[order].tolist()
+    cut = (np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
+    z_gens = [frozenset(edge[i:j]) for i, j in zip([0, *cut], [*cut, len(edge)])] if edge else []
 
     # losses can enclose an island: a surviving-graph component with no
     # terminal, whose shrunk stars multiply to the identity.  Drop the first
     # star of each island to keep the generator list independent.
-    node_label = labels.tolist()
-    end_a = lattice.primal[:, 0].tolist()
+    # both primal nodes of a kept edge carry its island's label
+    island = labels[lattice.primal[:, 0]].tolist()
     seen = set(labels[terminals[:2]].tolist())
     x_gens = []
     for g in lattice.x_generators:
         if not (shrunk := g - lost):
             continue
-        label = node_label[end_a[next(iter(shrunk))]]
+        label = island[next(iter(shrunk))]
         if label in seen:
             x_gens.append(shrunk)
         seen.add(label)
@@ -296,29 +345,31 @@ class LogicalSearch:
     t_x: PauliString | None
 
 
-def _terminal_path(pairs: np.ndarray, n_nodes: int, edges: Iterable[int]) -> list[int] | None:
-    """Edges of a shortest path over ``edges`` between the last two nodes, or None."""
-    end_a, end_b = pairs.T.tolist()
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for e in edges:
-        a, b = end_a[e], end_b[e]
-        adjacency[a].append((b, e))
-        adjacency[b].append((a, e))
-    source, target = n_nodes - 2, n_nodes - 1
-    prev: dict[int, tuple[int, int] | None] = {source: None}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            path = []
-            while prev[node] is not None:
-                node, edge = prev[node]
-                path.append(edge)
-            return path[::-1]
+def _terminal_path(adjacency: Adjacency, lost: frozenset[int]) -> list[int] | None:
+    """Edges of a shortest path between the last two nodes that avoids ``lost``, or None.
+
+    Breadth-first from the second-to-last node over each node's (neighbour,
+    edge) pairs in ascending edge order.  A node's predecessor is fixed when
+    the node is first reached, so the search ends as soon as it reaches the
+    last node.
+    """
+    source, target = len(adjacency) - 2, len(adjacency) - 1
+    # each reached node's (predecessor, edge from it); None until reached
+    prev: list[tuple[int, int] | None] = [None] * len(adjacency)
+    prev[source] = source, -1
+    queue = [source]
+    for node in queue:   # the queue grows while it is walked
         for nxt, edge in adjacency[node]:
-            if nxt not in prev:
-                prev[nxt] = (node, edge)
-                queue.append(nxt)
+            if prev[nxt] is not None or edge in lost:
+                continue
+            prev[nxt] = node, edge
+            if nxt == target:
+                path = []
+                while nxt != source:
+                    nxt, edge = prev[nxt]
+                    path.append(edge)
+                return path[::-1]
+            queue.append(nxt)
     return None
 
 
@@ -326,15 +377,15 @@ def find_logical(lattice: LossLattice) -> LogicalSearch:
     """Deformed logical operators avoiding all lost edges.
 
     Call after :func:`reform_stabilizers`; the returned strings commute with
-    every current generator and anticommute with each other.
+    every current generator and anticommute with each other.  Each is a
+    shortest terminal-to-terminal path over the geometry's adjacency (built
+    once per L with the loss-free lattice), skipping the lost edges.
     """
-    surviving = [e for e in range(lattice.n_edges) if e not in lattice.lost]
-    z_path = _terminal_path(lattice.primal, lattice.n_vertices + 2, surviving)
-    x_path = _terminal_path(lattice.dual, lattice.n_cells, surviving)
-    t_z = (PauliString.from_map(lattice.n_edges, {e: "Z" for e in z_path})
-           if z_path else None)
-    t_x = (PauliString.from_map(lattice.n_edges, {e: "X" for e in x_path})
-           if x_path else None)
+    primal, dual = lattice.adjacency
+    z_path = _terminal_path(primal, lattice.lost)
+    x_path = _terminal_path(dual, lattice.lost)
+    t_z = PauliString.from_map(lattice.n_edges, dict.fromkeys(z_path, "Z")) if z_path else None
+    t_x = PauliString.from_map(lattice.n_edges, dict.fromkeys(x_path, "X")) if x_path else None
     return LogicalSearch(t_z is not None and t_x is not None, t_z, t_x)
 
 
@@ -427,9 +478,13 @@ def survival_check(lattice: LossLattice, lost_mask: np.ndarray) -> bool:
 
     The mask is one coupled draw at rate 1/2: u = 0 on lost edges, 1 on
     kept ones, so the sample survives on the one-point grid [0.5] exactly
-    when its kept edges span both sides.
+    when its kept edges span both sides.  The mask holds one entry per edge:
+    any other shape raises ValueError.
     """
-    u = np.where(np.asarray(lost_mask, dtype=bool), 0.0, 1.0)[None]
+    mask = np.asarray(lost_mask, dtype=bool)
+    if mask.shape != (lattice.n_edges,):
+        raise ValueError(f"loss mask must have shape ({lattice.n_edges},), got {mask.shape}")
+    u = np.where(mask, 0.0, 1.0)[None]
     return bool(_surviving_prefix(lattice, u, np.array([0.5]))[0] == 1)
 
 

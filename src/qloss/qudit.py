@@ -400,9 +400,9 @@ class PauliString:
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for l in self.letters:
-            if l not in "IXYZ":
-                raise ValueError(f"invalid Pauli letter {l!r}")
+        if not _PAULI_BLOCKS.keys() >= set(self.letters):
+            bad = next(l for l in self.letters if l not in _PAULI_BLOCKS)
+            raise ValueError(f"invalid Pauli letter {bad!r}")
 
     @classmethod
     def from_map(cls, n_ions: int, mapping: dict[int, str]) -> "PauliString":

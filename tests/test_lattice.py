@@ -1,6 +1,7 @@
 """Lattice construction, loss reformation, logical search, percolation."""
 
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,74 @@ def curve(res, L):
     return [pt for pt in res.points if pt.L == L]
 
 
+def reference_terminal_path(pairs, n_nodes, edges):
+    """Per-call reference: the adjacency rebuilt over ``edges`` in their order,
+    and the last node returned when it leaves the queue."""
+    end_a, end_b = pairs.T.tolist()
+    adjacency = [[] for _ in range(n_nodes)]
+    for e in edges:
+        a, b = end_a[e], end_b[e]
+        adjacency[a].append((b, e))
+        adjacency[b].append((a, e))
+    source, target = n_nodes - 2, n_nodes - 1
+    prev = {source: None}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        if node == target:
+            path = []
+            while prev[node] is not None:
+                node, edge = prev[node]
+                path.append(edge)
+            return path[::-1]
+        for nxt, edge in adjacency[node]:
+            if nxt not in prev:
+                prev[nxt] = (node, edge)
+                queue.append(nxt)
+    return None
+
+
+def reference_logical_letters(lat):
+    """The letters of `find_logical`'s two strings (None for a missing one),
+    from the per-call reference search over the surviving edges."""
+    surviving = [e for e in range(lat.n_edges) if e not in lat.lost]
+    z = reference_terminal_path(lat.primal, lat.n_vertices + 2, surviving)
+    x = reference_terminal_path(lat.dual, lat.n_cells, surviving)
+    return (PauliString.from_map(lat.n_edges, {e: "Z" for e in z}).letters if z else None,
+            PauliString.from_map(lat.n_edges, {e: "X" for e in x}).letters if x else None)
+
+
+def reference_generators(lat):
+    """`reform_stabilizers`' two generator lists, the plaquettes built in a
+    dict keyed by class label and listed in label order."""
+    lost_mask = np.zeros(lat.n_edges, dtype=bool)
+    lost_mask[list(lat.lost)] = True
+    ends, terminals = lattice_mod._both_sides(lat)
+    a, b = ends[np.arange(lat.n_edges) + lat.n_edges * lost_mask].T
+    labels = lattice_mod._components(a, b, terminals[-1] + 1)
+    cell_a, cell_b = labels[lat.dual + lat.n_vertices + 2].T
+    between = np.flatnonzero(cell_a != cell_b)
+    boundary = set(labels[terminals[2:]].tolist())
+    merged = {}
+    for e, ca, cb in zip(between.tolist(), cell_a[between].tolist(), cell_b[between].tolist()):
+        for c in (ca, cb):
+            if c not in boundary:
+                merged.setdefault(c, set()).add(e)
+    z_gens = [frozenset(s) for _, s in sorted(merged.items())]
+    node_label = labels.tolist()
+    end_a = lat.primal[:, 0].tolist()
+    seen = set(labels[terminals[:2]].tolist())
+    x_gens = []
+    for g in lat.x_generators:
+        if not (shrunk := g - lat.lost):
+            continue
+        label = node_label[end_a[next(iter(shrunk))]]
+        if label in seen:
+            x_gens.append(shrunk)
+        seen.add(label)
+    return z_gens, x_gens
+
+
 class TestBuild:
     def test_minimal_instance(self):
         lat = build_lattice(2)
@@ -76,6 +145,24 @@ class TestBuild:
             replace(lat, z_generators=z).validate_commutation()
         assert str(err.value) == f"generators [{max(star)}] and {sorted(star)} anticommute"
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_commutation_check_names_the_first_odd_pair(self, data):
+        # brute force over every pair: the first X generator in list order
+        # that overlaps a Z generator oddly, with its lowest-indexed such partner
+        lat = build_lattice(3)
+        gens = st.lists(st.frozensets(st.integers(0, lat.n_edges - 1), max_size=6), max_size=8)
+        z, x = data.draw(gens), data.draw(gens)
+        expected = next((f"generators {sorted(zg)} and {sorted(xg)} anticommute"
+                         for xg in x for zg in z if len(xg & zg) % 2), None)
+        bad = replace(lat, z_generators=z, x_generators=x)
+        if expected is None:
+            bad.validate_commutation()
+        else:
+            with pytest.raises(ConsistencyError) as err:
+                bad.validate_commutation()
+            assert str(err.value) == expected
+
     def test_l3_generator_count_by_enumeration(self):
         lat = build_lattice(3)
         assert lat.n_edges == 13  # 3^2 + 2^2
@@ -91,6 +178,28 @@ class TestBuild:
     def test_rejects_tiny_lattice(self):
         with pytest.raises(ValueError):
             build_lattice(1)
+
+    @pytest.mark.parametrize("L", [2, 5])
+    def test_callers_own_their_generator_lists(self, L):
+        # the geometry is shared; appending to one caller's lists must not
+        # reach the next build of the same size
+        fresh = lattice_mod._build_minimal() if L == 2 else lattice_mod._build_planar(L)
+        lat = build_lattice(L)
+        lat.z_generators.append(frozenset({0}))
+        lat.x_generators.clear()
+        again = build_lattice(L)
+        assert again == fresh
+        assert again.primal is lat.primal and again.adjacency is lat.adjacency
+        assert again.z_generators is not lat.z_generators
+
+    @pytest.mark.parametrize("L", [2, 5])
+    def test_cached_arrays_stay_read_only(self, L):
+        build_lattice(L)
+        lat = build_lattice(L)
+        for arr in (lat.primal, lat.dual):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
 
 
 class TestApplyLosses:
@@ -132,6 +241,16 @@ class TestApplyLosses:
         assert apply_losses(lat, np.array([2, 5])).lost == frozenset({2, 5})
         with pytest.raises(TypeError):
             apply_losses(lat, True, np.random.default_rng(0))  # a bool is no rate
+
+    @pytest.mark.parametrize("edges", [[1.5, 2.9], [True], [np.True_], [2, 1.0], ["3"]])
+    def test_non_integer_edges_rejected(self, edges):
+        # floats used to be truncated ([1.5, 2.9] lost {1, 2}) and True lost edge 1
+        with pytest.raises(ValueError, match="not an integer"):
+            apply_losses(build_lattice(4), edges)
+
+    def test_numpy_integer_edges_accepted(self):
+        lat = build_lattice(4)
+        assert apply_losses(lat, [np.int32(2), np.int64(5), np.uint8(7)]).lost == {2, 5, 7}
 
     @pytest.mark.parametrize("rate", [float("nan"), -0.2, 1.5, float("inf")])
     def test_rate_outside_unit_interval_rejected(self, rate):
@@ -307,6 +426,33 @@ class TestSurvival:
                                                         np.nonzero(mask)[0]]))
             expected = find_logical(ref).correctable
             assert survival_check(lat, mask) == expected
+
+    @pytest.mark.parametrize("shape", ["short", "long", "2-D"])
+    def test_mask_of_wrong_shape_rejected(self, shape):
+        # a mask one edge short used to give a verdict, a longer one an IndexError
+        lat = build_lattice(6)
+        mask = np.random.default_rng(3).random(lat.n_edges) < 0.3
+        bad = {"short": mask[:-1], "long": np.append(mask, False), "2-D": mask[None]}[shape]
+        with pytest.raises(ValueError, match="shape"):
+            survival_check(lat, bad)
+
+
+class TestCachedGeometry:
+    """The cached adjacency and the array-built plaquettes against the
+    per-call references (`reference_terminal_path`, `reference_generators`)."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.45, 0.6])
+    @pytest.mark.parametrize("L", [2, 3, 5, 12, 32])
+    def test_matches_per_call_reference(self, L, p):
+        base = build_lattice(L)
+        rng = np.random.default_rng((L, round(100 * p)))
+        for _ in range(6 if L == 32 else 25):
+            lossy = apply_losses(base, p, rng)
+            ref = reform_stabilizers(lossy)
+            assert (ref.z_generators, ref.x_generators) == reference_generators(lossy)
+            found = find_logical(ref)
+            letters = tuple(None if t is None else t.letters for t in (found.t_z, found.t_x))
+            assert letters == reference_logical_letters(ref)
 
 
 def scipy_labels(a, b, n):

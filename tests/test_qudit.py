@@ -374,6 +374,16 @@ class TestPauliString:
     def test_sign_and_str(self):
         assert str(PauliString(("X", "I"))) == "XI"
 
+    @pytest.mark.parametrize("letters", [("XY",), ("",), ("IX",), ("X", "x"), ("Z", "I ")])
+    def test_rejects_anything_but_single_letters(self, letters):
+        # a substring test used to accept every one of these
+        with pytest.raises(ValueError, match="invalid Pauli letter"):
+            PauliString(letters)
+
+    def test_accepts_each_letter(self):
+        assert PauliString(tuple("IXYZ")).letters == ("I", "X", "Y", "Z")
+        assert str(PauliString.from_map(265, {0: "Y", 264: "Z"})) == "Y" + "I" * 263 + "Z"
+
     def test_restricted(self):
         p = PauliString.from_map(5, {1: "X", 3: "Z"})
         q = p.restricted((1, 2, 3))
