@@ -381,6 +381,9 @@ _PAULI_BLOCKS = {
 }
 
 
+_PAULI_LETTERS = frozenset(_PAULI_BLOCKS)
+
+
 def truncated_pauli(letter: str, dims: int) -> np.ndarray:
     """Single-ion Pauli acting on {|0>,|1>} and annihilating all other levels.
 
@@ -400,8 +403,8 @@ class PauliString:
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not _PAULI_BLOCKS.keys() >= set(self.letters):
-            bad = next(l for l in self.letters if l not in _PAULI_BLOCKS)
+        if not _PAULI_LETTERS.issuperset(self.letters):
+            bad = next(l for l in self.letters if l not in _PAULI_LETTERS)
             raise ValueError(f"invalid Pauli letter {bad!r}")
 
     @classmethod
