@@ -293,8 +293,10 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     labels, since a lost edge joins two cells of one class.  Those edges'
     (label, edge) pairs, stable-sorted by label, fall into one run per
     plaquette, in the order of its smallest cell and each in ascending edge
-    order.  Support and commutation of the result are re-verified
-    exhaustively.
+    order.  The stars are the geometry's, shrunk by ``lost``, so the result
+    depends only on the geometry and ``lost``: reforming a reformed lattice
+    after more losses gives the single reform of all of them.  Support and
+    commutation of the result are re-verified exhaustively.
     """
     lost = lattice.lost
     lost_mask = np.zeros(lattice.n_edges, dtype=bool)
@@ -324,7 +326,7 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     island = labels[lattice.primal[:, 0]].tolist()
     seen = set(labels[terminals[:2]].tolist())
     x_gens = []
-    for g in lattice.x_generators:
+    for g in _loss_free(lattice.L).x_generators:
         if not (shrunk := g - lost):
             continue
         label = island[next(iter(shrunk))]

@@ -299,6 +299,18 @@ class TestReform:
         assert expected in set(ref.z_generators)
         ref.validate_commutation()
 
+    def test_second_reform_is_the_reform_of_the_union(self):
+        # the stars come from the geometry, so a reformed lattice that loses
+        # more edges reforms as one reform of all its losses
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            L = int(rng.integers(3, 8))
+            first = reform_stabilizers(apply_losses(build_lattice(L), 0.15, rng))
+            twice = reform_stabilizers(apply_losses(first, 0.15, rng))
+            once = reform_stabilizers(apply_losses(build_lattice(L), twice.lost))
+            assert (twice.z_generators, twice.x_generators) == \
+                (once.z_generators, once.x_generators), (L, sorted(twice.lost))
+
     def test_random_masks_keep_invariants(self):
         rng = np.random.default_rng(1)
         trials = 0
