@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from qloss import cli, tomography
-from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, MAX_SHOTS, main,
-                       parse_angle, parse_float_grid, parse_grid, parse_noise)
+from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, MAX_PROTOCOL_GRID, MAX_SHOTS,
+                       main, parse_angle, parse_float_grid, parse_grid, parse_noise)
 from qloss.lattice import ConsistencyError, PercolationResult
 from qloss.protocol import ProtocolError
 from qloss.qudit import ContractViolation
@@ -531,6 +532,8 @@ class TestNonFiniteInputs:
         (["protocol", "--phi", "0.5pi", "--shots", str(MAX_SHOTS + 1)], "run_tables.csv"),
         (["percolation", "--L", "4", "--samples", str(MAX_SHOTS + 1)], "run"),
         (["detect-sweep", "--shots", str(MAX_SHOTS + 1)], "run"),
+        (["protocol", "--phi-grid", f"0:pi:{MAX_PROTOCOL_GRID + 1}"],
+         "run_rho_no_loss_phi0pi.json"),
         # grid values whose density-file tags coincide
         (["protocol", "--phi-grid", "0.5pi,0.5000000000001pi,0.2pi"],
          "run_rho_no_loss_phi0.5pi.json"),
@@ -579,6 +582,20 @@ class TestNonFiniteInputs:
         assert res.exit_code == 2, res.output
         assert "exceeds" in res.output
         assert list(tmp_path.iterdir()) == []
+
+    def test_protocol_grid_caps_its_density_files(self, runner, tmp_path, monkeypatch):
+        # every grid point writes density files, so the point count is capped;
+        # the runs are stubbed and write none: only the bound is under test
+        monkeypatch.setattr(cli, "run_protocol", lambda alpha, phi, **kw: SimpleNamespace(
+            records=[], no_loss=SimpleNamespace(observables={}), loss=SimpleNamespace(
+                observables={}), rho_no_loss=None, rho_loss=None))
+        grid = ["protocol", "--out", str(tmp_path / "run"), "--phi-grid"]
+        res = runner.invoke(main, grid + [f"0:pi:{MAX_PROTOCOL_GRID + 1}"])
+        assert res.exit_code == 2, res.output
+        assert f"phi grid has {MAX_PROTOCOL_GRID + 1} points" in res.output
+        assert list(tmp_path.iterdir()) == []
+        res = runner.invoke(main, grid + [f"0:pi:{MAX_PROTOCOL_GRID}"])
+        assert res.exit_code == 0, res.output
 
     def test_json_writer_refuses_nan(self, tmp_path):
         out = tmp_path / "x.json"
