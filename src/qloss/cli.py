@@ -254,8 +254,7 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
     else:
         raise ValueError("pass --phi or --phi-grid")
     if len(phis) > MAX_PROTOCOL_GRID:
-        raise ValueError(f"phi grid has {len(phis)} points, more than {MAX_PROTOCOL_GRID}; "
-                         "each writes its own density files")
+        raise ValueError(f"phi grid has {len(phis)} points, more than {MAX_PROTOCOL_GRID}")
     # the density files of a grid run are named by each loss angle
     tags = [""] if len(phis) == 1 else [f"_phi{fmt(p / math.pi)}pi" for p in phis]
     if len(set(tags)) < len(tags):

@@ -294,9 +294,8 @@ def reform_stabilizers(lattice: LossLattice) -> LossLattice:
     (label, edge) pairs, stable-sorted by label, fall into one run per
     plaquette, in the order of its smallest cell and each in ascending edge
     order.  The stars are the geometry's, shrunk by ``lost``, so the result
-    depends only on the geometry and ``lost``: reforming a reformed lattice
-    after more losses gives the single reform of all of them.  Support and
-    commutation of the result are re-verified exhaustively.
+    depends only on the geometry and ``lost``.  Support and commutation of
+    the result are re-verified exhaustively.
     """
     lost = lattice.lost
     lost_mask = np.zeros(lattice.n_edges, dtype=bool)

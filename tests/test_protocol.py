@@ -734,12 +734,11 @@ class TestDetectionSweep:
         return pulse_pair(reg.state, fired[6:])
 
     @staticmethod
-    def prefix_readout(phi, exposed):
-        """The sweep's readout of ``exposed`` spectators on the three-level
-        register: spectators 1..exposed in the detection support."""
+    def three_level_readout(phi, spectators):
+        """The sweep's readout of the three-level register with ``spectators``
+        in the detection support."""
         lost = apply_loss(make_state(5, 3, [0] * 5), phi)
-        return _sweep_readout(_detect(lost, (0, *range(1, exposed + 1), 4)), 4,
-                              readout_partition(3))
+        return _sweep_readout(_detect(lost, (0, *spectators, 4)), 4, readout_partition(3))
 
     @pytest.mark.parametrize("phi", [0.0, 0.3 * math.pi, math.pi / 2, 0.9 * math.pi,
                                      math.pi])
@@ -755,7 +754,7 @@ class TestDetectionSweep:
             seen.add(k)
             full = _sweep_readout(self.full_pattern_state(phi, fired), 4,
                                   readout_partition(5))
-            prefix = self.prefix_readout(phi, k)
+            prefix = self.three_level_readout(phi, range(1, k + 1))
             assert np.array_equal(full[0], prefix[0])
             assert full[1].keys() == prefix[1].keys()
             for outcome, levels in prefix[1].items():
@@ -768,9 +767,8 @@ class TestDetectionSweep:
         """The mask model's readout depends on the exposed set only through
         its size: each set reads bit for bit as spectators 1..len(set)."""
         for phi in np.linspace(0.0, 2 * math.pi, 23):
-            lost = apply_loss(make_state(5, 3, [0] * 5), phi)
-            got = _sweep_readout(_detect(lost, (0, *exposed, 4)), 4, readout_partition(3))
-            prefix = self.prefix_readout(phi, len(exposed))
+            got = self.three_level_readout(phi, exposed)
+            prefix = self.three_level_readout(phi, range(1, len(exposed) + 1))
             assert np.array_equal(got[0], prefix[0])
             assert got[1].keys() == prefix[1].keys()
             for outcome, levels in prefix[1].items():
@@ -780,7 +778,7 @@ class TestDetectionSweep:
         grid = list(np.linspace(0.0, 2 * math.pi, 23))
         analytic = detection_sweep(grid, shots=0, register=5, analytic=True)
         for phi, row in zip(grid, analytic.rows):
-            probs, _ = self.prefix_readout(phi, 0)
+            probs, _ = self.three_level_readout(phi, ())
             assert abs(probs[1] - row.detected_loss) <= 1e-12
 
     def test_rejects_bad_arguments(self):
