@@ -23,14 +23,14 @@ levels are dropped (see :func:`record_kraus`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .qudit import (DensityOperator, Level, _block_perm, _conjugate, _occupied_block,
-                    _on_block, _signed_permutation, check_unitary, readout_partition,
+from .qudit import (BlockOperator, DensityOperator, Level, _block_perm, _check_whole,
+                    _conjugate, _signed_permutation, check_unitary, readout_partition,
                     truncated_pauli)
 from .tolerances import ATOL_TRACE
 
@@ -194,41 +194,39 @@ def _extended_gather(letter: str, qubit: int, n_ions: int, dims: int
     return _signed_permutation(factors)
 
 
-def depolarize_one(rho: DensityOperator, qubit: int) -> DensityOperator:
+def depolarize_one(rho: DensityOperator | BlockOperator, qubit: int
+                   ) -> DensityOperator | BlockOperator:
     """Fully depolarize one ion's computational marginal; other ions untouched.
 
     Equals the 1/4-weighted four-Pauli sum with each Pauli extended as the
     identity on non-computational levels, so leaked population is a fixed
     point of the map.  Each extended Pauli is a signed permutation, so its
     term is a reindexed copy of rho, and the identity term is rho itself.
-    The sum runs on rho's occupied block that keeps ``qubit`` whole (see
-    ``qudit``).
+    On a :class:`~qloss.qudit.BlockOperator` the sum runs on the block, which
+    must keep ``qubit`` whole.
     """
-    flat = _occupied_block(rho.mat, rho.n_ions, rho.dims, (qubit,))
-    perms = [_block_perm(_extended_gather(letter, qubit, rho.n_ions, rho.dims), flat)
+    _check_whole(rho, (qubit,))
+    perms = [_block_perm(_extended_gather(letter, qubit, rho.n_ions, rho.dims), rho.flat)
              for letter in "XYZ"]
-
-    def depolarize(mat: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(mat)
-        acc += 0.25 * mat
-        for perm in perms:
-            acc += 0.25 * _conjugate(perm, mat)
-        return acc
-
-    return DensityOperator(rho.n_ions, rho.dims, _on_block(rho.mat, flat, depolarize))
+    acc = np.zeros_like(rho.mat)
+    acc += 0.25 * rho.mat
+    for perm in perms:
+        acc += 0.25 * _conjugate(perm, rho.mat)
+    return replace(rho, mat=acc)
 
 
-def qnd_noise_mixture(rho: DensityOperator, phi: float, model: NoiseModel,
-                      qubits: Sequence[int]) -> DensityOperator:
+def qnd_noise_mixture(rho: DensityOperator | BlockOperator, phi: float, model: NoiseModel,
+                      qubits: Sequence[int]) -> DensityOperator | BlockOperator:
     """rho -> (p/n) sum_k M_k(rho) + (1-p) rho, with M_k :func:`depolarize_one` on
-    the k-th of the n ``qubits``."""
+    the k-th of the n ``qubits``; on a block that keeps them whole, every sum runs
+    on the block."""
     if not model.enabled:
         return rho
     p = mixing_probability(phi, model.p_qnd)
     acc = (1.0 - p) * rho.mat
     for q in qubits:
         acc = acc + (p / len(qubits)) * depolarize_one(rho, q).mat
-    out = DensityOperator(rho.n_ions, rho.dims, acc)
+    out = replace(rho, mat=acc)
     if not abs(out.trace() - rho.trace()) <= ATOL_TRACE:  # pragma: no cover - safety net
         raise AssertionError("noise mixture changed the trace")
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -25,11 +25,11 @@ import numpy as np
 from .channels import NoiseModel, _extended_gather, mixing_probability, qnd_noise_mixture
 from .gates import (GateOp, Register, addressed_z, collective_rotation, compile_gate,
                     loss_rotation, ms_gate)
-from .qudit import (DensityOperator, Level, PauliString, PureState, SeedDomain,
-                    UndefinedExpectationError, _apply_checked, _block_perm, _conjugate,
-                    _gather_cached, _half_projection, _occupied_block, _on_block,
-                    _outcome_cdf, _permute_rows, collapse, draw_outcome, expectation,
-                    make_state, outcome_probabilities, partial_trace, pure_expectation,
+from .qudit import (BlockOperator, DensityOperator, Level, PauliString, PureState,
+                    SeedDomain, UndefinedExpectationError, _apply_checked, _block_perm,
+                    _check_whole, _conjugate, _gather_cached, _half_projection, _outcome_cdf,
+                    _permute_rows, collapse, draw_outcome, expectation, make_state,
+                    outcome_probabilities, partial_trace, pure_expectation,
                     readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
 
@@ -240,19 +240,24 @@ def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
 
 def qnd_detect_density(rho: DensityOperator
                        ) -> tuple[float, DensityOperator, float, DensityOperator]:
-    """Exact branch split: (p_loss, rho_loss, p_no_loss, rho_no_loss), renormalized."""
+    """Exact branch split: (p_loss, rho_loss, p_no_loss, rho_no_loss), renormalized.
+
+    The gates and the readout run on one occupied block of ``rho`` that keeps
+    the probed ion and the ancilla whole (see ``qudit``).
+    """
+    block = rho.block((0, ANCILLA))
     for op in detection_ops((0, ANCILLA)):
-        rho = rho.apply_operator(compile_gate(op, rho.dims), op.support)
+        block = block.apply_operator(compile_gate(op, rho.dims), op.support)
     bright, dark = readout_partition(rho.dims)
-    rho_nl = rho.project_levels(ANCILLA, bright)
-    rho_l = rho.project_levels(ANCILLA, dark)
+    rho_nl = block.project_levels(ANCILLA, bright)
+    rho_l = block.project_levels(ANCILLA, dark)
     p_nl, p_l = rho_nl.trace(), rho_l.trace()
-    total = rho.trace()
+    total = block.trace()
     if not abs(p_nl + p_l - total) <= 1e-9:  # pragma: no cover - safety net
         raise ProtocolError("branch probabilities do not sum to the input trace")
     rho_l_n = rho_l.normalized() if p_l > ATOL_TRACE else rho_l
     rho_nl_n = rho_nl.normalized() if p_nl > ATOL_TRACE else rho_nl
-    return p_l / total, rho_l_n, p_nl / total, rho_nl_n
+    return p_l / total, rho_l_n.register(), p_nl / total, rho_nl_n.register()
 
 
 # ---------------------------------------------------------------------------
@@ -444,29 +449,40 @@ def _fidelity_with_pure(rho: DensityOperator, target: PureState) -> float:
     return float(np.real(np.vdot(amps, rho.mat @ amps)) / rho.trace())
 
 
-def _shrunk_correct(rho: np.ndarray, dims: int) -> np.ndarray:
+def _shrunk_correct(rho: DensityOperator | BlockOperator) -> DensityOperator | BlockOperator:
     """Both shrunk outcomes with their frame fix, unnormalized:
     (1+S)/2 rho (1+S)/2 + Z (1-S)/2 rho (1-S)/2 Z^dagger, with Z the frame's
     correction; every factor is applied as a signed permutation.  Both act on
-    the surviving qubits only, so the sum runs on rho's occupied block that
-    keeps them whole (see ``qudit``)."""
-    flat = _occupied_block(rho, N_IONS, dims, SURVIVING_QUBITS)
-    stab = _block_perm(_gather_cached(shrunk_stabilizer(), dims), flat)
-    fix = _block_perm(_gather_cached(PauliFrame(-1).correction(), dims), flat)
+    the surviving qubits only, so on a block the operator must keep them whole."""
+    _check_whole(rho, SURVIVING_QUBITS)
+    stab = _block_perm(_gather_cached(shrunk_stabilizer(), rho.dims), rho.flat)
+    fix = _block_perm(_gather_cached(PauliFrame(-1).correction(), rho.dims), rho.flat)
+    # the projectors are real and symmetric, so the right factor acts on the rows
+    # of the transpose
+    plus, minus = (_half_projection(stab, _half_projection(stab, rho.mat, pick).T, pick).T
+                   for pick in (0, 1))
+    return replace(rho, mat=plus + _conjugate(fix, minus))
 
-    def correct(mat: np.ndarray) -> np.ndarray:
-        # the projectors are real and symmetric, so the right factor acts on the
-        # rows of the transpose
-        plus, minus = (_half_projection(stab, _half_projection(stab, mat, pick).T, pick).T
-                       for pick in (0, 1))
-        return plus + _conjugate(fix, minus)
 
-    return _on_block(rho, flat, correct)
+def _loss_branch(rho_l: DensityOperator, phi: float, noise: NoiseModel) -> DensityOperator:
+    """The detected-loss state after the shrunk measurement, its frame fix, the
+    normalization and the noise mixture, all on one block of ``rho_l`` that keeps
+    the surviving qubits whole."""
+    block = _shrunk_correct(rho_l.block(SURVIVING_QUBITS)).normalized()
+    if noise.enabled:
+        block = qnd_noise_mixture(block, phi, noise, SURVIVING_QUBITS)
+    return block.register()
 
 
 def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
                  ) -> ProtocolResult:
-    """Exact density-mode run; the oracle for trajectory mode."""
+    """Exact density-mode run; the oracle for trajectory mode.
+
+    Each branch runs on one occupied block (see ``qudit``), scanned once and
+    scattered once: the detection on the block that keeps the probed ion and
+    the ancilla whole, and the loss branch's shrunk measurement, frame fix,
+    normalization and noise on the block that keeps the surviving qubits whole.
+    """
     noise = noise or NoiseModel()
     code4, code3 = four_qubit_code(), three_qubit_code()
     psi = encode(alpha)
@@ -485,10 +501,7 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
 
     # loss branch: shrunk-stabilizer measurement + frame correction, combined
     if p_l > ATOL_TRACE:
-        combined = _shrunk_correct(rho_l.mat, rho_l.dims)
-        rho_rec = DensityOperator(N_IONS, rho_l.dims, combined).normalized()
-        if noise.enabled:
-            rho_rec = qnd_noise_mixture(rho_rec, phi, noise, SURVIVING_QUBITS)
+        rho_rec = _loss_branch(rho_l, phi, noise)
         l_obs = _code_observables(rho_rec, code3)
         rec3 = partial_trace(rho_rec, SURVIVING_QUBITS)
         l_fid = _fidelity_with_pure(rec3, logical_target(alpha, 3, qubits=(0, 1, 2)))

@@ -13,14 +13,24 @@ Tensor index convention: ion 0 is the most significant factor, so the
 amplitude of the basis ket ``|l0 l1 ... l_{n-1}>`` sits at flat index
 ``l0 * dims**(n-1) + l1 * dims**(n-2) + ...``.
 
-Occupied blocks: an elementwise density kernel that acts on some ions keeps
-every level of those ions, and of every other ion only the levels that some
-nonzero row or column of its input uses (:func:`_occupied_block`).  It runs
-its arithmetic on that product block and scatters the result into a zero
-matrix, so every entry in the block takes the same operations as on the
-whole register and every entry outside it is +0.0.  A block that is the
-whole register is the input matrix itself.  Matrix products stay on the
-whole register: a BLAS product's bits can depend on the matrix width.
+Occupied blocks: a branch of the exact density run keeps every level of the
+ions its operations act on, and of every other ion only the levels that some
+nonzero row or column of its input uses (:func:`_occupied_block`).  It is
+scanned once into a :class:`BlockOperator`, runs its gates, level masks,
+signed permutations, sums and normalization there with the register's
+kernels on the block's per-ion shape, and is scattered once into a zero
+matrix, so every entry outside the block is +0.0.  The block trace sums the
+diagonal scattered into a register-length zero vector, so its pairwise
+summation groups the terms as ``np.trace`` of the scattered matrix does.
+Elementwise kernels and signed permutations give each block entry the
+register's operations.  A gate is a BLAS matrix product, whose bits can
+depend on the matrix width: on random matrices a block product can differ
+from the register's in the last bit.  So the detection gates' block products
+are claimed bit-identical to the whole register's for the program's inputs
+only: the encoded state after the loss rotation, at the paper's and edge
+angles and at random ones, where the tests compare every byte.
+``DensityOperator.apply_operator`` and ``project_levels`` stay on the whole
+register, and so do the observables, ``partial_trace`` and the fidelities.
 
 Signed permutations: every Pauli on the register, truncated (zero above |1>,
 as a :class:`PauliString` embeds it) or extended as the identity there (the
@@ -38,10 +48,11 @@ Pauli S :func:`_half_projection`.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,13 +115,35 @@ def check_unitary(matrix: np.ndarray, side: int) -> np.ndarray:
 
 
 def _embed_apply_vec(amps: np.ndarray, matrix: np.ndarray, support: tuple[int, ...],
-                     n_ions: int, dims: int) -> np.ndarray:
-    """Apply ``matrix`` (acting on the ions in ``support``) to a flat vector over
-    ``n_ions`` ions: a pure state's amplitudes, or a doubled-register density matrix."""
-    perm = list(support) + [i for i in range(n_ions) if i not in support]
-    tens = np.transpose(amps.reshape([dims] * n_ions), perm).reshape(dims ** len(support), -1)
-    tens = (matrix @ tens).reshape([dims] * n_ions)
+                     shape: Sequence[int]) -> np.ndarray:
+    """Apply ``matrix`` (acting on the axes in ``support``, which it must cover
+    whole) to a flat vector with one axis per ion of the given ``shape``: a pure
+    state's amplitudes, a doubled-register density matrix, or one of its blocks."""
+    perm = list(support) + [i for i in range(len(shape)) if i not in support]
+    side = math.prod(shape[i] for i in support)
+    tens = np.transpose(amps.reshape(shape), perm).reshape(side, -1)
+    tens = (matrix @ tens).reshape([shape[i] for i in perm])
     return np.transpose(tens, np.argsort(perm)).reshape(-1)
+
+
+def _sandwich(mat: np.ndarray, matrix: np.ndarray, support: tuple[int, ...],
+              shape: Sequence[int]) -> np.ndarray:
+    """M mat M^dagger for M on the ions ``support`` of a matrix whose rows and
+    columns have the per-ion ``shape``, on the doubled register: M on the row
+    ions, M* on the column ions."""
+    n, doubled = len(shape), tuple(shape) * 2
+    tens = _embed_apply_vec(mat.reshape(-1), matrix, support, doubled)
+    tens = _embed_apply_vec(tens, matrix.conj(), tuple(n + i for i in support), doubled)
+    return tens.reshape(mat.shape)
+
+
+def _mask_levels(mat: np.ndarray, ion: int, levels: Iterable[Level | int],
+                 shape: Sequence[int]) -> np.ndarray:
+    """``mat``, with rows and columns of the per-ion ``shape``, projected onto
+    ``levels`` of ``ion``: the :func:`collapse` mask on the row ion and the column
+    ion ``n + ion``."""
+    tens = _level_mask(mat.reshape(tuple(shape) * 2), (ion, len(shape) + ion), levels)
+    return tens.reshape(mat.shape)
 
 
 @dataclass
@@ -163,7 +196,7 @@ def _apply_checked(state: PureState, matrix: np.ndarray, support: Sequence[int])
     """:func:`apply_unitary` for a matrix that already passed :func:`check_unitary`
     once, such as a cached compiled gate; only the support is checked."""
     sup = _check_support(support, state.n_ions)
-    out = _embed_apply_vec(state.amps, matrix, sup, state.n_ions, state.dims)
+    out = _embed_apply_vec(state.amps, matrix, sup, (state.dims,) * state.n_ions)
     return PureState(state.n_ions, state.dims, out)
 
 
@@ -233,10 +266,12 @@ def draw_outcome(probs: np.ndarray, rng: np.random.Generator | None = None,
 
 def _level_mask(tens: np.ndarray, axes: Sequence[int], levels: Iterable[Level | int]
                 ) -> np.ndarray:
-    """``tens``, one axis per ion, with the ions on ``axes`` projected onto ``levels``."""
-    keep = np.zeros(tens.shape[0])
-    keep[[int(Level(l)) for l in levels]] = 1.0
+    """``tens``, one axis per ion, with the ions on ``axes`` projected onto
+    ``levels``; those axes hold every level, so a level is its own index."""
+    picked = [int(Level(l)) for l in levels]
     for axis in axes:
+        keep = np.zeros(tens.shape[axis])
+        keep[picked] = 1.0
         tens = tens * keep.reshape([-1 if i == axis else 1 for i in range(tens.ndim)])
     return tens
 
@@ -292,22 +327,96 @@ class DensityOperator:
             raise UndefinedExpectationError("cannot normalize zero-trace operator")
         return DensityOperator(self.n_ions, self.dims, self.mat / tr)
 
+    @property
+    def flat(self) -> np.ndarray:
+        """Register indices of the rows and columns of ``mat``: all of them."""
+        return np.arange(self.dims**self.n_ions)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Levels per ion of the rows and columns of ``mat``: all of them."""
+        return (self.dims,) * self.n_ions
+
     def apply_operator(self, matrix: np.ndarray, support: Sequence[int]) -> "DensityOperator":
-        """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check), on
-        the doubled register: M on the row ions ``support``, M* on the column ions."""
+        """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check)."""
         sup = _check_support(support, self.n_ions)
-        n, d = self.n_ions, self.dims
         m = np.asarray(matrix, dtype=complex)
-        tens = _embed_apply_vec(self.mat.reshape(-1), m, sup, 2 * n, d)
-        tens = _embed_apply_vec(tens, m.conj(), tuple(n + i for i in sup), 2 * n, d)
-        return DensityOperator(n, d, tens.reshape(d**n, d**n))
+        return DensityOperator(self.n_ions, self.dims, _sandwich(self.mat, m, sup, self.shape))
 
     def project_levels(self, ion: int, levels: Iterable[Level | int]) -> "DensityOperator":
-        """Subnormalized branch after projecting ``ion`` onto a level set: the
-        :func:`collapse` mask on the row ion and the column ion ``n + ion``."""
+        """Subnormalized branch after projecting ``ion`` onto a level set."""
+        return DensityOperator(self.n_ions, self.dims,
+                               _mask_levels(self.mat, ion, levels, self.shape))
+
+    def block(self, whole: Sequence[int]) -> "BlockOperator":
+        """The operator on its :func:`_occupied_block` with the ions ``whole`` kept
+        at all levels: the one scan of ``mat``."""
         n, d = self.n_ions, self.dims
-        tens = _level_mask(self.mat.reshape([d] * (2 * n)), (ion, n + ion), levels)
-        return DensityOperator(n, d, tens.reshape(d**n, d**n))
+        flat = _occupied_block(self.mat, n, d, whole)
+        # each ion's levels in the block, read off the flat indices' digits
+        levels = np.zeros((n, d), dtype=bool)
+        levels[np.arange(n), flat[:, None] // d ** np.arange(n - 1, -1, -1) % d] = True
+        return BlockOperator(n, d, flat, tuple(levels.sum(axis=1).tolist()),
+                             self.mat[np.ix_(flat, flat)])
+
+
+@dataclass
+class BlockOperator:
+    """A register operator held on one product block of its rows and columns.
+
+    ``mat`` holds the rows and columns ``flat`` (ascending) of the register
+    matrix, ``shape[i]`` levels of ion i; every entry outside is zero.  Made by
+    :meth:`DensityOperator.block`, it runs the register's kernels on the block
+    and becomes a register operator again by one scatter (:meth:`register`).
+    Gates and level masks act on ions the block keeps whole.
+    """
+
+    n_ions: int
+    dims: int
+    flat: np.ndarray
+    shape: tuple[int, ...]
+    mat: np.ndarray
+
+    def trace(self) -> float:
+        """The register trace: the diagonal scattered into a register-length zero
+        vector, so the sum groups its terms as ``np.trace`` of the register
+        matrix does."""
+        diag = np.zeros(self.dims**self.n_ions, dtype=complex)
+        diag[self.flat] = np.diagonal(self.mat)
+        return float(np.real(diag.sum()))
+
+    def normalized(self) -> "BlockOperator":
+        tr = self.trace()
+        if not tr > ATOL_TRACE:
+            raise UndefinedExpectationError("cannot normalize zero-trace operator")
+        return replace(self, mat=self.mat / tr)
+
+    def apply_operator(self, matrix: np.ndarray, support: Sequence[int]) -> "BlockOperator":
+        """:meth:`DensityOperator.apply_operator` on the block."""
+        sup = _check_whole(self, support)
+        m = np.asarray(matrix, dtype=complex)
+        return replace(self, mat=_sandwich(self.mat, m, sup, self.shape))
+
+    def project_levels(self, ion: int, levels: Iterable[Level | int]) -> "BlockOperator":
+        """:meth:`DensityOperator.project_levels` on the block."""
+        _check_whole(self, (ion,))
+        return replace(self, mat=_mask_levels(self.mat, ion, levels, self.shape))
+
+    def register(self) -> DensityOperator:
+        """The register operator: the block scattered into a zero matrix."""
+        side = self.dims**self.n_ions
+        out = np.zeros((side, side), dtype=complex)
+        out[np.ix_(self.flat, self.flat)] = self.mat
+        return DensityOperator(self.n_ions, self.dims, out)
+
+
+def _check_whole(op: DensityOperator | BlockOperator, ions: Sequence[int]) -> tuple[int, ...]:
+    """``ions`` as a checked support that ``op`` keeps at all levels, as a
+    kernel that acts on them needs."""
+    sup = _check_support(ions, op.n_ions)
+    if any(op.shape[i] != op.dims for i in sup):
+        raise DimensionError(f"operator of shape {op.shape} does not keep ions {sup} whole")
+    return sup
 
 
 def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int]
@@ -319,8 +428,10 @@ def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int
     A NaN compares unequal to zero, so it counts as occupied.  The block is
     closed under any signed permutation that acts on ``whole`` only.
     """
-    nonzero = mat != 0
-    occupied = (nonzero.any(axis=0) | nonzero.any(axis=1)).reshape([dims] * n_ions)
+    # the real and imaginary parts compared as floats: cheaper than complex != 0
+    nonzero = np.ascontiguousarray(mat, dtype=complex).view(np.float64) != 0
+    occupied = (nonzero.any(axis=1)
+                | nonzero.any(axis=0).reshape(-1, 2).any(axis=1)).reshape([dims] * n_ions)
     flat = np.zeros(1, dtype=np.intp)
     for ion in range(n_ions):
         if ion in whole:
@@ -338,17 +449,6 @@ def _block_perm(perm: tuple[np.ndarray, np.ndarray], flat: np.ndarray
     onto the block ``flat`` of :func:`_occupied_block`, which it maps into itself."""
     sigma, phase = perm
     return np.searchsorted(flat, sigma[flat]), phase[flat]
-
-
-def _on_block(mat: np.ndarray, flat: np.ndarray,
-              kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``kernel`` run on the ``flat`` block of ``mat`` and scattered into a zero
-    matrix; ``kernel(mat)`` itself when the block is the whole register."""
-    if len(flat) == len(mat):
-        return kernel(mat)
-    out = np.zeros(mat.shape, dtype=complex)
-    out[np.ix_(flat, flat)] = kernel(mat[np.ix_(flat, flat)])
-    return out
 
 
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:

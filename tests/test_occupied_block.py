@@ -1,13 +1,18 @@
 """Occupied-block kernels: bit for bit the whole-register formulas they replace."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qloss.channels import _extended_gather, depolarize_one
-from qloss.protocol import (N_IONS, SURVIVING_QUBITS, PauliFrame, _shrunk_correct, apply_loss,
-                            encode, qnd_detect_density, shrunk_stabilizer)
-from qloss.qudit import (DensityOperator, _conjugate, _gather_cached, _occupied_block,
-                         _permute_rows)
+from qloss.channels import NoiseModel, _extended_gather, depolarize_one, mixing_probability
+from qloss.gates import compile_gate
+from qloss.protocol import (ANCILLA, N_IONS, SURVIVING_QUBITS, PauliFrame, _loss_branch,
+                            _shrunk_correct, apply_loss, detection_ops, encode,
+                            qnd_detect_density, shrunk_stabilizer)
+from qloss.qudit import (BlockOperator, DensityOperator, _conjugate, _gather_cached,
+                         _occupied_block, _permute_rows, readout_partition)
+from qloss.tolerances import ATOL_TRACE
 
 
 def dense_depolarize_one(mat, qubit, n_ions, dims):
@@ -30,6 +35,39 @@ def dense_shrunk_correct(mat, dims):
 
     plus, minus = (project(project(mat, pick).T, pick).T for pick in (0, 1))
     return plus + _conjugate(_gather_cached(PauliFrame(-1).correction(), dims), minus)
+
+
+def dense_qnd_detect_density(rho):
+    """``qnd_detect_density`` on the whole register: every gate, mask, trace and
+    normalization on the full matrix."""
+    for op in detection_ops((0, ANCILLA)):
+        rho = rho.apply_operator(compile_gate(op, rho.dims), op.support)
+    bright, dark = readout_partition(rho.dims)
+    rho_nl = rho.project_levels(ANCILLA, bright)
+    rho_l = rho.project_levels(ANCILLA, dark)
+    p_nl, p_l = rho_nl.trace(), rho_l.trace()
+    total = rho.trace()
+    rho_l_n = rho_l.normalized() if p_l > ATOL_TRACE else rho_l
+    rho_nl_n = rho_nl.normalized() if p_nl > ATOL_TRACE else rho_nl
+    return p_l / total, rho_l_n, p_nl / total, rho_nl_n
+
+
+def dense_loss_branches(rho_l, phi, noises):
+    """The loss branch on the whole register under each noise model: the shrunk
+    correction, the normalization, and the mixture's sums over each qubit's
+    whole-register depolarization (computed once for every rate)."""
+    rho = DensityOperator(N_IONS, rho_l.dims, dense_shrunk_correct(rho_l.mat, rho_l.dims))
+    mat = rho.normalized().mat
+    terms = [dense_depolarize_one(mat, q, N_IONS, rho_l.dims) for q in SURVIVING_QUBITS]
+    for noise in noises:
+        if not noise.enabled:
+            yield mat
+            continue
+        p = mixing_probability(phi, noise.p_qnd)
+        acc = (1.0 - p) * mat
+        for term in terms:
+            acc = acc + (p / len(SURVIVING_QUBITS)) * term
+        yield acc
 
 
 def random_input(rng, n_ions, dims, whole_register=False, non_finite=False):
@@ -66,18 +104,22 @@ CASES = [(seed, whole, bad) for seed in range(6)
 def test_depolarize_one_is_bitwise_dense(seed, whole_register, non_finite, n_ions, dims):
     rng = np.random.default_rng([seed, n_ions, dims])
     mat = random_input(rng, n_ions, dims, whole_register, non_finite)
+    rho = DensityOperator(n_ions, dims, mat)
     with np.errstate(invalid="ignore"):
         for qubit in range(n_ions):
-            got = depolarize_one(DensityOperator(n_ions, dims, mat), qubit).mat
-            assert got.tobytes() == dense_depolarize_one(mat, qubit, n_ions, dims).tobytes()
+            dense = dense_depolarize_one(mat, qubit, n_ions, dims).tobytes()
+            assert depolarize_one(rho, qubit).mat.tobytes() == dense
+            assert depolarize_one(rho.block((qubit,)), qubit).register().mat.tobytes() == dense
 
 
 @pytest.mark.parametrize("seed,whole_register,non_finite", CASES)
 def test_shrunk_correct_is_bitwise_dense(seed, whole_register, non_finite):
     rng = np.random.default_rng([seed, 7])
-    mat = random_input(rng, N_IONS, 3, whole_register, non_finite)
+    rho = DensityOperator(N_IONS, 3, random_input(rng, N_IONS, 3, whole_register, non_finite))
     with np.errstate(invalid="ignore"):
-        assert _shrunk_correct(mat, 3).tobytes() == dense_shrunk_correct(mat, 3).tobytes()
+        dense = dense_shrunk_correct(rho.mat, 3).tobytes()
+        assert _shrunk_correct(rho).mat.tobytes() == dense
+        assert _shrunk_correct(rho.block(SURVIVING_QUBITS)).register().mat.tobytes() == dense
 
 
 def test_block_is_the_occupied_product():
@@ -92,14 +134,78 @@ def test_block_is_the_occupied_product():
     assert len(_occupied_block(np.zeros((27, 27)), 3, dims, (1,))) == 0
     assert depolarize_one(DensityOperator(3, dims, np.zeros((27, 27))), 1).mat.tobytes() \
         == np.zeros((27, 27), dtype=complex).tobytes()
+    block = DensityOperator(3, dims, mat).block((2,))
+    assert block.shape == (2, 1, 3) and block.flat.tolist() == [3, 4, 5, 21, 22, 23]
+    assert block.register().mat.tobytes() == mat.tobytes()
+
+
+def test_block_kernels_need_whole_ions():
+    block = DensityOperator(2, 3, np.diag([1.0, 0, 0, 0, 0, 0, 0, 0, 0])).block((1,))
+    assert block.shape == (1, 3)
+    with pytest.raises(ValueError):
+        block.apply_operator(np.eye(3), (0,))
+    with pytest.raises(ValueError):
+        block.project_levels(0, (0,))
+    with pytest.raises(ValueError):
+        depolarize_one(block, 0)
 
 
 @pytest.mark.parametrize("alpha,phi", [(0.0, 0.3), (0.7, 1.1), (np.pi / 2, np.pi)])
 def test_loss_branch_is_bitwise_dense(alpha, phi):
     # the input the kernels exist for: the loss branch's ancilla sits on one level
     rho_l = qnd_detect_density(apply_loss(encode(alpha), phi).to_density())[1]
+    block = rho_l.block(SURVIVING_QUBITS)
     assert len(_occupied_block(rho_l.mat, N_IONS, 3, SURVIVING_QUBITS)) == 3 * 27
-    assert _shrunk_correct(rho_l.mat, 3).tobytes() == dense_shrunk_correct(rho_l.mat, 3).tobytes()
+    assert len(block.flat) == 3 * 27
+    assert _shrunk_correct(block).register().mat.tobytes() \
+        == dense_shrunk_correct(rho_l.mat, 3).tobytes()
     for qubit in SURVIVING_QUBITS:
-        assert depolarize_one(rho_l, qubit).mat.tobytes() \
+        assert depolarize_one(block, qubit).register().mat.tobytes() \
             == dense_depolarize_one(rho_l.mat, qubit, N_IONS, 3).tobytes()
+
+
+#: the program's inputs: alpha and phi at the paper's and the edge angles plus
+#: random ones, and the noise off and at three rates
+_RNG = np.random.default_rng(20020953)
+ALPHAS = [0.0, math.pi, math.pi / 2, *_RNG.uniform(0, 2 * math.pi, 10).tolist()]
+PHIS = [0.0, math.pi, 0.1 * math.pi, 0.2 * math.pi, 0.5 * math.pi, 0.53 * math.pi,
+        0.81 * math.pi, 1e-9, 2 * math.pi, *_RNG.uniform(0, 2 * math.pi, 10).tolist()]
+NOISES = [NoiseModel()] + [NoiseModel(p, "depolarizing_per_qubit") for p in (0.033, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_branches_are_bitwise_dense_on_program_inputs(alpha):
+    # a block product's bits can depend on the block width; on these inputs the
+    # detection block gives the whole register's bytes
+    psi = encode(alpha)
+    for phi in PHIS:
+        lost = apply_loss(psi, phi).to_density()
+        got, want = qnd_detect_density(lost), dense_qnd_detect_density(lost)
+        assert len(lost.block((0, ANCILLA)).flat) == 72
+        for g, w in zip(got, want):
+            if isinstance(g, float):
+                assert np.float64(g).tobytes() == np.float64(w).tobytes()
+            else:
+                assert g.mat.tobytes() == w.mat.tobytes()
+        p_l, rho_l = got[:2]
+        if p_l <= ATOL_TRACE:
+            continue
+        for noise, dense in zip(NOISES, dense_loss_branches(rho_l, phi, NOISES)):
+            assert _loss_branch(rho_l, phi, noise).mat.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_ions,dims", [(2, 3), (3, 3), (5, 3), (3, 5)])
+def test_block_trace_is_the_register_trace(seed, n_ions, dims):
+    # pairwise summation groups a sum by position, so the block's diagonal is
+    # summed where the register trace would find it
+    rng = np.random.default_rng([seed, n_ions, dims, 31])
+    mat = random_input(rng, n_ions, dims)
+    if seed % 4 == 0:
+        # a diagonal of signed zeros only: the sign of the sum is the test
+        mat[np.diag_indices_from(mat)] = complex(-0.0, -0.0) if seed % 8 else 0.0
+    block = DensityOperator(n_ions, dims, mat).block(())
+    scattered = block.register().mat
+    assert np.float64(block.trace()).tobytes() \
+        == np.float64(np.real(np.trace(scattered))).tobytes()
+    assert isinstance(block, BlockOperator) and len(block.flat) <= dims**n_ions

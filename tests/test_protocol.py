@@ -278,8 +278,10 @@ class TestShrunkStabilizer:
         for ion_levels in levels:
             keep = np.kron(keep, [ion_levels is None or l in ion_levels for l in range(dims)])
         block = np.where(np.outer(keep, keep), full, 0)
-        for rho in (full, block):
-            err = _shrunk_correct(rho, dims)
+        on_block = DensityOperator(5, dims, block).block(SURVIVING_QUBITS)
+        for rho, out in ((full, _shrunk_correct(DensityOperator(5, dims, full))),
+                         (block, _shrunk_correct(on_block).register())):
+            err = out.mat
             err -= plus @ rho @ plus
             err -= z @ (minus @ rho @ minus) @ z.conj().T
             assert np.max(np.abs(err)) <= 1e-12
