@@ -40,6 +40,8 @@ class GateOp:
     axis: str | None = None  # X or Y, COLLECTIVE_R only
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind.value} angle must be finite, got {self.angle}")
         if len(set(self.support)) != len(self.support):
             raise ValueError(f"duplicate ions in support {self.support}")
         if self.kind == GateKind.MS_X and len(self.support) < 2:

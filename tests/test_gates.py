@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from qloss.gates import (GateKind, GateOp, Register, addressed_z, collective_rotation,
                          compile_gate, loss_rotation, ms_gate)
+from qloss.protocol import analytic_run, run_protocol
 from qloss.qudit import Level, PureState, apply_unitary, make_state, truncated_pauli
 from reference import transfer_pulses
 
@@ -242,3 +243,23 @@ class TestRegisterFactorization:
             dense = apply_unitary(state, compile_gate(op, 3), op.support)
             assert np.allclose(reg.state.amps, dense.amps, atol=1e-12)
 
+
+
+class TestNonFiniteAngle:
+    """A NaN or infinite angle is refused where the gate is built, naming its kind."""
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind,support,axis", [
+        (GateKind.MS_X, (0, 1), None), (GateKind.COLLECTIVE_R, (0,), "X"),
+        (GateKind.ADDRESSED_Z, (0,), None), (GateKind.LOSS_ROT, (0,), None)])
+    def test_gate_op_rejects(self, kind, support, axis, angle):
+        with pytest.raises(ValueError, match=f"{kind.value} angle must be finite"):
+            GateOp(kind, angle, support, axis=axis)
+
+    @pytest.mark.parametrize("alpha,phi,kind", [
+        (0.0, math.inf, "LOSS_ROT"), (0.0, -math.inf, "LOSS_ROT"), (0.0, math.nan, "LOSS_ROT"),
+        (math.nan, 0.3, "COLLECTIVE_R"), (math.inf, 0.3, "COLLECTIVE_R")])
+    def test_protocol_entry_points_reject(self, alpha, phi, kind):
+        for run in (analytic_run, run_protocol):
+            with pytest.raises(ValueError, match=f"{kind} angle must be finite"):
+                run(alpha, phi)
