@@ -89,7 +89,9 @@ def reference_logical_letters(lat):
 
 def reference_generators(lat):
     """`reform_stabilizers`' two generator lists, the plaquettes built in a
-    dict keyed by class label and listed in label order."""
+    dict keyed by class label and listed in label order, and the loss-free
+    geometry's stars shrunk by the losses (a reformed input has already
+    dropped the first star of each island)."""
     lost_mask = np.zeros(lat.n_edges, dtype=bool)
     lost_mask[list(lat.lost)] = True
     ends, terminals = lattice_mod._both_sides(lat)
@@ -108,7 +110,7 @@ def reference_generators(lat):
     end_a = lat.primal[:, 0].tolist()
     seen = set(labels[terminals[:2]].tolist())
     x_gens = []
-    for g in lat.x_generators:
+    for g in build_lattice(lat.L).x_generators:
         if not (shrunk := g - lat.lost):
             continue
         label = node_label[end_a[next(iter(shrunk))]]
@@ -465,6 +467,18 @@ class TestCachedGeometry:
             found = find_logical(ref)
             letters = tuple(None if t is None else t.letters for t in (found.t_z, found.t_x))
             assert letters == reference_logical_letters(ref)
+
+    def test_reformed_input_matches_per_call_reference(self):
+        # losses that split an island of a lattice reformed once: a reference that
+        # shrinks its input's stars drops a second star there (18 of 19)
+        first = [1, 16, 18, 19, 23, 32, 36, 39]
+        once = reform_stabilizers(apply_losses(build_lattice(5), first))
+        more = apply_losses(once, [4, 13, 22, 38])
+        twice = reform_stabilizers(more)
+        assert len(twice.x_generators) == 19
+        assert (twice.z_generators, twice.x_generators) == reference_generators(more)
+        union = reform_stabilizers(apply_losses(build_lattice(5), sorted(more.lost)))
+        assert (union.z_generators, union.x_generators) == reference_generators(more)
 
 
 def scipy_labels(a, b, n):
