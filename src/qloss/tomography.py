@@ -221,7 +221,12 @@ def resample_errors(counts: CountsTable,
 
 def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
                      choi_b: ChoiMatrix | np.ndarray) -> float:
-    """Overlap Tr(AB)/(Tr A Tr B); exact fidelity for rank-1 ideal targets."""
+    """Overlap Tr(AB)/(Tr A Tr B); the fidelity with a rank-1 target B only when A
+    is positive semidefinite.
+
+    For a PSD A the value lies in [0, 1].  A sampled, linearly inverted Choi
+    matrix can have negative eigenvalues, and then the value can exceed 1.
+    """
     a = choi_a.matrix if isinstance(choi_a, ChoiMatrix) else np.asarray(choi_a)
     b = choi_b.matrix if isinstance(choi_b, ChoiMatrix) else np.asarray(choi_b)
     den = float(np.real(np.trace(a)) * np.real(np.trace(b)))
