@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -124,26 +124,6 @@ def _embed_apply_vec(amps: np.ndarray, matrix: np.ndarray, support: tuple[int, .
     tens = np.transpose(amps.reshape(shape), perm).reshape(side, -1)
     tens = (matrix @ tens).reshape([shape[i] for i in perm])
     return np.transpose(tens, np.argsort(perm)).reshape(-1)
-
-
-def _sandwich(mat: np.ndarray, matrix: np.ndarray, support: tuple[int, ...],
-              shape: Sequence[int]) -> np.ndarray:
-    """M mat M^dagger for M on the ions ``support`` of a matrix whose rows and
-    columns have the per-ion ``shape``, on the doubled register: M on the row
-    ions, M* on the column ions."""
-    n, doubled = len(shape), tuple(shape) * 2
-    tens = _embed_apply_vec(mat.reshape(-1), matrix, support, doubled)
-    tens = _embed_apply_vec(tens, matrix.conj(), tuple(n + i for i in support), doubled)
-    return tens.reshape(mat.shape)
-
-
-def _mask_levels(mat: np.ndarray, ion: int, levels: Iterable[Level | int],
-                 shape: Sequence[int]) -> np.ndarray:
-    """``mat``, with rows and columns of the per-ion ``shape``, projected onto
-    ``levels`` of ``ion``: the :func:`collapse` mask on the row ion and the column
-    ion ``n + ion``."""
-    tens = _level_mask(mat.reshape(tuple(shape) * 2), (ion, len(shape) + ion), levels)
-    return tens.reshape(mat.shape)
 
 
 @dataclass
@@ -299,8 +279,42 @@ def measure_projective(state: PureState, ion: int, partition: Sequence[Iterable[
     return outcome, collapse(state, ion, sets[outcome]), float(probs[outcome])
 
 
+_Op = TypeVar("_Op", bound="_Operator")
+
+
+class _Operator:
+    """What :class:`DensityOperator` and :class:`BlockOperator` share: an operator
+    on ``n_ions`` ions of ``dims`` levels whose ``mat`` has the register indices
+    ``flat`` as its rows and columns, ``shape[i]`` levels of ion i.  Its gates and
+    level masks act on the doubled register, row ions then column ions, and
+    only on ions that ``shape`` keeps whole."""
+
+    def normalized(self: _Op) -> _Op:
+        tr = self.trace()
+        if not tr > ATOL_TRACE:
+            raise UndefinedExpectationError("cannot normalize zero-trace operator")
+        return replace(self, mat=self.mat / tr)
+
+    def apply_operator(self: _Op, matrix: np.ndarray, support: Sequence[int]) -> _Op:
+        """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check):
+        M on the row ions ``support``, M* on the column ions."""
+        sup = _check_whole(self, support)
+        m = np.asarray(matrix, dtype=complex)
+        n, doubled = self.n_ions, self.shape * 2
+        tens = _embed_apply_vec(self.mat.reshape(-1), m, sup, doubled)
+        tens = _embed_apply_vec(tens, m.conj(), tuple(n + i for i in sup), doubled)
+        return replace(self, mat=tens.reshape(self.mat.shape))
+
+    def project_levels(self: _Op, ion: int, levels: Iterable[Level | int]) -> _Op:
+        """Subnormalized branch after projecting ``ion`` onto a level set: the
+        :func:`collapse` mask on the row ion and the column ion ``n + ion``."""
+        _check_whole(self, (ion,))
+        tens = _level_mask(self.mat.reshape(self.shape * 2), (ion, self.n_ions + ion), levels)
+        return replace(self, mat=tens.reshape(self.mat.shape))
+
+
 @dataclass
-class DensityOperator:
+class DensityOperator(_Operator):
     """Hermitian operator over the same tensor space as :class:`PureState`.
 
     Trace may be below 1 for post-selected (subnormalized) branches.
@@ -318,35 +332,16 @@ class DensityOperator:
         if self.mat.shape != (side, side):
             raise DimensionError("matrix side does not match ion count")
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.mat)))
-
-    def normalized(self) -> "DensityOperator":
-        tr = self.trace()
-        if not tr > ATOL_TRACE:
-            raise UndefinedExpectationError("cannot normalize zero-trace operator")
-        return DensityOperator(self.n_ions, self.dims, self.mat / tr)
-
     @property
     def flat(self) -> np.ndarray:
-        """Register indices of the rows and columns of ``mat``: all of them."""
         return np.arange(self.dims**self.n_ions)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Levels per ion of the rows and columns of ``mat``: all of them."""
         return (self.dims,) * self.n_ions
 
-    def apply_operator(self, matrix: np.ndarray, support: Sequence[int]) -> "DensityOperator":
-        """rho -> M rho M^dagger with M embedded on ``support`` (no unitarity check)."""
-        sup = _check_support(support, self.n_ions)
-        m = np.asarray(matrix, dtype=complex)
-        return DensityOperator(self.n_ions, self.dims, _sandwich(self.mat, m, sup, self.shape))
-
-    def project_levels(self, ion: int, levels: Iterable[Level | int]) -> "DensityOperator":
-        """Subnormalized branch after projecting ``ion`` onto a level set."""
-        return DensityOperator(self.n_ions, self.dims,
-                               _mask_levels(self.mat, ion, levels, self.shape))
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.mat)))
 
     def block(self, whole: Sequence[int]) -> "BlockOperator":
         """The operator on its :func:`_occupied_block` with the ions ``whole`` kept
@@ -361,14 +356,13 @@ class DensityOperator:
 
 
 @dataclass
-class BlockOperator:
+class BlockOperator(_Operator):
     """A register operator held on one product block of its rows and columns.
 
     ``mat`` holds the rows and columns ``flat`` (ascending) of the register
-    matrix, ``shape[i]`` levels of ion i; every entry outside is zero.  Made by
-    :meth:`DensityOperator.block`, it runs the register's kernels on the block
-    and becomes a register operator again by one scatter (:meth:`register`).
-    Gates and level masks act on ions the block keeps whole.
+    matrix; every entry outside is zero.  Made by :meth:`DensityOperator.block`,
+    it runs the register's kernels on the block and becomes a register operator
+    again by one scatter (:meth:`register`).
     """
 
     n_ions: int
@@ -385,23 +379,6 @@ class BlockOperator:
         diag[self.flat] = np.diagonal(self.mat)
         return float(np.real(diag.sum()))
 
-    def normalized(self) -> "BlockOperator":
-        tr = self.trace()
-        if not tr > ATOL_TRACE:
-            raise UndefinedExpectationError("cannot normalize zero-trace operator")
-        return replace(self, mat=self.mat / tr)
-
-    def apply_operator(self, matrix: np.ndarray, support: Sequence[int]) -> "BlockOperator":
-        """:meth:`DensityOperator.apply_operator` on the block."""
-        sup = _check_whole(self, support)
-        m = np.asarray(matrix, dtype=complex)
-        return replace(self, mat=_sandwich(self.mat, m, sup, self.shape))
-
-    def project_levels(self, ion: int, levels: Iterable[Level | int]) -> "BlockOperator":
-        """:meth:`DensityOperator.project_levels` on the block."""
-        _check_whole(self, (ion,))
-        return replace(self, mat=_mask_levels(self.mat, ion, levels, self.shape))
-
     def register(self) -> DensityOperator:
         """The register operator: the block scattered into a zero matrix."""
         side = self.dims**self.n_ions
@@ -410,7 +387,7 @@ class BlockOperator:
         return DensityOperator(self.n_ions, self.dims, out)
 
 
-def _check_whole(op: DensityOperator | BlockOperator, ions: Sequence[int]) -> tuple[int, ...]:
+def _check_whole(op: _Operator, ions: Sequence[int]) -> tuple[int, ...]:
     """``ions`` as a checked support that ``op`` keeps at all levels, as a
     kernel that acts on them needs."""
     sup = _check_support(ions, op.n_ions)
