@@ -17,6 +17,7 @@ from qloss.lattice import ConsistencyError, PercolationResult
 from qloss.protocol import ProtocolError
 from qloss.qudit import ContractViolation
 from qloss.serialize import matrix_from_json_dict, write_json
+from test_golden import CLI_RUNS
 
 
 @pytest.fixture
@@ -635,6 +636,32 @@ class TestExitCodes:
         res = runner.invoke(main, [command, "--help"])
         assert res.exit_code == 0, res.output
         assert "--config" in res.output
+
+
+#: each golden CLI run, and a two-angle protocol grid that writes six files
+STDOUT_RUNS = {**CLI_RUNS,
+               "protocol-grid": ["protocol", "--phi-grid", "0.1pi,0.5pi", "--shots", "3"]}
+
+#: the exact stdout of each run at ``--seed 11 ... --out run``
+STDOUT_PINS = {
+    "detect-sweep": "wrote run (efficiency 1)\n",
+    "protocol": "wrote run_rho_no_loss.json, run_rho_loss.json, run_tables.csv, "
+                "run_records.jsonl\n",
+    "choi": "wrote run\n",
+    "percolation": "wrote run (threshold estimate none)\n",
+    "stabilizer-sweep": "wrote run\n",
+    "protocol-grid": "wrote run_rho_no_loss_phi0.1pi.json, run_rho_loss_phi0.1pi.json, "
+                     "run_rho_no_loss_phi0.5pi.json, run_rho_loss_phi0.5pi.json, "
+                     "run_tables.csv, run_records.jsonl\n",
+}
+
+
+@pytest.mark.parametrize("name", list(STDOUT_RUNS))
+def test_stdout_matches_pin(runner, name):
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["--seed", "11", *STDOUT_RUNS[name], "--out", "run"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == STDOUT_PINS[name]
 
 
 #: the errors a parser can raise that the subcommands' class turns into exit 2
