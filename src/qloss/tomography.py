@@ -28,7 +28,7 @@ matrix product, and no redraw is inverted.
 
 Process tomography is compared against the ideal branch Choi matrices,
 which come from the detection branch maps (``channels.branch_maps``) through
-``channels.channel_to_choi``.
+``channels.channel_to_choi``; a sampled Choi estimate is made PSD first.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ def process_fidelity(choi_a: ChoiMatrix | np.ndarray,
     """Overlap Tr(AB)/(Tr A Tr B); the fidelity with a rank-1 target B only when A
     is positive semidefinite.
 
-    For a PSD A the value lies in [0, 1].  A sampled, linearly inverted Choi
-    matrix can have negative eigenvalues, and then the value can exceed 1.
+    For a PSD A the value lies in [0, 1]; for a non-PSD one, such as a raw
+    linear inversion, it can exceed 1.
     """
     a = choi_a.matrix if isinstance(choi_a, ChoiMatrix) else np.asarray(choi_a)
     b = choi_b.matrix if isinstance(choi_b, ChoiMatrix) else np.asarray(choi_b)
@@ -258,7 +258,8 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     setting, then their counts; an input of branch probability at most
     ATOL_TRACE draws nothing.  An empty branch, or a sampled one empty for
     every input or that retains no shot of any input, raises
-    ``EmptyBranchError``.
+    ``EmptyBranchError``.  A sampled estimate is the linear inversion projected
+    onto the PSD matrices of its trace (``_nearest_psd``).
     """
     if post_select not in (0, 1):
         raise ValueError("post_select is the ancilla outcome to keep, 0 or 1, "
@@ -304,9 +305,25 @@ def process_tomography(phi: float, post_select: int, shots: int = 0, seed: int =
     # Choi entry (2r + i, 2c + j) is half of block (i, j)'s entry (r, c)
     blocks = np.array([[e00, e01], [e01.conj().T, e11]])
     choi = ChoiMatrix(0.5 * blocks.transpose(2, 0, 3, 1).reshape(4, 4))
-    if shots == 0 and choi.trace() <= ATOL_TRACE:
+    if shots:
+        return ChoiMatrix(_nearest_psd(choi.matrix)), details
+    if choi.trace() <= ATOL_TRACE:
         raise EmptyBranchError(f"post-selected branch {post_select} is empty")
     return choi, details
+
+
+def _nearest_psd(mat: np.ndarray) -> np.ndarray:
+    """The positive semidefinite matrix of ``mat``'s trace nearest to the
+    Hermitian ``mat`` (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)):
+    the most negative eigenvalues become zero and their sum is spread evenly
+    over the rest."""
+    vals, vecs = np.linalg.eigh(mat)  # ascending
+    k, spread = 0, 0.0
+    while k < len(vals) - 1 and vals[k] + spread / (len(vals) - k) < 0:
+        spread += vals[k]
+        k += 1
+    vals = np.concatenate([np.zeros(k), vals[k:] + spread / (len(vals) - k)])
+    return (vecs * vals) @ vecs.conj().T
 
 
 def ideal_branch_choi(phi: float, branch: int) -> ChoiMatrix:

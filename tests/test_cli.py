@@ -287,6 +287,15 @@ class TestChoiCommand:
                                        if not l.startswith("#")))
         assert payload["results"][0]["process_fidelity_vs_ideal"] > 0.8
 
+    @pytest.mark.parametrize("post", ["0", "1"])
+    def test_sampled_fidelities_are_at_most_one(self, runner, tmp_path, post):
+        out = tmp_path / "chois.json"
+        res = runner.invoke(main, ["choi", "--shots", "1000", "--post-select", post,
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        fidelities = [e["process_fidelity_vs_ideal"] for e in json_body(out)["results"]]
+        assert len(fidelities) == 3 and max(fidelities) <= 1 + 1e-12
+
 
 def json_body(path):
     return json.loads("\n".join(l for l in read_lines(path) if not l.startswith("#")))

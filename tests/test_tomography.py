@@ -314,6 +314,21 @@ class TestProcessTomography:
         first, second = (seed_for(*key).random(8) for key in keys)
         assert not np.any(first == second)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("post", [0, 1])
+    def test_sampled_estimates_are_physical(self, seed, post):
+        # the raw inversion of one input has trace sum(counts) / (3 shots), and
+        # the Choi trace is half that of inputs |0> and |1> together
+        for phi in np.array([0.05, 0.10, 0.3, 0.53, 0.81]) * math.pi:
+            choi, details = process_tomography(phi, post, shots=1000, seed=seed)
+            raw_trace = sum(np.sum(counts) for label in ("0", "1")
+                            for counts in details["inputs"][label].get("counts", {}).values()
+                            ) / (6 * 1000)
+            trace = choi.trace()
+            assert np.linalg.eigvalsh(choi.matrix).min() >= -1e-12 * trace, phi
+            assert abs(trace - raw_trace) <= 1e-12, phi
+            assert process_fidelity(choi, ideal_branch_choi(phi, post)) <= 1 + 1e-12, phi
+
     def test_sampled_mode_statistics(self):
         phi = 0.3 * math.pi
         choi, _ = process_tomography(phi, 0, shots=4000, seed=5)
