@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 internal invariant
 violation.  The seed comes from --seed or the QLOSS_SEED variable.  A
 subcommand's --config names a key=value file that supplies defaults for that
 subcommand's own options; an option given on the command line still wins.
+Each command prints one ``wrote`` line naming its files in write order.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .lattice import ConsistencyError, percolation_threshold
 from .protocol import (ProtocolError, detection_sweep, preset_shots, records_to_jsonl,
                        run_protocol)
 from .qudit import ContractViolation
-from .serialize import (fmt, header_lines, matrix_to_json_dict, write_csv,
-                        write_json)
+from .serialize import (WRITTEN, fmt, header_lines, matrix_to_json_dict, write_csv,
+                        write_json, write_text)
 from .tomography import (EmptyBranchError, ideal_branch_choi, process_fidelity,
                          process_tomography, TABLE_COLUMNS)
 
@@ -172,9 +173,10 @@ class _Command(click.Command):
             expose_value=False, callback=_load_config,
             help="key=value file of option defaults"))
 
-    def invoke(self, ctx: click.Context):
+    def invoke(self, ctx: click.Context) -> None:
+        WRITTEN.clear()
         try:
-            return super().invoke(ctx)
+            suffix = super().invoke(ctx)
         except (ConsistencyError, ContractViolation, ProtocolError, AssertionError) as exc:
             # caught before the config errors, because ContractViolation is a ValueError
             click.echo(f"internal invariant violation: {exc}", err=True)
@@ -182,6 +184,7 @@ class _Command(click.Command):
         except (ValueError, OSError, OverflowError, EmptyBranchError,
                 ZeroDivisionError) as exc:
             raise _Fail(str(exc))
+        click.echo("wrote " + ", ".join(path for path, _, _ in WRITTEN) + (suffix or ""))
 
 
 class _Group(click.Group):
@@ -225,7 +228,7 @@ def cmd_detect_sweep(ctx, phi_grid, shots, register, addressing_error, hiding,
                "false_negative_rate", "shots"],
               [(r.phi, r.direct_loss, r.detected_loss, r.false_positive_rate,
                 r.false_negative_rate, r.shots) for r in res.rows])
-    click.echo(f"wrote {out} (efficiency {fmt(res.efficiency)})")
+    return f" (efficiency {fmt(res.efficiency)})"
 
 
 @main.command("protocol")
@@ -269,7 +272,6 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
 
     records = []
     rows = []
-    outputs = []
     for phi_v, tag, n_shots in zip(phis, tags, counts):
         res = run_protocol(alpha_v, phi_v, shots=n_shots, noise=model,
                            seed=seed, shrunk_mode=shrunk_mode)
@@ -283,18 +285,13 @@ def cmd_protocol(ctx, alpha, phi, phi_grid, shots, paper_shots, noise, ideal,
                         [vals.get(c) for c in TABLE_COLUMNS])
         for label, rho in (("no_loss", res.rho_no_loss), ("loss", res.rho_loss)):
             if rho is not None:
-                outputs.append(f"{out}_rho_{label}{tag}.json")
-                write_json(outputs[-1], header,
+                write_json(f"{out}_rho_{label}{tag}.json", header,
                            matrix_to_json_dict(rho.mat, "density",
                                                "ions msb-first; levels 0,1,2"))
     write_csv(f"{out}_tables.csv", header,
               ["branch", "phi", "probability", "fidelity", *TABLE_COLUMNS], rows)
-    outputs.append(f"{out}_tables.csv")
     if records:
-        with open(f"{out}_records.jsonl", "w") as fh:
-            fh.write(records_to_jsonl(records))
-        outputs.append(f"{out}_records.jsonl")
-    click.echo("wrote " + ", ".join(outputs))
+        write_text(f"{out}_records.jsonl", records_to_jsonl(records))
 
 
 @main.command("choi")
@@ -331,7 +328,6 @@ def cmd_choi(ctx, phi_grid, shots, post_select, out):
         })
     write_json(out, header_lines(ctx.params, seed),
                {"post_select": branch, "results": entries})
-    click.echo(f"wrote {out}")
 
 
 @main.command("percolation")
@@ -355,7 +351,7 @@ def cmd_percolation(ctx, l, p, samples, out):  # noqa: E741 (the --l option)
               ["L", "p", "samples", "survivors", "fraction", "binom_std"],
               [(pt.L, pt.p, pt.samples, pt.survivors, pt.fraction, pt.binom_std)
                for pt in res.points])
-    click.echo(f"wrote {out} (threshold estimate {thr})")
+    return f" (threshold estimate {thr})"
 
 
 @main.command("stabilizer-sweep")
@@ -382,7 +378,6 @@ def cmd_stabilizer_sweep(ctx, alpha, phi_grid, shots, out):
               ["phi", "S1X_law", "S1X_analytic", "S1X_sampled",
                "S1Z_analytic", "S1Z_sampled", "S2Z_analytic", "S2Z_sampled"],
               rows)
-    click.echo(f"wrote {out}")
 
 
 if __name__ == "__main__":

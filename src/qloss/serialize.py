@@ -9,17 +9,23 @@ A matrix is written as its nonzero support: ``shape``, the ascending
 row-major [re, im] pairs of that block.  Every entry outside the block is
 +0.0, so a 243x243 density matrix on a 24-row block takes 576 pairs, not
 59,049.
+
+Every file is written by :func:`write_text`, which appends (path, byte count,
+sha1) of its UTF-8 bytes to the ledger ``WRITTEN``, cleared per CLI command.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
+
+WRITTEN: list[tuple[str, int, str]] = []
 
 
 def fmt(x: float) -> str:
@@ -66,27 +72,25 @@ def header_lines(config: Mapping[str, object], seed: int) -> list[str]:
     ]
 
 
+def write_text(path: str, text: str) -> None:
+    data = text.encode()
+    Path(path).write_bytes(data)
+    WRITTEN.append((path, len(data), hashlib.sha1(data).hexdigest()))
+
+
 def write_csv(path: str, header: Sequence[str], columns: Sequence[str],
               rows: Iterable[Sequence[object]]) -> None:
-    lines = list(header)
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(fmt(v))
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [*header, ",".join(columns)]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def _cell(v: object) -> str:
+    return fmt(v) if isinstance(v, float) else "" if v is None else str(v)
 
 
 def write_json(path: str, header: Sequence[str], payload: object) -> None:
     """``payload`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
     below the header."""
     body = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n" + body + "\n")
+    write_text(path, "\n".join(header) + "\n" + body + "\n")

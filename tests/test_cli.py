@@ -1,8 +1,10 @@
 """Command-line interface: parsing, outputs, headers, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from qloss import cli, tomography
+from qloss import cli, serialize, tomography
 from qloss.cli import (MAX_GRID_POINTS, MAX_LATTICE_SIZE, MAX_PROTOCOL_GRID, MAX_SHOTS,
                        main, parse_angle, parse_float_grid, parse_grid, parse_noise)
 from qloss.lattice import ConsistencyError, PercolationResult
@@ -671,6 +673,20 @@ def test_stdout_matches_pin(runner, name):
         res = runner.invoke(main, ["--seed", "11", *STDOUT_RUNS[name], "--out", "run"])
     assert res.exit_code == 0, res.output
     assert res.stdout == STDOUT_PINS[name]
+
+
+@pytest.mark.parametrize("name", list(CLI_RUNS))
+def test_ledger_records_each_file_as_written(runner, name):
+    with runner.isolated_filesystem():
+        for out in ("run", "again"):
+            res = runner.invoke(main, [*CLI_RUNS[name], "--out", out])
+            assert res.exit_code == 0, res.output
+            # the second run lists only its own files: the ledger is cleared per command
+            assert sorted(path for path, _, _ in serialize.WRITTEN) == sorted(
+                f.name for f in Path().iterdir() if f.name.startswith(out))
+            for path, size, sha1 in serialize.WRITTEN:
+                data = Path(path).read_bytes()
+                assert (size, sha1) == (len(data), hashlib.sha1(data).hexdigest()), path
 
 
 #: the errors a parser can raise that the subcommands' class turns into exit 2

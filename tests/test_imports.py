@@ -117,19 +117,29 @@ def test_private_top_level_names_are_read():
 TENSOR_SHUFFLES_ALLOWED = {("tomography", "_per_ion_map")}
 
 
-def _tensor_shuffles(path: Path) -> list[tuple[str, str]]:
-    """(module, innermost enclosing function, or ``<module>``) of each call of
-    ``tensordot`` or ``moveaxis`` in one module, qualified or bare."""
+def _owned_calls(path: Path) -> list[tuple[str, ast.Call]]:
+    """(innermost enclosing function, or ``<module>``, call) of each call in
+    one module."""
     tree = _tree(path)
     owner = {}
     # ast.walk is breadth first, so a nested function claims its nodes last
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update(dict.fromkeys(ast.walk(func), func.name))
-    return [(path.stem, owner.get(node, "<module>")) for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None))
-            in ("tensordot", "moveaxis")]
+    return [(owner.get(node, "<module>"), node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)]
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The called name, qualified (``np.tensordot``) or bare (``open``)."""
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _tensor_shuffles(path: Path) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function, or ``<module>``) of each call of
+    ``tensordot`` or ``moveaxis`` in one module, qualified or bare."""
+    return [(path.stem, owner) for owner, call in _owned_calls(path)
+            if _called_name(call) in ("tensordot", "moveaxis")]
 
 
 def test_tensor_shuffles_only_where_no_pure_kernel_serves():
@@ -138,6 +148,30 @@ def test_tensor_shuffles_only_where_no_pure_kernel_serves():
     kernel for one operation."""
     calls = [call for path in MODULES for call in _tensor_shuffles(path)]
     assert calls and [call for call in calls if call not in TENSOR_SHUFFLES_ALLOWED] == []
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """A call of ``write_text`` or ``write_bytes`` on anything, or of ``open``
+    with a mode that has w, a or x: the second argument of the builtin or the
+    first of a ``Path.open``, or the ``mode`` keyword.  A mode that is not a
+    string constant may write, so it counts."""
+    name = _called_name(call)
+    if name in ("write_text", "write_bytes") and isinstance(call.func, ast.Attribute):
+        return True
+    if name != "open":
+        return False
+    at = 0 if isinstance(call.func, ast.Attribute) else 1
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[at:at + 1]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+               or set(mode.value) & set("wax") for mode in modes)
+
+
+def test_every_output_goes_through_the_one_sink():
+    """``serialize.write_text`` records each file it writes in ``serialize.WRITTEN``;
+    a file opened for writing anywhere else would be missing from that ledger."""
+    writers = [(path.stem, owner) for path in MODULES
+               for owner, call in _owned_calls(path) if _opens_for_writing(call)]
+    assert writers == [("serialize", "write_text")]
 
 
 PERFBENCH = SRC.parents[1] / "perfbench"
