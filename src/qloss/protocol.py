@@ -238,17 +238,19 @@ def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
                         collapse(pre, ANCILLA, sets[outcome]), float(probs[outcome]))
 
 
-def qnd_detect_density(rho: DensityOperator
+def qnd_detect_density(state: PureState | DensityOperator
                        ) -> tuple[float, DensityOperator, float, DensityOperator]:
     """Exact branch split: (p_loss, rho_loss, p_no_loss, rho_no_loss), renormalized.
 
-    The gates and the readout run on one occupied block of ``rho`` that keeps
-    the probed ion and the ancilla whole (see ``qudit``).
+    The gates and the readout run on one occupied block of ``state`` that keeps
+    the probed ion and the ancilla whole (see ``qudit``).  A pure state gives the
+    block of its density matrix, read off its amplitudes, so both inputs split
+    alike bit for bit.
     """
-    block = rho.block((0, ANCILLA))
+    block = state.block((0, ANCILLA))
     for op in detection_ops((0, ANCILLA)):
-        block = block.apply_operator(compile_gate(op, rho.dims), op.support)
-    bright, dark = readout_partition(rho.dims)
+        block = block.apply_operator(compile_gate(op, state.dims), op.support)
+    bright, dark = readout_partition(state.dims)
     rho_nl = block.project_levels(ANCILLA, bright)
     rho_l = block.project_levels(ANCILLA, dark)
     p_nl, p_l = rho_nl.trace(), rho_l.trace()
@@ -474,24 +476,33 @@ def _loss_branch(rho_l: DensityOperator, phi: float, noise: NoiseModel) -> Densi
     return block.register()
 
 
+@lru_cache(maxsize=16)
+def _encoding(alpha: float) -> tuple[PureState, dict[str, float]]:
+    """The encoded state of ``alpha``, its amplitudes read-only, and its code
+    observables with the fidelity to the logical target; callers copy the dict."""
+    psi = encode(alpha)
+    psi.amps.setflags(write=False)
+    rho = psi.to_density()
+    obs = _code_observables(rho, four_qubit_code())
+    obs["fidelity"] = _fidelity_with_pure(rho, logical_target(alpha))
+    return psi, obs
+
+
 def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
                  ) -> ProtocolResult:
     """Exact density-mode run; the oracle for trajectory mode.
 
-    Each branch runs on one occupied block (see ``qudit``), scanned once and
-    scattered once: the detection on the block that keeps the probed ion and
-    the ancilla whole, and the loss branch's shrunk measurement, frame fix,
-    normalization and noise on the block that keeps the surviving qubits whole.
+    The encoding and its observables depend on ``alpha`` only and are computed
+    once per angle (``_encoding``).  Each branch runs on one occupied block (see
+    ``qudit``), scattered once: the detection on the block that keeps the probed
+    ion and the ancilla whole, read off the lost pure state's amplitudes, and the
+    loss branch's shrunk measurement, frame fix, normalization and noise on the
+    block that keeps the surviving qubits whole, one scan of the loss branch.
     """
     noise = noise or NoiseModel()
     code4, code3 = four_qubit_code(), three_qubit_code()
-    psi = encode(alpha)
-    rho_enc = psi.to_density()
-    encoding_obs = _code_observables(rho_enc, code4)
-    encoding_obs["fidelity"] = _fidelity_with_pure(rho_enc, logical_target(alpha))
-
-    lost = apply_loss(psi, phi).to_density()
-    p_l, rho_l, p_nl, rho_nl = qnd_detect_density(lost)
+    psi, encoding_obs = _encoding(float(alpha))
+    p_l, rho_l, p_nl, rho_nl = qnd_detect_density(apply_loss(psi, phi))
 
     # no-loss branch, never empty: ion 0 of every encoded state is |0> with
     # probability 1/2, and the loss moves sin^2(phi/2) of that to |2>, so
@@ -510,7 +521,7 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
         l_obs, l_fid = {}, float("nan")
     loss = BranchSummary(p_l, l_obs, l_fid)
 
-    return ProtocolResult(alpha, phi, encoding_obs, no_loss, loss,
+    return ProtocolResult(alpha, phi, dict(encoding_obs), no_loss, loss,
                           rho_no_loss=rho_nl,
                           rho_loss=rho_rec if p_l > ATOL_TRACE else None)
 
@@ -528,8 +539,11 @@ def _outcome_thresholds(state: PureState, code: CodeDefinition
         if val > 1 + ATOL_ALGEBRA or val < -1 - ATOL_ALGEBRA:  # pragma: no cover
             raise ProtocolError(f"invalid expectation {val}")
         out.append((name, 0.5 * (1 + val), -1.0))
-    proj = code_space_projector(code.stabilizers.values(), state.dims)
-    out.append(("P_CS", float(np.real(np.vdot(state.amps, proj @ state.amps))), 0.0))
+    # P_CS = <psi| prod (1+S)/2 |psi>, the projector applied as its chain of halves
+    amps = state.amps
+    for pauli in code.stabilizers.values():
+        amps = _half_projection(_gather_cached(pauli, state.dims), amps, 0)
+    out.append(("P_CS", float(np.real(np.vdot(state.amps, amps))), 0.0))
     return tuple(out)
 
 
@@ -598,7 +612,7 @@ def run_protocol(alpha: float, phi: float, shots: int = 0,
     if shots <= 0:
         return result
 
-    detected, det_sets, det_probs = _detection_unit(apply_loss(encode(alpha), phi))
+    detected, det_sets, det_probs = _detection_unit(apply_loss(_encoding(alpha)[0], phi))
     block = seed_for(seed, SeedDomain.PROTOCOL_SHOTS).random((shots, _SHOT_WIDTH))
     outcome = np.searchsorted(_outcome_cdf(det_probs), block[:, _DETECT], side="right")
     # every shot ends on a leaf (detection outcome, shrunk pick, noise hit)
@@ -746,7 +760,8 @@ def detection_sweep(phi_grid: Sequence[float], shots: int, seed: int = 0,
 
     for pi_idx, phi in enumerate(phi_grid):
         if analytic:
-            p_leak = math.sin(phi / 2) ** 2
+            # the loss gate refuses a NaN or infinite angle, as in the sampled rows
+            p_leak = math.sin(loss_rotation(phi, 0).angle / 2) ** 2
             rows.append(SweepRow(phi, p_leak, p_leak, 0.0, 0.0, 0))
             continue
         block = seed_for(seed, SeedDomain.SWEEP_SHOTS, pi_idx).random((shots, _SWEEP_WIDTH))

@@ -16,7 +16,8 @@ amplitude of the basis ket ``|l0 l1 ... l_{n-1}>`` sits at flat index
 Occupied blocks: a branch of the exact density run keeps every level of the
 ions its operations act on, and of every other ion only the levels that some
 nonzero row or column of its input uses (:func:`_occupied_block`).  It is
-scanned once into a :class:`BlockOperator`, runs its gates, level masks,
+scanned once into a :class:`BlockOperator` (a pure state's is read off its
+amplitudes, :meth:`PureState.block`), runs its gates, level masks,
 signed permutations, sums and normalization there with the register's
 kernels on the block's per-ion shape, and is scattered once into a zero
 matrix, so every entry outside the block is +0.0.  The block trace sums the
@@ -149,6 +150,17 @@ class PureState:
 
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.n_ions, self.dims, np.outer(self.amps, self.amps.conj()))
+
+    def block(self, whole: Sequence[int]) -> "BlockOperator":
+        """``to_density().block(whole)`` without the register matrix: the product
+        block of the outer product's nonzero rows, and the outer product on it."""
+        # row i is amps[i] * conj(amps[j]); a zero amps[j] makes it nonzero only for a
+        # NaN or infinite amps[i], whose row is nonzero at its own column
+        nonzero = self.amps[self.amps != 0]
+        occupied = (np.outer(self.amps, nonzero.conj()) != 0).any(axis=1)
+        flat = _product_block(occupied, self.n_ions, self.dims, whole)
+        sub = self.amps[flat]
+        return _block_operator(self.n_ions, self.dims, flat, np.outer(sub, sub.conj()))
 
 
 def make_state(n_ions: int, dims: int, initial_levels: Iterable[Level | int]) -> PureState:
@@ -346,13 +358,8 @@ class DensityOperator(_Operator):
     def block(self, whole: Sequence[int]) -> "BlockOperator":
         """The operator on its :func:`_occupied_block` with the ions ``whole`` kept
         at all levels: the one scan of ``mat``."""
-        n, d = self.n_ions, self.dims
-        flat = _occupied_block(self.mat, n, d, whole)
-        # each ion's levels in the block, read off the flat indices' digits
-        levels = np.zeros((n, d), dtype=bool)
-        levels[np.arange(n), flat[:, None] // d ** np.arange(n - 1, -1, -1) % d] = True
-        return BlockOperator(n, d, flat, tuple(levels.sum(axis=1).tolist()),
-                             self.mat[np.ix_(flat, flat)])
+        flat = _occupied_block(self.mat, self.n_ions, self.dims, whole)
+        return _block_operator(self.n_ions, self.dims, flat, self.mat[np.ix_(flat, flat)])
 
 
 @dataclass
@@ -360,9 +367,9 @@ class BlockOperator(_Operator):
     """A register operator held on one product block of its rows and columns.
 
     ``mat`` holds the rows and columns ``flat`` (ascending) of the register
-    matrix; every entry outside is zero.  Made by :meth:`DensityOperator.block`,
-    it runs the register's kernels on the block and becomes a register operator
-    again by one scatter (:meth:`register`).
+    matrix; every entry outside is zero.  Made by :meth:`DensityOperator.block`
+    or :meth:`PureState.block`, it runs the register's kernels on the block and
+    becomes a register operator again by one scatter (:meth:`register`).
     """
 
     n_ions: int
@@ -398,17 +405,23 @@ def _check_whole(op: _Operator, ions: Sequence[int]) -> tuple[int, ...]:
 
 def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int]
                     ) -> np.ndarray:
-    """Flat indices (ascending) of the smallest product block that holds every
-    nonzero row and column of ``mat``, with the ions in ``whole`` kept at all
-    levels.
+    """The :func:`_product_block` of every nonzero row and column of ``mat``.
 
     A NaN compares unequal to zero, so it counts as occupied.  The block is
     closed under any signed permutation that acts on ``whole`` only.
     """
     # the real and imaginary parts compared as floats: cheaper than complex != 0
     nonzero = np.ascontiguousarray(mat, dtype=complex).view(np.float64) != 0
-    occupied = (nonzero.any(axis=1)
-                | nonzero.any(axis=0).reshape(-1, 2).any(axis=1)).reshape([dims] * n_ions)
+    occupied = nonzero.any(axis=1) | nonzero.any(axis=0).reshape(-1, 2).any(axis=1)
+    return _product_block(occupied, n_ions, dims, whole)
+
+
+def _product_block(occupied: np.ndarray, n_ions: int, dims: int, whole: Sequence[int]
+                   ) -> np.ndarray:
+    """Flat indices (ascending) of the smallest product block that holds every
+    register index marked in the boolean vector ``occupied``, with the ions in
+    ``whole`` kept at all levels."""
+    occupied = occupied.reshape([dims] * n_ions)
     flat = np.zeros(1, dtype=np.intp)
     for ion in range(n_ions):
         if ion in whole:
@@ -418,6 +431,15 @@ def _occupied_block(mat: np.ndarray, n_ions: int, dims: int, whole: Sequence[int
             levels = np.flatnonzero(occupied.any(axis=others))
         flat = (flat[:, None] * dims + levels).reshape(-1)
     return flat
+
+
+def _block_operator(n_ions: int, dims: int, flat: np.ndarray, mat: np.ndarray
+                    ) -> BlockOperator:
+    """``mat`` on the product block ``flat``, its shape read off the indices' digits."""
+    levels = np.zeros((n_ions, dims), dtype=bool)
+    digits = flat[:, None] // dims ** np.arange(n_ions - 1, -1, -1) % dims
+    levels[np.arange(n_ions), digits] = True
+    return BlockOperator(n_ions, dims, flat, tuple(levels.sum(axis=1).tolist()), mat)
 
 
 def _block_perm(perm: tuple[np.ndarray, np.ndarray], flat: np.ndarray

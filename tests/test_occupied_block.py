@@ -10,8 +10,8 @@ from qloss.gates import compile_gate
 from qloss.protocol import (ANCILLA, N_IONS, SURVIVING_QUBITS, PauliFrame, _loss_branch,
                             _shrunk_correct, apply_loss, detection_ops, encode,
                             qnd_detect_density, shrunk_stabilizer)
-from qloss.qudit import (BlockOperator, DensityOperator, _conjugate, _gather_cached,
-                         _occupied_block, _permute_rows, readout_partition)
+from qloss.qudit import (BlockOperator, DensityOperator, PureState, _conjugate,
+                         _gather_cached, _occupied_block, _permute_rows, readout_partition)
 from qloss.tolerances import ATOL_TRACE
 
 
@@ -209,3 +209,71 @@ def test_block_trace_is_the_register_trace(seed, n_ions, dims):
     assert np.float64(block.trace()).tobytes() \
         == np.float64(np.real(np.trace(scattered))).tobytes()
     assert isinstance(block, BlockOperator) and len(block.flat) <= dims**n_ions
+
+
+def assert_same_block(got, want):
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert got.shape == want.shape
+    assert got.mat.tobytes() == want.mat.tobytes()
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_pure_block_is_the_density_block_on_program_inputs(alpha):
+    psi = encode(alpha)
+    for state in [psi] + [apply_loss(psi, phi) for phi in PHIS]:
+        for whole in ((0, ANCILLA), SURVIVING_QUBITS, ()):
+            assert_same_block(state.block(whole), state.to_density().block(whole))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_ions,dims", [(2, 3), (3, 3), (5, 3), (2, 5), (3, 5)])
+def test_pure_block_is_the_density_block_on_sparse_states(seed, n_ions, dims):
+    rng = np.random.default_rng([seed, n_ions, dims, 33])
+    side = dims**n_ions
+    amps = rng.normal(size=side) + 1j * rng.normal(size=side)
+    pick = rng.random(side)
+    amps[pick < 0.6] = 0.0
+    amps[(pick >= 0.6) & (pick < 0.7)] = complex(-0.0, -0.0)
+    amps[(pick >= 0.7) & (pick < 0.75)] = complex(0.0, rng.normal())
+    if seed % 2:
+        # products near the smallest subnormal: some underflow to zero, so a
+        # nonzero amplitude need not occupy its row
+        amps *= 10.0 ** -161.7
+    state = PureState(n_ions, dims, amps)
+    for whole in ((), (0,), tuple(range(1, n_ions, 2))):
+        assert_same_block(state.block(whole), state.to_density().block(whole))
+
+
+def test_pure_block_of_non_finite_and_zero_states():
+    # zero times NaN is NaN, so one NaN amplitude occupies every row
+    amps = apply_loss(encode(0.7), 0.3).amps.copy()
+    amps[7] = complex(np.nan, 0.0)
+    state = PureState(N_IONS, 3, amps)
+    with np.errstate(invalid="ignore"):
+        for whole in ((), (0, ANCILLA)):
+            got = state.block(whole)
+            assert_same_block(got, state.to_density().block(whole))
+            assert len(got.flat) == 3**N_IONS
+    zero = PureState(N_IONS, 3, np.zeros(3**N_IONS))
+    for whole in ((), SURVIVING_QUBITS):
+        got = zero.block(whole)
+        assert_same_block(got, zero.to_density().block(whole))
+        assert len(got.flat) == 0
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_pure_detection_split_is_the_density_split(alpha):
+    psi = encode(alpha)
+    for phi in PHIS:
+        lost = apply_loss(psi, phi)
+        got, want = qnd_detect_density(lost), qnd_detect_density(lost.to_density())
+        for g, w in zip(got, want):
+            if isinstance(g, float):
+                assert np.float64(g).tobytes() == np.float64(w).tobytes()
+            else:
+                assert g.mat.tobytes() == w.mat.tobytes()
+        if got[0] <= ATOL_TRACE:
+            continue
+        for noise in NOISES:
+            assert _loss_branch(got[1], phi, noise).mat.tobytes() \
+                == _loss_branch(want[1], phi, noise).mat.tobytes()

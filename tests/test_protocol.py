@@ -15,7 +15,8 @@ from qloss.gates import (GateKind, Register, collective_rotation, compile_gate,
                          loss_rotation)
 import qloss.protocol as protocol
 from qloss.protocol import (ANCILLA, SURVIVING_QUBITS, PauliFrame,
-                            ProtocolError, _code, _detect, _detection_unit,
+                            ProtocolError, _code, _code_observables, _detect,
+                            _detection_unit, _fidelity_with_pure,
                             _HIT_CODES, _leaf, _noise_hits, _outcome_thresholds,
                             _shrunk_correct, _shrunk_split,
                             _sweep_readout, analytic_run, apply_frame_correction, apply_loss,
@@ -483,6 +484,67 @@ class TestTrajectories:
         assert abs(means["P_CS"] - target) <= 4 * sigma
 
 
+def uncached_encoding(alpha):
+    """``analytic_run``'s encoding observables computed afresh."""
+    rho = encode(alpha).to_density()
+    obs = _code_observables(rho, four_qubit_code())
+    obs["fidelity"] = _fidelity_with_pure(rho, logical_target(alpha))
+    return obs
+
+
+def float_bytes(values):
+    return [(k, np.float64(v).tobytes()) for k, v in values.items()]
+
+
+def result_bytes(res):
+    """Every number and matrix of an exact run, as bytes."""
+    out = float_bytes(res.encoding)
+    for summary in (res.no_loss, res.loss):
+        out += float_bytes(summary.observables)
+        out += float_bytes({"p": summary.probability, "fid": summary.fidelity})
+    return out, res.rho_no_loss.mat.tobytes(), res.rho_loss.mat.tobytes()
+
+
+class TestEncodingCache:
+    """``analytic_run`` and ``run_protocol`` encode once per alpha (``_encoding``)."""
+
+    def test_cached_state_is_read_only(self):
+        psi, _ = protocol._encoding(0.7)
+        assert not psi.amps.flags.writeable
+        with pytest.raises(ValueError):
+            psi.amps[0] = 0.0
+        assert psi.amps.tobytes() == encode(0.7).amps.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, math.pi, math.pi / 2, 0.7, 5.1])
+    def test_encoding_is_the_uncached_encoding(self, alpha):
+        protocol._encoding.cache_clear()
+        want = float_bytes(uncached_encoding(alpha))
+        # the miss, then the hits
+        for phi in (0.3, 0.5 * math.pi, 0.3):
+            assert float_bytes(analytic_run(alpha, phi).encoding) == want
+
+    def test_returned_encoding_is_a_copy(self):
+        first = analytic_run(0.7, 0.3).encoding
+        want = float_bytes(first)
+        first["S1X"] = 5.0
+        first["extra"] = 1.0
+        assert float_bytes(analytic_run(0.7, 0.3).encoding) == want
+        assert float_bytes(analytic_run(0.7, 1.1).encoding) == want
+
+    def test_signed_zero_alpha_shares_its_bytes(self):
+        assert float_bytes(uncached_encoding(0.0)) == float_bytes(uncached_encoding(-0.0))
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            protocol._encoding.cache_clear()
+            first, second = (result_bytes(analytic_run(a, 0.4)) for a in order)
+            assert first == second
+
+    def test_nan_alpha_raises_on_every_call(self):
+        for _ in range(3):
+            for run in (analytic_run, run_protocol):
+                with pytest.raises(ValueError, match="COLLECTIVE_R angle must be finite"):
+                    run(math.nan, 0.3)
+
+
 def hit_weights(p_mix: float) -> dict[int, float]:
     """Weight of each hit code that ``_noise_hits`` can emit: none, then one per
     (surviving qubit, X/Y/Z).  Codes 1, 5 and 9 (the letter I) are no hit."""
@@ -546,6 +608,28 @@ class TestLeafTree:
                 for name, total in sums[branch].items():
                     assert abs(total / probs[branch] - summary.observables[name]) <= 1e-12, \
                         (noise, mode, alpha, phi, branch, name)
+
+    @pytest.mark.parametrize("mode", ["exact", "toolbox"])
+    @pytest.mark.parametrize("noise", ["off", "pqnd=0.033"])
+    def test_leaf_code_space_population_is_the_dense_projector(self, noise, mode):
+        # P_CS through the chain of (1+S)/2 halves, bit for bit <psi|P_CS|psi>
+        # with the dense projector
+        model = LEAF_NOISES[noise]
+        alphas = [0.0, math.pi, math.pi / 2, 0.7, 1.3, 2.9, 4.4, 6.0]
+        phis = [0.1 * math.pi, 0.2 * math.pi, 0.5 * math.pi, math.pi, 2 * math.pi,
+                *np.linspace(0.05 * math.pi, 1.95 * math.pi, 9).tolist()]
+        for alpha, phi in itertools.product(alphas, phis):
+            branches, weights = leaf_tree(alpha, phi, model, mode)
+            for leaf, weight in weights.items():
+                if weight == 0:
+                    continue
+                state, code, _ = _leaf(branches, mode, leaf)
+                proj = code_space_projector(code.stabilizers.values(), state.dims)
+                want = float(np.real(np.vdot(state.amps, proj @ state.amps)))
+                name, got, _ = _outcome_thresholds(state, code)[-1]
+                assert name == "P_CS"
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                    (alpha, phi, leaf)
 
     #: uniforms per column of the stratified grids, (k + 1/2)/N
     N_HIT, N_PATH = 48, 64
@@ -796,6 +880,13 @@ class TestDetectionSweep:
         with pytest.raises(ValueError, match="no addressing errors"):
             detection_sweep(self.GRID, shots=0, analytic=True, register=5,
                             addressing_error=0.05)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_non_finite_angle_raises(self, analytic, phi):
+        # both modes refuse the angle where the loss gate is built
+        with pytest.raises(ValueError, match=f"LOSS_ROT angle must be finite, got {phi}"):
+            detection_sweep([0.3, phi], shots=10, analytic=analytic, register=5)
 
     @pytest.mark.parametrize("analytic", [False, True])
     def test_empty_grid_raises(self, analytic):
