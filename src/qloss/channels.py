@@ -29,9 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qudit import (BlockOperator, DensityOperator, Level, _block_perm, _check_whole,
-                    _conjugate, _signed_permutation, check_unitary, readout_partition,
-                    truncated_pauli)
+from .qudit import (BlockOperator, DensityOperator, Level, _block_perm, _conjugate,
+                    _signed_permutation, check_unitary, readout_partition, truncated_pauli)
 from .tolerances import ATOL_TRACE
 
 CHOI_BASIS_ORDER = "output,input;|00>,|01>,|10>,|11>"
@@ -203,9 +202,8 @@ def depolarize_one(rho: DensityOperator | BlockOperator, qubit: int
     point of the map.  Each extended Pauli is a signed permutation, so its
     term is a reindexed copy of rho, and the identity term is rho itself.
     On a :class:`~qloss.qudit.BlockOperator` the sum runs on the block, which
-    must keep ``qubit`` whole.
+    must keep ``qubit`` on {|0>, |1>} or whole, so the Paulis map it into itself.
     """
-    _check_whole(rho, (qubit,))
     perms = [_block_perm(_extended_gather(letter, qubit, rho.n_ions, rho.dims), rho.flat)
              for letter in "XYZ"]
     acc = np.zeros_like(rho.mat)
@@ -218,8 +216,8 @@ def depolarize_one(rho: DensityOperator | BlockOperator, qubit: int
 def qnd_noise_mixture(rho: DensityOperator | BlockOperator, phi: float, model: NoiseModel,
                       qubits: Sequence[int]) -> DensityOperator | BlockOperator:
     """rho -> (p/n) sum_k M_k(rho) + (1-p) rho, with M_k :func:`depolarize_one` on
-    the k-th of the n ``qubits``; on a block that keeps them whole, every sum runs
-    on the block."""
+    the k-th of the n ``qubits``; on a block, every sum runs on the block.  With
+    the model off it returns ``rho`` itself."""
     if not model.enabled:
         return rho
     p = mixing_probability(phi, model.p_qnd)

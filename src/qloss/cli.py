@@ -157,7 +157,9 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> None:
 
 
 def _run_size(n: int, key: str) -> int:
-    """The shot or sample count ``n`` of option ``key``, rejected above `MAX_SHOTS`."""
+    """The shot or sample count ``n`` of option ``key``, rejected outside [0, `MAX_SHOTS`]."""
+    if n < 0:
+        raise ValueError(f"{key} must be >= 0, got {n}")
     if n > MAX_SHOTS:
         raise ValueError(f"{key} {n} exceeds {MAX_SHOTS}")
     return n

@@ -26,9 +26,9 @@ from .channels import NoiseModel, _extended_gather, mixing_probability, qnd_nois
 from .gates import (GateOp, Register, addressed_z, collective_rotation, compile_gate,
                     loss_rotation, ms_gate)
 from .qudit import (BlockOperator, DensityOperator, Level, PauliString, PureState,
-                    SeedDomain, UndefinedExpectationError, _apply_checked, _block_perm,
-                    _check_whole, _conjugate, _gather_cached, _half_projection, _outcome_cdf,
-                    _permute_rows, collapse, draw_outcome, expectation, make_state,
+                    SeedDomain, UndefinedExpectationError, _block_perm, _conjugate,
+                    _gather_cached, _half_projection, _outcome_cdf, _permute_rows, collapse,
+                    draw_outcome, expectation, make_state, measure_projective,
                     outcome_probabilities, partial_trace, pure_expectation,
                     readout_partition, seed_for)
 from .tolerances import ATOL_ALGEBRA, ATOL_LEAK_GUARD, ATOL_PSD, ATOL_TRACE
@@ -173,11 +173,7 @@ def encode(alpha: float) -> PureState:
 
 def apply_loss(state: PureState, phi: float) -> PureState:
     """The controlled loss rotation by ``phi`` on ion 0, the probed ion."""
-    return _apply_op(state, loss_rotation(phi, 0))
-
-
-def _apply_op(state: PureState, op: GateOp) -> PureState:
-    return _apply_checked(state, compile_gate(op, state.dims), op.support)
+    return Register(state).run([loss_rotation(phi, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +225,20 @@ def qnd_detect(state: PureState, rng: np.random.Generator | None = None,
     The detection gates act on the probed qubit and the ancilla only, which
     is how the ideal engine models the other ions as hidden.
     """
-    pre, sets, probs = _detection_unit(state)
-    force = None
-    if force_branch is not None:
-        force = 1 if force_branch == "loss" else 0
-    outcome = draw_outcome(probs, rng, force)
-    return DetectResult("loss" if outcome == 1 else "no_loss", outcome,
-                        collapse(pre, ANCILLA, sets[outcome]), float(probs[outcome]))
+    force = None if force_branch is None else int(force_branch == "loss")
+    outcome, post, prob = measure_projective(_detect(state, (0, ANCILLA)), ANCILLA,
+                                             readout_partition(state.dims), rng, force)
+    return DetectResult("loss" if outcome == 1 else "no_loss", outcome, post, prob)
 
 
 def qnd_detect_density(state: PureState | DensityOperator
-                       ) -> tuple[float, DensityOperator, float, DensityOperator]:
+                       ) -> tuple[float, BlockOperator, float, BlockOperator]:
     """Exact branch split: (p_loss, rho_loss, p_no_loss, rho_no_loss), renormalized.
 
     The gates and the readout run on one occupied block of ``state`` that keeps
-    the probed ion and the ancilla whole (see ``qudit``).  A pure state gives the
-    block of its density matrix, read off its amplitudes, so both inputs split
-    alike bit for bit.
+    the probed ion and the ancilla whole (see ``qudit``), and returns both branches
+    on it.  A pure state gives the block of its density matrix, read off its
+    amplitudes, so both inputs split alike bit for bit.
     """
     block = state.block((0, ANCILLA))
     for op in detection_ops((0, ANCILLA)):
@@ -259,7 +252,7 @@ def qnd_detect_density(state: PureState | DensityOperator
         raise ProtocolError("branch probabilities do not sum to the input trace")
     rho_l_n = rho_l.normalized() if p_l > ATOL_TRACE else rho_l
     rho_nl_n = rho_nl.normalized() if p_nl > ATOL_TRACE else rho_nl
-    return p_l / total, rho_l_n.register(), p_nl / total, rho_nl_n.register()
+    return p_l / total, rho_l_n, p_nl / total, rho_nl_n
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +305,7 @@ def _shrunk_split(state: PureState, mode: str) -> tuple[PureState, np.ndarray]:
         return state, np.array([p_plus, 1 - p_plus])
     if mode == "toolbox":
         # reset ancilla |1> -> |0>
-        out = Register(_apply_op(state, _ANCILLA_FLIP)).run(shrunk_measurement_ops())
+        out = Register(state).run([_ANCILLA_FLIP, *shrunk_measurement_ops()])
         _, probs = outcome_probabilities(out, ANCILLA, readout_partition(state.dims))
         return out, probs
     raise ValueError(f"unknown mode {mode!r}")
@@ -323,10 +316,10 @@ def _shrunk_post(pre: PureState, mode: str, pick: int) -> PureState:
     if mode == "exact":
         amps = _half_projection(_gather_cached(shrunk_stabilizer(), pre.dims), pre.amps, pick)
         post = PureState(pre.n_ions, pre.dims, amps / np.linalg.norm(amps))
-        return _apply_op(post, _ANCILLA_FLIP)  # ancilla |1> -> |0> reset (feed-forward)
+        return Register(post).run([_ANCILLA_FLIP])  # ancilla |1> -> |0> reset (feed-forward)
     post = collapse(pre, ANCILLA, readout_partition(pre.dims)[pick])
     # feed-forward reset after a -1 readout
-    return _apply_op(post, _ANCILLA_FLIP) if pick == 1 else post
+    return Register(post).run([_ANCILLA_FLIP]) if pick == 1 else post
 
 
 def measure_shrunk_stabilizer(state: PureState, mode: str = "exact",
@@ -455,8 +448,8 @@ def _shrunk_correct(rho: DensityOperator | BlockOperator) -> DensityOperator | B
     """Both shrunk outcomes with their frame fix, unnormalized:
     (1+S)/2 rho (1+S)/2 + Z (1-S)/2 rho (1-S)/2 Z^dagger, with Z the frame's
     correction; every factor is applied as a signed permutation.  Both act on
-    the surviving qubits only, so on a block the operator must keep them whole."""
-    _check_whole(rho, SURVIVING_QUBITS)
+    the surviving qubits only and map their {|0>, |1>} into itself, so a block
+    must keep those qubits on {|0>, |1>} or whole, as the detection block does."""
     stab = _block_perm(_gather_cached(shrunk_stabilizer(), rho.dims), rho.flat)
     fix = _block_perm(_gather_cached(PauliFrame(-1).correction(), rho.dims), rho.flat)
     # the projectors are real and symmetric, so the right factor acts on the rows
@@ -466,14 +459,11 @@ def _shrunk_correct(rho: DensityOperator | BlockOperator) -> DensityOperator | B
     return replace(rho, mat=plus + _conjugate(fix, minus))
 
 
-def _loss_branch(rho_l: DensityOperator, phi: float, noise: NoiseModel) -> DensityOperator:
+def _loss_branch(rho_l: BlockOperator, phi: float, noise: NoiseModel) -> BlockOperator:
     """The detected-loss state after the shrunk measurement, its frame fix, the
-    normalization and the noise mixture, all on one block of ``rho_l`` that keeps
-    the surviving qubits whole."""
-    block = _shrunk_correct(rho_l.block(SURVIVING_QUBITS)).normalized()
-    if noise.enabled:
-        block = qnd_noise_mixture(block, phi, noise, SURVIVING_QUBITS)
-    return block.register()
+    normalization and the noise mixture, on the detection block ``rho_l``: every
+    map is a signed permutation of the surviving qubits' {|0>, |1>}, kept there."""
+    return qnd_noise_mixture(_shrunk_correct(rho_l).normalized(), phi, noise, SURVIVING_QUBITS)
 
 
 @lru_cache(maxsize=16)
@@ -493,16 +483,17 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
     """Exact density-mode run; the oracle for trajectory mode.
 
     The encoding and its observables depend on ``alpha`` only and are computed
-    once per angle (``_encoding``).  Each branch runs on one occupied block (see
-    ``qudit``), scattered once: the detection on the block that keeps the probed
-    ion and the ancilla whole, read off the lost pure state's amplitudes, and the
-    loss branch's shrunk measurement, frame fix, normalization and noise on the
-    block that keeps the surviving qubits whole, one scan of the loss branch.
+    once per angle (``_encoding``).  The whole run holds one occupied block (see
+    ``qudit``), read off the lost pure state's amplitudes: the detection keeps
+    the probed ion and the ancilla whole, and the loss branch's shrunk
+    measurement, frame fix, normalization and noise run on the same block.  Each
+    branch is scattered once, for its observables.
     """
     noise = noise or NoiseModel()
     code4, code3 = four_qubit_code(), three_qubit_code()
     psi, encoding_obs = _encoding(float(alpha))
     p_l, rho_l, p_nl, rho_nl = qnd_detect_density(apply_loss(psi, phi))
+    rho_nl = rho_nl.register()
 
     # no-loss branch, never empty: ion 0 of every encoded state is |0> with
     # probability 1/2, and the loss moves sin^2(phi/2) of that to |2>, so
@@ -511,19 +502,16 @@ def analytic_run(alpha: float, phi: float, noise: NoiseModel | None = None
                             _fidelity_with_pure(rho_nl, logical_target(alpha)))
 
     # loss branch: shrunk-stabilizer measurement + frame correction, combined
+    rho_rec, l_obs, l_fid = None, {}, float("nan")
     if p_l > ATOL_TRACE:
-        rho_rec = _loss_branch(rho_l, phi, noise)
+        rho_rec = _loss_branch(rho_l, phi, noise).register()
         l_obs = _code_observables(rho_rec, code3)
         rec3 = partial_trace(rho_rec, SURVIVING_QUBITS)
         l_fid = _fidelity_with_pure(rec3, logical_target(alpha, 3, qubits=(0, 1, 2)))
-    else:
-        rho_rec = rho_l
-        l_obs, l_fid = {}, float("nan")
     loss = BranchSummary(p_l, l_obs, l_fid)
 
     return ProtocolResult(alpha, phi, dict(encoding_obs), no_loss, loss,
-                          rho_no_loss=rho_nl,
-                          rho_loss=rho_rec if p_l > ATOL_TRACE else None)
+                          rho_no_loss=rho_nl, rho_loss=rho_rec)
 
 
 def _outcome_thresholds(state: PureState, code: CodeDefinition

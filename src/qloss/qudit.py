@@ -14,13 +14,16 @@ amplitude of the basis ket ``|l0 l1 ... l_{n-1}>`` sits at flat index
 ``l0 * dims**(n-1) + l1 * dims**(n-2) + ...``.
 
 Occupied blocks: a branch of the exact density run keeps every level of the
-ions its operations act on, and of every other ion only the levels that some
-nonzero row or column of its input uses (:func:`_occupied_block`).  It is
-scanned once into a :class:`BlockOperator` (a pure state's is read off its
-amplitudes, :meth:`PureState.block`), runs its gates, level masks,
+ions its gates and level masks act on, and of every other ion only the levels
+that some nonzero row or column of its input uses (:func:`_occupied_block`).
+It is scanned once into a :class:`BlockOperator` (a pure state's is read off
+its amplitudes, :meth:`PureState.block`), runs its gates, level masks,
 signed permutations, sums and normalization there with the register's
 kernels on the block's per-ion shape, and is scattered once into a zero
-matrix, so every entry outside the block is +0.0.  The block trace sums the
+matrix, so every entry outside the block is +0.0.  A gate or a level mask
+needs its ions whole (:func:`_check_whole`).  A signed permutation needs only
+a block that it maps into itself (:func:`_block_perm`): a Pauli maps any
+block that keeps its ions on {|0>, |1>} or whole.  The block trace sums the
 diagonal scattered into a register-length zero vector, so its pairwise
 summation groups the terms as ``np.trace`` of the scattered matrix does.
 Elementwise kernels and signed permutations give each block entry the
@@ -445,9 +448,12 @@ def _block_operator(n_ions: int, dims: int, flat: np.ndarray, mat: np.ndarray
 def _block_perm(perm: tuple[np.ndarray, np.ndarray], flat: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """A signed permutation ``perm`` = (sigma, phase) of the register, re-indexed
-    onto the block ``flat`` of :func:`_occupied_block`, which it maps into itself."""
+    onto the block ``flat``, which ``sigma`` must map into itself."""
     sigma, phase = perm
-    return np.searchsorted(flat, sigma[flat]), phase[flat]
+    rows = np.searchsorted(flat, sigma[flat])
+    if not np.array_equal(flat.take(rows, mode="clip"), sigma[flat]):
+        raise DimensionError("block is not closed under the signed permutation")
+    return rows, phase[flat]
 
 
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:

@@ -565,6 +565,22 @@ class TestNonFiniteInputs:
         assert res.exit_code == 2, res.output
         assert not (tmp_path / written).exists()
 
+    @pytest.mark.parametrize("args", [
+        ["detect-sweep", "--analytic", "--shots", "-5"],
+        ["detect-sweep", "--shots", "-5"],
+        ["protocol", "--phi", "0.5pi", "--paper-shots", "--shots", "-3"],
+        ["protocol", "--phi-grid", "0.1pi,0.5pi", "--shots", "-3"],
+        ["choi", "--shots", "-1"],
+        ["stabilizer-sweep", "--phi-grid", "0.5pi", "--shots", "-1"],
+        ["percolation", "--L", "4", "--samples", "-1"],
+    ])
+    def test_negative_run_size_is_config_error(self, runner, tmp_path, args):
+        # a size the run would ignore (analytic, paper presets) is still rejected
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
+        assert res.exit_code == 2, res.output
+        assert "must be >= 0, got -" in res.output and "wrote" not in res.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args", [["protocol", "--phi", "0.5pi", "--shots", "3"],
                                       ["detect-sweep"],
                                       ["percolation", "--samples", "100"]])

@@ -174,6 +174,16 @@ def test_every_output_goes_through_the_one_sink():
     assert writers == [("serialize", "write_text")]
 
 
+def test_whole_ion_rule_lives_in_qudit():
+    """Gates and level masks need the ions they act on whole, and ``qudit``'s
+    kernels check that themselves; a signed permutation needs only a closed
+    block, which ``qudit._block_perm`` checks.  So no other module calls
+    ``_check_whole``."""
+    callers = {path.stem for path in MODULES for _, call in _owned_calls(path)
+               if _called_name(call) == "_check_whole"}
+    assert callers == {"qudit"}
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 #: public names with no caller in the package or the benchmark, and why they stay
@@ -245,8 +255,6 @@ UNPASSED_DEFAULTS_ALLOWED = {
     # the per-shot generators are the reference the tests compare run_protocol against
     ("protocol", "qnd_detect", "rng"),
     ("protocol", "measure_shrunk_stabilizer", "rng"),
-    ("qudit", "measure_projective", "rng"),
-    ("qudit", "measure_projective", "force_outcome"),
     # the noisy table is the paper's imperfection model; the planned `qloss table`
     # command passes it
     ("tomography", "table_report", "noise"),

@@ -10,8 +10,9 @@ from qloss.gates import compile_gate
 from qloss.protocol import (ANCILLA, N_IONS, SURVIVING_QUBITS, PauliFrame, _loss_branch,
                             _shrunk_correct, apply_loss, detection_ops, encode,
                             qnd_detect_density, shrunk_stabilizer)
-from qloss.qudit import (BlockOperator, DensityOperator, PureState, _conjugate,
-                         _gather_cached, _occupied_block, _permute_rows, readout_partition)
+from qloss.qudit import (BlockOperator, DensityOperator, DimensionError, PauliString,
+                         PureState, _block_perm, _conjugate, _gather_cached, _occupied_block,
+                         _permute_rows, readout_partition)
 from qloss.tolerances import ATOL_TRACE
 
 
@@ -70,14 +71,18 @@ def dense_loss_branches(rho_l, phi, noises):
         yield acc
 
 
-def random_input(rng, n_ions, dims, whole_register=False, non_finite=False):
+def random_input(rng, n_ions, dims, whole_register=False, non_finite=False, fixed=None):
     """A random complex matrix on a random product of per-ion level sets (all levels
-    for ``whole_register``), with +-0.0 entries inside and -0.0 or +0.0 outside."""
+    for ``whole_register``; the levels ``fixed[ion]`` for an ion in ``fixed``), with
+    +-0.0 entries inside and -0.0 or +0.0 outside."""
     keep = np.ones(1, dtype=bool)
-    for _ in range(n_ions):
+    for ion in range(n_ions):
         levels = np.zeros(dims, dtype=bool)
         size = dims if whole_register else rng.integers(1, dims + 1)
         levels[rng.choice(dims, size=size, replace=False)] = True
+        if fixed and ion in fixed:
+            levels[:] = False
+            levels[list(fixed[ion])] = True
         keep = np.kron(keep, levels).astype(bool)
     side = dims**n_ions
     mat = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
@@ -150,18 +155,73 @@ def test_block_kernels_need_whole_ions():
         depolarize_one(block, 0)
 
 
+def test_block_perm_needs_a_closed_block():
+    # ion 0 on {0, 2}: X maps |0> to |1>, which the block lacks, for the truncated
+    # letter and for the extended one alike
+    mat = np.zeros((9, 9), dtype=complex)
+    mat[np.ix_([0, 1, 2, 6, 7, 8], [0, 1, 2, 6, 7, 8])] = 1.0
+    block = DensityOperator(2, 3, mat).block((1,))
+    assert block.shape == (2, 3)
+    for perm in (_gather_cached(PauliString(("X", "I")), 3), _extended_gather("X", 0, 2, 3)):
+        with pytest.raises(DimensionError, match="not closed"):
+            _block_perm(perm, block.flat)
+    with pytest.raises(DimensionError, match="not closed"):
+        depolarize_one(block, 0)
+    # ion 1 is whole and ion 0 untouched: the block maps into itself
+    rows, _ = _block_perm(_extended_gather("X", 1, 2, 3), block.flat)
+    assert block.flat[rows].tolist() == [1, 0, 2, 7, 6, 8]
+
+
+def test_shrunk_correct_needs_a_closed_block():
+    # surviving qubit 2 on {0, 2}: the shrunk stabilizer leaves the block
+    rng = np.random.default_rng(35)
+    fixed = {1: (0, 1), 2: (0, 2), 3: (0, 1)}
+    block = DensityOperator(N_IONS, 3, random_input(rng, N_IONS, 3, fixed=fixed)).block(())
+    assert block.shape[1:4] == (2, 2, 2)
+    with pytest.raises(DimensionError, match="not closed"):
+        _shrunk_correct(block)
+
+
+@pytest.mark.parametrize("seed,non_finite", [(s, bad) for s in range(6) for bad in (False, True)])
+def test_shrunk_correct_on_closed_blocks_is_bitwise_dense(seed, non_finite):
+    # the surviving qubits on {0, 1}, not whole: every factor maps the block into itself
+    rng = np.random.default_rng([seed, 36])
+    fixed = dict.fromkeys(SURVIVING_QUBITS, (0, 1))
+    mat = random_input(rng, N_IONS, 3, non_finite=non_finite, fixed=fixed)
+    block = DensityOperator(N_IONS, 3, mat).block(())
+    assert block.shape[1:4] == (2, 2, 2)
+    with np.errstate(invalid="ignore"):
+        assert _shrunk_correct(block).register().mat.tobytes() \
+            == dense_shrunk_correct(mat, 3).tobytes()
+
+
+@pytest.mark.parametrize("seed,non_finite", [(s, bad) for s in range(6) for bad in (False, True)])
+@pytest.mark.parametrize("n_ions,dims", [(2, 3), (3, 3), (4, 3), (2, 5), (3, 5)])
+def test_depolarize_one_on_closed_blocks_is_bitwise_dense(seed, non_finite, n_ions, dims):
+    # the depolarized qubit on {0, 1}, not whole; the other ions on random levels
+    rng = np.random.default_rng([seed, n_ions, dims, 37])
+    with np.errstate(invalid="ignore"):
+        for qubit in range(n_ions):
+            mat = random_input(rng, n_ions, dims, non_finite=non_finite, fixed={qubit: (0, 1)})
+            block = DensityOperator(n_ions, dims, mat).block(())
+            assert block.shape[qubit] == 2
+            assert depolarize_one(block, qubit).register().mat.tobytes() \
+                == dense_depolarize_one(mat, qubit, n_ions, dims).tobytes()
+
+
 @pytest.mark.parametrize("alpha,phi", [(0.0, 0.3), (0.7, 1.1), (np.pi / 2, np.pi)])
 def test_loss_branch_is_bitwise_dense(alpha, phi):
-    # the input the kernels exist for: the loss branch's ancilla sits on one level
-    rho_l = qnd_detect_density(apply_loss(encode(alpha), phi).to_density())[1]
-    block = rho_l.block(SURVIVING_QUBITS)
-    assert len(_occupied_block(rho_l.mat, N_IONS, 3, SURVIVING_QUBITS)) == 3 * 27
-    assert len(block.flat) == 3 * 27
+    # the input the kernels exist for: the loss branch on the detection block, which
+    # keeps the probed ion and the ancilla whole and the surviving qubits on {0, 1}
+    block = qnd_detect_density(apply_loss(encode(alpha), phi).to_density())[1]
+    mat = block.register().mat
+    assert block.shape == (3, 2, 2, 2, 3) and len(block.flat) == 72
+    assert _occupied_block(mat, N_IONS, 3, (0, ANCILLA)).tolist() == block.flat.tolist()
     assert _shrunk_correct(block).register().mat.tobytes() \
-        == dense_shrunk_correct(rho_l.mat, 3).tobytes()
+        == dense_shrunk_correct(mat, 3).tobytes()
     for qubit in SURVIVING_QUBITS:
         assert depolarize_one(block, qubit).register().mat.tobytes() \
-            == dense_depolarize_one(rho_l.mat, qubit, N_IONS, 3).tobytes()
+            == dense_depolarize_one(mat, qubit, N_IONS, 3).tobytes()
 
 
 #: the program's inputs: alpha and phi at the paper's and the edge angles plus
@@ -186,12 +246,13 @@ def test_branches_are_bitwise_dense_on_program_inputs(alpha):
             if isinstance(g, float):
                 assert np.float64(g).tobytes() == np.float64(w).tobytes()
             else:
-                assert g.mat.tobytes() == w.mat.tobytes()
+                assert g.register().mat.tobytes() == w.mat.tobytes()
         p_l, rho_l = got[:2]
         if p_l <= ATOL_TRACE:
             continue
-        for noise, dense in zip(NOISES, dense_loss_branches(rho_l, phi, NOISES)):
-            assert _loss_branch(rho_l, phi, noise).mat.tobytes() == dense.tobytes()
+        dense_branches = dense_loss_branches(rho_l.register(), phi, NOISES)
+        for noise, dense in zip(NOISES, dense_branches):
+            assert _loss_branch(rho_l, phi, noise).register().mat.tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -271,9 +332,9 @@ def test_pure_detection_split_is_the_density_split(alpha):
             if isinstance(g, float):
                 assert np.float64(g).tobytes() == np.float64(w).tobytes()
             else:
-                assert g.mat.tobytes() == w.mat.tobytes()
+                assert g.register().mat.tobytes() == w.register().mat.tobytes()
         if got[0] <= ATOL_TRACE:
             continue
         for noise in NOISES:
-            assert _loss_branch(got[1], phi, noise).mat.tobytes() \
-                == _loss_branch(want[1], phi, noise).mat.tobytes()
+            assert _loss_branch(got[1], phi, noise).register().mat.tobytes() \
+                == _loss_branch(want[1], phi, noise).register().mat.tobytes()
