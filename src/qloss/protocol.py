@@ -461,8 +461,8 @@ def _shrunk_correct(rho: DensityOperator | BlockOperator) -> DensityOperator | B
 
 def _loss_branch(rho_l: BlockOperator, phi: float, noise: NoiseModel) -> BlockOperator:
     """The detected-loss state after the shrunk measurement, its frame fix, the
-    normalization and the noise mixture, on the detection block ``rho_l``: every
-    map is a signed permutation of the surviving qubits' {|0>, |1>}, kept there."""
+    normalization and the noise mixture, on the detection block ``rho_l``: it keeps
+    the surviving qubits on {|0>, |1>}, which each of those maps permutes."""
     return qnd_noise_mixture(_shrunk_correct(rho_l).normalized(), phi, noise, SURVIVING_QUBITS)
 
 
